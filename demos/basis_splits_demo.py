@@ -30,7 +30,7 @@ for x in (4, 5, 9, 6, 20, 25, 49, 99):
 
 print()
 print("=" * 72)
-print("2. Coverage: [4, 6*5^k] inside A_k + A_k (exact occupancy check)")
+print("2. Coverage: [4, 6*5^k] inside A_k + A_k (exact interval sums)")
 print("=" * 72)
 for k in range(9):
     rep = sumset_cover_check(k)

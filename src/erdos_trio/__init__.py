@@ -44,12 +44,10 @@ from .basis_splits import (
     StageClassification,
     alternating_rule,
     classify,
-    classify_batch,
     constant_rule,
     enumerate_A,
     gap_witness,
     interval_sum_table,
-    occupancy,
     representations,
     rigidity_check,
     rigidity_interval,

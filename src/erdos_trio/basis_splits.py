@@ -14,9 +14,9 @@ the stage index. Three finite verifications are provided:
 * gap witness: for any two-coloring of A, the color class missing c_k has
   no pairwise sum landing in J_k, so its sumset has a gap of length 5^{k-1}.
 
-Sumsets are computed on boolean occupancy, either by a direct double loop
-over elements (small stages) or by big-integer shift-or with doubling
-smears over the interval decomposition (large stages); both are exact.
+A truncated to any bound is a union of O(k) disjoint integer intervals, and
+[a, b] + [c, d] = [a + c, b + d] with every point reached, so sumsets are
+computed exactly as unions of O(k^2) interval sums, never element by element.
 """
 
 from __future__ import annotations
@@ -25,14 +25,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
-import numpy as np
-
 from .errors import VerificationError
 
 Kind = Literal["core", "c", "B", "F", "none"]
-
-# Stages with more elements than this use the shift-or sumset path.
-_PAIRS_MAX_ELEMENTS = 2500
 
 
 def stage_anchor(k: int) -> int:
@@ -93,40 +88,6 @@ def classify(x: int) -> StageClassification:
     return StageClassification(x=x, kind="none")
 
 
-_KIND_CODES = {"none": 0, "core": 1, "c": 2, "B": 3, "F": 4}
-
-
-def classify_batch(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized classify: returns (kind codes, stages), stage 0 for core/none.
-
-    Codes follow _KIND_CODES. Inputs must fit in int64.
-    """
-    xs = np.asarray(xs, dtype=np.int64)
-    kinds = np.zeros(xs.shape, dtype=np.int8)
-    stages = np.zeros(xs.shape, dtype=np.int64)
-    kinds[(xs == 2) | (xs == 3)] = _KIND_CODES["core"]
-    big = xs >= 4
-    if not np.any(big):
-        return kinds, stages
-    pow5 = [1]
-    while 4 * pow5[-1] <= int(xs.max()):
-        pow5.append(pow5[-1] * 5)
-    pow5_arr = np.array(pow5, dtype=np.int64)
-    # largest k with 4 * 5^(k-1) <= x  <=>  5^(k-1) <= x // 4
-    k_idx = np.searchsorted(pow5_arr, xs // 4, side="right")  # = stage k
-    k_idx = np.clip(k_idx, 1, len(pow5))
-    q = pow5_arr[k_idx - 1]
-    is_c = big & (xs == 4 * q)
-    is_b = big & (5 * q <= xs) & (xs <= 6 * q - 1)
-    is_f = big & (10 * q - 1 <= xs) & (xs <= 15 * q)
-    kinds[is_c] = _KIND_CODES["c"]
-    kinds[is_b] = _KIND_CODES["B"]
-    kinds[is_f] = _KIND_CODES["F"]
-    member = is_c | is_b | is_f
-    stages[member] = k_idx[member]
-    return kinds, stages
-
-
 def stage_intervals(limit: int) -> list[tuple[int, int]]:
     """Disjoint ascending intervals whose union is A intersected with [0, limit]."""
     out: list[tuple[int, int]] = []
@@ -151,41 +112,22 @@ def enumerate_A(limit: int) -> list[int]:
     return out
 
 
-def occupancy(limit: int) -> np.ndarray:
-    """Boolean membership array m with m[x] = (x in A), x = 0..limit."""
-    m = np.zeros(limit + 1, dtype=bool)
-    for lo, hi in stage_intervals(limit):
-        m[lo : hi + 1] = True
-    return m
+def _sumset(
+    left: Sequence[tuple[int, int]], right: Sequence[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """{a + b : a in left, b in right} as disjoint ascending intervals.
 
-
-def _occupancy_int(limit: int) -> int:
-    """Membership of A up to limit as a bit mask (bit x set iff x in A)."""
-    bits = 0
-    for lo, hi in stage_intervals(limit):
-        bits |= ((1 << (hi - lo + 1)) - 1) << lo
-    return bits
-
-
-def _smear(bits: int, length: int, keep: int) -> int:
-    """OR of bits << s for s = 0..length-1, truncated to ``keep`` bits."""
-    mask = (1 << keep) - 1
-    out = bits
-    covered = 1
-    while covered < length:
-        step = min(covered, length - covered)
-        out = (out | (out << step)) & mask
-        covered += step
-    return out
-
-
-def _sumset_bits(limit: int, intervals: Sequence[tuple[int, int]], bits: int) -> int:
-    """Bit mask of {a + b : a, b set in bits, a in one of the intervals}."""
-    keep = 2 * limit + 2
-    out = 0
-    for lo, hi in intervals:
-        out |= _smear(bits, hi - lo + 1, keep) << lo
-    return out
+    Both arguments are lists of inclusive intervals. [a, b] + [c, d] is
+    exactly [a + c, b + d], so the merged union of the pairwise interval
+    sums is the sumset itself; intervals that touch are merged.
+    """
+    out: list[list[int]] = []
+    for lo, hi in sorted((a + c, b + d) for a, b in left for c, d in right):
+        if out and lo <= out[-1][1] + 1:
+            out[-1][1] = max(out[-1][1], hi)
+        else:
+            out.append([lo, hi])
+    return [(lo, hi) for lo, hi in out]
 
 
 @dataclass(frozen=True)
@@ -195,44 +137,29 @@ class CoverageReport:
     hi: int
     covered: bool
     first_gap: int | None
-    method: str
+    method: str = "intervals"  # the one sumset engine, named for report readers
 
 
-def sumset_cover_check(
-    k: int, *, method: Literal["auto", "pairs", "shift"] = "auto"
-) -> CoverageReport:
+def sumset_cover_check(k: int) -> CoverageReport:
     """Verify [4, 6 * 5^k] is contained in A_k + A_k; fatal if not.
 
-    ``pairs`` walks all element pairs into an occupancy array; ``shift``
-    computes the same sumset by big-integer shift-or over the interval
-    decomposition of A_k. ``auto`` picks by stage size. A gap would
-    contradict a proved coverage lemma, so it raises VerificationError.
+    A_k + A_k is the merged union of the pairwise sums of the intervals of
+    A_k, and the first point of [4, 6 * 5^k] it misses is the first gap. A
+    gap would contradict a proved coverage lemma, so it raises
+    VerificationError.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     hi = 6 * 5**k
-    # A_k = A truncated to stages 1..k; max element is 3 * 5^k <= hi.
-    a_limit = min(hi, 15 * 5 ** (k - 1)) if k >= 1 else 3
-    intervals = stage_intervals(a_limit)
-    elements = enumerate_A(a_limit)
-    if method == "auto":
-        method = "pairs" if len(elements) <= _PAIRS_MAX_ELEMENTS else "shift"
-    if method == "pairs":
-        hit = bytearray(2 * a_limit + 1)
-        for i, a in enumerate(elements):
-            for b in elements[i:]:
-                hit[a + b] = 1
-        first_gap = next((x for x in range(4, hi + 1) if not hit[x]), None)
-    elif method == "shift":
-        bits = _sumset_bits(a_limit, intervals, _occupancy_int(a_limit))
-        want = ((1 << (hi - 3)) - 1) << 4  # bits 4..hi
-        missing = want & ~bits
-        first_gap = (missing & -missing).bit_length() - 1 if missing else None
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    report = CoverageReport(
-        k=k, lo=4, hi=hi, covered=first_gap is None, first_gap=first_gap, method=method
-    )
+    # A_k = A truncated to stages 1..k; its max element is 15 * 5^(k-1) = 3 * 5^k.
+    intervals = stage_intervals(3 * 5**k)
+    reach = 4  # least point of [4, hi] not yet known to be covered
+    for lo, up in _sumset(intervals, intervals):
+        if lo > reach:
+            break
+        reach = max(reach, up + 1)
+    first_gap = reach if reach <= hi else None
+    report = CoverageReport(k=k, lo=4, hi=hi, covered=first_gap is None, first_gap=first_gap)
     if not report.covered:
         raise VerificationError(
             f"sumset coverage fails at stage {k}: {first_gap} not in A_{k} + A_{k}"
@@ -249,15 +176,23 @@ class RepresentationList:
 
 
 def representations(n: int) -> RepresentationList:
-    """Exhaustive scan of a in [2, n/2] testing a in A and n - a in A."""
+    """Every pair (a, n - a) with a <= n - a and both in A, ascending in a.
+
+    For intervals [lo, hi] and [lo2, hi2] of A up to n - 2, the admissible a
+    form the interval [lo, hi] ∩ [n - hi2, n - lo2] ∩ [2, n // 2]. The
+    intervals of A are disjoint, so these ranges are too, and sorting them
+    lists every representation once.
+    """
     if n < 4:
         raise ValueError("n must be >= 4")
-    pairs = [
-        (a, n - a)
-        for a in range(2, n // 2 + 1)
-        if classify(a) and classify(n - a)
-    ]
-    return RepresentationList(n=n, pairs=tuple(pairs))
+    intervals = stage_intervals(n - 2)
+    ranges = sorted(
+        (max(lo, n - hi2), min(hi, n - lo2, n // 2))
+        for lo, hi in intervals
+        for lo2, hi2 in intervals
+    )
+    pairs = tuple((a, n - a) for a_lo, a_hi in ranges for a in range(a_lo, a_hi + 1))
+    return RepresentationList(n=n, pairs=pairs)
 
 
 @dataclass(frozen=True)
@@ -271,40 +206,31 @@ class RigidityReport:
 def rigidity_check(k: int) -> RigidityReport:
     """Verify every n in J_k has exactly the representation {c_k, n - c_k}.
 
-    Counts, for every n in J_k, all pairs a <= b with a, b in A and
-    a + b = n (elements above 10 * 5^(k-1) cannot occur since the smallest
-    element of A is 2). Any extra or missing representation raises
+    Summands are at most max(J_k) - 2, since the smallest element of A is 2.
+    Every point of an interval sum is reached, so n in J_k has exactly one
+    representation, through c_k, iff J_k = c_k + B_k and no other pair of
+    intervals of A has a sum meeting J_k: neither two intervals avoiding
+    {c_k}, nor {c_k} with an interval other than B_k. Anything else raises
     VerificationError.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     j_lo, j_hi = rigidity_interval(k)
     c = stage_anchor(k)
-    b_lo, b_hi = stage_block(k)
-    limit = j_hi - 2  # largest possible summand
-    elements = np.flatnonzero(occupancy(limit))
-    counts = np.zeros(j_hi - j_lo + 1, dtype=np.int64)
-    witnesses_ok = True
-    half = elements[elements <= j_hi // 2]
-    lo_idx = np.searchsorted(elements, np.maximum(j_lo - half, half))
-    hi_idx = np.searchsorted(elements, j_hi - half, side="right")
-    for a, i0, i1 in zip(half.tolist(), lo_idx.tolist(), hi_idx.tolist()):
-        if i1 <= i0:
-            continue
-        partners = elements[i0:i1]
-        np.add.at(counts, a + partners - j_lo, 1)
-        if a != c:
-            witnesses_ok = False
-    if not witnesses_ok:
-        raise VerificationError(f"stage {k}: a representation avoids the anchor c_k")
-    if not np.all(counts == 1):
-        n_bad = j_lo + int(np.flatnonzero(counts != 1)[0])
-        raise VerificationError(
-            f"stage {k}: n = {n_bad} has {counts[n_bad - j_lo]} representations"
-        )
-    partners = np.arange(j_lo, j_hi + 1) - c
-    if not (np.all(partners >= b_lo) and np.all(partners <= b_hi)):
-        raise VerificationError(f"stage {k}: partner outside B_k")
+    block = stage_block(k)
+    intervals = stage_intervals(j_hi - 2)
+    anchor = (c, c)
+    others = [iv for iv in intervals if iv != anchor]
+    stray = _sumset(others, others) + _sumset(
+        [anchor], [iv for iv in intervals if iv != block]
+    )
+    for lo, hi in stray:
+        if lo <= j_hi and hi >= j_lo:
+            raise VerificationError(
+                f"stage {k}: n = {max(lo, j_lo)} has a representation avoiding c_k + B_k"
+            )
+    if (c + block[0], c + block[1]) != (j_lo, j_hi):
+        raise VerificationError(f"stage {k}: c_k + B_k differs from J_k")
     return RigidityReport(
         k=k, interval=(j_lo, j_hi), checked=j_hi - j_lo + 1, anchor=c
     )
@@ -316,35 +242,19 @@ class PartitionRule:
 
     ``anchor_color`` maps the stage index k to the color (1 or 2) of c_k;
     ``default_color`` colors every non-anchor element. The gap witness only
-    depends on the anchor colors, but arbitrary total rules are supported
-    so batteries of random colorings can be tested. ``default_batch``, when
-    present, must agree with ``default_color`` elementwise; it exists so
-    large batteries stay fast.
+    depends on the anchor colors, but ``color_of`` colors every element, so
+    element-level checks can run on batteries of random total colorings.
     """
 
     name: str
     anchor_color: Callable[[int], int]
     default_color: Callable[[int], int]
-    default_batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def color_of(self, x: int) -> int:
         cls = classify(x)
         if cls.kind == "c":
             return self.anchor_color(cls.stage)
         return self.default_color(x)
-
-    def colors_for(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.int64)
-        if self.default_batch is not None:
-            out = self.default_batch(xs).astype(np.int8)
-        else:
-            out = np.fromiter(
-                (self.default_color(int(x)) for x in xs), dtype=np.int8, count=len(xs)
-            )
-        kinds, stages = classify_batch(xs)
-        for i in np.flatnonzero(kinds == _KIND_CODES["c"]).tolist():
-            out[i] = self.anchor_color(int(stages[i]))
-        return out
 
 
 def _mix(x: int, seed: int) -> int:
@@ -358,17 +268,6 @@ def _mix(x: int, seed: int) -> int:
     return z
 
 
-def _mix_batch(xs: np.ndarray, seed: int) -> np.ndarray:
-    """Vector form of _mix (uint64 wraparound arithmetic)."""
-    with np.errstate(over="ignore"):
-        z = xs.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        z += np.uint64((seed * 0xBF58476D1CE4E5B9 + 0x94D049BB133111EB) % (1 << 64))
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
-    return z
-
-
 def constant_rule(color: int = 1) -> PartitionRule:
     """Every element, anchors included, gets the same color."""
     if color not in (1, 2):
@@ -377,7 +276,6 @@ def constant_rule(color: int = 1) -> PartitionRule:
         name=f"all-c-to-{color}",
         anchor_color=lambda k: color,
         default_color=lambda x: color,
-        default_batch=lambda xs: np.full(len(xs), color, dtype=np.int8),
     )
 
 
@@ -387,7 +285,6 @@ def alternating_rule() -> PartitionRule:
         name="alternating",
         anchor_color=lambda k: (k % 2) + 1,
         default_color=lambda x: 1,
-        default_batch=lambda xs: np.ones(len(xs), dtype=np.int8),
     )
 
 
@@ -397,7 +294,6 @@ def seeded_rule(seed: int) -> PartitionRule:
         name=f"random:{seed}",
         anchor_color=lambda k: 1 + (_mix(stage_anchor(k), seed) & 1),
         default_color=lambda x: 1 + (_mix(x, seed) & 1),
-        default_batch=lambda xs: 1 + (_mix_batch(xs, seed) & np.uint64(1)).astype(np.int8),
     )
 
 
@@ -428,43 +324,26 @@ class GapReport:
 def gap_witness(rule: PartitionRule, k: int) -> GapReport:
     """Certify that the color class not containing c_k misses J_k entirely.
 
-    Only elements up to 10 * 5^(k-1) can take part in a representation of a
-    point of J_k (the partner would otherwise be below the minimum of A),
-    so the check is finite; the truncation bound is recorded in the report.
+    Rigidity says every point of J_k is reached only as c_k + b with b in
+    B_k, so the class without c_k has no pairwise sum in J_k, whatever color
+    the other elements get. Only elements up to 10 * 5^(k-1) can take part
+    in a representation of a point of J_k (the partner would otherwise be
+    below the minimum of A); the report records that truncation bound.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    j_lo, j_hi = rigidity_interval(k)
-    truncation = 10 * 5 ** (k - 1)
     ac = rule.anchor_color(k)
     if ac not in (1, 2):
         raise ValueError("anchor color must be 1 or 2")
-    gapped = 3 - ac
-    elements = np.array(enumerate_A(min(truncation, j_hi - 2)), dtype=np.int64)
-    colors = rule.colors_for(elements)
-    mine = elements[colors == gapped]
-    if mine.size:
-        occ = np.zeros(int(mine[-1]) + 1, dtype=bool)
-        occ[mine] = True
-        prefix = np.concatenate([[0], np.cumsum(occ)])
-        half = mine[mine <= j_hi // 2]
-        lo = np.clip(np.maximum(j_lo - half, half), 0, len(prefix) - 1)
-        hi = np.clip(j_hi - half + 1, 0, len(prefix) - 1)
-        hits = prefix[hi] - prefix[lo]
-        if int(hits.sum()) != 0:
-            a = int(half[np.flatnonzero(hits)[0]])
-            raise VerificationError(
-                f"rule {rule.name}, stage {k}: {a} + partner lands in J_{k} "
-                "despite the anchor belonging to the other color"
-            )
+    rigid = rigidity_check(k)
     return GapReport(
         k=k,
         rule=rule.name,
         anchor_color=ac,
-        gapped_color=gapped,
-        interval=(j_lo, j_hi),
+        gapped_color=3 - ac,
+        interval=rigid.interval,
         gap_length=5 ** (k - 1),
-        truncation=truncation,
+        truncation=10 * 5 ** (k - 1),
     )
 
 

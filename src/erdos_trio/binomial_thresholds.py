@@ -335,10 +335,11 @@ class WitnessMK:
 def lower_bound_witness(K: int) -> WitnessMK:
     """Construct M_K and machine-check that f(M_K - 1) > K.
 
-    Verifies, for n = M_K - 1 and every k <= K: (i) the residue inequality
-    n mod p^a >= k mod p^a for all p <= K and all a with p^a <= n, and
-    (ii) v_p(C(n, k)) = 0 for all p <= K, i.e. u(n, k) = 1. A failure is a
-    VerificationError: it would contradict a proved statement.
+    Verifies, for n = M_K - 1 and every k <= K, in two independent ways
+    that u(n, k) = 1: (i) v_p(C(n, k)) = 0 for every p <= K by Legendre floor
+    sums, and (ii) ``u_profile``, which counts base-p carries, gives an exact
+    u of 1. A failure is a VerificationError: it would contradict a proved
+    statement.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
@@ -351,19 +352,9 @@ def lower_bound_witness(K: int) -> WitnessMK:
         exponents[p] = e
         m *= p**e
     n = m - 1
-    for p in exponents:
-        q = p
-        while q <= n:
-            r = n % q
-            for k in range(K + 1):
-                if r < k % q:
-                    raise VerificationError(
-                        f"residue inequality fails: ({n}) mod {q} = {r} < {k % q}"
-                    )
-            q *= p
     for k in range(K + 1):
         for p in exponents:
-            v = valuation_binomial(n, k, p)
+            v = valuation_binomial(n, k, p, method="legendre")
             if v != 0:
                 raise VerificationError(
                     f"v_{p}(C(M_{K}-1, {k})) = {v} != 0; witness property fails"

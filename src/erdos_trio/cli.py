@@ -11,9 +11,11 @@ plus the mathematical claim each check certifies) and a ``verdict``. Runs
 with identical parameters produce byte-identical stdout, regardless of
 ``--threads``; wall-clock timing goes to stderr only.
 
-Exit codes: 0 verified/ok, 1 bad arguments, 2 mathematical verification
-failure (never expected: it would contradict a proved statement), 3 search
-horizon exhausted (soft failure: raise the limit and retry).
+Exit codes: 0 verified/ok, 1 bad arguments (including a request over the
+sieve's memory budget and a value too large to print as a float), 2
+mathematical verification failure (never expected: it would contradict a
+proved statement), 3 search horizon exhausted (soft failure: raise the limit
+and retry). Every failure prints one line to stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from . import __version__
 from . import basis_splits as bs
 from . import binomial_thresholds as bt
 from . import equidistribution as eq
-from .errors import VerificationError
+from .errors import ResourceLimitError, VerificationError
 from .primes import sieve_primes
 
 EXIT_OK = 0
@@ -465,7 +467,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ResourceLimitError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except VerificationError as exc:

@@ -28,17 +28,24 @@ SEGMENT_SPAN = 1 << 24
 # Default memory budget for sieve_primes, in bytes.
 DEFAULT_MEMORY_BUDGET = 2 * 1024**3
 
-# Deterministic Miller-Rabin witnesses for every n < 3.3e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin witnesses: the first 13 primes decide every n below
+# 3.317e24 (psi_13, Sorenson & Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with fixed witnesses)."""
+    """Miller-Rabin with the fixed witnesses 2..41.
+
+    Deterministic for n < 3317044064679887385961981 (about 3.317e24); above
+    that bound a True result means a strong probable prime to those bases.
+    """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < 43 * 43:  # no prime factor <= 41, so prime
+        return True
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s

@@ -16,7 +16,17 @@ import pytest
 import erdos_trio as et
 from erdos_trio.cli import main as cli_main
 
-from oracles import f_oracle, grid_discrepancy, small_prime_part, trial_division_primes
+from oracles import (
+    basis_intervals,
+    color_class_misses_window,
+    f_oracle,
+    first_missing,
+    grid_discrepancy,
+    small_prime_part,
+    sumset_mask,
+    trial_division_primes,
+    window_representations,
+)
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +162,8 @@ def test_criterion_5_coverage():
         for k in range(9):
             rep = et.sumset_cover_check(k)
             assert rep.covered and rep.hi == 6 * 5**k
+            # element-level shift-or sumset of A_k agrees
+            assert first_missing(sumset_mask(basis_intervals(3 * 5**k)), 4, rep.hi) is None
 
 
 def test_criterion_6_rigidity():
@@ -159,6 +171,11 @@ def test_criterion_6_rigidity():
         for k in range(1, 8):
             rep = et.rigidity_check(k)
             assert rep.checked == 5 ** (k - 1)
+            # element-level count: one pair per n in J_k, always through c_k
+            j_lo, j_hi = rep.interval
+            elements = [x for a, b in basis_intervals(j_hi - 2) for x in range(a, b + 1)]
+            counts, smaller = window_representations(elements, j_lo, j_hi)
+            assert (counts == 1).all() and smaller == [rep.anchor]
 
 
 def test_criterion_7_gap_witnesses():
@@ -169,6 +186,8 @@ def test_criterion_7_gap_witnesses():
                 rep = et.gap_witness(rule, k)
                 assert rep.gap_length == 5 ** (k - 1)
                 assert rep.gapped_color == 3 - rule.anchor_color(k)
+                # element-level check over the rule's full coloring agrees
+                assert color_class_misses_window(rule.color_of, k, rep.gapped_color)
 
 
 def test_criterion_8_discrepancy_exactness():

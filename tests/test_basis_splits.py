@@ -1,20 +1,18 @@
 """Stage membership, coverage, rigidity and gap witnesses for the basis."""
 
 import random
+import time
 
-import numpy as np
 import pytest
 
 from erdos_trio import (
     VerificationError,
     alternating_rule,
     classify,
-    classify_batch,
     constant_rule,
     enumerate_A,
     gap_witness,
     interval_sum_table,
-    occupancy,
     representations,
     rigidity_check,
     rigidity_interval,
@@ -25,9 +23,18 @@ from erdos_trio import (
     stage_filler,
     sumset_cover_check,
 )
-from erdos_trio.basis_splits import _occupancy_int, _sumset_bits, stage_intervals
+from erdos_trio import basis_splits
+from erdos_trio.basis_splits import _sumset, stage_intervals
 
-from oracles import representations_bruteforce
+from oracles import (
+    basis_intervals,
+    color_class_misses_window,
+    first_missing,
+    interval_mask,
+    representations_bruteforce,
+    sumset_mask,
+    window_representations,
+)
 
 
 def test_classify_examples():
@@ -79,32 +86,17 @@ def test_enumerate_matches_classify():
         assert (x in members) == bool(classify(x)), x
 
 
-def test_classify_batch_matches_scalar_and_occupancy():
-    limit = 10**5
-    xs = np.arange(limit + 1)
-    kinds, stages = classify_batch(xs)
-    occ = occupancy(limit)
-    np.testing.assert_array_equal(kinds > 0, occ)
-    rng = random.Random(3)
-    for x in rng.sample(range(limit + 1), 500):
-        cls = classify(x)
-        code = {"none": 0, "core": 1, "c": 2, "B": 3, "F": 4}[cls.kind]
-        assert kinds[x] == code
-        assert stages[x] == (cls.stage or 0)
-
-
 def test_classify_agrees_with_enumeration_to_1e7():
-    """Membership from the stage-interval enumeration equals per-element
-    classification over the full range (batch for bulk, scalar spot checks)."""
+    """The stage intervals equal A from its definition up to 1e7, and classify
+    agrees with them at every interval edge and at random points."""
     limit = 10**7
-    occ = occupancy(limit)
-    for lo in range(0, limit + 1, 10**6):
-        xs = np.arange(lo, min(lo + 10**6, limit + 1))
-        kinds, _ = classify_batch(xs)
-        np.testing.assert_array_equal(kinds > 0, occ[xs[0] : xs[-1] + 1])
+    intervals = stage_intervals(limit)
+    assert intervals == basis_intervals(limit)
+    edges = [x for lo, hi in intervals for x in (lo - 1, lo, hi, hi + 1) if x <= limit]
     rng = random.Random(17)
-    for x in rng.sample(range(limit + 1), 2000):
-        assert bool(classify(x)) == bool(occ[x])
+    for x in edges + rng.sample(range(limit + 1), 2000):
+        member = any(lo <= x <= hi for lo, hi in intervals)
+        assert bool(classify(x)) == member, x
 
 
 def test_representations_examples():
@@ -116,9 +108,11 @@ def test_representations_examples():
 
 
 def test_representations_bruteforce_oracle():
-    members = set(enumerate_A(400))
-    for n in range(4, 401):
-        assert list(representations(n).pairs) == representations_bruteforce(n, members)
+    limit = 3 * 10**5
+    members = {x for lo, hi in basis_intervals(limit) for x in range(lo, hi + 1)}
+    rng = random.Random(5)
+    for n in [*range(4, 3001), *(rng.randrange(3001, limit) for _ in range(30))]:
+        assert list(representations(n).pairs) == representations_bruteforce(n, members), n
 
 
 def test_interval_sum_table_ranges():
@@ -151,30 +145,36 @@ def test_interval_sum_table_ranges():
 
 
 def test_cover_examples_and_method_agreement():
+    """The interval engine agrees with the element-level shift-or oracle."""
     r0 = sumset_cover_check(0)
     assert (r0.lo, r0.hi, r0.covered) == (4, 6, True)
     r1 = sumset_cover_check(1)
-    assert (r1.lo, r1.hi, r1.covered) == (4, 30, True)
-    for k in range(0, 5):
-        pairs = sumset_cover_check(k, method="pairs")
-        shift = sumset_cover_check(k, method="shift")
-        assert pairs.covered and shift.covered
-        assert pairs.first_gap is None and shift.first_gap is None
+    assert (r1.lo, r1.hi, r1.covered, r1.method) == (4, 30, True, "intervals")
+    for k in range(0, 9):
+        rep = sumset_cover_check(k)
+        assert rep.covered and rep.first_gap is None
+        oracle = sumset_mask(basis_intervals(3 * 5**k))
+        assert first_missing(oracle, 4, rep.hi) is None
+        intervals = stage_intervals(3 * 5**k)
+        assert interval_mask(_sumset(intervals, intervals)) == oracle
 
 
-def test_cover_detects_gaps_on_broken_set():
+def test_cover_detects_gaps_on_broken_set(monkeypatch):
     """Drop B_2 from the stage intervals: 45..49 loses its only representations."""
     limit = 15 * 5  # A_2 region
     intervals = [iv for iv in stage_intervals(limit) if iv != stage_block(2)]
-    bits = 0
-    for lo, hi in intervals:
-        bits |= ((1 << (hi - lo + 1)) - 1) << lo
-    sums = _sumset_bits(limit, intervals, bits)
-    missing = {x for x in range(4, 6 * 25 + 1) if not (sums >> x) & 1}
+    sums = _sumset(intervals, intervals)
+    missing = {x for x in range(4, 6 * 25 + 1) if not any(lo <= x <= hi for lo, hi in sums)}
     assert set(range(45, 50)) <= missing  # J_2 has no representation without B_2
-    # sanity: the untouched set has no gap
-    full = _sumset_bits(limit, stage_intervals(limit), _occupancy_int(limit))
-    assert all((full >> x) & 1 for x in range(4, 151))
+    assert interval_mask(sums) == sumset_mask(intervals)
+    # the check itself reports the first gap and raises
+    monkeypatch.setattr(
+        basis_splits,
+        "stage_intervals",
+        lambda lim: [iv for iv in stage_intervals(lim) if iv != stage_block(2)],
+    )
+    with pytest.raises(VerificationError, match=f"{min(missing)} not in A_2"):
+        sumset_cover_check(2)
 
 
 def test_rigidity_examples():
@@ -191,6 +191,47 @@ def test_rigidity_examples():
             pairs = representations(n).pairs
             assert pairs == ((c, n - c),)
             assert b_lo <= n - c <= b_hi
+
+
+def _rigid_by_oracle(k, intervals):
+    lo, hi = rigidity_interval(k)
+    elements = [x for a, b in intervals for x in range(a, b + 1)]
+    counts, smaller = window_representations(elements, lo, hi)
+    return bool((counts == 1).all()) and smaller == [stage_anchor(k)]
+
+
+def test_rigidity_detects_extra_summand(monkeypatch):
+    """Add one non-member x <= max(J_k) - 2 to A: the interval engine raises
+    exactly when the element-level count finds a second representation."""
+    for k in (2, 3, 4):
+        lo, hi = rigidity_interval(k)
+        assert _rigid_by_oracle(k, stage_intervals(hi - 2))
+        breaking = 0
+        for x in (x for x in range(2, hi - 1) if not classify(x)):
+            def patched(limit, x=x):
+                return sorted(stage_intervals(limit) + ([(x, x)] if x <= limit else []))
+
+            rigid = _rigid_by_oracle(k, patched(hi - 2))
+            monkeypatch.setattr(basis_splits, "stage_intervals", patched)
+            if rigid:
+                rigidity_check(k)
+            else:
+                breaking += 1
+                with pytest.raises(VerificationError):
+                    rigidity_check(k)
+            monkeypatch.undo()
+        assert breaking > 0
+
+
+def test_stage_40_checks_are_fast():
+    for check in (
+        lambda: sumset_cover_check(40),
+        lambda: rigidity_check(40),
+        lambda: gap_witness(seeded_rule(40), 40),
+    ):
+        t0 = time.perf_counter()
+        check()
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_gap_witness_examples():
@@ -226,14 +267,7 @@ def test_gap_witness_battery_small():
             rep = gap_witness(rule, k)
             assert rep.gap_length == 5 ** (k - 1)
             assert rep.gapped_color != rule.anchor_color(k)
-
-
-def test_partition_rule_batch_matches_scalar():
-    xs = np.array(enumerate_A(3000), dtype=np.int64)
-    for rule in (seeded_rule(1), seeded_rule(99), alternating_rule(), constant_rule(2)):
-        batch = rule.colors_for(xs)
-        scalar = np.array([rule.color_of(int(x)) for x in xs])
-        np.testing.assert_array_equal(batch, scalar)
+            assert color_class_misses_window(rule.color_of, k, rep.gapped_color)
 
 
 def test_rule_parsing():

@@ -155,6 +155,23 @@ def test_equidist_cluster_bad_delta(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # sieving to 1e12 is refused up front by the memory budget
+        ("equidist", "string", "--q", "4", "--a", "1", "--m", "2", "--limit", "1000000000000"),
+        # an alpha beyond float range cannot fill the alpha_float column
+        ("equidist", "approx", "--alpha", "1e400", "--Q", "10"),
+    ],
+)
+def test_unservable_request_is_one_line_usage_error(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_output_file(tmp_path, capsys):
     path = tmp_path / "out.json"
     code, out = run_cli(

@@ -127,6 +127,9 @@ def test_is_prime_matches_trial_division():
         assert is_prime(x) == (x in oracle)
     assert is_prime(2**61 - 1)
     assert not is_prime(2**62 - 1)
+    # strong pseudoprime to every prime base up to 37 (Sorenson & Webster)
+    assert 399165290221 * 798330580441 == 318665857834031151167461
+    assert not is_prime(318665857834031151167461)
 
 
 @settings(max_examples=300, deadline=None)
