@@ -25,9 +25,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
-from .errors import VerificationError
+from .errors import ResourceLimitError, VerificationError
+from .primes import DEFAULT_MEMORY_BUDGET
 
 Kind = Literal["core", "c", "B", "F", "none"]
+
+# Bytes one representation holds in ``RepresentationList.pairs``: the pair
+# tuple, its two ints and its slot in the outer tuple (tracemalloc gives
+# 125-128 bytes per pair at n = 2.5e5, 1e6 and 3e6).
+_PAIR_BYTES = 128
 
 
 def stage_anchor(k: int) -> int:
@@ -182,6 +188,10 @@ def representations(n: int) -> RepresentationList:
     form the interval [lo, hi] ∩ [n - hi2, n - lo2] ∩ [2, n // 2]. The
     intervals of A are disjoint, so these ranges are too, and sorting them
     lists every representation once.
+
+    The pairs are counted from the ranges before any is built; raises
+    ResourceLimitError when they would not fit in the memory budget that
+    ``sieve_primes`` also uses.
     """
     if n < 4:
         raise ValueError("n must be >= 4")
@@ -191,6 +201,12 @@ def representations(n: int) -> RepresentationList:
         for lo, hi in intervals
         for lo2, hi2 in intervals
     )
+    count = sum(max(0, a_hi - a_lo + 1) for a_lo, a_hi in ranges)
+    if count * _PAIR_BYTES > DEFAULT_MEMORY_BUDGET:
+        raise ResourceLimitError(
+            f"{count} representations of {n} need ~{count * _PAIR_BYTES} bytes; "
+            f"budget is {DEFAULT_MEMORY_BUDGET}"
+        )
     pairs = tuple((a, n - a) for a_lo, a_hi in ranges for a in range(a_lo, a_hi + 1))
     return RepresentationList(n=n, pairs=pairs)
 

@@ -227,11 +227,18 @@ def f_threshold(n: int, *, guard: float = GUARD_BAND) -> ThresholdResult:
     The scan compares log u(n, k) against 2 log n in float; any comparison
     landing within ``guard`` of the boundary is re-decided with exact
     integer arithmetic, so float rounding can never pick the wrong k.
+
+    The sweep covers k <= min(n, 64) first and doubles its window until it
+    finds f(n) or reaches n. This is exact for every n: the value of
+    ``_log_u_series(n, K)`` at k depends only on factor events at positions
+    <= k, and a prime p enters the running sum only at k = p, so the first
+    k + 1 entries are the same bits for every K >= k. A wider window only
+    repeats the comparisons a narrower one already made.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     target = 2.0 * math.log(n)
-    k_max = min(n, max(64, int(8.0 * math.log(n) ** 2) + 64))
+    k_max = min(n, 64)
     while True:
         logs = _log_u_series(n, k_max)
         for k in range(1, k_max + 1):

@@ -8,11 +8,13 @@ approximants, prime strings, cluster verification).
 Output is a flat row list in one of three formats (``table``, ``csv``,
 ``json``); JSON wraps the rows with a ``meta`` object (echoed parameters
 plus the mathematical claim each check certifies) and a ``verdict``. Runs
-with identical parameters produce byte-identical stdout, regardless of
-``--threads``; wall-clock timing goes to stderr only.
+with identical parameters produce byte-identical stdout; wall-clock timing
+goes to stderr only. Scans run serially: the global ``--threads`` flag is
+still accepted as an integer but changes nothing.
 
-Exit codes: 0 verified/ok, 1 bad arguments (including a request over the
-sieve's memory budget and a value too large to print as a float), 2
+Exit codes: 0 verified/ok, 1 bad arguments (including a sieve or a
+representation list over the memory budget, an ``--output`` path that cannot
+be written and a value too large to print as a float), 2
 mathematical verification failure (never expected: it would contradict a
 proved statement), 3 search horizon exhausted (soft failure: raise the limit
 and retry). Every failure prints one line to stderr, never a traceback.
@@ -24,12 +26,10 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import __version__
 from . import basis_splits as bs
@@ -43,8 +43,6 @@ EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 EXIT_HORIZON = 3
 
-THREADS_ENV = "ERDOS_TRIO_THREADS"
-
 
 class _UsageError(Exception):
     pass
@@ -55,21 +53,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):  # noqa: D102 (argparse override)
         raise _UsageError(message)
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn: Callable, items: Sequence, threads: int) -> list:
-    """Order-preserving map, optionally on a thread pool."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _fmt(value) -> str:
@@ -142,8 +125,7 @@ def _cmd_binomial_f(args) -> tuple[list[dict], dict, str]:
 def _cmd_binomial_f_scan(args) -> tuple[list[dict], dict, str]:
     if args.from_n < 1 or args.to < args.from_n or args.stride < 1:
         raise ValueError("need 1 <= from <= to and stride >= 1")
-    ns = list(range(args.from_n, args.to + 1, args.stride))
-    results = _pmap(bt.f_threshold, ns, args.threads)
+    results = [bt.f_threshold(n) for n in range(args.from_n, args.to + 1, args.stride)]
     rows = [
         {"n": r.n, "f": r.f, "decided_exactly": r.decided_exactly} for r in results
     ]
@@ -382,8 +364,8 @@ def build_parser() -> _Parser:
         help="bits used when synthesizing sqrt:/golden alphas",
     )
     parser.add_argument(
-        "--threads", type=int, default=_default_threads(),
-        help=f"worker threads for scans (env {THREADS_ENV})",
+        "--threads", type=int, default=1,
+        help="accepted for compatibility; scans run serially and this changes nothing",
     )
     groups = parser.add_subparsers(dest="group", required=True)
 
@@ -481,8 +463,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     text = _render(rows, meta_full, verdict, args.format)
     if args.output:
-        with open(args.output, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)

@@ -57,7 +57,10 @@ def parse_alpha(value: float | int | str | Fraction, precision_bits: int = DEFAU
             if n < 0:
                 raise ValueError("sqrt requires a nonnegative integer")
             return Fraction(isqrt(n << (2 * precision_bits)), 1 << precision_bits)
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"alpha {text!r} has a zero denominator") from None
     raise TypeError(f"cannot parse alpha from {type(value).__name__}")
 
 

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from erdos_trio import (
+    ResourceLimitError,
     VerificationError,
     alternating_rule,
     classify,
@@ -113,6 +114,22 @@ def test_representations_bruteforce_oracle():
     rng = random.Random(5)
     for n in [*range(4, 3001), *(rng.randrange(3001, limit) for _ in range(30))]:
         assert list(representations(n).pairs) == representations_bruteforce(n, members), n
+
+
+def test_representations_memory_budget(monkeypatch):
+    n = 251500
+    need = 32878 * basis_splits._PAIR_BYTES
+    monkeypatch.setattr(basis_splits, "DEFAULT_MEMORY_BUDGET", need)
+    assert len(representations(n).pairs) == 32878
+    monkeypatch.setattr(basis_splits, "DEFAULT_MEMORY_BUDGET", need - 1)
+    with pytest.raises(ResourceLimitError):
+        representations(n)
+    monkeypatch.undo()
+    # ~4e11 pairs: refused from the interval count, before any pair is built
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        representations(10**13)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_interval_sum_table_ranges():

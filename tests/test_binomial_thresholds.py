@@ -108,6 +108,23 @@ def test_log_u_series_matches_profiles():
             assert abs(series[k] - u_profile(n, k).log_u) < 1e-9, (n, k)
 
 
+def test_log_u_series_prefix_is_window_independent():
+    """The entry at k is the same bits whatever the window K >= k: the sweep
+    only sees factor events at positions <= k, and a prime p joins the sum
+    at k = p. ``f_threshold``'s 64-then-double window rests on this."""
+    for n in (1007, 10**6 + 3, 2**64 - 59):
+        assert np.array_equal(_log_u_series(n, 64), _log_u_series(n, min(n, 1024))[:65]), n
+
+
+def test_f_threshold_across_window_doublings():
+    primes = list(sieve_primes(400))
+    # f(M_40 - 1) = 371: the window widens 64 -> 128 -> 256 -> 512
+    n = lower_bound_witness(40).M_K - 1
+    assert f_threshold(n).f == f_oracle(n, primes, 400) == 371
+    # f(4549) = 67 is the largest f(n) for n <= 5000, one doubling past 64
+    assert f_threshold(4549).f == f_oracle(4549, primes, 400) == 67
+
+
 def test_f_threshold_examples():
     assert f_threshold(2).f is None
     assert f_threshold(1).f is None

@@ -162,6 +162,11 @@ def test_equidist_cluster_bad_delta(capsys):
         ("equidist", "string", "--q", "4", "--a", "1", "--m", "2", "--limit", "1000000000000"),
         # an alpha beyond float range cannot fill the alpha_float column
         ("equidist", "approx", "--alpha", "1e400", "--Q", "10"),
+        # ~3.7e7 representation pairs are refused up front by the memory budget
+        ("basis", "reps", "--n", "1000000000"),
+        # a zero denominator, and an unwritable --output path
+        ("equidist", "approx", "--alpha", "1/0", "--Q", "10"),
+        ("--output", ".", "binomial", "f", "--n", "10"),
     ],
 )
 def test_unservable_request_is_one_line_usage_error(capsys, argv):
