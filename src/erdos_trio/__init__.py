@@ -10,17 +10,13 @@
   {alpha p_n}, Dirichlet approximants, runs of consecutive primes in a
   residue class, and the clustering construction that defeats
   well-distribution.
-* ``primes``: the shared sieve / valuation substrate.
+* ``primes``: the shared sieve and primality substrate.
 """
 
 from .errors import ResourceLimitError, VerificationError
 from .primes import (
-    DigitExpansion,
     PrimeTable,
-    digit_expansion,
-    factorial_valuation,
     is_prime,
-    residue,
     sieve_primes,
 )
 from .binomial_thresholds import (
@@ -47,7 +43,6 @@ from .basis_splits import (
     constant_rule,
     enumerate_A,
     gap_witness,
-    interval_sum_table,
     representations,
     rigidity_check,
     rigidity_interval,
@@ -70,7 +65,6 @@ from .equidistribution import (
     fractional_part,
     interval_discrepancy,
     parse_alpha,
-    star_discrepancy,
     torus_distance,
     well_distribution_statistic,
     window_sample,

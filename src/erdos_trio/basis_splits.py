@@ -361,38 +361,3 @@ def gap_witness(rule: PartitionRule, k: int) -> GapReport:
         gap_length=5 ** (k - 1),
         truncation=10 * 5 ** (k - 1),
     )
-
-
-def interval_sum_table(k: int) -> list[dict]:
-    """The eight interval sums that chain together to cover [4 Q, 30 Q].
-
-    For stage k >= 1 with Q = 5^(k-1), I = [2Q, 3Q] is inside A_k (it is the
-    core [2, 3] when k = 1 and part of the previous filler when k >= 2).
-    Returns, per sum, the two summand intervals and the exact resulting range.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    q = 5 ** (k - 1)
-    i = (2 * q, 3 * q)
-    c = (stage_anchor(k), stage_anchor(k))
-    b = stage_block(k)
-    f = stage_filler(k)
-    pairs = [
-        ("I+I", i, i),
-        ("I+c", i, c),
-        ("I+B", i, b),
-        ("c+B", c, b),
-        ("B+B", b, b),
-        ("I+F", i, f),
-        ("B+F", b, f),
-        ("F+F", f, f),
-    ]
-    return [
-        {
-            "label": label,
-            "left": x,
-            "right": y,
-            "sum": (x[0] + y[0], x[1] + y[1]),
-        }
-        for label, x, y in pairs
-    ]

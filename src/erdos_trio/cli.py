@@ -254,10 +254,14 @@ def _cmd_equidist_scan(args) -> tuple[list[dict], dict, str]:
             "stride": res.stride,
             "windows": res.windows,
             "max_discrepancy": res.max_discrepancy,
+            "max_discrepancy_exact": res.max_discrepancy_exact,
             "argmax_start": res.argmax_start,
         }
     ]
-    claim = "max over scanned starts of the window's exact interval discrepancy"
+    claim = (
+        "max over scanned starts of each window's interval discrepancy, scored "
+        "in float64; max_discrepancy_exact is the argmax window's exact value"
+    )
     return rows, {"claim": claim}, "verified"
 
 

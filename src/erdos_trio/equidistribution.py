@@ -10,9 +10,15 @@ Everything here runs on exact rationals. alpha is held as a Fraction (a
 float input contributes its exact dyadic value; "sqrt:N" and "golden" are
 synthesized to a configurable number of bits), {alpha p} is an exact
 rational reduced mod 1, and the clustering inequalities are re-checked in
-exact arithmetic before a witness is reported. Discrepancies of float
-samples evaluate the two finite families over the sorted points; both an
-O(k^2) family scan and an equivalent O(k) sweep are provided.
+exact arithmetic before a witness is reported.
+
+Interval discrepancy has a closed form (Kuipers & Niederreiter, Uniform
+Distribution of Sequences, 1974, Ch. 2, Thm 1.4): for sorted x_1..x_k in
+[0, 1), D = 1/k + max_i(x_i - i/k) - min_i(x_i - i/k). One kernel
+evaluates it along the last axis of an array, so the same code scores a
+float64 matrix of scan windows, one float sample, or an object array of
+Fractions, where it is exact. The result type follows the input: Fraction
+points or a WindowSample give a Fraction, floats give a float.
 """
 
 from __future__ import annotations
@@ -28,8 +34,9 @@ import numpy as np
 from .errors import VerificationError
 from .primes import PrimeTable, sieve_primes
 
-# Family scan above this size switches to the O(k) sweep (same maximum).
-_FAMILY_SIZE_CUTOFF = 2048
+# Largest gap allowed between a scan's float64 maximum and the exact
+# discrepancy of its argmax window.
+_SCAN_RECHECK_TOL = 1e-12
 
 DEFAULT_ALPHA_BITS = 256
 
@@ -79,16 +86,11 @@ def torus_distance(alpha: Fraction, delta: int) -> Fraction:
 
 @dataclass(frozen=True)
 class WindowSample:
-    """Sorted fractional parts {alpha p_m} for n < m <= n + k.
-
-    ``points`` is the float64 view used by the fast paths; ``exact_points``
-    carries the same values as exact rationals.
-    """
+    """Sorted fractional parts {alpha p_m} for n < m <= n + k, as exact rationals."""
 
     alpha: Fraction
     start: int
     size: int
-    points: np.ndarray
     exact_points: tuple[Fraction, ...]
 
 
@@ -106,106 +108,49 @@ def window_sample(
         )
     a = parse_alpha(alpha)
     exact = sorted(fractional_part(a, int(p)) for p in table.primes[n : n + k])
-    pts = np.array([float(x) for x in exact], dtype=np.float64)
-    return WindowSample(alpha=a, start=n, size=k, points=pts, exact_points=tuple(exact))
+    return WindowSample(alpha=a, start=n, size=k, exact_points=tuple(exact))
 
 
-def _family_discrepancy_float(xs: np.ndarray) -> float:
-    """Max over the excess and deficit interval families, O(k^2) pairwise."""
-    k = xs.size
-    inv_k = 1.0 / k
-    ys = xs - np.arange(1, k + 1) / k
-    iu, ju = np.triu_indices(k)
-    d_plus = float(np.max(ys[iu] - ys[ju])) + inv_k
-    ext = np.concatenate([[0.0], ys, [-inv_k]])  # sentinels x_0 = 0, x_{k+1} = 1
-    iu, ju = np.triu_indices(k + 2, 1)
-    d_minus = float(np.max(ext[ju] - ext[iu])) + inv_k
-    return min(max(d_plus, d_minus, 0.0), 1.0)
+def _discrepancy(xs: np.ndarray):
+    """Closed-form interval discrepancy along the last axis of a sorted array.
 
-
-def _sweep_discrepancy(xs: np.ndarray) -> float:
-    """Same maximum as the family scan, via running extrema in O(k)."""
-    k = xs.size
-    inv_k = 1.0 / k
-    ys = xs - np.arange(1, k + 1) / k
-    d_plus = float(np.max(np.maximum.accumulate(ys) - ys)) + inv_k
-    ext = np.concatenate([[0.0], ys, [-inv_k]])
-    d_minus = float(np.max(ext[1:] - np.minimum.accumulate(ext)[:-1])) + inv_k
-    return min(max(d_plus, d_minus, 0.0), 1.0)
-
-
-def _sweep_discrepancy_batch(mat: np.ndarray) -> np.ndarray:
-    """Row-wise sweep discrepancy for a matrix of sorted windows."""
-    w, k = mat.shape
-    inv_k = 1.0 / k
-    ys = mat - np.arange(1, k + 1) / k
-    d_plus = np.max(np.maximum.accumulate(ys, axis=1) - ys, axis=1) + inv_k
-    ext = np.concatenate(
-        [np.zeros((w, 1)), ys, np.full((w, 1), -inv_k)], axis=1
-    )
-    cm = np.minimum.accumulate(ext, axis=1)
-    d_minus = np.max(ext[:, 1:] - cm[:, :-1], axis=1) + inv_k
-    return np.clip(np.maximum(d_plus, d_minus), 0.0, 1.0)
-
-
-def _family_discrepancy_exact(pts: Sequence[Fraction]) -> Fraction:
-    """Exact rational family maximum (both families, sentinels included)."""
-    k = len(pts)
-    inv_k = Fraction(1, k)
-    ys = [x - Fraction(t, k) for t, x in enumerate(pts, start=1)]
-    best_plus = max(
-        ys[i] - ys[j] for j in range(k) for i in range(j + 1)
-    ) + inv_k
-    ext = [Fraction(0)] + ys + [-inv_k]
-    best_minus = max(
-        ext[j] - ext[i] for j in range(1, k + 2) for i in range(j)
-    ) + inv_k
-    best = max(best_plus, best_minus, Fraction(0))
-    return min(best, Fraction(1))
+    Works on float64 arrays and on object arrays of Fractions (exactly).
+    Float rounding can overshoot 1 by an ulp; exact values never exceed 1,
+    so the cap returns them unchanged.
+    """
+    k = xs.shape[-1]
+    ys = k * xs - np.arange(1, k + 1)
+    return np.minimum((1 + ys.max(axis=-1) - ys.min(axis=-1)) / k, 1)
 
 
 def interval_discrepancy(
-    sample: WindowSample | Sequence[Fraction | float], *, exact: bool | None = None
+    sample: WindowSample | Sequence[Fraction | float],
 ) -> float | Fraction:
-    """Sup over intervals [a, b] of |count/k - (b - a)|, computed exactly.
+    """Sup over intervals [a, b] of |count/k - (b - a)|.
 
-    The supremum over all subintervals of [0, 1] is attained on two finite
-    families indexed by the sorted points (excess: closed intervals between
-    points; deficit: open gaps, with sentinels at 0 and 1). Float input
-    evaluates the families in float64; Fraction input (or ``exact=True`` on
-    a WindowSample) evaluates them in exact rational arithmetic.
+    Uses the closed form D = 1/k + max_i(x_i - i/k) - min_i(x_i - i/k) over
+    the sorted points (Kuipers & Niederreiter 1974, Ch. 2, Thm 1.4). The
+    result type follows the input: a WindowSample, or any Fraction among
+    the points, gives the exact Fraction (floats among them count at their
+    exact dyadic value); all-float input is scored in float64 and gives a
+    float.
     """
-    if isinstance(sample, WindowSample):
-        if exact:
-            return _family_discrepancy_exact(list(sample.exact_points))
-        xs = sample.points
-    else:
-        pts = list(sample)
-        if not pts:
-            raise ValueError("discrepancy needs at least one point")
-        if exact or (exact is None and any(isinstance(x, Fraction) for x in pts)):
-            return _family_discrepancy_exact(sorted(Fraction(x) for x in pts))
-        xs = np.sort(np.asarray(pts, dtype=np.float64))
-    if xs.size > _FAMILY_SIZE_CUTOFF:
-        return _sweep_discrepancy(xs)
-    return _family_discrepancy_float(xs)
-
-
-def star_discrepancy(points: Sequence[float]) -> float:
-    """Classical star discrepancy sup_x |#{x_i < ... <= x}/k - x| over prefixes."""
-    xs = np.sort(np.asarray(list(points), dtype=np.float64))
-    k = xs.size
-    if k == 0:
-        raise ValueError("star discrepancy needs at least one point")
-    up = np.arange(1, k + 1) / k - xs
-    down = xs - np.arange(0, k) / k
-    return float(max(np.max(up), np.max(down), 0.0))
+    pts = list(sample.exact_points if isinstance(sample, WindowSample) else sample)
+    if not pts:
+        raise ValueError("discrepancy needs at least one point")
+    if any(isinstance(x, Fraction) for x in pts):
+        return _discrepancy(np.array(sorted(Fraction(x) for x in pts), dtype=object))
+    return float(_discrepancy(np.sort(np.asarray(pts, dtype=np.float64))))
 
 
 @dataclass(frozen=True)
 class WindowScanResult:
     """Max windowed discrepancy over scanned start indices (a lower bound
-    on the true supremum over all starts)."""
+    on the true supremum over all starts).
+
+    ``max_discrepancy_exact`` is the exact discrepancy of the window at
+    ``argmax_start``; ``max_discrepancy`` is its float value.
+    """
 
     alpha: Fraction
     k: int
@@ -213,6 +158,7 @@ class WindowScanResult:
     stride: int
     windows: int
     max_discrepancy: float
+    max_discrepancy_exact: Fraction
     argmax_start: int
 
 
@@ -225,8 +171,14 @@ def well_distribution_statistic(
 ) -> WindowScanResult:
     """Scan windows of size k starting at n = 0, stride, ..., <= scan_limit.
 
-    Ties in the maximum resolve to the smallest start index. The scan needs
-    scan_limit + k primes; a table that cannot supply them is an error.
+    Every window is scored in float64; ties in the maximum resolve to the
+    smallest start index. The argmax window is then re-sampled and scored
+    exactly, and a float maximum more than 1e-12 away from that exact value
+    raises VerificationError. Only the reported value is exact: which of
+    several windows within float rounding of each other wins is not
+    re-decided (for a rational alpha every window can tie, so re-scoring
+    the ties could cost more than the scan). The scan needs scan_limit + k
+    primes; a table that cannot supply them is an error.
     """
     if k < 1 or stride < 1 or scan_limit < 0:
         raise ValueError("need k >= 1, stride >= 1, scan_limit >= 0")
@@ -248,18 +200,24 @@ def well_distribution_statistic(
     for off in range(0, starts.size, chunk):
         sub = starts[off : off + chunk]
         windows = np.sort(parts[sub[:, None] + np.arange(k)[None, :]], axis=1)
-        ds = _sweep_discrepancy_batch(windows)
+        ds = _discrepancy(windows)
         i = int(np.argmax(ds))
         if ds[i] > best_d:
             best_d = float(ds[i])
             best_n = int(sub[i])
+    exact = interval_discrepancy(window_sample(a, best_n, k, table))
+    if abs(float(exact) - best_d) > _SCAN_RECHECK_TOL:
+        raise VerificationError(
+            f"window at {best_n}: scan scored {best_d}, exact discrepancy is {float(exact)}"
+        )
     return WindowScanResult(
         alpha=a,
         k=k,
         scan_limit=scan_limit,
         stride=stride,
         windows=int(starts.size),
-        max_discrepancy=best_d,
+        max_discrepancy=float(exact),
+        max_discrepancy_exact=exact,
         argmax_start=best_n,
     )
 
@@ -298,33 +256,21 @@ def dirichlet_approx(
 ) -> Approximant:
     """Best rational a/q with q <= Q in the Dirichlet sense.
 
-    Takes the last continued-fraction convergent with denominator <= Q,
-    which satisfies the (non-strict) bound |alpha - a/q| <= 1/(qQ); an
-    exhaustive scan over q <= Q is kept as a fallback and the bound is
-    verified before returning.
+    Takes the last continued-fraction convergent a/q with q <= Q. The next
+    convergent's denominator q' exceeds Q, so |alpha - a/q| < 1/(q q') <
+    1/(qQ) (or alpha = a/q exactly). The bound is re-checked in exact
+    arithmetic; a violation raises VerificationError.
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
     x = parse_alpha(alpha, precision_bits)
-    best: tuple[int, int] | None = None
-    for h, k in _convergents(x):
+    for h, k in _convergents(x):  # the first convergent has k = 1 <= Q
         if k > Q:
             break
-        best = (h, k)
-    if best is None:  # cannot happen: the first convergent has k = 1
-        best = (round(x), 1)
-    a, q = best
+        a, q = h, k
     err = abs(x - Fraction(a, q))
-    if err * q * Q > 1:  # fallback: exhaustive over q <= Q
-        for q2 in range(1, Q + 1):
-            a2 = round(x * q2)
-            err2 = abs(x - Fraction(a2, q2))
-            if err2 * q2 * Q <= 1:
-                g = gcd(a2, q2) or 1
-                a, q, err = a2 // g, q2 // g, err2
-                break
-        else:
-            raise VerificationError(f"no Dirichlet approximant for {x} with Q={Q}")
+    if err * q * Q > 1:
+        raise VerificationError(f"convergent {a}/{q} of {x} misses the Dirichlet bound for Q={Q}")
     return Approximant(a=a, q=q, Q=Q, err=err)
 
 
@@ -473,8 +419,7 @@ def cluster_verify(
             raise VerificationError(
                 f"pairwise clustering bound violated: {worst} > {d}"
             )
-        window = window_sample(a, string.r, m, table)
-        disc = _family_discrepancy_exact(list(window.exact_points))
+        disc = interval_discrepancy(window_sample(a, string.r, m, table))
         if disc < 1 - d:
             raise VerificationError(
                 f"window discrepancy {disc} below 1 - delta = {1 - d}"

@@ -1,9 +1,8 @@
 """Prime generation, indexed prime access, and base-p arithmetic.
 
 This is the arithmetic substrate for everything else in the package: an
-immutable table of primes with 1-based rank access (p_1 = 2), residues of
-arbitrary-precision integers, base-p digit expansions, and the floor-sum
-valuation of factorials.
+immutable table of primes with 1-based rank access (p_1 = 2), a
+Miller-Rabin primality test, and a cached list of small primes.
 
 The sieve is a flat boolean occupancy array over odd integers; above
 ``SEGMENT_THRESHOLD`` it switches to a segmented scan so that memory stays
@@ -178,69 +177,3 @@ def sieve_primes(
 def _prime_list(limit: int) -> tuple[int, ...]:
     """Cached tuple of primes <= limit, for the small limits used in scans."""
     return tuple(int(p) for p in _odd_sieve(limit))
-
-
-def residue(n: int, m: int) -> int:
-    """n mod m in [0, m); m = 0 is a contract violation."""
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
-    return n % m
-
-
-def factorial_valuation(n: int, p: int) -> int:
-    """Exponent of the prime p in n!, by the floor sum over powers of p."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    total = 0
-    q = p
-    while q <= n:
-        total += n // q
-        q *= p
-    return total
-
-
-@dataclass(frozen=True)
-class DigitExpansion:
-    """Digits of an integer in a fixed base, least-significant first."""
-
-    base: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.base < 2:
-            raise ValueError("base must be >= 2")
-        if any(not 0 <= d < self.base for d in self.digits):
-            raise ValueError("digit out of range for base")
-        if len(self.digits) > 1 and self.digits[-1] == 0:
-            raise ValueError("leading zero digit")
-
-    @property
-    def value(self) -> int:
-        total = 0
-        for d in reversed(self.digits):
-            total = total * self.base + d
-        return total
-
-    def residue(self, t: int) -> int:
-        """Value of the t lowest digits, i.e. the integer mod base**t."""
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        total = 0
-        for d in reversed(self.digits[:t]):
-            total = total * self.base + d
-        return total
-
-
-def digit_expansion(n: int, base: int) -> DigitExpansion:
-    """Expand n >= 0 in the given base (value 0 becomes the single digit 0)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if base < 2:
-        raise ValueError("base must be >= 2")
-    digits = []
-    while n:
-        n, d = divmod(n, base)
-        digits.append(d)
-    return DigitExpansion(base=base, digits=tuple(digits) or (0,))

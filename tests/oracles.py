@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: trial division, direct big-integer
 factorization, floor sums written out from the definition, grid brute
-force, and element-level sumsets of the basis. None of it shares code with
-the package; the basis gap check only calls the coloring it is handed.
+force, the two-family discrepancy scan, and element-level sumsets of the
+basis. None of it shares code with the package; the basis gap check only
+calls the coloring it is handed.
 """
 
 from __future__ import annotations
@@ -98,6 +99,37 @@ def grid_discrepancy(points: list[float], steps: int = 1024) -> float:
     counts = le[j] - lt[i]
     lengths = (j - i) / steps
     return float(np.max(np.abs(counts / k - lengths)))
+
+
+def family_discrepancy(points) -> Fraction:
+    """Interval discrepancy from its two finite families, exactly, in O(k^2).
+
+    Over sorted x_1..x_k the supremum of |count/k - length| is attained on
+    the closed intervals [x_i, x_j] (j - i + 1 points, an excess) or on the
+    open gaps (x_i, x_j) with sentinels x_0 = 0 and x_{k+1} = 1 (j - i - 1
+    points, a deficit).
+    """
+    xs = sorted(Fraction(x) for x in points)
+    k = len(xs)
+    excess = max(
+        Fraction(j - i + 1, k) - (xs[j] - xs[i]) for i in range(k) for j in range(i, k)
+    )
+    ext = [Fraction(0)] + xs + [Fraction(1)]
+    deficit = max(
+        (ext[j] - ext[i]) - Fraction(j - i - 1, k)
+        for i in range(k + 2)
+        for j in range(i + 1, k + 2)
+    )
+    return max(excess, deficit)
+
+
+def star_discrepancy(points) -> float:
+    """Classical star discrepancy sup_x |#{x_i <= x}/k - x| over prefixes."""
+    xs = np.sort(np.asarray(list(points), dtype=np.float64))
+    k = xs.size
+    up = np.arange(1, k + 1) / k - xs
+    down = xs - np.arange(0, k) / k
+    return float(max(np.max(up), np.max(down), 0.0))
 
 
 def representations_bruteforce(n: int, members: set[int]) -> list[tuple[int, int]]:

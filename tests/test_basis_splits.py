@@ -13,7 +13,6 @@ from erdos_trio import (
     constant_rule,
     enumerate_A,
     gap_witness,
-    interval_sum_table,
     representations,
     rigidity_check,
     rigidity_interval,
@@ -130,35 +129,6 @@ def test_representations_memory_budget(monkeypatch):
     with pytest.raises(ResourceLimitError):
         representations(10**13)
     assert time.perf_counter() - start < 1.0
-
-
-def test_interval_sum_table_ranges():
-    """The eight stage sums land exactly on the ranges that chain to [4Q, 30Q]."""
-    for k in range(1, 9):
-        q = 5 ** (k - 1)
-        table = {row["label"]: row["sum"] for row in interval_sum_table(k)}
-        assert table["I+I"] == (4 * q, 6 * q)
-        assert table["I+c"] == (6 * q, 7 * q)
-        assert table["I+B"] == (7 * q, 9 * q - 1)
-        assert table["c+B"] == (9 * q, 10 * q - 1)
-        assert table["B+B"] == (10 * q, 12 * q - 2)
-        assert table["I+F"] == (12 * q - 1, 18 * q)
-        assert table["B+F"] == (15 * q - 1, 21 * q - 1)
-        assert table["F+F"] == (20 * q - 2, 30 * q)
-        # consecutive overlap: union is one interval [4q, 30q]
-        spans = sorted(table.values())
-        reach = spans[0][1]
-        for lo, hi in spans[1:]:
-            assert lo <= reach + 1
-            reach = max(reach, hi)
-        assert spans[0][0] == 4 * q and reach == 30 * q
-        # I = [2Q, 3Q] really lies inside A_k (core for k=1, else filler k-1)
-        for x in (2 * q, 2 * q + 1, 3 * q):
-            cls = classify(x)
-            if k == 1:
-                assert cls.kind == "core" or x == 2 * q + 1 and q == 1
-            else:
-                assert cls.kind == "F" and cls.stage == k - 1
 
 
 def test_cover_examples_and_method_agreement():

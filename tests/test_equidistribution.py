@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from erdos_trio import (
+    VerificationError,
     cluster_verify,
     dirichlet_approx,
     find_prime_string,
@@ -17,19 +18,14 @@ from erdos_trio import (
     interval_discrepancy,
     parse_alpha,
     sieve_primes,
-    star_discrepancy,
     torus_distance,
     well_distribution_statistic,
     window_sample,
 )
-from erdos_trio.equidistribution import (
-    _family_discrepancy_exact,
-    _family_discrepancy_float,
-    _sweep_discrepancy,
-    _sweep_discrepancy_batch,
-)
+from erdos_trio import equidistribution
+from erdos_trio.equidistribution import _discrepancy
 
-from oracles import grid_discrepancy, is_prime_oracle
+from oracles import family_discrepancy, grid_discrepancy, is_prime_oracle, star_discrepancy
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +56,6 @@ def test_window_sample_examples(table_1e5):
     assert w.exact_points == (Fraction(0), Fraction(1, 2), Fraction(1, 2))
     w = window_sample(Fraction(1, 3), 1, 2, table_1e5)  # primes 3, 5
     assert w.exact_points == (Fraction(0), Fraction(2, 3))
-    assert list(w.points) == [0.0, pytest.approx(2 / 3)]
     with pytest.raises(ValueError):
         window_sample(0.5, len(table_1e5), 5, table_1e5)
     with pytest.raises(ValueError):
@@ -89,7 +84,8 @@ def test_discrepancy_two_point_example():
 def test_discrepancy_equally_spaced_exact():
     for k in (1, 2, 3, 5, 8, 13, 64):
         pts = [Fraction(i, k) for i in range(k)]
-        assert _family_discrepancy_exact(pts) == Fraction(1, k)
+        d = interval_discrepancy(pts)
+        assert isinstance(d, Fraction) and d == Fraction(1, k)
         floats = [i / k for i in range(k)]
         assert abs(interval_discrepancy(floats) - 1 / k) < 1e-12
 
@@ -105,28 +101,30 @@ def test_discrepancy_matches_grid_bruteforce():
         assert exact <= grid + 2 / 1024 + 1e-12
 
 
-def test_family_equals_sweep():
-    rng = random.Random(6)
-    for _ in range(200):
-        k = rng.randrange(1, 200)
-        pts = np.sort(np.array([rng.random() for _ in range(k)]))
-        if k > 3 and rng.random() < 0.5:
-            pts[k // 2] = pts[k // 2 - 1]  # force duplicates
-        f = _family_discrepancy_float(pts)
-        s = _sweep_discrepancy(pts)
-        assert abs(f - s) < 1e-12
-    batch = np.sort(np.random.RandomState(7).rand(50, 20), axis=1)
-    ds = _sweep_discrepancy_batch(batch)
-    for row, d in zip(batch, ds):
-        assert abs(_family_discrepancy_float(row) - d) < 1e-12
+def test_float_batch_rows_match_1d_and_oracle():
+    rng = np.random.RandomState(6)
+    for k in (1, 2, 3, 7, 50, 199):
+        batch = np.sort(rng.rand(40, k), axis=1)
+        if k > 3:
+            batch[::2, k // 2] = batch[::2, k // 2 - 1]  # force duplicates
+        batch[1::5, 0] = 0.0
+        ds = _discrepancy(batch)
+        assert ds.shape == (40,)
+        for row, d in zip(batch, ds):
+            assert abs(interval_discrepancy(list(row)) - d) < 1e-12
+            assert abs(float(family_discrepancy(list(row))) - d) < 1e-12
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.fractions(min_value=0, max_value=Fraction(63, 64), max_denominator=64), min_size=1, max_size=10))
-def test_exact_and_float_families_agree(pts):
-    exact = _family_discrepancy_exact(sorted(pts))
-    flt = interval_discrepancy([float(x) for x in pts])
-    assert abs(float(exact) - flt) < 1e-9
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.fractions(min_value=0, max_value=Fraction(63, 64), max_denominator=64), min_size=1, max_size=12))
+@example([Fraction(0)])
+@example([Fraction(1, 2)] * 5)
+@example([Fraction(0), Fraction(0), Fraction(1, 3)])
+def test_closed_form_equals_family_oracle_exactly(pts):
+    d = interval_discrepancy(pts)
+    assert isinstance(d, Fraction)
+    assert d == family_discrepancy(pts)
+    assert 0 < d <= 1
 
 
 def test_star_discrepancy_bracketing():
@@ -183,6 +181,22 @@ def test_scan_matches_per_window_family(table_1e5):
             argmax = n
     assert abs(res.max_discrepancy - best) < 1e-12
     assert res.argmax_start == argmax
+    assert res.max_discrepancy_exact == best
+    assert res.max_discrepancy == float(best)
+
+
+def test_scan_recheck_catches_a_wrong_window(table_1e5, monkeypatch):
+    """The exact re-check must score the window the float scan picked."""
+    a = parse_alpha("golden")
+    res = well_distribution_statistic(a, 20, 200, table=table_1e5)
+    after = interval_discrepancy(window_sample(a, res.argmax_start + 1, 20, table_1e5))
+    assert abs(after - res.max_discrepancy_exact) > 1e-12
+    real = equidistribution.window_sample
+    monkeypatch.setattr(
+        equidistribution, "window_sample", lambda al, n, k, t: real(al, n + 1, k, t)
+    )
+    with pytest.raises(VerificationError):
+        well_distribution_statistic(a, 20, 200, table=table_1e5)
 
 
 def test_dirichlet_examples():
