@@ -26,8 +26,9 @@ table = sieve_primes(10**7)
 print("=" * 72)
 print("1. Exact interval discrepancy of small samples")
 print("=" * 72)
-for pts in ([0.5], [0.0, 0.5], [i / 8 for i in range(8)], [0.1, 0.1, 0.1]):
-    print(f"  D({pts}) = {interval_discrepancy(pts)}")
+half, tenth = Fraction(1, 2), Fraction(1, 10)
+for pts in ([half], [0, half], [Fraction(i, 8) for i in range(8)], [tenth] * 3):
+    print(f"  D({', '.join(map(str, pts))}) = {interval_discrepancy(pts)}")
 
 print()
 print("=" * 72)
@@ -65,7 +66,7 @@ for label, alpha in (
     w = window_sample(alpha, rep.string.r, rep.m, table)
     print(f"  alpha = {label}")
     print(f"    primes {rep.string.primes} (all = {rep.string.a} mod {rep.string.q})")
-    print(f"    fractional parts {[round(float(x), 4) for x in w.exact_points]}")
+    print(f"    fractional parts {[round(float(x), 4) for x in w]}")
     print(
         f"    max pairwise ||alpha (p - p')|| = {float(rep.max_pair_distance):.4f} <= 0.2"
     )

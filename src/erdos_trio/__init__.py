@@ -10,7 +10,8 @@
   {alpha p_n}, Dirichlet approximants, runs of consecutive primes in a
   residue class, and the clustering construction that defeats
   well-distribution.
-* ``primes``: the shared sieve and primality substrate.
+* ``primes``: the one segmented sieve and the primality test the other
+  modules share.
 """
 
 from .errors import ResourceLimitError, VerificationError
@@ -57,7 +58,6 @@ from .equidistribution import (
     Approximant,
     ClusterReport,
     PrimeString,
-    WindowSample,
     WindowScanResult,
     cluster_verify,
     dirichlet_approx,

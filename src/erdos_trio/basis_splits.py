@@ -61,22 +61,18 @@ def rigidity_interval(k: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class StageClassification:
-    """Which part of A the integer x lies in (stage is None for core/none)."""
+    """Which part of A an integer lies in (stage is None for core/none)."""
 
-    x: int
     kind: Kind
     stage: int | None = None
-
-    def __bool__(self) -> bool:
-        return self.kind != "none"
 
 
 def classify(x: int) -> StageClassification:
     """O(1) membership: estimate the stage from log_5(x/4), then check exactly."""
     if x in (2, 3):
-        return StageClassification(x=x, kind="core")
+        return StageClassification(kind="core")
     if x < 4:
-        return StageClassification(x=x, kind="none")
+        return StageClassification(kind="none")
     # largest k with 4 * 5^(k-1) <= x; float estimate corrected by +-1 steps
     k = max(1, int((math.log2(x) - 2) / math.log2(5)) + 1)
     while stage_anchor(k + 1) <= x:
@@ -84,14 +80,14 @@ def classify(x: int) -> StageClassification:
     while k > 1 and stage_anchor(k) > x:
         k -= 1
     if x == stage_anchor(k):
-        return StageClassification(x=x, kind="c", stage=k)
+        return StageClassification(kind="c", stage=k)
     lo, hi = stage_block(k)
     if lo <= x <= hi:
-        return StageClassification(x=x, kind="B", stage=k)
+        return StageClassification(kind="B", stage=k)
     lo, hi = stage_filler(k)
     if lo <= x <= hi:
-        return StageClassification(x=x, kind="F", stage=k)
-    return StageClassification(x=x, kind="none")
+        return StageClassification(kind="F", stage=k)
+    return StageClassification(kind="none")
 
 
 def stage_intervals(limit: int) -> list[tuple[int, int]]:

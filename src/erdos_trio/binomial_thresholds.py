@@ -16,7 +16,7 @@ residues n mod p^t, so n may be an arbitrary-precision integer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -32,6 +32,9 @@ GUARD_BAND = 1e-6
 # Default certificate constant: 24/(pi^2 - 6) + 0.01, slightly above the
 # smallest constant for which the averaging argument closes.
 DEFAULT_CERTIFICATE_C = 24.0 / (math.pi**2 - 6.0) + 0.01
+
+# Block indices j = 2..9 reported in the certificate diagnostics.
+_DIAGNOSTIC_BLOCKS = 8
 
 
 def valuation_binomial(
@@ -65,43 +68,32 @@ def valuation_binomial(
 
 
 def valuation_row(
-    n: int,
-    p: int,
-    k_max: int | None = None,
-    method: Literal["indicator", "legendre"] = "indicator",
+    n: int, p: int, method: Literal["indicator", "legendre"] = "indicator"
 ) -> np.ndarray:
-    """Vector of v_p(C(n, k)) for k = 0..k_max (default k_max = n).
+    """Vector of v_p(C(n, k)) for k = 0..n.
 
     Vectorized over k for moderate n (everything must fit in int64); the
     scalar ``valuation_binomial`` covers arbitrary-precision n.
     """
-    if k_max is None:
-        k_max = n
-    if not 0 <= k_max <= n:
-        raise ValueError("need 0 <= k_max <= n")
+    if n < 0:
+        raise ValueError("need n >= 0")
     if n >= 2**62:
         raise ValueError("valuation_row requires n < 2**62; use valuation_binomial")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     dtype = np.int32 if n < 2**31 else np.int64
-    out = np.zeros(k_max + 1, dtype=dtype)
+    out = np.zeros(n + 1, dtype=dtype)
+    ks = np.arange(n + 1, dtype=dtype)
     q = p
     if method == "indicator":
-        ks = np.arange(k_max + 1, dtype=dtype)
         while q <= n:
-            if q <= k_max:
-                # k mod q is periodic; tiling beats an elementwise modulo
-                res_k = np.resize(ks[:q], k_max + 1)
-            else:
-                res_k = ks
-            out += n % q < res_k
+            out += n % q < ks % q
             q *= p
     elif method == "legendre":
-        ks = np.arange(k_max + 1, dtype=dtype)
         nm = n - ks
         nf = 0  # sum_t n // p^t, accumulated scalar
-        down = np.zeros(k_max + 1, dtype=dtype)  # sum_t (n - k) // p^t
-        up = np.zeros(k_max + 1, dtype=dtype)  # sum_t k // p^t
+        down = np.zeros(n + 1, dtype=dtype)  # sum_t (n - k) // p^t
+        up = np.zeros(n + 1, dtype=dtype)  # sum_t k // p^t
         while q <= n:
             nf += n // q
             down += nm // q
@@ -113,29 +105,15 @@ def valuation_row(
     return out.astype(np.int64)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValuationProfile:
-    """Map p -> v_p(C(n, k)) over primes p <= k, with its log and exact value.
-
-    ``log_u`` is the float natural log of u(n, k); ``exact_u`` materializes
-    the big integer on first use.
-    """
+    """Map p -> v_p(C(n, k)) over primes p <= k, with the exact integer
+    u(n, k) = prod p^v they define."""
 
     n: int
     k: int
     valuations: dict[int, int]
-    log_u: float
-    _exact_u: int | None = field(default=None, repr=False)
-
-    @property
-    def exact_u(self) -> int:
-        if self._exact_u is None:
-            u = 1
-            for p, v in self.valuations.items():
-                if v:
-                    u *= p**v
-            self._exact_u = u
-        return self._exact_u
+    exact_u: int
 
 
 def u_profile(n: int, k: int) -> ValuationProfile:
@@ -147,13 +125,13 @@ def u_profile(n: int, k: int) -> ValuationProfile:
     if k < 0 or k > n:
         raise ValueError("need 0 <= k <= n")
     vals: dict[int, int] = {}
-    log_u = 0.0
+    u = 1
     for p in _prime_list(k) if k >= 2 else ():
         v = valuation_binomial(n, k, p)
         vals[p] = v
         if v:
-            log_u += v * math.log(p)
-    return ValuationProfile(n=n, k=k, valuations=vals, log_u=log_u)
+            u *= p**v
+    return ValuationProfile(n=n, k=k, valuations=vals, exact_u=u)
 
 
 def _log_u_series(n: int, k_max: int) -> np.ndarray:
@@ -221,11 +199,11 @@ def _exceeds_square(n: int, k: int) -> bool:
     return u_profile(n, k).exact_u > n * n
 
 
-def f_threshold(n: int, *, guard: float = GUARD_BAND) -> ThresholdResult:
+def f_threshold(n: int) -> ThresholdResult:
     """Least k <= n with u(n, k) > n^2, scanning k ascending.
 
     The scan compares log u(n, k) against 2 log n in float; any comparison
-    landing within ``guard`` of the boundary is re-decided with exact
+    landing within ``GUARD_BAND`` of the boundary is re-decided with exact
     integer arithmetic, so float rounding can never pick the wrong k.
 
     The sweep covers k <= min(n, 64) first and doubles its window until it
@@ -243,9 +221,9 @@ def f_threshold(n: int, *, guard: float = GUARD_BAND) -> ThresholdResult:
         logs = _log_u_series(n, k_max)
         for k in range(1, k_max + 1):
             d = logs[k] - target
-            if d > guard:
+            if d > GUARD_BAND:
                 return ThresholdResult(n=n, f=k, decided_exactly=False)
-            if d >= -guard and _exceeds_square(n, k):
+            if d >= -GUARD_BAND and _exceeds_square(n, k):
                 return ThresholdResult(n=n, f=k, decided_exactly=True)
         if k_max == n:
             return ThresholdResult(n=n, f=None, decided_exactly=False)
@@ -274,9 +252,7 @@ class CertificateReport:
     diagnostics: tuple[dict, ...] = ()
 
 
-def certificate_average(
-    n: int, c: float = DEFAULT_CERTIFICATE_C, *, diagnostics_blocks: int = 8
-) -> CertificateReport:
+def certificate_average(n: int, c: float = DEFAULT_CERTIFICATE_C) -> CertificateReport:
     """Mean of log u(n, k) over 1 <= k <= Y, Y = floor(c * (log n)^2).
 
     Requires Y >= 1 and Y <= n (the mean is over defined u values only).
@@ -296,7 +272,7 @@ def certificate_average(
     average = float(np.mean(body))
     argmax = int(np.argmax(body)) + 1
     diag = []
-    for j in range(2, diagnostics_blocks + 2):
+    for j in range(2, _DIAGNOSTIC_BLOCKS + 2):
         bound = y // j
         block = _prime_list(bound) if bound >= 2 else ()
         diag.append(

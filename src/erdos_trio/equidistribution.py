@@ -18,7 +18,7 @@ Distribution of Sequences, 1974, Ch. 2, Thm 1.4): for sorted x_1..x_k in
 evaluates it along the last axis of an array, so the same code scores a
 float64 matrix of scan windows, one float sample, or an object array of
 Fractions, where it is exact. The result type follows the input: Fraction
-points or a WindowSample give a Fraction, floats give a float.
+points (such as a ``window_sample``) give a Fraction, floats give a float.
 """
 
 from __future__ import annotations
@@ -84,20 +84,10 @@ def torus_distance(alpha: Fraction, delta: int) -> Fraction:
     return Fraction(min(r, den - r), den)
 
 
-@dataclass(frozen=True)
-class WindowSample:
-    """Sorted fractional parts {alpha p_m} for n < m <= n + k, as exact rationals."""
-
-    alpha: Fraction
-    start: int
-    size: int
-    exact_points: tuple[Fraction, ...]
-
-
 def window_sample(
     alpha: float | int | str | Fraction, n: int, k: int, table: PrimeTable
-) -> WindowSample:
-    """Sample the window of k fractional parts starting after index n."""
+) -> tuple[Fraction, ...]:
+    """Sorted fractional parts {alpha p_m} for n < m <= n + k, as exact rationals."""
     if k < 1:
         raise ValueError("window size k must be >= 1")
     if n < 0:
@@ -107,8 +97,7 @@ def window_sample(
             f"window needs prime index {n + k}; table holds {len(table)} primes"
         )
     a = parse_alpha(alpha)
-    exact = sorted(fractional_part(a, int(p)) for p in table.primes[n : n + k])
-    return WindowSample(alpha=a, start=n, size=k, exact_points=tuple(exact))
+    return tuple(sorted(fractional_part(a, int(p)) for p in table.primes[n : n + k]))
 
 
 def _discrepancy(xs: np.ndarray):
@@ -123,24 +112,28 @@ def _discrepancy(xs: np.ndarray):
     return np.minimum((1 + ys.max(axis=-1) - ys.min(axis=-1)) / k, 1)
 
 
-def interval_discrepancy(
-    sample: WindowSample | Sequence[Fraction | float],
-) -> float | Fraction:
-    """Sup over intervals [a, b] of |count/k - (b - a)|.
+def interval_discrepancy(points: Sequence[Fraction | float]) -> float | Fraction:
+    """Sup over intervals [a, b] of |count/k - (b - a)| for points in [0, 1).
 
     Uses the closed form D = 1/k + max_i(x_i - i/k) - min_i(x_i - i/k) over
     the sorted points (Kuipers & Niederreiter 1974, Ch. 2, Thm 1.4). The
-    result type follows the input: a WindowSample, or any Fraction among
-    the points, gives the exact Fraction (floats among them count at their
-    exact dyadic value); all-float input is scored in float64 and gives a
-    float.
+    result type follows the input: any Fraction among the points gives the
+    exact Fraction (floats among them count at their exact dyadic value);
+    all-float input is scored in float64 and gives a float. A point outside
+    [0, 1) raises ValueError.
     """
-    pts = list(sample.exact_points if isinstance(sample, WindowSample) else sample)
+    pts = list(points)
     if not pts:
         raise ValueError("discrepancy needs at least one point")
-    if any(isinstance(x, Fraction) for x in pts):
-        return _discrepancy(np.array(sorted(Fraction(x) for x in pts), dtype=object))
-    return float(_discrepancy(np.sort(np.asarray(pts, dtype=np.float64))))
+    exact = any(isinstance(x, Fraction) for x in pts)
+    if exact:
+        xs = np.array(sorted(Fraction(x) for x in pts), dtype=object)
+    else:
+        xs = np.sort(np.asarray(pts, dtype=np.float64))
+    if not 0 <= xs[0] <= xs[-1] < 1:
+        raise ValueError(f"points must lie in [0, 1); got {xs[0]} .. {xs[-1]}")
+    d = _discrepancy(xs)
+    return d if exact else float(d)
 
 
 @dataclass(frozen=True)
@@ -251,9 +244,7 @@ def _convergents(alpha: Fraction):
         yield h, k
 
 
-def dirichlet_approx(
-    alpha: float | int | str | Fraction, Q: int, *, precision_bits: int = DEFAULT_ALPHA_BITS
-) -> Approximant:
+def dirichlet_approx(alpha: float | int | str | Fraction, Q: int) -> Approximant:
     """Best rational a/q with q <= Q in the Dirichlet sense.
 
     Takes the last continued-fraction convergent a/q with q <= Q. The next
@@ -263,7 +254,7 @@ def dirichlet_approx(
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
-    x = parse_alpha(alpha, precision_bits)
+    x = parse_alpha(alpha)
     for h, k in _convergents(x):  # the first convergent has k = 1 <= Q
         if k > Q:
             break
@@ -346,7 +337,6 @@ class ClusterReport:
     delta: Fraction
     m: int
     limit: int
-    d_target: Fraction
     approximant: Approximant | None = None
     string: PrimeString | None = None
     max_pair_distance: Fraction | None = None
@@ -360,26 +350,23 @@ def cluster_verify(
     m: int,
     limit: int,
     *,
-    d_target: float | Fraction | None = None,
     table: PrimeTable | None = None,
-    precision_bits: int = DEFAULT_ALPHA_BITS,
 ) -> ClusterReport:
     """Find and verify a window of m consecutive primes clustering {alpha p}.
 
-    Round 1 follows the proof shape directly: Q = ceil(d_target / delta)
-    (``d_target`` stands in for the ineffective run-diameter constant,
-    default 1) and the Dirichlet approximant a/q with q <= Q. A run of m
-    consecutive primes = a (mod q) with diameter d satisfies every pairwise
-    bound ||alpha (p - p')|| <= err * d (q divides each difference), so the
+    Round 1 follows the proof shape directly: Q = ceil(1 / delta) (the
+    proof's ineffective run-diameter constant taken as 1) and the Dirichlet
+    approximant a/q with q <= Q. A run of m consecutive primes = a (mod q)
+    with diameter d satisfies every pairwise bound
+    ||alpha (p - p')|| <= err * d (q divides each difference), so the
     search accepts only runs with err * d <= delta. If none exists below
     the limit, later rounds climb the convergent ladder of alpha: each
     convergent a_i/q_i is itself a Dirichlet approximant (for Q = q_i) with
     rapidly shrinking error, trading a rarer residue class for a far looser
-    diameter budget. On success the observed diameter / q replaces
-    ``d_target`` in the report and every inequality is re-checked in exact
+    diameter budget. On success every inequality is re-checked in exact
     rational arithmetic; exhausting the ladder is a soft failure.
     """
-    a = parse_alpha(alpha, precision_bits)
+    a = parse_alpha(alpha)
     d = Fraction(delta)
     if not Fraction(0) < d < Fraction(1, 2):
         raise ValueError("delta must lie strictly between 0 and 1/2")
@@ -387,7 +374,6 @@ def cluster_verify(
         raise ValueError("m must be >= 2")
     if table is None:
         table = sieve_primes(limit)
-    target = Fraction(d_target) if d_target is not None else Fraction(1)
     rounds: list[dict] = []
     # any run of m distinct primes in one class mod q has diameter >= q(m-1)
     q_cap = max(1, limit // max(m - 1, 1))
@@ -430,7 +416,6 @@ def cluster_verify(
             delta=d,
             m=m,
             limit=limit,
-            d_target=Fraction(string.diameter, string.q),
             approximant=apx,
             string=string,
             max_pair_distance=worst,
@@ -438,7 +423,7 @@ def cluster_verify(
             rounds=tuple(rounds),
         )
 
-    first = dirichlet_approx(a, math.ceil(target / d))
+    first = dirichlet_approx(a, math.ceil(1 / d))
     report = _try(first)
     if report is not None:
         return report
@@ -457,6 +442,5 @@ def cluster_verify(
         delta=d,
         m=m,
         limit=limit,
-        d_target=target,
         rounds=tuple(rounds),
     )

@@ -68,7 +68,7 @@ class _Criterion:
 def test_criterion_1_valuation_oracle_equivalence():
     with _Criterion("1", "valuation oracle equivalence", 60.0):
         # (a) n <= 300: both forms match big-integer factorization of C(n, k)
-        primes300 = list(et.sieve_primes(300))
+        primes300 = et.sieve_primes(300).primes.tolist()
         for n in range(301):
             for k in range(n + 1):
                 c = math.comb(n, k)
@@ -83,8 +83,7 @@ def test_criterion_1_valuation_oracle_equivalence():
                     assert et.valuation_binomial(n, k, p, "indicator") == e, (n, k, p)
                     assert et.valuation_binomial(n, k, p, "legendre") == e, (n, k, p)
         # (b) n <= 3000: indicator form equals Legendre floor-sum form everywhere
-        for p in et.sieve_primes(3000):
-            p = int(p)
+        for p in et.sieve_primes(3000).primes.tolist():
             for n in range(p, 3001):
                 row_i = et.valuation_row(n, p, method="indicator")
                 row_l = et.valuation_row(n, p, method="legendre")
@@ -94,7 +93,7 @@ def test_criterion_1_valuation_oracle_equivalence():
 
 def test_criterion_2_f_threshold_oracle_equivalence():
     with _Criterion("2", "f(n) matches the big-integer definition, n <= 5000", 120.0) as c:
-        primes = list(et.sieve_primes(400))
+        primes = et.sieve_primes(400).primes.tolist()
         worst = 0
         for n in range(1, 5001):
             got = et.f_threshold(n).f

@@ -83,7 +83,7 @@ def test_enumerate_matches_classify():
     limit = 20000
     members = set(enumerate_A(limit))
     for x in range(limit + 1):
-        assert (x in members) == bool(classify(x)), x
+        assert (x in members) == (classify(x).kind != "none"), x
 
 
 def test_classify_agrees_with_enumeration_to_1e7():
@@ -96,7 +96,7 @@ def test_classify_agrees_with_enumeration_to_1e7():
     rng = random.Random(17)
     for x in edges + rng.sample(range(limit + 1), 2000):
         member = any(lo <= x <= hi for lo, hi in intervals)
-        assert bool(classify(x)) == member, x
+        assert (classify(x).kind != "none") == member, x
 
 
 def test_representations_examples():
@@ -194,7 +194,7 @@ def test_rigidity_detects_extra_summand(monkeypatch):
         lo, hi = rigidity_interval(k)
         assert _rigid_by_oracle(k, stage_intervals(hi - 2))
         breaking = 0
-        for x in (x for x in range(2, hi - 1) if not classify(x)):
+        for x in (x for x in range(2, hi - 1) if classify(x).kind == "none"):
             def patched(limit, x=x):
                 return sorted(stage_intervals(limit) + ([(x, x)] if x <= limit else []))
 

@@ -20,6 +20,7 @@ from erdos_trio import (
     valuation_binomial,
     valuation_row,
 )
+from erdos_trio import binomial_thresholds as bt
 from erdos_trio.binomial_thresholds import _log_u_series
 
 from oracles import comb_exponent, f_oracle, legendre_valuation, small_prime_part
@@ -44,7 +45,7 @@ def test_valuation_rejects_bad_input():
 
 
 def test_indicator_equals_legendre_and_factorization_small():
-    primes = list(sieve_primes(120))
+    primes = sieve_primes(120).primes.tolist()
     for n in range(0, 121):
         for k in range(0, n + 1):
             for p in primes:
@@ -84,15 +85,10 @@ def test_u_profile_examples():
     assert prof.exact_u == 36
     assert prof.valuations == {2: 2, 3: 2, 5: 0}
     assert u_profile(10, 7).exact_u == 120
-    # log_u agrees with the materialized product
-    for n, k in ((10, 5), (100, 40), (5000, 120)):
-        prof = u_profile(n, k)
-        if prof.exact_u > 1:
-            assert math.isclose(prof.log_u, math.log(prof.exact_u), rel_tol=1e-9)
 
 
 def test_u_profile_against_big_integer_factorization():
-    primes = list(sieve_primes(200))
+    primes = sieve_primes(200).primes.tolist()
     rng = random.Random(23)
     for _ in range(60):
         n = rng.randrange(1, 400)
@@ -105,7 +101,7 @@ def test_log_u_series_matches_profiles():
         k_max = min(n, 120)
         series = _log_u_series(n, k_max)
         for k in range(1, k_max + 1):
-            assert abs(series[k] - u_profile(n, k).log_u) < 1e-9, (n, k)
+            assert abs(series[k] - math.log(u_profile(n, k).exact_u)) < 1e-9, (n, k)
 
 
 def test_log_u_series_prefix_is_window_independent():
@@ -117,7 +113,7 @@ def test_log_u_series_prefix_is_window_independent():
 
 
 def test_f_threshold_across_window_doublings():
-    primes = list(sieve_primes(400))
+    primes = sieve_primes(400).primes.tolist()
     # f(M_40 - 1) = 371: the window widens 64 -> 128 -> 256 -> 512
     n = lower_bound_witness(40).M_K - 1
     assert f_threshold(n).f == f_oracle(n, primes, 400) == 371
@@ -137,22 +133,24 @@ def test_f_threshold_examples():
 
 
 def test_f_threshold_matches_oracle_small():
-    primes = list(sieve_primes(500))
+    primes = sieve_primes(500).primes.tolist()
     for n in range(1, 300):
         assert f_threshold(n).f == f_oracle(n, primes, 500), n
 
 
-def test_f_threshold_guard_band_paths_agree():
+def test_f_threshold_guard_band_paths_agree(monkeypatch):
     """A huge guard band forces every decision through exact arithmetic."""
+    defaults = {n: f_threshold(n).f for n in (*range(2, 120), 1799, 123456)}
+    monkeypatch.setattr(bt, "GUARD_BAND", 1e9)
     for n in range(2, 120):
-        default = f_threshold(n)
-        exact = f_threshold(n, guard=1e9)
-        assert default.f == exact.f
+        exact = f_threshold(n)
+        assert exact.f == defaults[n]
         if exact.f is not None:
             assert exact.decided_exactly
     # and a zero band (pure float) still agrees on moderate n
+    monkeypatch.setattr(bt, "GUARD_BAND", 0.0)
     for n in (10, 97, 1799, 123456):
-        assert f_threshold(n, guard=0.0).f == f_threshold(n).f
+        assert f_threshold(n).f == defaults[n]
 
 
 def test_f_threshold_of_witness_predecessor():
@@ -172,7 +170,7 @@ def test_certificate_trivial_y1():
 def test_certificate_against_direct_scan():
     n = 10**4
     rep = certificate_average(n, 6.21)
-    logs = [u_profile(n, k).log_u for k in range(1, rep.y + 1)]
+    logs = [math.log(u_profile(n, k).exact_u) for k in range(1, rep.y + 1)]
     assert abs(rep.average - sum(logs) / rep.y) < 1e-9
     assert rep.argmax_k == int(np.argmax(logs)) + 1
     assert abs(rep.max_log_u - max(logs)) < 1e-12

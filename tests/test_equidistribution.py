@@ -50,12 +50,11 @@ def test_parse_alpha_forms():
 
 
 def test_window_sample_examples(table_1e5):
-    w = window_sample(0, 0, 3, table_1e5)
-    assert w.exact_points == (Fraction(0), Fraction(0), Fraction(0))
-    w = window_sample(0.5, 0, 3, table_1e5)  # primes 2, 3, 5
-    assert w.exact_points == (Fraction(0), Fraction(1, 2), Fraction(1, 2))
-    w = window_sample(Fraction(1, 3), 1, 2, table_1e5)  # primes 3, 5
-    assert w.exact_points == (Fraction(0), Fraction(2, 3))
+    assert window_sample(0, 0, 3, table_1e5) == (Fraction(0), Fraction(0), Fraction(0))
+    # primes 2, 3, 5
+    assert window_sample(0.5, 0, 3, table_1e5) == (Fraction(0), Fraction(1, 2), Fraction(1, 2))
+    # primes 3, 5
+    assert window_sample(Fraction(1, 3), 1, 2, table_1e5) == (Fraction(0), Fraction(2, 3))
     with pytest.raises(ValueError):
         window_sample(0.5, len(table_1e5), 5, table_1e5)
     with pytest.raises(ValueError):
@@ -74,6 +73,15 @@ def test_discrepancy_single_point_is_one():
     for x in (0.0, 0.3, 0.999):
         assert interval_discrepancy([x]) == 1.0
     assert interval_discrepancy([Fraction(1, 3)]) == Fraction(1)
+
+
+def test_discrepancy_rejects_points_outside_unit_interval():
+    for pts in ([0.2, 1.7], [-0.3], [Fraction(1)], [Fraction(1, 2), Fraction(-1, 9)]):
+        with pytest.raises(ValueError):
+            interval_discrepancy(pts)
+    assert interval_discrepancy([0]) == 1.0
+    assert interval_discrepancy([1 - 2**-53]) == 1.0
+    assert interval_discrepancy([0, 1 - 2**-53]) == 1 - 2**-53
 
 
 def test_discrepancy_two_point_example():

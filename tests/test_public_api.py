@@ -1,32 +1,79 @@
-"""Every public name is used by the package, a demo or the benchmark.
+"""Every public name, member and keyword is used by the package, a demo or the benchmark.
 
 A helper exported from ``erdos_trio`` but read only by tests is dead weight:
-it should move to ``tests/oracles.py`` or go. This walks the syntax trees of
-the package modules (without ``__init__.py``), ``demos/`` and ``perfbench/``
-and collects every ``Name`` and ``Attribute`` they use; a definition or an
-import alone does not count as a use.
+it should move to ``tests/oracles.py`` or go. The same holds one level down,
+for the methods and dataclass fields of public classes and for the keyword
+parameters with defaults of public functions and methods. These tests walk
+the syntax trees of the package modules (without ``__init__.py``),
+``demos/`` and ``perfbench/``; a definition or an import alone does not
+count as a use:
+
+* a top-level name is used when it appears as a ``Name`` or ``Attribute``;
+* a method or field is used when it is read as an ``Attribute`` (an
+  assignment, a constructor keyword or a local variable of the same name
+  does not count);
+* a keyword with a default is used when some call to a function of that
+  name passes it, by keyword or by position.
+
+Dunder methods are out of reach of the syntax tree and are not checked.
 """
 
 import ast
+import dataclasses
+import importlib
 import inspect
+import pkgutil
+from collections import defaultdict
 from pathlib import Path
 
 import erdos_trio
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# ``color_of`` colors every element of A, where the gap witness needs only
+# the anchor colors; the element-level gap oracle of acceptance criterion 7
+# colors A with it to check the witness on random total colorings.
+EXEMPT = {"PartitionRule.color_of"}
 
-def _used_names() -> set[str]:
+
+def _trees() -> list[ast.AST]:
     files = [p for p in (ROOT / "src" / "erdos_trio").glob("*.py") if p.name != "__init__.py"]
     files += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    return [ast.parse(path.read_text(), filename=str(path)) for path in files]
+
+
+def _used_names() -> set[str]:
     used = set()
-    for path in files:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for tree in _trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     return used
+
+
+def _public_api() -> list[tuple[str, object]]:
+    """(name, object) for every public function and class a package module defines."""
+    api = []
+    for info in pkgutil.iter_modules(erdos_trio.__path__):
+        module = importlib.import_module(f"erdos_trio.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                api.append((name, obj))
+    return api
+
+
+def _defaulted(fn, is_method: bool) -> list[tuple[int | None, str]]:
+    """(positional index or None if keyword-only, name) of each parameter with a default."""
+    params = list(inspect.signature(fn).parameters.values())[1 if is_method else 0 :]
+    return [
+        (i if p.kind is p.POSITIONAL_OR_KEYWORD else None, p.name)
+        for i, p in enumerate(params)
+        if p.default is not p.empty
+    ]
 
 
 def test_every_public_name_has_a_caller():
@@ -35,3 +82,49 @@ def test_every_public_name_has_a_caller():
     assert public
     unused = sorted(n for n in public if n not in used)
     assert unused == [], f"public names with no caller outside tests: {unused}"
+
+
+def test_every_member_and_keyword_has_a_caller():
+    read = set()  # attribute names read
+    positional = defaultdict(int)  # callee name -> most positional arguments passed
+    keywords = defaultdict(set)  # callee name -> keywords passed
+    for tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                stars = [i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)]
+                positional[callee] = max(positional[callee], stars[0] if stars else len(node.args))
+                keywords[callee] |= {kw.arg for kw in node.keywords if kw.arg}
+
+    def unpassed(label: str, callee: str, fn, is_method: bool) -> list[str]:
+        return [
+            f"{label}({name}=)"
+            for index, name in _defaulted(fn, is_method)
+            if name not in keywords[callee] and not (index is not None and index < positional[callee])
+        ]
+
+    api = _public_api()
+    assert api
+    unused = []
+    for name, obj in api:
+        if inspect.isfunction(obj):
+            unused += unpassed(name, name, obj, is_method=False)
+            continue
+        members = [f.name for f in dataclasses.fields(obj)] if dataclasses.is_dataclass(obj) else []
+        for attr, value in vars(obj).items():
+            if attr.startswith("_"):
+                continue
+            if inspect.isfunction(value):
+                members.append(attr)
+                unused += unpassed(f"{name}.{attr}", attr, value, is_method=True)
+            elif isinstance(value, property):
+                members.append(attr)
+        unused += [
+            f"{name}.{m}"
+            for m in members
+            if not m.startswith("_") and m not in read and f"{name}.{m}" not in EXEMPT
+        ]
+    assert unused == [], f"public members and keywords with no caller outside tests: {sorted(unused)}"
