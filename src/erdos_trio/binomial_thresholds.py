@@ -9,7 +9,8 @@ evaluates the averaging certificate that witnesses f(n) = O((log n)^2), and
 constructs the composite witness M_K = prod_{p<=K} p^{floor(log_p K)+1}
 whose predecessor satisfies f(M_K - 1) > K.
 
-n is never expanded into factorials: every valuation is derived from
+n is never expanded into factorials: ``valuation_binomial`` peels the base-p
+digits of n and k by repeated division by p, and the incremental sweep reads
 residues n mod p^t, so n may be an arbitrary-precision integer.
 """
 
@@ -17,12 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Literal
 
 import numpy as np
 
-from .errors import VerificationError
-from .primes import _prime_list, is_prime
+from .errors import ResourceLimitError, VerificationError
+from .primes import DEFAULT_MEMORY_BUDGET, _prime_list, is_prime
 
 # Half-width of the log-space band around log(n^2) inside which the
 # u(n,k) > n^2 decision is re-made with exact integers. Accumulated float
@@ -36,35 +38,77 @@ DEFAULT_CERTIFICATE_C = 24.0 / (math.pi**2 - 6.0) + 0.01
 # Block indices j = 2..9 reported in the certificate diagnostics.
 _DIAGNOSTIC_BLOCKS = 8
 
+# Primes below this bound are checked against a cached set, larger ones by
+# Miller-Rabin; the set holds the 6,542 primes below 2^16.
+_SMALL_PRIME_BOUND = 1 << 16
+
+# Peak bytes per entry of k = 0..n in valuation_row: the legendre path holds
+# seven int32 rows at once (the zero row, k, n - k, both floor sums, one
+# temporary and the difference), and the int64 result plus the five rows
+# still alive at that point take the same 28 bytes.
+_ROW_BYTES = 7 * 4
+
+
+def _check_prime(p: int) -> None:
+    """Raise ValueError unless p is prime: a set lookup below
+    ``_SMALL_PRIME_BOUND``, Miller-Rabin at and above it."""
+    if not (p in _small_primes() if p < _SMALL_PRIME_BOUND else is_prime(p)):
+        raise ValueError(f"{p} is not prime")
+
+
+@cache
+def _small_primes() -> frozenset[int]:
+    return frozenset(_prime_list(_SMALL_PRIME_BOUND - 1))
+
 
 def valuation_binomial(
     n: int, k: int, p: int, method: Literal["indicator", "legendre"] = "indicator"
 ) -> int:
     """v_p(C(n, k)): exponent of the prime p in the binomial coefficient.
 
-    ``indicator`` counts the powers p^t with (n mod p^t) < (k mod p^t), i.e.
-    the carries when adding k and n-k in base p; ``legendre`` sums the floor
-    differences n//p^t - (n-k)//p^t - k//p^t. Both terminate once p^t > n.
+    Both forms divide only by p, never by p^t, and sum over t = 1, 2, ...
+    only while p^t <= n, since every later term is zero. Each also stops at
+    its own first t past which every remaining term is provably zero.
+
+    ``legendre`` sums n_t - m_t - k_t, where x_t = x // p^t and m = n - k,
+    using x_{t+1} = x_t // p. Every term is >= 0 because floor is
+    superadditive, so n_t == m_t forces k_t == 0; every later quotient then
+    keeps n == m and k == 0, and every later term is 0 - 0.
+
+    ``indicator`` counts the t with (n mod p^t) < (k mod p^t), i.e. the
+    carries when adding k and n-k in base p. It peels the base-p digits of n
+    and k from the bottom; the comparison of the residues mod p^t is decided
+    by their highest differing digit below t. Once k has no digits left and
+    n mod p^t >= k mod p^t, every higher digit of k is 0 and cannot make n's
+    residue the smaller, so no later power counts.
     """
     if k < 0 or k > n:
         raise ValueError("need 0 <= k <= n")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_prime(p)
     count = 0
-    q = p
     if method == "indicator":
-        while q <= n:
-            if n % q < k % q:
+        less = False  # (n mod p^t) < (k mod p^t) for the digits peeled so far
+        while n >= p:
+            a = n % p
+            n //= p
+            b = k % p
+            k //= p
+            if a != b:
+                less = a < b
+            if less:
                 count += 1
-            q *= p
-    elif method == "legendre":
+            elif not k:
+                break
+        return count
+    if method == "legendre":
         m = n - k
-        while q <= n:
-            count += n // q - m // q - k // q
-            q *= p
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return count
+        while n >= p and n != m:
+            n //= p
+            m //= p
+            k //= p
+            count += n - m - k
+        return count
+    raise ValueError(f"unknown method {method!r}")
 
 
 def valuation_row(
@@ -72,18 +116,21 @@ def valuation_row(
 ) -> np.ndarray:
     """Vector of v_p(C(n, k)) for k = 0..n.
 
-    Vectorized over k for moderate n (everything must fit in int64); the
-    scalar ``valuation_binomial`` covers arbitrary-precision n.
+    Vectorized over k in int32 rows; the scalar ``valuation_binomial`` covers
+    arbitrary-precision n. Raises ResourceLimitError when the rows would not
+    fit in ``DEFAULT_MEMORY_BUDGET`` bytes (read at call time), which also
+    keeps n far below 2^31, where int32 would overflow.
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    if n >= 2**62:
-        raise ValueError("valuation_row requires n < 2**62; use valuation_binomial")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    dtype = np.int32 if n < 2**31 else np.int64
-    out = np.zeros(n + 1, dtype=dtype)
-    ks = np.arange(n + 1, dtype=dtype)
+    need = _ROW_BYTES * (n + 1)
+    if need > DEFAULT_MEMORY_BUDGET:
+        raise ResourceLimitError(
+            f"valuation_row(n={n}) needs ~{need} bytes; budget is {DEFAULT_MEMORY_BUDGET}"
+        )
+    _check_prime(p)
+    out = np.zeros(n + 1, dtype=np.int32)
+    ks = np.arange(n + 1, dtype=np.int32)
     q = p
     if method == "indicator":
         while q <= n:
@@ -92,8 +139,8 @@ def valuation_row(
     elif method == "legendre":
         nm = n - ks
         nf = 0  # sum_t n // p^t, accumulated scalar
-        down = np.zeros(n + 1, dtype=dtype)  # sum_t (n - k) // p^t
-        up = np.zeros(n + 1, dtype=dtype)  # sum_t k // p^t
+        down = np.zeros(n + 1, dtype=np.int32)  # sum_t (n - k) // p^t
+        up = np.zeros(n + 1, dtype=np.int32)  # sum_t k // p^t
         while q <= n:
             nf += n // q
             down += nm // q
@@ -323,6 +370,10 @@ def lower_bound_witness(K: int) -> WitnessMK:
     sums, and (ii) ``u_profile``, which counts base-p carries, gives an exact
     u of 1. A failure is a VerificationError: it would contradict a proved
     statement.
+
+    Both checks are cheap however large n is: n = -1 mod p^{e_p} makes the
+    low e_p base-p digits of n all p - 1, and k <= K < p^{e_p}, so both
+    forms of ``valuation_binomial`` reach their early exit within e_p digits.
     """
     if K < 2:
         raise ValueError("K must be >= 2")

@@ -2,7 +2,8 @@
 
 ``sieve_primes`` returns an immutable ascending ``PrimeTable`` of every
 prime up to a limit; ``is_prime`` is a Miller-Rabin test; ``_prime_list``
-caches the small prime lists the scans reuse.
+serves the small prime lists the scans reuse from a cache of one list per
+power of two.
 
 There is one sieve. It marks odd integers segment by segment, so its mask
 never outgrows one segment of ``SEGMENT_SPAN`` integers, and limits below
@@ -12,6 +13,7 @@ the span are simply one segment.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -127,7 +129,19 @@ def sieve_primes(limit: int) -> PrimeTable:
     return PrimeTable(limit=limit, primes=primes)
 
 
-@lru_cache(maxsize=64)
 def _prime_list(limit: int) -> tuple[int, ...]:
-    """Cached tuple of primes <= limit, for the small limits used in scans."""
-    return tuple(_sieve(limit).tolist())
+    """Tuple of primes <= limit, for the small limits used in scans.
+
+    It is a prefix of the cached list of primes below the next power of two,
+    so a scan over many limits up to L sieves only about log2(L) times.
+    """
+    primes = _primes_below_power_of_two(max(limit, 0).bit_length())
+    return primes[: bisect_right(primes, limit)]
+
+
+@lru_cache(maxsize=64)
+def _primes_below_power_of_two(bits: int) -> tuple[int, ...]:
+    """Primes < 2**bits. ``_sieve`` asks ``_prime_list`` for the primes up to
+    isqrt(2**bits - 1) < 2**ceil(bits/2), a smaller power of two for
+    bits >= 2, so the recursion ends."""
+    return tuple(_sieve((1 << bits) - 1).tolist())

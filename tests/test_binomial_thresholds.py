@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from erdos_trio import (
+    ResourceLimitError,
     certificate_average,
     f_threshold,
     lower_bound_witness,
@@ -54,6 +55,69 @@ def test_indicator_equals_legendre_and_factorization_small():
                 ind = valuation_binomial(n, k, p, "indicator")
                 leg = valuation_binomial(n, k, p, "legendre")
                 assert ind == leg == comb_exponent(n, k, p), (n, k, p)
+
+
+def test_prime_check_boundary():
+    """Primes below 2^16 are looked up in a set, larger ones go to Miller-Rabin;
+    both valuation functions refuse the same non-primes on either side."""
+    for p in (0, 1, -3, 65535, 65536, 318665857834031151167461):
+        with pytest.raises(ValueError):
+            valuation_binomial(10, 5, p)
+        with pytest.raises(ValueError):
+            valuation_row(3, p)
+    for p in (65521, 65537, 2**61 - 1):
+        assert valuation_binomial(10, 5, p) == valuation_binomial(10, 5, p, "legendre") == 0
+        assert valuation_row(3, p).tolist() == [0, 0, 0, 0]
+    assert valuation_binomial(65537, 1, 65537) == valuation_binomial(65537, 1, 65537, "legendre") == 1
+
+
+def _assert_forms_match(n, k, p, oracle):
+    assert valuation_binomial(n, k, p, "indicator") == oracle(n, k, p), (n, k, p)
+    assert valuation_binomial(n, k, p, "legendre") == oracle(n, k, p), (n, k, p)
+
+
+def test_valuation_early_exits_on_edge_inputs():
+    """Both forms stop at the first provably zero tail; check the stopping
+    rules where digits run out, repeat or vanish."""
+    rng = random.Random(31)
+    for p in (2, 3, 5, 7, 97, 65537):
+        for j in range(1, 70 if p < 10 else 8):
+            for n in (p**j - 1, p**j, p**j + 1):
+                ks = {0, 1, n - 1, n, *(rng.randint(0, n) for _ in range(8))}
+                for k in ks:
+                    if 0 <= k <= n:
+                        oracle = comb_exponent if min(k, n - k) <= 400 else legendre_valuation
+                        _assert_forms_match(n, k, p, oracle)
+    # n = M_K - 1: the low e_p base-p digits of n are all p - 1, every v_p is 0
+    for K in range(2, 31):
+        n = lower_bound_witness(K).M_K - 1
+        for k in range(K + 1):
+            for p in sieve_primes(K).primes.tolist():
+                _assert_forms_match(n, k, p, comb_exponent)
+    for _ in range(60):
+        n = rng.getrandbits(rng.randint(200, 400)) | 1 << 199
+        p = rng.choice([2, 3, 5, 7, 31, 997, 4999])
+        for d in rng.sample(range(60), 6):
+            _assert_forms_match(n, d, p, comb_exponent)
+            _assert_forms_match(n, n - d, p, comb_exponent)
+        _assert_forms_match(n, rng.randint(0, n), p, legendre_valuation)
+
+
+def test_valuation_row_memory_budget(monkeypatch):
+    """The budget counts every temporary row, and is read at call time."""
+    n = 1000
+    need = bt._ROW_BYTES * (n + 1)
+    monkeypatch.setattr(bt, "DEFAULT_MEMORY_BUDGET", need)
+    for method in ("indicator", "legendre"):
+        row = valuation_row(n, 3, method=method)
+        assert row[500] == comb_exponent(n, 500, 3)
+    monkeypatch.setattr(bt, "DEFAULT_MEMORY_BUDGET", need - 1)
+    with pytest.raises(ResourceLimitError):
+        valuation_row(n, 3)
+    monkeypatch.undo()
+    # ~28 GB of rows: refused before any row is built
+    with pytest.raises(ResourceLimitError):
+        valuation_row(10**9, 2, method="legendre")
 
 
 def test_valuation_row_matches_scalar():
@@ -204,6 +268,14 @@ def test_witness_examples():
     assert abs(w5.log_ratio - math.log(1800) / 5) < 1e-12
     with pytest.raises(ValueError):
         lower_bound_witness(1)
+
+
+def test_witness_at_300_verifies():
+    """The witness check runs the legendre form's early exit on every (k, p):
+    K = 300 is 62 primes times 301 values of k over an 832-bit n."""
+    w = lower_bound_witness(300)
+    assert w.M_K == math.lcm(*range(1, 301)) * math.prod(sieve_primes(300).primes.tolist())
+    assert 1.5 <= w.log_ratio <= 2.06
 
 
 def test_witness_exponent_bracketing():
