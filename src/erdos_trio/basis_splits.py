@@ -35,6 +35,15 @@ Kind = Literal["core", "c", "B", "F", "none"]
 # 125-128 bytes per pair at n = 2.5e5, 1e6 and 3e6).
 _PAIR_BYTES = 128
 
+# One interval sum held by ``_sumset`` takes at most
+# _SUM_BYTES + 8 * (bits // 30) bytes, bits the bit length of the largest
+# sum: the (lo, hi) tuple (56), its list slot and sort scratch (13), and two
+# ints of at most 32 + 4 * (bits // 30) bytes each.
+# tracemalloc gives 169, 209 and 292 bytes per pair for cover and rigidity
+# at k = 100, 200 and 400 (sums of 235, 467 and 932 bits), against bounds
+# of 189, 253 and 381.
+_SUM_BYTES = 133
+
 
 def stage_anchor(k: int) -> int:
     """c_k = 4 * 5^(k-1)."""
@@ -122,7 +131,18 @@ def _sumset(
     Both arguments are lists of inclusive intervals. [a, b] + [c, d] is
     exactly [a + c, b + d], so the merged union of the pairwise interval
     sums is the sumset itself; intervals that touch are merged.
+
+    The len(left) * len(right) sums are counted before any is built; raises
+    ResourceLimitError when they would not fit in the memory budget that
+    ``sieve_primes`` also uses.
     """
+    bits = (2 * max(hi for _, hi in (*left, *right))).bit_length()
+    need = len(left) * len(right) * (_SUM_BYTES + 8 * (bits // 30))
+    if need > DEFAULT_MEMORY_BUDGET:
+        raise ResourceLimitError(
+            f"{len(left)} x {len(right)} interval sums need ~{need} bytes; "
+            f"budget is {DEFAULT_MEMORY_BUDGET}"
+        )
     out: list[list[int]] = []
     for lo, hi in sorted((a + c, b + d) for a, b in left for c, d in right):
         if out and lo <= out[-1][1] + 1:

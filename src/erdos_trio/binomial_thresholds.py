@@ -3,15 +3,15 @@
 For 0 <= k <= n let u(n, k) be the product over primes p <= k of
 p^{v_p(C(n, k))}, and let f(n) be the least k with u(n, k) > n^2 (strict).
 This module computes v_p(C(n, k)) in two independent forms, builds the full
-valuation profile of u(n, k), scans for f(n) with a float fast path that
-falls back to exact big-integer comparison near the decision boundary,
-evaluates the averaging certificate that witnesses f(n) = O((log n)^2), and
+valuation profile of u(n, k), keeps one exponent ledger of u(n, k) over
+k = 1, 2, ... that both scans for f(n) in exact integers and sums log u(n, k)
+for the averaging certificate that witnesses f(n) = O((log n)^2), and
 constructs the composite witness M_K = prod_{p<=K} p^{floor(log_p K)+1}
 whose predecessor satisfies f(M_K - 1) > K.
 
 n is never expanded into factorials: ``valuation_binomial`` peels the base-p
-digits of n and k by repeated division by p, and the incremental sweep reads
-residues n mod p^t, so n may be an arbitrary-precision integer.
+digits of n and k by repeated division by p, and the ledger reads residues
+n mod p^t, so n may be an arbitrary-precision integer.
 """
 
 from __future__ import annotations
@@ -26,11 +26,6 @@ import numpy as np
 from .errors import ResourceLimitError, VerificationError
 from .primes import DEFAULT_MEMORY_BUDGET, _prime_list, is_prime
 
-# Half-width of the log-space band around log(n^2) inside which the
-# u(n,k) > n^2 decision is re-made with exact integers. Accumulated float
-# error in the scan is ~1e-11, far inside the band.
-GUARD_BAND = 1e-6
-
 # Default certificate constant: 24/(pi^2 - 6) + 0.01, slightly above the
 # smallest constant for which the averaging argument closes.
 DEFAULT_CERTIFICATE_C = 24.0 / (math.pi**2 - 6.0) + 0.01
@@ -42,11 +37,18 @@ _DIAGNOSTIC_BLOCKS = 8
 # Miller-Rabin; the set holds the 6,542 primes below 2^16.
 _SMALL_PRIME_BOUND = 1 << 16
 
-# Peak bytes per entry of k = 0..n in valuation_row: the legendre path holds
-# seven int32 rows at once (the zero row, k, n - k, both floor sums, one
-# temporary and the difference), and the int64 result plus the five rows
-# still alive at that point take the same 28 bytes.
-_ROW_BYTES = 7 * 4
+# Peak bytes per entry of k = 0..n in valuation_row (tracemalloc at n = 1e5,
+# 1e6 and 3e6): the legendre path ends holding three int32 rows (k, the
+# floor sum and the difference) beside the int64 result; the indicator path
+# peaks at 16.
+_ROW_BYTES = 3 * 4 + 8
+
+# Peak bytes per position k of the u(n, k) ledger in _log_u_series:
+# tracemalloc at n = 1e18 gives 511, 530 and 542 bytes per k at
+# k_max = 29,718 / 118,872 / 343,562. Each step takes ~70 bytes and the
+# steps per position grow like log log k_max, which extrapolates to ~566
+# at k_max = 3.5e6, the largest window DEFAULT_MEMORY_BUDGET admits.
+_STEP_BYTES = 600
 
 
 def _check_prime(p: int) -> None:
@@ -129,24 +131,22 @@ def valuation_row(
             f"valuation_row(n={n}) needs ~{need} bytes; budget is {DEFAULT_MEMORY_BUDGET}"
         )
     _check_prime(p)
-    out = np.zeros(n + 1, dtype=np.int32)
     ks = np.arange(n + 1, dtype=np.int32)
     q = p
     if method == "indicator":
+        out = np.zeros(n + 1, dtype=np.int32)
         while q <= n:
             out += n % q < ks % q
             q *= p
     elif method == "legendre":
-        nm = n - ks
         nf = 0  # sum_t n // p^t, accumulated scalar
-        down = np.zeros(n + 1, dtype=np.int32)  # sum_t (n - k) // p^t
         up = np.zeros(n + 1, dtype=np.int32)  # sum_t k // p^t
         while q <= n:
             nf += n // q
-            down += nm // q
             up += ks // q
             q *= p
-        out = nf - down - up
+        # sum_t (n - k) // p^t at k is the floor sum of k at n - k: up reversed
+        out = nf - up - up[::-1]
     else:
         raise ValueError(f"unknown method {method!r}")
     return out.astype(np.int64)
@@ -181,48 +181,66 @@ def u_profile(n: int, k: int) -> ValuationProfile:
     return ValuationProfile(n=n, k=k, valuations=vals, exact_u=u)
 
 
-def _log_u_series(n: int, k_max: int) -> np.ndarray:
-    """log u(n, k) for k = 0..k_max, in one incremental sweep.
+def _u_steps(n: int, k_max: int) -> list[list[tuple[int, int]]]:
+    """The exponent ledger of u(n, k): entry k, for k = 1..k_max, lists the
+    factors (p, e) with u(n, k) = u(n, k - 1) * prod p^e (entry 0 is empty).
 
-    Uses C(n, k) = C(n, k-1) * (n - k + 1) / k: each step adjusts the
-    exponent ledger by the tracked-prime factors of the numerator n - k + 1
-    and the denominator k. A prime p joins the product u at k = p, at which
-    point its accumulated exponent is added to the running log. Factor
-    positions come from residues n mod p^t, so n may be huge.
+    Uses C(n, k) = C(n, k-1) * (n - k + 1) / k. Entry k holds (p, +1) or
+    (p, -1) for each power of a prime p < k dividing the numerator n - k + 1
+    or the denominator k, then (k, e) with e = v_k(C(n, k)) > 0 when a prime
+    k joins u. For each p, its +1 steps come before its -1 steps, so its
+    exponent in u only falls towards v_p(C(n, k)) >= 0 and dividing u by p
+    on a -1 step is exact. Factor positions come from residues n mod p^t,
+    so n may be huge.
+
+    Entry k depends only on n and k, so the first k + 1 entries are the
+    same for every k_max >= k. Raises ResourceLimitError when the ledger
+    would not fit in ``DEFAULT_MEMORY_BUDGET`` bytes (read at call time).
     """
     if not 1 <= k_max <= n:
         raise ValueError("need 1 <= k_max <= n")
-    primes = _prime_list(k_max)
-    events: list[list[tuple[int, int]]] = [[] for _ in range(k_max + 1)]
-    for p in primes:
-        # numerator n - k + 1 divisible by p^t  <=>  k = (n + 1) mod p^t (+ j p^t)
+    need = _STEP_BYTES * k_max
+    if need > DEFAULT_MEMORY_BUDGET:
+        raise ResourceLimitError(
+            f"a u(n, k) sweep to k = {k_max} needs ~{need} bytes; "
+            f"budget is {DEFAULT_MEMORY_BUDGET}"
+        )
+    steps: list[list[tuple[int, int]]] = [[] for _ in range(k_max + 1)]
+    for p in _prime_list(k_max):
+        # p joins u at k = p with v_p(C(n, p)): one for each power of p
+        # dividing a numerator n - k + 1 with k <= p, less the denominator p.
+        join = -1
+        # numerator n - k + 1 divisible by q = p^t  <=>  k = (n + 1) mod q (+ j q)
         q = p
         while q <= n:
-            k0 = (n + 1) % q
-            if k0 == 0:
-                k0 = q
+            k0 = (n + 1) % q or q
+            if k0 <= p:
+                join += 1
+                k0 += q
             for k in range(k0, k_max + 1, q):
-                events[k].append((p, 1))
+                steps[k].append((p, 1))
             q *= p
-        # denominator k divisible by p^t
+        if join:
+            steps[p].append((p, join))
+        # denominator k > p divisible by q = p^t
         q = p
         while q <= k_max:
-            for k in range(q, k_max + 1, q):
-                events[k].append((p, -1))
+            for k in range(q if q > p else 2 * p, k_max + 1, q):
+                steps[k].append((p, -1))
             q *= p
+    return steps
 
-    prime_set = frozenset(primes)
-    logs = {p: math.log(p) for p in primes}
-    exponents: dict[int, int] = dict.fromkeys(primes, 0)
+
+def _log_u_series(n: int, k_max: int) -> np.ndarray:
+    """log u(n, k) for k = 0..k_max: the running sum of e * log p over the
+    entries of ``_u_steps``, in ledger order."""
+    ledger = _u_steps(n, k_max)
+    logs = {p: math.log(p) for p in _prime_list(k_max)}
     out = np.zeros(k_max + 1, dtype=np.float64)
     running = 0.0
     for k in range(1, k_max + 1):
-        for p, step in events[k]:
-            exponents[p] += step
-            if p < k:
-                running += step * logs[p]
-        if k in prime_set:
-            running += exponents[k] * logs[k]
+        for p, e in ledger[k]:
+            running += e * logs[p]
         out[k] = running
     return out
 
@@ -232,8 +250,8 @@ class ThresholdResult:
     """Outcome of the f(n) scan.
 
     ``f`` is None when no k <= n satisfies u(n, k) > n^2 (tiny n only).
-    ``decided_exactly`` records whether the deciding comparison fell inside
-    the float guard band and was settled with exact integers.
+    ``decided_exactly`` is True for every result: every comparison of the
+    scan is between exact integers.
     """
 
     n: int
@@ -241,39 +259,35 @@ class ThresholdResult:
     decided_exactly: bool
 
 
-def _exceeds_square(n: int, k: int) -> bool:
-    """Exact big-integer test u(n, k) > n^2 (used inside the guard band)."""
-    return u_profile(n, k).exact_u > n * n
-
-
 def f_threshold(n: int) -> ThresholdResult:
     """Least k <= n with u(n, k) > n^2, scanning k ascending.
 
-    The scan compares log u(n, k) against 2 log n in float; any comparison
-    landing within ``GUARD_BAND`` of the boundary is re-decided with exact
-    integer arithmetic, so float rounding can never pick the wrong k.
+    The scan carries u(n, k) itself as an exact integer, applying the steps
+    of ``_u_steps`` and comparing u > n^2 after each k. Every u met before
+    f(n) is at most n^2, so u stays small.
 
     The sweep covers k <= min(n, 64) first and doubles its window until it
-    finds f(n) or reaches n. This is exact for every n: the value of
-    ``_log_u_series(n, K)`` at k depends only on factor events at positions
-    <= k, and a prime p enters the running sum only at k = p, so the first
-    k + 1 entries are the same bits for every K >= k. A wider window only
-    repeats the comparisons a narrower one already made.
+    finds f(n) or reaches n. This is exact for every n: the ledger's steps
+    at k do not depend on the window, so a wider window only repeats the
+    comparisons a narrower one already made.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    target = 2.0 * math.log(n)
+    square = n * n
     k_max = min(n, 64)
     while True:
-        logs = _log_u_series(n, k_max)
+        ledger = _u_steps(n, k_max)
+        u = 1
         for k in range(1, k_max + 1):
-            d = logs[k] - target
-            if d > GUARD_BAND:
-                return ThresholdResult(n=n, f=k, decided_exactly=False)
-            if d >= -GUARD_BAND and _exceeds_square(n, k):
+            for p, e in ledger[k]:
+                if e == -1:
+                    u //= p
+                else:
+                    u *= p**e
+            if u > square:
                 return ThresholdResult(n=n, f=k, decided_exactly=True)
         if k_max == n:
-            return ThresholdResult(n=n, f=None, decided_exactly=False)
+            return ThresholdResult(n=n, f=None, decided_exactly=True)
         k_max = min(n, 2 * k_max)
 
 

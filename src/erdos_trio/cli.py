@@ -36,7 +36,6 @@ from . import basis_splits as bs
 from . import binomial_thresholds as bt
 from . import equidistribution as eq
 from .errors import ResourceLimitError, VerificationError
-from .primes import sieve_primes
 
 EXIT_OK = 0
 EXIT_USAGE = 1

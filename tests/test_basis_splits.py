@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -129,6 +130,33 @@ def test_representations_memory_budget(monkeypatch):
     with pytest.raises(ResourceLimitError):
         representations(10**13)
     assert time.perf_counter() - start < 1.0
+
+
+def test_sumset_memory_budget(monkeypatch):
+    """The interval sums are counted before any is built, at a size per sum
+    that covers what tracemalloc measures; the budget is read at call time."""
+    k = 60
+    bits = (6 * 5**k).bit_length()  # the largest sum, 2 * max(A_k)
+    need = len(stage_intervals(3 * 5**k)) ** 2 * (basis_splits._SUM_BYTES + 8 * (bits // 30))
+    tracemalloc.start()
+    try:
+        sumset_cover_check(k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need
+    monkeypatch.setattr(basis_splits, "DEFAULT_MEMORY_BUDGET", need)
+    assert sumset_cover_check(k).covered
+    monkeypatch.setattr(basis_splits, "DEFAULT_MEMORY_BUDGET", need - 1)
+    with pytest.raises(ResourceLimitError):
+        sumset_cover_check(k)
+    monkeypatch.undo()
+    # ~9e6 sums of ~2,300 bits, several GB: refused before any is built
+    for check in (sumset_cover_check, rigidity_check):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            check(1000)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_cover_examples_and_method_agreement():

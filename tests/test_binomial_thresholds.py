@@ -6,6 +6,8 @@ derived from big-integer factorization oracles in ``oracles.py``.
 
 import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -168,6 +170,25 @@ def test_log_u_series_matches_profiles():
             assert abs(series[k] - math.log(u_profile(n, k).exact_u)) < 1e-9, (n, k)
 
 
+def test_ledger_replays_exact_u_with_exact_divisions():
+    """Multiplying out the ledger's steps gives u_profile's exact u at every
+    k, and every division by p on a -1 step leaves no remainder."""
+    for n in (10, 1799, 10**6, 2**64 - 59, lower_bound_witness(12).M_K - 1):
+        k_max = min(n, 120)
+        ledger = bt._u_steps(n, k_max)
+        assert ledger[0] == []
+        u = 1
+        for k in range(1, k_max + 1):
+            for p, e in ledger[k]:
+                if e == -1:
+                    assert u % p == 0, (n, k, p)
+                    u //= p
+                else:
+                    assert e > 0, (n, k, p)
+                    u *= p**e
+            assert u == u_profile(n, k).exact_u, (n, k)
+
+
 def test_log_u_series_prefix_is_window_independent():
     """The entry at k is the same bits whatever the window K >= k: the sweep
     only sees factor events at positions <= k, and a prime p joins the sum
@@ -202,19 +223,46 @@ def test_f_threshold_matches_oracle_small():
         assert f_threshold(n).f == f_oracle(n, primes, 500), n
 
 
-def test_f_threshold_guard_band_paths_agree(monkeypatch):
-    """A huge guard band forces every decision through exact arithmetic."""
-    defaults = {n: f_threshold(n).f for n in (*range(2, 120), 1799, 123456)}
-    monkeypatch.setattr(bt, "GUARD_BAND", 1e9)
-    for n in range(2, 120):
-        exact = f_threshold(n)
-        assert exact.f == defaults[n]
-        if exact.f is not None:
-            assert exact.decided_exactly
-    # and a zero band (pure float) still agrees on moderate n
-    monkeypatch.setattr(bt, "GUARD_BAND", 0.0)
-    for n in (10, 97, 1799, 123456):
-        assert f_threshold(n).f == defaults[n]
+def test_f_threshold_decides_ties_and_near_misses_exactly():
+    """u(105, 8) = 105^2 is an exact tie, the only one for 2 <= n <= 2e4 and
+    k <= f(n): the strict comparison passes over it. At n = 154338, log u
+    comes within 1e-6 of 2 log n at the deciding k, the only n <= 3e5 where
+    it does."""
+    primes = sieve_primes(100).primes.tolist()
+    assert u_profile(105, 8).exact_u == 105**2
+    for n, f in ((105, 10), (154338, 34)):
+        res = f_threshold(n)
+        assert res.f == f_oracle(n, primes, 100) == f
+        assert res.decided_exactly
+
+
+def test_ledger_memory_budget(monkeypatch):
+    """The u(n, k) ledger is refused before it is built when its positions
+    would exceed the budget, which is read at call time."""
+    n, c = 10**6, 6.21
+    y = certificate_average(n, c).y
+    need = bt._STEP_BYTES * y
+    tracemalloc.start()
+    try:
+        certificate_average(n, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need
+    monkeypatch.setattr(bt, "DEFAULT_MEMORY_BUDGET", need)
+    assert certificate_average(n, c).y == y
+    monkeypatch.setattr(bt, "DEFAULT_MEMORY_BUDGET", need - 1)
+    with pytest.raises(ResourceLimitError):
+        certificate_average(n, c)
+    monkeypatch.setattr(bt, "DEFAULT_MEMORY_BUDGET", bt._STEP_BYTES * 64 - 1)
+    with pytest.raises(ResourceLimitError):
+        f_threshold(n)
+    monkeypatch.undo()
+    # Y ~ 3.4e7 positions, ~20 GB of ledger: refused before any is built
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        certificate_average(10**18, 20000)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_f_threshold_of_witness_predecessor():

@@ -167,6 +167,11 @@ def test_equidist_cluster_bad_delta(capsys):
         # a zero denominator, and an unwritable --output path
         ("equidist", "approx", "--alpha", "1/0", "--Q", "10"),
         ("--output", ".", "binomial", "f", "--n", "10"),
+        # a u(n, k) ledger of Y ~ 3.4e7 positions is refused by the memory budget
+        ("binomial", "certificate", "--n", "1000000000000000000", "--C", "20000"),
+        # ~9e6 interval sums of ~2,300 bits are refused by the memory budget
+        ("basis", "cover", "--k", "1000"),
+        ("basis", "rigidity", "--k", "1000"),
     ],
 )
 def test_unservable_request_is_one_line_usage_error(capsys, argv):

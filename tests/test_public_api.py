@@ -16,6 +16,8 @@ count as a use:
   name passes it, by keyword or by position.
 
 Dunder methods are out of reach of the syntax tree and are not checked.
+Within each package module, every top-level import must be read as a
+``Name`` somewhere in that module.
 """
 
 import ast
@@ -128,3 +130,22 @@ def test_every_member_and_keyword_has_a_caller():
             if not m.startswith("_") and m not in read and f"{name}.{m}" not in EXEMPT
         ]
     assert unused == [], f"public members and keywords with no caller outside tests: {sorted(unused)}"
+
+
+def test_package_modules_import_only_what_they_use():
+    """Every name a package module imports at top level is read in that module."""
+    unused = []
+    for path in sorted((ROOT / "src" / "erdos_trio").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.stem}.{name}")
+    assert unused == [], f"imports never read: {unused}"
