@@ -12,6 +12,8 @@
   well-distribution.
 * ``primes``: the one segmented sieve and the primality test the other
   modules share.
+* ``errors``: the exception types, and the one memory guard that counts
+  every request-sized structure before it is built.
 """
 
 from .errors import ResourceLimitError, VerificationError

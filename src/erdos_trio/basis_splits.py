@@ -25,8 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
-from .errors import ResourceLimitError, VerificationError
-from .primes import DEFAULT_MEMORY_BUDGET
+from .errors import VerificationError, reserve
 
 Kind = Literal["core", "c", "B", "F", "none"]
 
@@ -35,14 +34,27 @@ Kind = Literal["core", "c", "B", "F", "none"]
 # 125-128 bytes per pair at n = 2.5e5, 1e6 and 3e6).
 _PAIR_BYTES = 128
 
-# One interval sum held by ``_sumset`` takes at most
-# _SUM_BYTES + 8 * (bits // 30) bytes, bits the bit length of the largest
-# sum: the (lo, hi) tuple (56), its list slot and sort scratch (13), and two
-# ints of at most 32 + 4 * (bits // 30) bytes each.
+# One held (lo, hi) interval of ints of at most ``bits`` bits, an interval
+# sum of ``_sumset`` or a stage interval, takes at most
+# _SUM_BYTES + 8 * (bits // 30) bytes (``_interval_bytes``): the tuple (56),
+# its list slot and sort scratch (13), and two ints of at most
+# 32 + 4 * (bits // 30) bytes each.
 # tracemalloc gives 169, 209 and 292 bytes per pair for cover and rigidity
 # at k = 100, 200 and 400 (sums of 235, 467 and 932 bits), against bounds
-# of 189, 253 and 381.
+# of 189, 253 and 381; ``stage_intervals(3 * 5^k)`` peaks at 100, 364 and
+# 614 bytes per interval at k = 100, 1000 and 2000, against 189, 1237 and
+# 2365.
 _SUM_BYTES = 133
+
+# Peak bytes per element of ``enumerate_A``: a 28-byte int below 2^30, its
+# list slot and the list's over-allocation while it grows (tracemalloc: 40.0
+# per element at limits 1e5 and 1e6, 41.0 at 1e7).
+_ELEMENT_BYTES = 48
+
+
+def _interval_bytes(bits: int) -> int:
+    """Bytes one held interval of ints of at most ``bits`` bits takes."""
+    return _SUM_BYTES + 8 * (bits // 30)
 
 
 def stage_anchor(k: int) -> int:
@@ -100,7 +112,18 @@ def classify(x: int) -> StageClassification:
 
 
 def stage_intervals(limit: int) -> list[tuple[int, int]]:
-    """Disjoint ascending intervals whose union is A intersected with [0, limit]."""
+    """Disjoint ascending intervals whose union is A intersected with [0, limit].
+
+    Their ints grow with the stage, so the list is quadratic in the number
+    of stages; it is counted through ``reserve`` before it is built, as at
+    most 3 intervals for each of the <= bits/2 + 1 stages plus the core, each
+    at the size of the largest.
+    """
+    bits = max(limit, 0).bit_length()
+    reserve(
+        (3 * (bits // 2 + 1) + 1) * _interval_bytes(bits),
+        f"the interval list of A up to a {bits}-bit limit",
+    )
     out: list[tuple[int, int]] = []
     if limit >= 2:
         out.append((2, min(3, limit)))
@@ -116,9 +139,16 @@ def stage_intervals(limit: int) -> list[tuple[int, int]]:
 
 
 def enumerate_A(limit: int) -> list[int]:
-    """All elements of A up to limit, ascending."""
+    """All elements of A up to limit, ascending.
+
+    About half of [0, limit] lies in A; the elements are counted from the
+    intervals through ``reserve`` before the list is built.
+    """
+    intervals = stage_intervals(limit)
+    count = sum(hi - lo + 1 for lo, hi in intervals)
+    reserve(_ELEMENT_BYTES * count, f"the list of {count} elements of A up to {limit}")
     out: list[int] = []
-    for lo, hi in stage_intervals(limit):
+    for lo, hi in intervals:
         out.extend(range(lo, hi + 1))
     return out
 
@@ -132,17 +162,14 @@ def _sumset(
     exactly [a + c, b + d], so the merged union of the pairwise interval
     sums is the sumset itself; intervals that touch are merged.
 
-    The len(left) * len(right) sums are counted before any is built; raises
-    ResourceLimitError when they would not fit in the memory budget that
-    ``sieve_primes`` also uses.
+    The len(left) * len(right) sums are counted through ``reserve`` before
+    any is built.
     """
     bits = (2 * max(hi for _, hi in (*left, *right))).bit_length()
-    need = len(left) * len(right) * (_SUM_BYTES + 8 * (bits // 30))
-    if need > DEFAULT_MEMORY_BUDGET:
-        raise ResourceLimitError(
-            f"{len(left)} x {len(right)} interval sums need ~{need} bytes; "
-            f"budget is {DEFAULT_MEMORY_BUDGET}"
-        )
+    reserve(
+        len(left) * len(right) * _interval_bytes(bits),
+        f"a sumset of {len(left)} x {len(right)} interval sums",
+    )
     out: list[list[int]] = []
     for lo, hi in sorted((a + c, b + d) for a, b in left for c, d in right):
         if out and lo <= out[-1][1] + 1:
@@ -200,29 +227,32 @@ class RepresentationList:
 def representations(n: int) -> RepresentationList:
     """Every pair (a, n - a) with a <= n - a and both in A, ascending in a.
 
-    For intervals [lo, hi] and [lo2, hi2] of A up to n - 2, the admissible a
-    form the interval [lo, hi] ∩ [n - hi2, n - lo2] ∩ [2, n // 2]. The
-    intervals of A are disjoint, so these ranges are too, and sorting them
-    lists every representation once.
+    The admissible a form A ∩ (n - A) ∩ [2, n // 2]. The intervals of A up
+    to n - 2 and their mirrors [n - hi, n - lo] are two disjoint ascending
+    lists, so one merge pass intersects them into disjoint ascending ranges,
+    at most one per interval of either list, and reading the ranges in
+    order lists every representation once.
 
-    The pairs are counted from the ranges before any is built; raises
-    ResourceLimitError when they would not fit in the memory budget that
-    ``sieve_primes`` also uses.
+    The pairs are counted from the ranges through ``reserve`` before any is
+    built.
     """
     if n < 4:
         raise ValueError("n must be >= 4")
     intervals = stage_intervals(n - 2)
-    ranges = sorted(
-        (max(lo, n - hi2), min(hi, n - lo2, n // 2))
-        for lo, hi in intervals
-        for lo2, hi2 in intervals
-    )
-    count = sum(max(0, a_hi - a_lo + 1) for a_lo, a_hi in ranges)
-    if count * _PAIR_BYTES > DEFAULT_MEMORY_BUDGET:
-        raise ResourceLimitError(
-            f"{count} representations of {n} need ~{count * _PAIR_BYTES} bytes; "
-            f"budget is {DEFAULT_MEMORY_BUDGET}"
-        )
+    mirrors = [(n - hi, n - lo) for lo, hi in reversed(intervals)]
+    ranges = []
+    i = j = 0
+    while i < len(intervals) and j < len(mirrors):
+        (lo, hi), (lo2, hi2) = intervals[i], mirrors[j]
+        a_lo, a_hi = max(lo, lo2), min(hi, hi2, n // 2)
+        if a_lo <= a_hi:
+            ranges.append((a_lo, a_hi))
+        if hi < hi2:
+            i += 1
+        else:
+            j += 1
+    count = sum(a_hi - a_lo + 1 for a_lo, a_hi in ranges)
+    reserve(count * _PAIR_BYTES, f"the list of {count} representations of {n}")
     pairs = tuple((a, n - a) for a_lo, a_hi in ranges for a in range(a_lo, a_hi + 1))
     return RepresentationList(n=n, pairs=pairs)
 

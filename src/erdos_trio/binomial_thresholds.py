@@ -23,8 +23,8 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ResourceLimitError, VerificationError
-from .primes import DEFAULT_MEMORY_BUDGET, _prime_list, is_prime
+from .errors import VerificationError, reserve
+from .primes import _prime_list, is_prime
 
 # Default certificate constant: 24/(pi^2 - 6) + 0.01, slightly above the
 # smallest constant for which the averaging argument closes.
@@ -47,7 +47,7 @@ _ROW_BYTES = 3 * 4 + 8
 # tracemalloc at n = 1e18 gives 511, 530 and 542 bytes per k at
 # k_max = 29,718 / 118,872 / 343,562. Each step takes ~70 bytes and the
 # steps per position grow like log log k_max, which extrapolates to ~566
-# at k_max = 3.5e6, the largest window DEFAULT_MEMORY_BUDGET admits.
+# at k_max = 3.5e6, the largest window the default memory budget admits.
 _STEP_BYTES = 600
 
 
@@ -119,17 +119,13 @@ def valuation_row(
     """Vector of v_p(C(n, k)) for k = 0..n.
 
     Vectorized over k in int32 rows; the scalar ``valuation_binomial`` covers
-    arbitrary-precision n. Raises ResourceLimitError when the rows would not
-    fit in ``DEFAULT_MEMORY_BUDGET`` bytes (read at call time), which also
-    keeps n far below 2^31, where int32 would overflow.
+    arbitrary-precision n. The rows are counted through ``reserve`` before
+    any is built; the default budget also keeps n far below 2^31, where
+    int32 would overflow.
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    need = _ROW_BYTES * (n + 1)
-    if need > DEFAULT_MEMORY_BUDGET:
-        raise ResourceLimitError(
-            f"valuation_row(n={n}) needs ~{need} bytes; budget is {DEFAULT_MEMORY_BUDGET}"
-        )
+    reserve(_ROW_BYTES * (n + 1), f"valuation_row(n={n})")
     _check_prime(p)
     ks = np.arange(n + 1, dtype=np.int32)
     q = p
@@ -194,17 +190,12 @@ def _u_steps(n: int, k_max: int) -> list[list[tuple[int, int]]]:
     so n may be huge.
 
     Entry k depends only on n and k, so the first k + 1 entries are the
-    same for every k_max >= k. Raises ResourceLimitError when the ledger
-    would not fit in ``DEFAULT_MEMORY_BUDGET`` bytes (read at call time).
+    same for every k_max >= k. The ledger is counted through ``reserve``
+    before any entry is built.
     """
     if not 1 <= k_max <= n:
         raise ValueError("need 1 <= k_max <= n")
-    need = _STEP_BYTES * k_max
-    if need > DEFAULT_MEMORY_BUDGET:
-        raise ResourceLimitError(
-            f"a u(n, k) sweep to k = {k_max} needs ~{need} bytes; "
-            f"budget is {DEFAULT_MEMORY_BUDGET}"
-        )
+    reserve(_STEP_BYTES * k_max, f"a u(n, k) sweep to k = {k_max}")
     steps: list[list[tuple[int, int]]] = [[] for _ in range(k_max + 1)]
     for p in _prime_list(k_max):
         # p joins u at k = p with v_p(C(n, p)): one for each power of p

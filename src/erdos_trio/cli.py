@@ -12,9 +12,9 @@ with identical parameters produce byte-identical stdout; wall-clock timing
 goes to stderr only. Scans run serially: the global ``--threads`` flag is
 still accepted as an integer but changes nothing.
 
-Exit codes: 0 verified/ok, 1 bad arguments (including a sieve or a
-representation list over the memory budget, an ``--output`` path that cannot
-be written and a value too large to print as a float), 2
+Exit codes: 0 verified/ok, 1 bad arguments (including a request whose
+memory, counted before it is built, exceeds the budget, an ``--output`` path
+that cannot be written and a value too large to print as a float), 2
 mathematical verification failure (never expected: it would contradict a
 proved statement), 3 search horizon exhausted (soft failure: raise the limit
 and retry). Every failure prints one line to stderr, never a traceback.
@@ -35,12 +35,20 @@ from . import __version__
 from . import basis_splits as bs
 from . import binomial_thresholds as bt
 from . import equidistribution as eq
-from .errors import ResourceLimitError, VerificationError
+from .errors import ResourceLimitError, VerificationError, reserve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 EXIT_HORIZON = 3
+
+
+# Peak bytes per pair of ``basis reps`` as rendered JSON, the costliest
+# format: the pair, its row dict, the row's JSON-safe copy and the encoder's
+# chunks and text (tracemalloc of the whole command: 1,156 and 1,143 bytes
+# per pair at n = 251,500 and 1e6; csv 364 and 360, table 641 and 649).
+# Every format is counted at this size.
+_REP_ROW_BYTES = 1200
 
 
 class _UsageError(Exception):
@@ -231,6 +239,7 @@ def _cmd_basis_gaps(args) -> tuple[list[dict], dict, str]:
 
 def _cmd_basis_reps(args) -> tuple[list[dict], dict, str]:
     rep = bs.representations(args.n)
+    reserve(_REP_ROW_BYTES * len(rep.pairs), f"rendering {len(rep.pairs)} representations")
     rows = [{"n": rep.n, "a": a, "b": b} for a, b in rep.pairs]
     if not rows:
         rows = [{"n": rep.n, "a": None, "b": None}]

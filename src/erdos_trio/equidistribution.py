@@ -31,12 +31,34 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import VerificationError
-from .primes import PrimeTable, sieve_primes
+from .errors import VerificationError, reserve
+from .primes import PrimeTable, _prime_count_bound, sieve_primes
 
 # Largest gap allowed between a scan's float64 maximum and the exact
 # discrepancy of its argmax window.
 _SCAN_RECHECK_TOL = 1e-12
+
+# Peak bytes of a window scan, counted in three parts. Per scanned prime:
+# its share of the table, a Python float and the float64 array of
+# fractional parts (tracemalloc: 49.4-49.6 at 1e6, 4e6 and 8e6 primes,
+# k = 10, stride 1000). Per float64 entry of one chunk of windows: three
+# 8-byte copies live at once while a chunk is gathered, sorted and scored
+# (18.9-24.0). Per point of the exact re-check of the argmax window:
+# _POINT_BYTES + 24 * (bits // 30), bits the bit length of alpha's
+# denominator, for the Fraction sample, its sorted copy and the kernel's
+# Fraction rows (400 + 24 * (bits // 30) at k = 2,000 and 20,000 with
+# 54- to 4,096-bit denominators).
+_PART_BYTES = 56
+_ENTRY_BYTES = 32
+_POINT_BYTES = 440
+# Windows scored per chunk: chunks hold about 2^22 float64 entries.
+_CHUNK_ENTRIES = 1 << 22
+
+# Peak bytes of a prime-string search per prime of the 1.3 x / ln x bound:
+# the 8-byte table entry plus 18 bytes of mask, cumulative sums and run
+# test (tracemalloc, sieve included: 24.3, 22.4, 21.8 and 21.5 at limits
+# 1e4, 1e5, 1e6 and 1e7).
+_STRING_BYTES = 26
 
 DEFAULT_ALPHA_BITS = 256
 
@@ -171,12 +193,22 @@ def well_distribution_statistic(
     several windows within float rounding of each other wins is not
     re-decided (for a rational alpha every window can tie, so re-scoring
     the ties could cost more than the scan). The scan needs scan_limit + k
-    primes; a table that cannot supply them is an error.
+    primes; a table that cannot supply them is an error. Its primes, one
+    chunk of windows and the exact re-check are counted through
+    ``reserve`` before the table is sieved.
     """
     if k < 1 or stride < 1 or scan_limit < 0:
         raise ValueError("need k >= 1, stride >= 1, scan_limit >= 0")
     a = parse_alpha(alpha)
     needed = scan_limit + k
+    n_windows = scan_limit // stride + 1
+    chunk = max(1, _CHUNK_ENTRIES // k)
+    reserve(
+        _PART_BYTES * needed
+        + _ENTRY_BYTES * k * min(n_windows, chunk)
+        + k * (_POINT_BYTES + 24 * (a.denominator.bit_length() // 30)),
+        f"a scan of {n_windows} windows of {k} primes",
+    )
     if table is None:
         bound = max(100, int(needed * (math.log(max(needed, 6)) + math.log(math.log(max(needed, 6))) + 1)))
         table = sieve_primes(bound)
@@ -189,7 +221,6 @@ def well_distribution_statistic(
     starts = np.arange(0, scan_limit + 1, stride)
     best_d = -1.0
     best_n = 0
-    chunk = max(1, (1 << 22) // max(k, 1))
     for off in range(0, starts.size, chunk):
         sub = starts[off : off + chunk]
         windows = np.sort(parts[sub[:, None] + np.arange(k)[None, :]], axis=1)
@@ -290,7 +321,9 @@ def find_prime_string(
 
     Returns None when no run exists below the limit (raise the limit and
     retry; absence below a finite horizon never refutes anything). With
-    ``max_diameter`` set, returns the first run at least that tight.
+    ``max_diameter`` set, returns the first run at least that tight. The
+    table and the search are counted through ``reserve`` before the table
+    is sieved.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -298,9 +331,8 @@ def find_prime_string(
         raise ValueError(f"need gcd(a, q) = 1, got gcd({a}, {q}) = {gcd(a, q)}")
     if m < 1:
         raise ValueError("m must be >= 1")
-    if table is None:
-        table = sieve_primes(limit)
-    elif table.limit < limit:
+    table = _string_table(limit, table)
+    if table.limit < limit:
         raise ValueError(f"table limit {table.limit} is below search limit {limit}")
     ps = table.primes[: table.count(limit)]
     if ps.size < m:
@@ -320,6 +352,13 @@ def find_prime_string(
     return PrimeString(
         q=q, a=a % q, m=m, r=r, primes=run, diameter=run[-1] - run[0]
     )
+
+
+def _string_table(limit: int, table: PrimeTable | None) -> PrimeTable:
+    """``table``, or the primes <= limit when it is None, once a prime-string
+    search to ``limit`` has been counted through ``reserve``."""
+    reserve(_STRING_BYTES * _prime_count_bound(limit), f"a prime-string search to {limit}")
+    return sieve_primes(limit) if table is None else table
 
 
 @dataclass(frozen=True)
@@ -372,8 +411,7 @@ def cluster_verify(
         raise ValueError("delta must lie strictly between 0 and 1/2")
     if m < 2:
         raise ValueError("m must be >= 2")
-    if table is None:
-        table = sieve_primes(limit)
+    table = _string_table(limit, table)
     rounds: list[dict] = []
     # any run of m distinct primes in one class mod q has diameter >= q(m-1)
     q_cap = max(1, limit // max(m - 1, 1))

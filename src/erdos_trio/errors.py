@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one memory guard."""
+
+# Bytes any one request-sized structure may take. ``reserve`` reads this
+# binding at call time, so rebinding it here changes every guarded site.
+DEFAULT_MEMORY_BUDGET = 2 * 1024**3
 
 
 class VerificationError(RuntimeError):
@@ -10,4 +14,22 @@ class VerificationError(RuntimeError):
 
 
 class ResourceLimitError(MemoryError):
-    """A requested computation would exceed the configured memory budget."""
+    """A request-sized structure, counted before it is built, would not fit
+    in ``DEFAULT_MEMORY_BUDGET``; raised only by ``reserve``."""
+
+
+def reserve(need_bytes: int, what: str) -> None:
+    """Refuse a request-sized structure that would not fit in the budget.
+
+    The contract: every structure whose size follows a request (a sieve, a
+    prime list, a row, a ledger, a list of sums, pairs or rendered rows) is
+    counted, at a measured number of bytes per unit, before any of it is
+    built, and must fit in ``DEFAULT_MEMORY_BUDGET`` bytes, which is read at
+    call time. A need of exactly the budget fits; one byte more raises
+    ResourceLimitError with the message
+    "<what> needs ~<need> bytes; budget is <budget>".
+    """
+    if need_bytes > DEFAULT_MEMORY_BUDGET:
+        raise ResourceLimitError(
+            f"{what} needs ~{need_bytes} bytes; budget is {DEFAULT_MEMORY_BUDGET}"
+        )

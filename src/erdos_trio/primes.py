@@ -19,12 +19,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import reserve
 
 # Integers covered by one sieve segment (even+odd): 2**23 odds, 8 MiB of mask.
 SEGMENT_SPAN = 1 << 24
-# Default memory budget for sieve_primes, in bytes.
-DEFAULT_MEMORY_BUDGET = 2 * 1024**3
+
+# Peak bytes per prime of a cached prime list: the sieve's int64 array, the
+# list ``tolist`` builds and the tuple. tracemalloc gives 48.0 bytes per
+# prime at 2^18, 2^20 and 2^22 (40 per unit of ``_prime_count_bound``).
+_LIST_BYTES = 48
 
 # Miller-Rabin witnesses: the first 13 primes decide every n below
 # 3.317e24 (psi_13, Sorenson & Webster, Math. Comp. 86 (2017)).
@@ -107,23 +110,26 @@ class PrimeTable:
         return int(np.searchsorted(self.primes, x, side="right"))
 
 
+def _prime_count_bound(x: int) -> int:
+    """An upper bound on pi(x), the number of primes <= x: 1.3 x / ln x.
+
+    pi(x) < 1.25506 x / ln x for every x > 1 (Rosser & Schoenfeld 1962,
+    (3.6)); below e the divisor is taken as 1. Every memory count that
+    scales with a number of primes uses this bound.
+    """
+    return int(1.3 * x / max(math.log(x), 1.0)) if x >= 2 else 0
+
+
 def sieve_primes(limit: int) -> PrimeTable:
     """Sieve every prime <= limit into a PrimeTable.
 
-    Raises ResourceLimitError when one segment's mask plus the output array
-    would not fit in ``DEFAULT_MEMORY_BUDGET`` bytes (read at call time).
+    One segment's mask plus 8 bytes per prime of the output array are
+    counted through ``reserve`` before the sieve runs.
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    if limit >= 3:
-        # mask and index arrays of one segment + 8 bytes per prime
-        mask_bytes = min(limit, 2 * SEGMENT_SPAN) // 2 + 1
-        out_bytes = 8 * int(1.3 * limit / max(math.log(limit), 1.0))
-        if mask_bytes + out_bytes > DEFAULT_MEMORY_BUDGET:
-            raise ResourceLimitError(
-                f"sieving to {limit} needs ~{mask_bytes + out_bytes} bytes; "
-                f"budget is {DEFAULT_MEMORY_BUDGET}"
-            )
+    mask_bytes = min(limit, 2 * SEGMENT_SPAN) // 2 + 1
+    reserve(mask_bytes + 8 * _prime_count_bound(limit), f"sieving to {limit}")
     primes = _sieve(limit)
     primes.setflags(write=False)
     return PrimeTable(limit=limit, primes=primes)
@@ -143,5 +149,10 @@ def _prime_list(limit: int) -> tuple[int, ...]:
 def _primes_below_power_of_two(bits: int) -> tuple[int, ...]:
     """Primes < 2**bits. ``_sieve`` asks ``_prime_list`` for the primes up to
     isqrt(2**bits - 1) < 2**ceil(bits/2), a smaller power of two for
-    bits >= 2, so the recursion ends."""
-    return tuple(_sieve((1 << bits) - 1).tolist())
+    bits >= 2, so the recursion ends.
+
+    Each miss of the cache counts the list through ``reserve`` before it
+    sieves; a hit pays nothing."""
+    limit = (1 << bits) - 1
+    reserve(_LIST_BYTES * _prime_count_bound(limit), f"a list of the primes below 2^{bits}")
+    return tuple(_sieve(limit).tolist())

@@ -24,7 +24,7 @@ from erdos_trio import (
     stage_filler,
     sumset_cover_check,
 )
-from erdos_trio import basis_splits
+from erdos_trio import basis_splits, errors
 from erdos_trio.basis_splits import _sumset, stage_intervals
 
 from oracles import (
@@ -119,9 +119,9 @@ def test_representations_bruteforce_oracle():
 def test_representations_memory_budget(monkeypatch):
     n = 251500
     need = 32878 * basis_splits._PAIR_BYTES
-    monkeypatch.setattr(basis_splits, "DEFAULT_MEMORY_BUDGET", need)
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need)
     assert len(representations(n).pairs) == 32878
-    monkeypatch.setattr(basis_splits, "DEFAULT_MEMORY_BUDGET", need - 1)
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need - 1)
     with pytest.raises(ResourceLimitError):
         representations(n)
     monkeypatch.undo()
@@ -130,6 +130,55 @@ def test_representations_memory_budget(monkeypatch):
     with pytest.raises(ResourceLimitError):
         representations(10**13)
     assert time.perf_counter() - start < 1.0
+    # a 1,001-digit n: its ~4,300 intervals meet in one linear merge, and
+    # its ~1e999 pairs are refused
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        representations(10**1000)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_stage_intervals_and_elements_memory_budget(monkeypatch):
+    """The intervals of A and the elements of ``enumerate_A`` are counted
+    before they are built, covering what tracemalloc measures."""
+    limit = 3 * 5**1000  # the intervals ``sumset_cover_check(1000)`` builds
+    bits = limit.bit_length()
+    need = (3 * (bits // 2 + 1) + 1) * basis_splits._interval_bytes(bits)
+    tracemalloc.start()
+    try:
+        stage_intervals(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need)
+    assert len(stage_intervals(limit)) == 3001
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need - 1)
+    with pytest.raises(ResourceLimitError):
+        stage_intervals(limit)
+    monkeypatch.undo()
+
+    limit = 10**6
+    need = basis_splits._ELEMENT_BYTES * 414087  # |A ∩ [0, 1e6]|
+    tracemalloc.start()
+    try:
+        enumerate_A(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need)
+    assert len(enumerate_A(limit)) == 414087
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need - 1)
+    with pytest.raises(ResourceLimitError):
+        enumerate_A(limit)
+    monkeypatch.undo()
+    # ~21 GB of interval endpoints at stage 1e5: refused before the first is built
+    for check in (sumset_cover_check, rigidity_check):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            check(100_000)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_sumset_memory_budget(monkeypatch):
@@ -145,9 +194,9 @@ def test_sumset_memory_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= need
-    monkeypatch.setattr(basis_splits, "DEFAULT_MEMORY_BUDGET", need)
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need)
     assert sumset_cover_check(k).covered
-    monkeypatch.setattr(basis_splits, "DEFAULT_MEMORY_BUDGET", need - 1)
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need - 1)
     with pytest.raises(ResourceLimitError):
         sumset_cover_check(k)
     monkeypatch.undo()

@@ -24,6 +24,7 @@ from erdos_trio import (
     valuation_row,
 )
 from erdos_trio import binomial_thresholds as bt
+from erdos_trio import errors
 from erdos_trio.binomial_thresholds import _log_u_series
 
 from oracles import comb_exponent, f_oracle, legendre_valuation, small_prime_part
@@ -109,11 +110,12 @@ def test_valuation_row_memory_budget(monkeypatch):
     """The budget counts every temporary row, and is read at call time."""
     n = 1000
     need = bt._ROW_BYTES * (n + 1)
-    monkeypatch.setattr(bt, "DEFAULT_MEMORY_BUDGET", need)
+    valuation_row(n, 3)  # fills the prime caches, which count their own fill
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need)
     for method in ("indicator", "legendre"):
         row = valuation_row(n, 3, method=method)
         assert row[500] == comb_exponent(n, 500, 3)
-    monkeypatch.setattr(bt, "DEFAULT_MEMORY_BUDGET", need - 1)
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need - 1)
     with pytest.raises(ResourceLimitError):
         valuation_row(n, 3)
     monkeypatch.undo()
@@ -249,12 +251,12 @@ def test_ledger_memory_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= need
-    monkeypatch.setattr(bt, "DEFAULT_MEMORY_BUDGET", need)
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need)
     assert certificate_average(n, c).y == y
-    monkeypatch.setattr(bt, "DEFAULT_MEMORY_BUDGET", need - 1)
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need - 1)
     with pytest.raises(ResourceLimitError):
         certificate_average(n, c)
-    monkeypatch.setattr(bt, "DEFAULT_MEMORY_BUDGET", bt._STEP_BYTES * 64 - 1)
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", bt._STEP_BYTES * 64 - 1)
     with pytest.raises(ResourceLimitError):
         f_threshold(n)
     monkeypatch.undo()

@@ -3,9 +3,12 @@
 import json
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
+from erdos_trio import cli, errors
 from erdos_trio.cli import EXIT_HORIZON, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 
 
@@ -172,14 +175,55 @@ def test_equidist_cluster_bad_delta(capsys):
         # ~9e6 interval sums of ~2,300 bits are refused by the memory budget
         ("basis", "cover", "--k", "1000"),
         ("basis", "rigidity", "--k", "1000"),
+        # M_K for K = 1e10 needs the primes below 2^34, ~45 GB as a list
+        ("binomial", "witness", "--K", "10000000000"),
+        # stage 1e5 intervals hold ~21 GB of endpoints before any sum
+        ("basis", "cover", "--k", "100000"),
+        ("basis", "rigidity", "--k", "100000"),
+        ("basis", "gaps", "--rule", "alternating", "--k", "100000"),
+        # a 1,001-digit n has ~1e999 representations
+        ("basis", "reps", "--n", "1" + "0" * 1000),
+        # ~1.5e8 scanned primes at ~50 bytes each, past the sieve's 8
+        ("equidist", "scan", "--alpha", "golden", "--k", "10", "--limit", "150000000",
+         "--stride", "1000"),
+        # the search holds ~26 bytes per prime, past the sieve's 8
+        ("equidist", "string", "--q", "4", "--a", "1", "--m", "2", "--limit", "4000000000"),
     ],
 )
 def test_unservable_request_is_one_line_usage_error(capsys, argv):
+    start = time.perf_counter()
     code = main(list(argv))
+    elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert elapsed < 1.0
+
+
+def test_basis_reps_counts_rendered_rows(capsys, monkeypatch):
+    """``basis reps`` counts its rendered rows, at the JSON size per pair for
+    every format, before it builds them; the count covers the command's
+    tracemalloc peak."""
+    argv = ["--format", "json", "basis", "reps", "--n", "251500"]
+    need = 32878 * cli._REP_ROW_BYTES  # 32,878 representations of 251,500
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need
+    capsys.readouterr()
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need)
+    for fmt in ("json", "csv", "table"):
+        argv[1] = fmt
+        assert main(argv) == EXIT_OK
+        monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need - 1)
+        assert main(argv) == EXIT_USAGE
+        monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need)
+    err = capsys.readouterr().err
+    assert err.count("error: rendering 32878 representations needs ~") == 3
 
 
 def test_output_file(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from erdos_trio import (
+    ResourceLimitError,
     VerificationError,
     cluster_verify,
     dirichlet_approx,
@@ -22,7 +25,7 @@ from erdos_trio import (
     well_distribution_statistic,
     window_sample,
 )
-from erdos_trio import equidistribution
+from erdos_trio import equidistribution, errors, primes
 from erdos_trio.equidistribution import _discrepancy
 
 from oracles import family_discrepancy, grid_discrepancy, is_prime_oracle, star_discrepancy
@@ -205,6 +208,68 @@ def test_scan_recheck_catches_a_wrong_window(table_1e5, monkeypatch):
     )
     with pytest.raises(VerificationError):
         well_distribution_statistic(a, 20, 200, table=table_1e5)
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _assert_budget_is_exact(monkeypatch, need, fn):
+    """fn runs when the budget is exactly ``need`` and is refused one byte below."""
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need)
+    fn()
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need - 1)
+    with pytest.raises(ResourceLimitError):
+        fn()
+    monkeypatch.undo()
+
+
+def test_scan_memory_budget(monkeypatch):
+    """A scan counts its primes, one chunk of windows and the exact re-check
+    before it sieves, covering what tracemalloc measures."""
+    eq = equidistribution
+    for alpha, k, limit, stride in (("golden", 10, 20000, 1), ("sqrt:2", 10, 10**5, 100),
+                                    (Fraction(1, 7), 300, 2000, 1), ("golden", 2000, 0, 1)):
+        a = parse_alpha(alpha)
+        windows = limit // stride + 1
+        need = (
+            eq._PART_BYTES * (limit + k)
+            + eq._ENTRY_BYTES * k * min(windows, eq._CHUNK_ENTRIES // k)
+            + k * (eq._POINT_BYTES + 24 * (a.denominator.bit_length() // 30))
+        )
+        scan = lambda: well_distribution_statistic(a, k, limit, stride)  # noqa: E731
+        scan()  # fills the prime caches the sieve reads, which count their own fill
+        assert _peak_bytes(scan) <= need, (alpha, k, limit, stride)
+        _assert_budget_is_exact(monkeypatch, need, scan)
+    # ~7.4 GB of fractional parts, and ~3 GB of exact points: refused up front
+    for k, limit, stride in ((10, 150_000_000, 1000), (5_000_000, 0, 1)):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            well_distribution_statistic("golden", k, limit, stride)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_prime_string_memory_budget(monkeypatch):
+    """A prime-string search, and the cluster search built on it, count the
+    table and the search per prime of the 1.3 x / ln x bound before they
+    sieve."""
+    limit = 10**6
+    need = equidistribution._STRING_BYTES * primes._prime_count_bound(limit)
+    for search in (lambda: find_prime_string(4, 1, 2, limit),
+                   lambda: cluster_verify("sqrt:2", 0.2, 2, limit)):
+        search()
+        assert _peak_bytes(search) <= need
+        _assert_budget_is_exact(monkeypatch, need, search)
+    # ~6 GB against the sieve's ~1.9 GB: refused before the sieve runs
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        find_prime_string(4, 1, 2, 4 * 10**9)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_dirichlet_examples():

@@ -1,10 +1,13 @@
 """Sieve, prime counting and primality against naive oracles."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from erdos_trio import ResourceLimitError, is_prime, sieve_primes
-from erdos_trio import primes
+from erdos_trio import ResourceLimitError, is_prime, lower_bound_witness, sieve_primes
+from erdos_trio import errors, primes
 
 from oracles import trial_division_primes
 
@@ -42,10 +45,40 @@ def test_segmented_sieve_matches_simple(monkeypatch):
 def test_memory_budget_enforced(monkeypatch):
     with pytest.raises(ResourceLimitError):
         sieve_primes(10**12)
-    monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET", 10**6)
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", 10**6)
     with pytest.raises(ResourceLimitError):
         sieve_primes(10**6)
     assert len(sieve_primes(10**4)) == 1229
+
+
+def test_prime_list_counted_on_a_cache_miss(monkeypatch):
+    """A cached prime list is counted before it is sieved, at a size per
+    prime that covers what tracemalloc measures; a cache hit pays nothing."""
+    bits = 18
+    need = primes._LIST_BYTES * primes._prime_count_bound((1 << bits) - 1)
+    primes._primes_below_power_of_two.cache_clear()
+    tracemalloc.start()
+    try:
+        primes._primes_below_power_of_two(bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need
+    primes._primes_below_power_of_two.cache_clear()
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need)
+    assert len(primes._prime_list((1 << bits) - 1)) == 23000
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", 0)
+    assert len(primes._prime_list((1 << bits) - 1)) == 23000  # a hit
+    primes._primes_below_power_of_two.cache_clear()
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need - 1)
+    with pytest.raises(ResourceLimitError):
+        primes._prime_list((1 << bits) - 1)
+    monkeypatch.undo()
+    # M_K for K = 1e10 asks for the primes below 2^34, ~45 GB as a list
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        lower_bound_witness(10**10)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_is_prime_matches_trial_division():

@@ -17,7 +17,8 @@ count as a use:
 
 Dunder methods are out of reach of the syntax tree and are not checked.
 Within each package module, every top-level import must be read as a
-``Name`` somewhere in that module.
+``Name`` somewhere in that module. The memory budget has one binding and
+one refusal: only ``errors.reserve`` raises ``ResourceLimitError``.
 """
 
 import ast
@@ -149,3 +150,32 @@ def test_package_modules_import_only_what_they_use():
                     if name not in read:
                         unused.append(f"{path.stem}.{name}")
     assert unused == [], f"imports never read: {unused}"
+
+
+def test_one_memory_budget_and_one_refusal():
+    """The memory budget has one binding and one refusal: ``errors`` assigns
+    ``DEFAULT_MEMORY_BUDGET``, no other package module imports it, and
+    ``raise ResourceLimitError`` appears only in ``errors.reserve``."""
+    raises, assigned, imported = [], [], []
+    for path in sorted((ROOT / "src" / "erdos_trio").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) == "ResourceLimitError":
+                    scope = node
+                    while scope in parents and not isinstance(scope, ast.FunctionDef):
+                        scope = parents[scope]
+                    raises.append(f"{path.stem}.{getattr(scope, 'name', '<module>')}")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any(getattr(t, "id", None) == "DEFAULT_MEMORY_BUDGET" for t in targets):
+                    assigned.append(path.stem)
+            elif isinstance(node, ast.ImportFrom):
+                if any(alias.name == "DEFAULT_MEMORY_BUDGET" for alias in node.names):
+                    imported.append(f"{path.stem}.DEFAULT_MEMORY_BUDGET")
+    assert (raises, assigned, imported) == (["errors.reserve"], ["errors"], []), (
+        f"ResourceLimitError raised in {raises}; DEFAULT_MEMORY_BUDGET assigned in "
+        f"{assigned} and imported as {imported}"
+    )
