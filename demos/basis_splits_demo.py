@@ -41,7 +41,8 @@ print("=" * 72)
 print("3. Rigidity: inside J_k every n has exactly one representation")
 print("=" * 72)
 for n in (9, 45, 47, 225, 240):
-    pairs = representations(n).pairs
+    rep = representations(n)
+    pairs = tuple((a, n - a) for lo, hi in rep.ranges for a in range(lo, hi + 1))
     print(f"  representations({n:>4}) = {pairs}")
 for k in range(1, 8):
     rep = rigidity_check(k)

@@ -29,11 +29,6 @@ from .errors import VerificationError, reserve
 
 Kind = Literal["core", "c", "B", "F", "none"]
 
-# Bytes one representation holds in ``RepresentationList.pairs``: the pair
-# tuple, its two ints and its slot in the outer tuple (tracemalloc gives
-# 125-128 bytes per pair at n = 2.5e5, 1e6 and 3e6).
-_PAIR_BYTES = 128
-
 # One held (lo, hi) interval of ints of at most ``bits`` bits, an interval
 # sum of ``_sumset`` or a stage interval, takes at most
 # _SUM_BYTES + 8 * (bits // 30) bytes (``_interval_bytes``): the tuple (56),
@@ -218,23 +213,23 @@ def sumset_cover_check(k: int) -> CoverageReport:
 
 @dataclass(frozen=True)
 class RepresentationList:
-    """All ways to write n = a + b with a <= b and both in A."""
+    """All ways to write n = a + b with a <= b and both in A: one for each
+    a in the disjoint ascending inclusive ``ranges``, ``count`` in all."""
 
     n: int
-    pairs: tuple[tuple[int, int], ...]
+    ranges: tuple[tuple[int, int], ...]
+    count: int
 
 
 def representations(n: int) -> RepresentationList:
-    """Every pair (a, n - a) with a <= n - a and both in A, ascending in a.
+    """The a with a <= n - a and both a and n - a in A, as ascending ranges.
 
     The admissible a form A ∩ (n - A) ∩ [2, n // 2]. The intervals of A up
     to n - 2 and their mirrors [n - hi, n - lo] are two disjoint ascending
     lists, so one merge pass intersects them into disjoint ascending ranges,
-    at most one per interval of either list, and reading the ranges in
-    order lists every representation once.
-
-    The pairs are counted from the ranges through ``reserve`` before any is
-    built.
+    at most one per interval of either list. The ranges are the closed form
+    of the answer: they hold O(stages) ints however many representations
+    they count.
     """
     if n < 4:
         raise ValueError("n must be >= 4")
@@ -252,9 +247,7 @@ def representations(n: int) -> RepresentationList:
         else:
             j += 1
     count = sum(a_hi - a_lo + 1 for a_lo, a_hi in ranges)
-    reserve(count * _PAIR_BYTES, f"the list of {count} representations of {n}")
-    pairs = tuple((a, n - a) for a_lo, a_hi in ranges for a in range(a_lo, a_hi + 1))
-    return RepresentationList(n=n, pairs=pairs)
+    return RepresentationList(n=n, ranges=tuple(ranges), count=count)
 
 
 @dataclass(frozen=True)

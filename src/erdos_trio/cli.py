@@ -14,7 +14,8 @@ still accepted as an integer but changes nothing.
 
 Exit codes: 0 verified/ok, 1 bad arguments (including a request whose
 memory, counted before it is built, exceeds the budget, an ``--output`` path
-that cannot be written and a value too large to print as a float), 2
+that cannot be written, a value too large to print as a float or too long to
+print as digits, and a ``--precision`` out of range), 2
 mathematical verification failure (never expected: it would contradict a
 proved statement), 3 search horizon exhausted (soft failure: raise the limit
 and retry). Every failure prints one line to stderr, never a traceback.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -43,12 +45,12 @@ EXIT_VERIFICATION = 2
 EXIT_HORIZON = 3
 
 
-# Peak bytes per pair of ``basis reps`` as rendered JSON, the costliest
-# format: the pair, its row dict, the row's JSON-safe copy and the encoder's
-# chunks and text (tracemalloc of the whole command: 1,156 and 1,143 bytes
-# per pair at n = 251,500 and 1e6; csv 364 and 360, table 641 and 649).
-# Every format is counted at this size.
-_REP_ROW_BYTES = 1200
+# Peak bytes per row of ``basis reps`` as rendered JSON, the costliest
+# format: the row dict and its ints, and the encoder's chunks and text
+# (tracemalloc of the whole command, parser build included: 961 and 950
+# bytes per row at n = 251,500 and 1e6; csv 367 and 361, table 646 and 650).
+# Every format is counted at this size, before any row is built.
+_REP_ROW_BYTES = 1000
 
 
 class _UsageError(Exception):
@@ -73,20 +75,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _json_safe(value):
+def _json_default(value) -> str:
+    """``json.dumps`` hook: a Fraction is the string a/b; nothing else is JSON."""
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return value
+        return _fmt(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _render(rows: list[dict], meta: dict, verdict: str, fmt: str) -> str:
     if fmt == "json":
-        doc = {"meta": _json_safe(meta), "rows": _json_safe(rows), "verdict": verdict}
-        return json.dumps(doc, indent=2) + "\n"
+        doc = {"meta": meta, "rows": rows, "verdict": verdict}
+        return json.dumps(doc, indent=2, default=_json_default) + "\n"
     columns: list[str] = []
     for row in rows:
         for key in row:
@@ -113,10 +112,7 @@ def _render(rows: list[dict], meta: dict, verdict: str, fmt: str) -> str:
 
 
 def _alpha_cols(alpha: Fraction) -> dict:
-    return {
-        "alpha": f"{alpha.numerator}/{alpha.denominator}",
-        "alpha_float": float(alpha),
-    }
+    return {"alpha": _fmt(alpha), "alpha_float": float(alpha)}
 
 
 # --------------------------------------------------------------------------
@@ -239,10 +235,10 @@ def _cmd_basis_gaps(args) -> tuple[list[dict], dict, str]:
 
 def _cmd_basis_reps(args) -> tuple[list[dict], dict, str]:
     rep = bs.representations(args.n)
-    reserve(_REP_ROW_BYTES * len(rep.pairs), f"rendering {len(rep.pairs)} representations")
-    rows = [{"n": rep.n, "a": a, "b": b} for a, b in rep.pairs]
-    if not rows:
-        rows = [{"n": rep.n, "a": None, "b": None}]
+    reserve(_REP_ROW_BYTES * rep.count, f"rendering {rep.count} representations")
+    rows = [
+        {"n": rep.n, "a": a, "b": rep.n - a} for lo, hi in rep.ranges for a in range(lo, hi + 1)
+    ] or [{"n": rep.n, "a": None, "b": None}]
     claim = "all unordered representations n = a + b with a, b in A"
     return rows, {"claim": claim}, "verified"
 
@@ -366,7 +362,9 @@ def _cmd_equidist_cluster(args) -> tuple[list[dict], dict, str]:
 
 # --------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of the process; ``_Parser.error`` raises, so it is reused."""
     parser = _Parser(prog="erdos-trio", description=__doc__.splitlines()[0])
     parser.add_argument("--format", choices=("table", "csv", "json"), default="table")
     parser.add_argument("--output", default=None, help="write output to this path")
@@ -449,31 +447,25 @@ def _param_echo(args: argparse.Namespace) -> dict:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     started = time.perf_counter()
     try:
         rows, meta, verdict = args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        command = f"{args.group} {args.cmd}"
+        meta = {"command": command, "version": __version__, "params": _param_echo(args), **meta}
+        # inside the try: an int or Fraction past Python's int-to-str digit
+        # limit raises ValueError as it is rendered
+        text = _render(rows, meta, verdict, args.format)
     except (ValueError, TypeError, ResourceLimitError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    meta_full = {
-        "command": f"{args.group} {args.cmd}",
-        "version": __version__,
-        "params": _param_echo(args),
-        **meta,
-    }
-    text = _render(rows, meta_full, verdict, args.format)
     if args.output:
         try:
             with open(args.output, "w", newline="") as fh:

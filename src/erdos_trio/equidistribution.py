@@ -62,14 +62,21 @@ _STRING_BYTES = 26
 
 DEFAULT_ALPHA_BITS = 256
 
+# Most fractional bits of a synthesized alpha: synthesis takes 3.3 s at 1e6
+# bits, and past ~14,000 bits a/b is too long for Python's int-to-str limit.
+_MAX_ALPHA_BITS = 8192
+
 
 def parse_alpha(value: float | int | str | Fraction, precision_bits: int = DEFAULT_ALPHA_BITS) -> Fraction:
     """Parse alpha into an exact Fraction.
 
     Accepted forms: Fraction/int (taken as-is), float (its exact dyadic
     value), decimal or 'a/b' strings (exact), 'sqrt:N' and 'golden'
-    (rounded down to ``precision_bits`` fractional bits).
+    (rounded down to ``precision_bits`` fractional bits). ``precision_bits``
+    outside [1, 8192] is a ValueError, whatever the form.
     """
+    if not 1 <= precision_bits <= _MAX_ALPHA_BITS:
+        raise ValueError(f"precision must be between 1 and {_MAX_ALPHA_BITS} bits")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):

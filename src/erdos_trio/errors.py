@@ -22,7 +22,7 @@ def reserve(need_bytes: int, what: str) -> None:
     """Refuse a request-sized structure that would not fit in the budget.
 
     The contract: every structure whose size follows a request (a sieve, a
-    prime list, a row, a ledger, a list of sums, pairs or rendered rows) is
+    prime list, a row, a ledger, a list of interval sums or rendered rows) is
     counted, at a measured number of bytes per unit, before any of it is
     built, and must fit in ``DEFAULT_MEMORY_BUDGET`` bytes, which is read at
     call time. A need of exactly the budget fits; one byte more raises

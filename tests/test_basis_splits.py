@@ -100,10 +100,15 @@ def test_classify_agrees_with_enumeration_to_1e7():
         assert (classify(x).kind != "none") == member, x
 
 
+def _pairs(rep):
+    """The representations (a, n - a) that ``rep.ranges`` stands for."""
+    return [(a, rep.n - a) for lo, hi in rep.ranges for a in range(lo, hi + 1)]
+
+
 def test_representations_examples():
-    assert representations(9).pairs == ((4, 5),)
-    assert representations(45).pairs == ((20, 25),)
-    assert representations(4).pairs == ((2, 2),)
+    assert _pairs(representations(9)) == [(4, 5)]
+    assert _pairs(representations(45)) == [(20, 25)]
+    assert _pairs(representations(4)) == [(2, 2)]
     with pytest.raises(ValueError):
         representations(3)
 
@@ -113,29 +118,28 @@ def test_representations_bruteforce_oracle():
     members = {x for lo, hi in basis_intervals(limit) for x in range(lo, hi + 1)}
     rng = random.Random(5)
     for n in [*range(4, 3001), *(rng.randrange(3001, limit) for _ in range(30))]:
-        assert list(representations(n).pairs) == representations_bruteforce(n, members), n
+        rep = representations(n)
+        pairs = _pairs(rep)
+        assert pairs == representations_bruteforce(n, members), n
+        assert rep.count == len(pairs), n
 
 
-def test_representations_memory_budget(monkeypatch):
-    n = 251500
-    need = 32878 * basis_splits._PAIR_BYTES
-    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need)
-    assert len(representations(n).pairs) == 32878
-    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need - 1)
-    with pytest.raises(ResourceLimitError):
-        representations(n)
-    monkeypatch.undo()
-    # ~4e11 pairs: refused from the interval count, before any pair is built
-    start = time.perf_counter()
-    with pytest.raises(ResourceLimitError):
-        representations(10**13)
-    assert time.perf_counter() - start < 1.0
-    # a 1,001-digit n: its ~4,300 intervals meet in one linear merge, and
-    # its ~1e999 pairs are refused
-    start = time.perf_counter()
-    with pytest.raises(ResourceLimitError):
-        representations(10**1000)
-    assert time.perf_counter() - start < 1.0
+def test_representations_memory_budget():
+    """The ranges hold O(stages) ints, not one entry per representation."""
+    tracemalloc.start()
+    try:
+        rep = representations(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.count == 101585
+    assert peak < 64 * 1024
+    # ~4e11 and ~1e999 representations: counted from the ranges in one
+    # linear merge of the intervals (~4,300 of them for the 1,001-digit n)
+    for n in (10**13, 10**1000):
+        start = time.perf_counter()
+        assert representations(n).count > n // 100
+        assert time.perf_counter() - start < 1.0
 
 
 def test_stage_intervals_and_elements_memory_budget(monkeypatch):
@@ -252,8 +256,7 @@ def test_rigidity_examples():
         c = stage_anchor(k)
         b_lo, b_hi = stage_block(k)
         for n in range(lo, hi + 1):
-            pairs = representations(n).pairs
-            assert pairs == ((c, n - c),)
+            assert _pairs(representations(n)) == [(c, n - c)]
             assert b_lo <= n - c <= b_hi
 
 

@@ -1,5 +1,7 @@
 """Exit codes, output formats and byte-determinism of the command line."""
 
+import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from erdos_trio import cli, errors
+from erdos_trio import binomial_thresholds, cli, errors
 from erdos_trio.cli import EXIT_HORIZON, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 
 
@@ -188,6 +190,11 @@ def test_equidist_cluster_bad_delta(capsys):
          "--stride", "1000"),
         # the search holds ~26 bytes per prime, past the sieve's 8
         ("equidist", "string", "--q", "4", "--a", "1", "--m", "2", "--limit", "4000000000"),
+        # err and 1/(qQ) have ~8,000-digit denominators, past Python's
+        # 4,300-digit int-to-str limit, so no format can print them
+        ("equidist", "approx", "--alpha", "1234567/" + "7" * 4000, "--Q", "3" * 4000),
+        # synthesizing alpha is bounded at 8192 bits
+        ("--precision", "100000", "equidist", "approx", "--alpha", "sqrt:2", "--Q", "10"),
     ],
 )
 def test_unservable_request_is_one_line_usage_error(capsys, argv):
@@ -226,6 +233,69 @@ def test_basis_reps_counts_rendered_rows(capsys, monkeypatch):
     assert err.count("error: rendering 32878 representations needs ~") == 3
 
 
+def test_basis_reps_refused_before_any_row(capsys, monkeypatch):
+    """The rows are counted from the ranges' total, so a request past the
+    budget is refused before any row exists."""
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", 100 * 1024**2)
+    argv = ["basis", "reps", "--n", "100000000"]
+    cli.build_parser()  # the one parser is not part of the request
+    start = time.perf_counter()
+    assert main(argv) == EXIT_USAGE
+    assert time.perf_counter() - start < 0.05
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_USAGE
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024**2
+    err = capsys.readouterr().err
+    assert err.count("error: rendering 2148464 representations needs ~") == 2
+
+
+def test_precision_is_bounded_at_8192_bits(capsys):
+    tail = ["--format", "json", "equidist", "approx", "--alpha", "sqrt:2", "--Q", "100"]
+    code, out = run_cli(capsys, "--precision", "8192", *tail)
+    assert code == EXIT_OK
+    assert json.loads(out)["rows"][0]["q"] == 70
+    assert main(["--precision", "8193", *tail]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: precision must be between 1 and 8192 bits\n"
+
+
+def test_parser_reuse_keeps_no_state(capsys):
+    """The parser is built once per process; a flag given to one run must not
+    become the default of the next."""
+    tail = ["equidist", "scan", "--alpha", "golden", "--k", "10", "--limit", "100"]
+    code, out = run_cli(
+        capsys, "--seed", "5", "--precision", "64", "--format", "json", *tail, "--stride", "7"
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["meta"]["params"]["stride"] == 7
+    code, out = run_cli(capsys, "--format", "json", *tail)
+    assert code == EXIT_OK
+    assert json.loads(out)["meta"]["params"] == {
+        "alpha": "golden", "k": 10, "limit": 100, "precision": 256, "seed": 0, "stride": 1,
+    }
+    assert run_cli(capsys, *tail)[1].endswith("verdict: verified\n")  # table again
+
+
+def test_certificate_confirmation_failure_exits_2(capsys, monkeypatch):
+    """A scan that contradicts a certified bound is a verification failure."""
+    real = binomial_thresholds.f_threshold
+    monkeypatch.setattr(
+        binomial_thresholds, "f_threshold",
+        lambda n: dataclasses.replace(real(n), f=n),  # f(n) = n > Y
+    )
+    code = main(["binomial", "certificate", "--n", "100000", "--C", "6.21"])
+    captured = capsys.readouterr()
+    assert code == EXIT_VERIFICATION
+    assert captured.out == ""
+    assert captured.err.startswith("verification failure: certificate says f(100000) <= ")
+    assert captured.err.count("\n") == 1
+
+
 def test_output_file(tmp_path, capsys):
     path = tmp_path / "out.json"
     code, out = run_cli(
@@ -256,3 +326,89 @@ def test_console_script_installed():
     assert proc.returncode == 0
     assert "7" in proc.stdout
     assert "elapsed" in proc.stderr  # timing goes to stderr only
+
+
+# SHA-256 of stdout at small inputs, per argv and format, with the exit code.
+# Stdout is part of the contract: a change that alters it on purpose updates
+# the hash here and says why in CHANGES.md.
+GOLDEN = {
+    "binomial f --n 10": (0, {
+        "table": "189233ce6a5d409bef5442d4f2e775ac53e51f97f2f817977be04f7f9d580596",
+        "csv": "c7ecf07c8196c33dca749fbd6b5057beef04b30f0b8a367ed5af132e7f6f0a19",
+        "json": "968adf37a5a6718f54cf06160dcb80bb70b51a3d58b37d92821c6f829ffb743e",
+    }),
+    "binomial f-scan --from 2 --to 60 --stride 3": (0, {
+        "table": "e3f7684e3aa64304d5760b58c0b80d0239db00789e00ad5542d4518917f558c7",
+        "csv": "3965177abcdc9f65edbdd025042627e4a12aaf8950dbea4ffbf80b5abd98edeb",
+        "json": "f817187c1a48f6b9e8a50144e4fc35bc8fd7de8c77bf121ee0678b3b49fb5ccc",
+    }),
+    "binomial certificate --n 100000 --C 6.21": (0, {
+        "table": "2eb68ef52713b0fdb63bc0ab78d895d6f2e5c6832938a43360500c070514ae61",
+        "csv": "9fe4aa17745f91e21f33851cb4ad19c4017f785b003f39b211d564d20242b2bc",
+        "json": "05b3fe1bc428ffc444690291bb23fc7a0cbe463c1d093292f604080529500bea",
+    }),
+    "binomial witness --K 12": (0, {
+        "table": "aaa1b3c5174038eac3c938496789062ead1e4d8199bb4501ebd0afccbf50d0d1",
+        "csv": "faddf8eb117dec353478feb7e39cf6a107a01192638bacda2fd9f1eb1b9e2175",
+        "json": "620384ca66f7f81303c91ea1b7e8e51853d1564082f15c96e70f6a9f76499bb9",
+    }),
+    "basis cover --k 3": (0, {
+        "table": "f03263f2f227d2de163bf5faa98d9dcb0e4cef1f5e6657ea210a7c15fc50515d",
+        "csv": "093da6571c2c64a6cb5ab594010d9873284f6a560b5e3343f1cf806bffd8fa91",
+        "json": "2434a30c3210cfcc69eee7fc00913664b41dad940e0e61d05238b9717be2902c",
+    }),
+    "basis rigidity --k 3": (0, {
+        "table": "072a2b7a55d60129b7cfbbd252757ca9e5324ce09995485593dd3e7404d872f5",
+        "csv": "44d1909d560da594f4f13d72c084bf8ecbf6d5a166144666be259c267c79f138",
+        "json": "6e1e02bc933c363a5059b73db724c2cc7241c952b5487908ce4adc031e015d09",
+    }),
+    "--seed 11 basis gaps --rule random --k 4": (0, {
+        "table": "56e02b99ba582ddbd5b16ee8494e5bf221c12b3af0e8cb7d1ce729204e6d315b",
+        "csv": "1b1df89d701d472d42d421451f23c220cf508b3389cae93c9b4d5853c3ead002",
+        "json": "931c41719e616b432bc9eb09b054286cb21eb8e1a51794f03daee3d2fa29de2a",
+    }),
+    "basis reps --n 1000": (0, {
+        "table": "2d33faff5e6fb4acfcc79b6edec3d2b6a285176556fa6e55db2585c2495c3a24",
+        "csv": "c0a03e832e4ca7fdd43f904fcbfffcaeb55181efc9ada6cfe681a8e1911dc23d",
+        "json": "d89b117f8deb75ad9593838902cb8533a3cdb51f4ab565c2a193aeb93d92bccd",
+    }),
+    "basis reps --n 30000": (0, {
+        "table": "42ca44ef6f69024af8be3c76fba5232198113705aa2e82f047fba09a770d2692",
+        "csv": "ce7ea4c0bdd0659d8aa741ac380e0bec480d525486873809962669dc033011ad",
+        "json": "7db10143817226dfa56db46aa3a9207a622ebab6843592892c742a09e37504ab",
+    }),
+    "equidist scan --alpha golden --k 20 --limit 200": (0, {
+        "table": "5423d18f8c6c6e48c7a63a7c435229e71142bc444a3aa8ae09eaa2c897c70996",
+        "csv": "73cf3849f88cb7931876b009d11a011a23fde3aaa971bcce3ba2e50e86010ca4",
+        "json": "763f202a037e2175685a20567b1cafbec69666d24e1f2d2026d7e5b5c061dff3",
+    }),
+    "--precision 64 equidist approx --alpha sqrt:2 --Q 100": (0, {
+        "table": "c43928d163bdc610435b7695b60d244c36cd7c9ca210adb480b91c44ebfcb3fe",
+        "csv": "86e90c6a201a27dc424e633abb407e3bba59f6e6d721c6cd0e04cb5aa519c35f",
+        "json": "2a0b963312f18963cd29a2810c7d810eb41ac42216478ffa9294c47ca2bd319b",
+    }),
+    "equidist string --q 4 --a 1 --m 2 --limit 100": (0, {
+        "table": "47c2435dc746521b64d99dcb2202072142cf078ee990edbbeba2d3fb5ea34887",
+        "csv": "8f80b1f1d979bbbbbfdae6e3903e20da30087f215adf2ad6be053a4913799021",
+        "json": "1f3b8ecdd2aa1f8b475bf868b9841067fac7ae8d8db631e3cb59c00bb2d95907",
+    }),
+    "equidist string --q 4 --a 1 --m 40 --limit 100": (3, {
+        "table": "5a03eba8412fbb48b3d354db314c04e80a519c97dd67b138f550c9e31ad29f7f",
+        "csv": "c413806a14e376ae90924d7507b864673fe55a38453c9b41073ff5bd3852467c",
+        "json": "d55327bb374c1472568696a1c233f8e3cdeb5cd9fb28ff4c1f02fa1d39fbb701",
+    }),
+    "equidist cluster --alpha sqrt:2 --delta 0.2 --m 2 --limit 100000": (0, {
+        "table": "38464ce9f83ef34b80c4f1e2ce9ac74fc0369d9b7f90e1fb2bddc15c2c4d3eb9",
+        "csv": "c57b48063abce5a98da047381d43c49f1806bae9f0c1183b151ff067fcb90398",
+        "json": "9dd1f1a37c0f1f30e82c8d4541f5122bce22df5109590340b536eeaa86542041",
+    }),
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("args", sorted(GOLDEN))
+def test_stdout_golden(capsys, args, fmt):
+    code, out = run_cli(capsys, "--format", fmt, *args.split())
+    want_code, hashes = GOLDEN[args]
+    assert code == want_code
+    assert hashlib.sha256(out.encode()).hexdigest() == hashes[fmt]

@@ -50,6 +50,11 @@ def test_parse_alpha_forms():
         parse_alpha("sqrt:-1")
     with pytest.raises(TypeError):
         parse_alpha([1])  # type: ignore[arg-type]
+    root2 = parse_alpha("sqrt:2", 8192)
+    assert abs(root2 * root2 - 2) < Fraction(1, 2**8190)
+    for bits in (0, 8193):
+        with pytest.raises(ValueError, match="between 1 and 8192 bits"):
+            parse_alpha("sqrt:2", bits)
 
 
 def test_window_sample_examples(table_1e5):
