@@ -52,6 +52,13 @@ EXIT_HORIZON = 3
 # Every format is counted at this size, before any row is built.
 _REP_ROW_BYTES = 1000
 
+# Peak bytes per row of ``binomial f-scan`` as rendered JSON, the costliest
+# format, measured the same way: 873 and 883 bytes per row at n = 1..20,000
+# and 1..60,000, and 896 and 914 over 4,000 n from 1e6 and from 1e12 (csv
+# 317 and 314, table 531 and 530 at the first two). Every format is counted
+# at this size, before the first f(n) is computed.
+_F_ROW_BYTES = 1000
+
 
 class _UsageError(Exception):
     pass
@@ -128,9 +135,11 @@ def _cmd_binomial_f(args) -> tuple[list[dict], dict, str]:
 def _cmd_binomial_f_scan(args) -> tuple[list[dict], dict, str]:
     if args.from_n < 1 or args.to < args.from_n or args.stride < 1:
         raise ValueError("need 1 <= from <= to and stride >= 1")
-    results = [bt.f_threshold(n) for n in range(args.from_n, args.to + 1, args.stride)]
+    count = (args.to - args.from_n) // args.stride + 1
+    reserve(_F_ROW_BYTES * count, f"an f-scan of {count} rows")
     rows = [
-        {"n": r.n, "f": r.f, "decided_exactly": r.decided_exactly} for r in results
+        {"n": r.n, "f": r.f, "decided_exactly": r.decided_exactly}
+        for r in map(bt.f_threshold, range(args.from_n, args.to + 1, args.stride))
     ]
     claim = "f(n) scan: least k <= n with u(n,k) > n^2, per n"
     return rows, {"claim": claim}, "verified"

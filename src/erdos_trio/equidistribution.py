@@ -19,6 +19,13 @@ evaluates it along the last axis of an array, so the same code scores a
 float64 matrix of scan windows, one float sample, or an object array of
 Fractions, where it is exact. The result type follows the input: Fraction
 points (such as a ``window_sample``) give a Fraction, floats give a float.
+
+A window scan is the one place where floats decide anything, and they
+decide only which windows to score exactly. Each window is scored in
+float64 from 96-bit fixed-point fractional parts, within a proven E =
+2^-49 of its exact discrepancy; every window within 2E of the float
+maximum is then re-scored exactly, so the reported argmax window and its
+value are exact.
 """
 
 from __future__ import annotations
@@ -34,25 +41,33 @@ import numpy as np
 from .errors import VerificationError, reserve
 from .primes import PrimeTable, _prime_count_bound, sieve_primes
 
-# Largest gap allowed between a scan's float64 maximum and the exact
-# discrepancy of its argmax window.
-_SCAN_RECHECK_TOL = 1e-12
+# A scan's fractional parts are 96-bit fixed-point numbers, formed from
+# 32-bit limbs so that each limb-by-prime product fits in uint64.
+_FRAC_BITS = 96
+_LIMB_MASK = (1 << 32) - 1
+# E: every float window score of a scan is within this of the window's
+# exact discrepancy (derived in ``well_distribution_statistic``).
+_SCORE_ERR = 2.0**-49
 
 # Peak bytes of a window scan, counted in three parts. Per scanned prime:
-# its share of the table, a Python float and the float64 array of
-# fractional parts (tracemalloc: 49.4-49.6 at 1e6, 4e6 and 8e6 primes,
-# k = 10, stride 1000). Per float64 entry of one chunk of windows: three
-# 8-byte copies live at once while a chunk is gathered, sorted and scored
-# (18.9-24.0). Per point of the exact re-check of the argmax window:
-# _POINT_BYTES + 24 * (bits // 30), bits the bit length of alpha's
-# denominator, for the Fraction sample, its sorted copy and the kernel's
-# Fraction rows (400 + 24 * (bits // 30) at k = 2,000 and 20,000 with
-# 54- to 4,096-bit denominators).
-_PART_BYTES = 56
+# its share of the table and the three uint64 arrays of the fixed-point
+# product, which give way to the float64 parts, the window scores and the
+# band (tracemalloc of the whole scan: 32.8-32.9 at 1e6, 4e6 and 8e6
+# primes, k = 10, stride 1000; 34.1 at 2e5 primes when every part is
+# recomputed exactly, alpha = 2^-100; 33.9 at 4e6 primes and stride 1 when
+# every window is in the band, alpha = 0). Per float64 entry of one chunk
+# of windows: its sorted copy and the kernel's two temporaries (25.0-27.8
+# at k = 10, 50, 1,000 and 20,000). Per point of the one window re-scored
+# exactly at a time: _POINT_BYTES + 24 * (bits // 30), bits the bit length
+# of alpha's denominator, for the Fraction sample, its sorted copy and the
+# kernel's Fraction rows (400 + 24 * (bits // 30) at k = 2,000 and 20,000
+# with 54- to 4,096-bit denominators).
+_PART_BYTES = 36
 _ENTRY_BYTES = 32
 _POINT_BYTES = 440
-# Windows scored per chunk: chunks hold about 2^22 float64 entries.
-_CHUNK_ENTRIES = 1 << 22
+# Windows scored per chunk: chunks hold about 2^16 float64 entries (512 KiB),
+# which sort and score faster than chunks of 2^22 and need 1/64 the memory.
+_CHUNK_ENTRIES = 1 << 16
 
 # Peak bytes of a prime-string search per prime of the 1.3 x / ln x bound:
 # the 8-byte table entry plus 18 bytes of mask, cumulative sums and run
@@ -126,7 +141,9 @@ def window_sample(
             f"window needs prime index {n + k}; table holds {len(table)} primes"
         )
     a = parse_alpha(alpha)
-    return tuple(sorted(fractional_part(a, int(p)) for p in table.primes[n : n + k]))
+    num, den = a.numerator, a.denominator
+    residues = sorted(num * int(p) % den for p in table.primes[n : n + k])
+    return tuple(Fraction(r, den) for r in residues)
 
 
 def _discrepancy(xs: np.ndarray):
@@ -170,8 +187,9 @@ class WindowScanResult:
     """Max windowed discrepancy over scanned start indices (a lower bound
     on the true supremum over all starts).
 
-    ``max_discrepancy_exact`` is the exact discrepancy of the window at
-    ``argmax_start``; ``max_discrepancy`` is its float value.
+    ``argmax_start`` is the smallest scanned start whose window has the
+    largest exact discrepancy, ``max_discrepancy_exact`` is that exact
+    value and ``max_discrepancy`` is its float.
     """
 
     alpha: Fraction
@@ -184,6 +202,45 @@ class WindowScanResult:
     argmax_start: int
 
 
+def _fixed_point_parts(alpha: Fraction, ps: np.ndarray) -> np.ndarray:
+    """{alpha p} in float64 for each prime p < 2^32 of ``ps``, within
+    2^-52 + 2^-64 of the exact value.
+
+    A = ceil({alpha} 2^96), held as three 32-bit limbs, exceeds {alpha} 2^96
+    by less than 1, so Y = A p mod 2^96 is {alpha p} 2^96 raised by less
+    than p < 2^32, modulo 2^96. A raise that wraps past 2^96 leaves Y < p,
+    so the top 64 bits of Y are zero; those parts (a superset of the
+    wrapped ones) are recomputed exactly. Every other part is Y's top 64
+    bits times 2^-64: the raise and the dropped low 32 bits, each less than
+    2^32 units of 2^-96, leave it within 2^-64 of {alpha p}, and the
+    conversion to float64 adds at most one ulp below 1, 2^-52. When A is
+    exactly {alpha} 2^96 nothing is raised, and no part is recomputed.
+    """
+    num, den = alpha.numerator, alpha.denominator
+    lifted = (num % den) << _FRAC_BITS
+    a = -(-lifted // den)  # may be 2^96, which is 0 mod 2^96
+    # Y = low + mid 2^32 + top 2^64 from the limb products, in place: four
+    # uint64 arrays of len(ps) at most, and only the low 32 bits of top count
+    top = ps.astype(np.uint64)
+    low = top * np.uint64(a & _LIMB_MASK)
+    mid = top * np.uint64(a >> 32 & _LIMB_MASK)
+    low >>= 32
+    mid += low  # < 2^64: (2^32 - 1)^2 + 2^32 - 1
+    np.multiply(top, np.uint64(a >> 64 & _LIMB_MASK), out=top)
+    np.right_shift(mid, 32, out=low)
+    top += low
+    top <<= 32
+    mid &= _LIMB_MASK
+    top |= mid  # Y's top 64 bits
+    del low, mid
+    parts = top.astype(np.float64)
+    parts *= 2.0**-64
+    if lifted % den:
+        for i in np.flatnonzero(top == 0):
+            parts[i] = fractional_part(alpha, int(ps[i]))
+    return parts
+
+
 def well_distribution_statistic(
     alpha: float | int | str | Fraction,
     k: int,
@@ -193,16 +250,39 @@ def well_distribution_statistic(
 ) -> WindowScanResult:
     """Scan windows of size k starting at n = 0, stride, ..., <= scan_limit.
 
-    Every window is scored in float64; ties in the maximum resolve to the
-    smallest start index. The argmax window is then re-sampled and scored
-    exactly, and a float maximum more than 1e-12 away from that exact value
-    raises VerificationError. Only the reported value is exact: which of
-    several windows within float rounding of each other wins is not
-    re-decided (for a rational alpha every window can tie, so re-scoring
-    the ties could cost more than the scan). The scan needs scan_limit + k
-    primes; a table that cannot supply them is an error. Its primes, one
-    chunk of windows and the exact re-check are counted through
-    ``reserve`` before the table is sieved.
+    ``argmax_start`` is exact: the smallest scanned start whose window has
+    the largest exact discrepancy. Every window is scored in float64 from
+    fixed-point fractional parts (``_fixed_point_parts``), and every float
+    score is within E = 2^-49 of the window's exact discrepancy:
+
+    * each part errs by eps < 2^-52 + 2^-64; sorting moves each order
+      statistic by at most eps, so the max and the min of x_(i) - i/k each
+      move by at most eps, and the discrepancy by at most 2 eps;
+    * with u = 2^-53, each y_i = k x_i - i takes two roundings of at most
+      k u each, 1 + max(y) one of at most k u, subtracting min(y) one of
+      at most 2k u, and the division by k one of at most 2u (the quotient
+      is below 2): 9u in all, and capping at 1 adds none;
+    * so |score - exact| <= 2 eps + 9u < 14u < E.
+
+    One pass over the chunks of windows keeps every float score, and the
+    band is every window whose score is within 2E of the maximum. The exact
+    maximum's windows all lie in that band, since each scores at least
+    exact max - E >= float max - 2E. The band is re-sampled
+    (``window_sample``) and scored exactly in ascending start order,
+    keeping the first largest value. With q the denominator of alpha and
+    r_i = q {alpha p_i} the sorted residues, k q D = q + max(k r_i - i q) -
+    min(k r_i - i q) is an integer, so an exact discrepancy is a multiple
+    of 1/(k q), and none in the band exceeds min(1, float max + E). The
+    re-scoring stops once the next multiple above the best value found
+    passes that ceiling: at an exact 1, and at the first window of the band
+    when k q < 2^47, so the many exact ties of a rational alpha cost one
+    exact window. A re-scored window whose float score is more than E from
+    its exact value raises VerificationError.
+
+    The scan needs scan_limit + k primes; a table that cannot supply them,
+    or a scanned prime >= 2^32, is a ValueError. Its primes, one chunk of
+    windows and one exact window are counted through ``reserve`` before the
+    table is sieved.
     """
     if k < 1 or stride < 1 or scan_limit < 0:
         raise ValueError("need k >= 1, stride >= 1, scan_limit >= 0")
@@ -221,32 +301,39 @@ def well_distribution_statistic(
         table = sieve_primes(bound)
     if len(table) < needed:
         raise ValueError(f"scan needs {needed} primes; table holds {len(table)}")
-    num, den = a.numerator, a.denominator
-    parts = np.array(
-        [(num * int(p) % den) / den for p in table.primes[:needed]], dtype=np.float64
-    )
-    starts = np.arange(0, scan_limit + 1, stride)
-    best_d = -1.0
-    best_n = 0
-    for off in range(0, starts.size, chunk):
-        sub = starts[off : off + chunk]
-        windows = np.sort(parts[sub[:, None] + np.arange(k)[None, :]], axis=1)
-        ds = _discrepancy(windows)
-        i = int(np.argmax(ds))
-        if ds[i] > best_d:
-            best_d = float(ds[i])
-            best_n = int(sub[i])
-    exact = interval_discrepancy(window_sample(a, best_n, k, table))
-    if abs(float(exact) - best_d) > _SCAN_RECHECK_TOL:
-        raise VerificationError(
-            f"window at {best_n}: scan scored {best_d}, exact discrepancy is {float(exact)}"
+    ps = table.primes[:needed]
+    if ps[-1] >> 32:
+        raise ValueError(f"scan needs primes below 2^32; prime {needed} is {int(ps[-1])}")
+    windows = np.lib.stride_tricks.sliding_window_view(_fixed_point_parts(a, ps), k)
+    scores = np.empty(n_windows)
+    for off in range(0, n_windows, chunk):
+        scores[off : off + chunk] = _discrepancy(
+            np.sort(windows[off * stride : (off + chunk) * stride : stride], axis=1)
         )
+    best = float(scores.max())
+    band = np.flatnonzero(scores >= best - 2 * _SCORE_ERR)
+    # no window's exact value exceeds the ceiling, and every exact value is a
+    # multiple of the step
+    ceiling = min(Fraction(1), Fraction(best) + Fraction(_SCORE_ERR))
+    step = Fraction(1, k * a.denominator)
+    exact, best_n = Fraction(-1), 0
+    for i in band:
+        n, score = int(i) * stride, float(scores[i])
+        d = interval_discrepancy(window_sample(a, n, k, table))
+        if abs(d - Fraction(score)) > _SCORE_ERR:
+            raise VerificationError(
+                f"window at {n}: scan scored {score}, exact discrepancy is {float(d)}"
+            )
+        if d > exact:
+            exact, best_n = d, n
+            if exact + step > ceiling:
+                break
     return WindowScanResult(
         alpha=a,
         k=k,
         scan_limit=scan_limit,
         stride=stride,
-        windows=int(starts.size),
+        windows=n_windows,
         max_discrepancy=float(exact),
         max_discrepancy_exact=exact,
         argmax_start=best_n,

@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from erdos_trio import binomial_thresholds, cli, errors
+from erdos_trio import binomial_thresholds, cli, equidistribution, errors
 from erdos_trio.cli import EXIT_HORIZON, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 
 
@@ -195,6 +195,8 @@ def test_equidist_cluster_bad_delta(capsys):
         ("equidist", "approx", "--alpha", "1234567/" + "7" * 4000, "--Q", "3" * 4000),
         # synthesizing alpha is bounded at 8192 bits
         ("--precision", "100000", "equidist", "approx", "--alpha", "sqrt:2", "--Q", "10"),
+        # 1e12 f-scan rows at ~900 bytes each are refused before the first f(n)
+        ("binomial", "f-scan", "--from", "1", "--to", "1000000000000"),
     ],
 )
 def test_unservable_request_is_one_line_usage_error(capsys, argv):
@@ -251,6 +253,47 @@ def test_basis_reps_refused_before_any_row(capsys, monkeypatch):
     assert peak < 1024**2
     err = capsys.readouterr().err
     assert err.count("error: rendering 2148464 representations needs ~") == 2
+
+
+def test_f_scan_counts_its_rows(capsys, monkeypatch):
+    """``binomial f-scan`` counts its rows, at the JSON size per row for every
+    format, before it computes any f(n); the count covers the command's
+    tracemalloc peak."""
+    argv = ["--format", "json", "binomial", "f-scan", "--from", "1000", "--to", "4999", "--stride", "2"]
+    need = 2000 * cli._F_ROW_BYTES
+    assert main(argv) == EXIT_OK  # fills the prime caches, which count their own fill
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need
+    capsys.readouterr()
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need)
+    for fmt in ("json", "csv", "table"):
+        argv[1] = fmt
+        assert main(argv) == EXIT_OK
+        monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need - 1)
+        assert main(argv) == EXIT_USAGE
+        monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need)
+    err = capsys.readouterr().err
+    assert err.count("error: an f-scan of 2000 rows needs ~") == 3
+
+
+def test_scan_exact_check_failure_exits_2(capsys, monkeypatch):
+    """A scanned window whose exact discrepancy is not within the float error
+    bound of its score is a verification failure."""
+    real = equidistribution.window_sample
+    monkeypatch.setattr(
+        equidistribution, "window_sample", lambda al, n, k, t: real(al, n + 1, k, t)
+    )
+    code = main(["equidist", "scan", "--alpha", "golden", "--k", "20", "--limit", "200"])
+    captured = capsys.readouterr()
+    assert code == EXIT_VERIFICATION
+    assert captured.out == ""
+    assert captured.err.startswith("verification failure: window at 122: scan scored ")
+    assert captured.err.count("\n") == 1
 
 
 def test_precision_is_bounded_at_8192_bits(capsys):

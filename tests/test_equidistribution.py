@@ -25,8 +25,8 @@ from erdos_trio import (
     well_distribution_statistic,
     window_sample,
 )
-from erdos_trio import equidistribution, errors, primes
-from erdos_trio.equidistribution import _discrepancy
+from erdos_trio import PrimeTable, equidistribution, errors, primes
+from erdos_trio.equidistribution import _discrepancy, _fixed_point_parts
 
 from oracles import family_discrepancy, grid_discrepancy, is_prime_oracle, star_discrepancy
 
@@ -213,6 +213,97 @@ def test_scan_recheck_catches_a_wrong_window(table_1e5, monkeypatch):
     )
     with pytest.raises(VerificationError):
         well_distribution_statistic(a, 20, 200, table=table_1e5)
+
+
+# The proven error of a fixed-point part: under 2^-64 from the raise and the
+# dropped low bits, plus one float64 ulp below 1.
+_PART_ERR = Fraction(1, 2**52) + Fraction(1, 2**64)
+
+
+def _exact_part(alpha: Fraction, p: int) -> Fraction:
+    x = alpha * p
+    return x - math.floor(x)
+
+
+def _seeded_alphas() -> list[Fraction]:
+    rng = random.Random(12)
+    return [Fraction(rng.getrandbits(200) - 2**199, rng.getrandbits(150) + 1) for _ in range(4)]
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [
+        parse_alpha("golden"),
+        parse_alpha("sqrt:2"),
+        parse_alpha("sqrt:11", 64),
+        Fraction(1, 7),
+        Fraction(355, 113),
+        Fraction(3, 4),
+        Fraction(-22, 7),
+        parse_alpha("sqrt:1000003", 128),
+        parse_alpha("sqrt:3", 8192),
+        1 - Fraction(1, 2**100),
+        *_seeded_alphas(),
+    ],
+)
+def test_fixed_point_parts_within_proven_bound(table_1e5, alpha):
+    # the first 2,000 primes and the three largest primes below 2^32
+    ps = np.concatenate([table_1e5.primes[:2000], [4294967231, 4294967279, 4294967291]])
+    parts = _fixed_point_parts(alpha, ps)
+    for p, part in zip(ps.tolist(), parts.tolist()):
+        assert 0 <= part <= 1
+        assert abs(Fraction(part) - _exact_part(alpha, p)) <= _PART_ERR, (alpha, p)
+
+
+def test_wrap_recompute_makes_parts_exact():
+    ps = np.array([2, 3, 5, 7, 11, 13])
+    # A = ceil(2^96 / 7) raises 7 A past 2^96, to 7 A mod 2^96 = 6
+    assert -(-(2**96) // 7) * 7 % 2**96 == 6
+    assert _fixed_point_parts(Fraction(1, 7), ps)[3] == 0.0
+    # 1 - 2^-100 lifts to A = 2^96, so every product wraps to 0 and is recomputed
+    b = 1 - Fraction(1, 2**100)
+    assert _fixed_point_parts(b, ps).tolist() == [float(_exact_part(b, p)) for p in ps.tolist()]
+    # a dyadic alpha is exact in 96 bits: nothing is raised
+    assert _fixed_point_parts(Fraction(3, 4), ps).tolist() == [0.5, 0.25, 0.75, 0.25, 0.25, 0.75]
+
+
+@pytest.mark.parametrize(
+    "alpha, k, limit, stride",
+    [
+        # the first float maximum is a later window than the first exact one
+        ("sqrt:2", 5, 300, 1),
+        ("sqrt:5", 12, 600, 3),
+        (Fraction(1, 7), 5, 600, 3),
+        (Fraction(355, 113), 5, 600, 3),
+        (Fraction(3, 13), 6, 600, 3),
+        (Fraction(-22, 7), 12, 600, 3),
+        ("golden", 8, 400, 1),
+        # every window ties at 1; every window but the first ties at 1
+        (0, 5, 60, 1),
+        (Fraction(1, 2), 6, 80, 1),
+        (Fraction(3, 4), 7, 200, 2),
+    ],
+)
+def test_scan_argmax_equals_exhaustive_exact_oracle(table_1e5, alpha, k, limit, stride):
+    a = parse_alpha(alpha)
+    best, argmax = Fraction(-1), None
+    for n in range(0, limit + 1, stride):
+        d = family_discrepancy([_exact_part(a, p) for p in table_1e5.primes[n : n + k].tolist()])
+        if d > best:
+            best, argmax = d, n
+    res = well_distribution_statistic(a, k, limit, stride, table=table_1e5)
+    assert res.argmax_start == argmax
+    assert res.max_discrepancy_exact == best
+
+
+def test_scan_refuses_primes_from_2_to_the_32():
+    table = PrimeTable(limit=2**32 + 15, primes=np.array([4294967291, 4294967311]))
+    res = well_distribution_statistic("golden", 1, 0, table=table)
+    assert res.max_discrepancy_exact == 1
+    with pytest.raises(ValueError, match=r"below 2\^32"):
+        well_distribution_statistic("golden", 2, 0, table=table)
+    with pytest.raises(ValueError, match=r"below 2\^32"):
+        well_distribution_statistic("golden", 1, 1, table=table)
 
 
 def _peak_bytes(fn) -> int:
