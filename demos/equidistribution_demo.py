@@ -49,7 +49,9 @@ print("=" * 72)
 alpha = parse_alpha("sqrt:2")
 apx = dirichlet_approx(alpha, 12)
 print(f"  Dirichlet approximant with q <= 12: {apx.a}/{apx.q}, err = {float(apx.err):.6f}")
-s = find_prime_string(apx.q, apx.a % apx.q, 3, 10**7, table=table)
+# the search a clustering round runs: runs with err * diameter <= 0.2 only
+budget = int(Fraction(1, 5) / apx.err)
+s = find_prime_string(apx.q, apx.a % apx.q, 3, 10**7, table=table, max_diameter=budget)
 print(f"  first 3 consecutive primes = {apx.a % apx.q} (mod {apx.q}): {s.primes}")
 print(f"  diameter {s.diameter}: err * diameter = {float(apx.err) * s.diameter:.4f}")
 

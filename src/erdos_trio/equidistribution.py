@@ -12,6 +12,13 @@ synthesized to a configurable number of bits), {alpha p} is an exact
 rational reduced mod 1, and the clustering inequalities are re-checked in
 exact arithmetic before a witness is reported.
 
+A clustering witness is found by searching growing prefixes of the primes,
+from 2^16 up to the limit by factors of four, so a witness near the start
+costs a small sieve, not one to the limit. One exact fact also ends a
+search early: every run of m >= 2 consecutive primes in one class mod
+q >= 2 is of odd primes, so it is at least lcm(2, q)(m - 1) wide, and a
+diameter budget below that rules the class out.
+
 Interval discrepancy has a closed form (Kuipers & Niederreiter, Uniform
 Distribution of Sequences, 1974, Ch. 2, Thm 1.4): for sorted x_1..x_k in
 [0, 1), D = 1/k + max_i(x_i - i/k) - min_i(x_i - i/k). One kernel
@@ -24,8 +31,8 @@ A window scan is the one place where floats decide anything, and they
 decide only which windows to score exactly. Each window is scored in
 float64 from 96-bit fixed-point fractional parts, within a proven E =
 2^-49 of its exact discrepancy; every window within 2E of the float
-maximum is then re-scored exactly, so the reported argmax window and its
-value are exact.
+maximum is then re-scored exactly, in integers over alpha's denominator,
+so the reported argmax window and its value are exact.
 """
 
 from __future__ import annotations
@@ -59,9 +66,11 @@ _SCORE_ERR = 2.0**-49
 # of windows: its sorted copy and the kernel's two temporaries (25.0-27.8
 # at k = 10, 50, 1,000 and 20,000). Per point of the one window re-scored
 # exactly at a time: _POINT_BYTES + 24 * (bits // 30), bits the bit length
-# of alpha's denominator, for the Fraction sample, its sorted copy and the
-# kernel's Fraction rows (400 + 24 * (bits // 30) at k = 2,000 and 20,000
-# with 54- to 4,096-bit denominators).
+# of alpha's denominator. That covers a Fraction sample of the window and
+# its sorted copy (400 + 24 * (bits // 30) at k = 2,000 and 20,000 with 54-
+# to 4,096-bit denominators), far more than the integer score of
+# ``_window_discrepancy`` takes (85, 137, 345 and 1,161 bytes per point
+# with 56-, 257-, 1,025- and 4,097-bit denominators).
 _PART_BYTES = 36
 _ENTRY_BYTES = 32
 _POINT_BYTES = 440
@@ -69,10 +78,18 @@ _POINT_BYTES = 440
 # which sort and score faster than chunks of 2^22 and need 1/64 the memory.
 _CHUNK_ENTRIES = 1 << 16
 
-# Peak bytes of a prime-string search per prime of the 1.3 x / ln x bound:
-# the 8-byte table entry plus 18 bytes of mask, cumulative sums and run
-# test (tracemalloc, sieve included: 24.3, 22.4, 21.8 and 21.5 at limits
-# 1e4, 1e5, 1e6 and 1e7).
+# A prime-string search reads the primes up to _FIRST_PREFIX, then up to
+# _PREFIX_GROWTH times as far, and so on up to its limit.
+_FIRST_PREFIX = 1 << 16
+_PREFIX_GROWTH = 4
+
+# Peak bytes of a prime-string search to a limit, per prime of the 1.3 x / ln x
+# bound at the limit: the 8-byte table entry plus 18 bytes of mask,
+# cumulative sums and run test. The search holds one prefix table at a time,
+# so a search that reads up to its limit peaks as a search of the whole
+# table does (tracemalloc, sieve included: 23.2, 21.4, 20.9, 20.6 and 20.5
+# at limits 1e4, 1e5, 1e6, 1e7 and 4e7), and one that stops in the first
+# prefix far lower (1.8 at 1e6).
 _STRING_BYTES = 26
 
 DEFAULT_ALPHA_BITS = 256
@@ -144,6 +161,20 @@ def window_sample(
     num, den = a.numerator, a.denominator
     residues = sorted(num * int(p) % den for p in table.primes[n : n + k])
     return tuple(Fraction(r, den) for r in residues)
+
+
+def _window_discrepancy(alpha: Fraction, n: int, k: int, table: PrimeTable) -> Fraction:
+    """The exact interval discrepancy of ``window_sample(alpha, n, k, table)``,
+    in integers.
+
+    With num/den = alpha and r_1 <= ... <= r_k the residues num p mod den of
+    the window's primes, the closed form scaled by k den is
+    k den D = min(k den, den + max_i(k r_i - i den) - min_i(k r_i - i den)).
+    """
+    num, den = alpha.numerator, alpha.denominator
+    residues = sorted(num * p % den for p in table.primes[n : n + k].tolist())
+    ys = [k * r - i * den for i, r in enumerate(residues)]
+    return Fraction(min(k * den, den + max(ys) - min(ys)), k * den)
 
 
 def _discrepancy(xs: np.ndarray):
@@ -267,9 +298,9 @@ def well_distribution_statistic(
     One pass over the chunks of windows keeps every float score, and the
     band is every window whose score is within 2E of the maximum. The exact
     maximum's windows all lie in that band, since each scores at least
-    exact max - E >= float max - 2E. The band is re-sampled
-    (``window_sample``) and scored exactly in ascending start order,
-    keeping the first largest value. With q the denominator of alpha and
+    exact max - E >= float max - 2E. The band is scored exactly in
+    integers (``_window_discrepancy``) in ascending start order, keeping
+    the first largest value. With q the denominator of alpha and
     r_i = q {alpha p_i} the sorted residues, k q D = q + max(k r_i - i q) -
     min(k r_i - i q) is an integer, so an exact discrepancy is a multiple
     of 1/(k q), and none in the band exceeds min(1, float max + E). The
@@ -319,7 +350,7 @@ def well_distribution_statistic(
     exact, best_n = Fraction(-1), 0
     for i in band:
         n, score = int(i) * stride, float(scores[i])
-        d = interval_discrepancy(window_sample(a, n, k, table))
+        d = _window_discrepancy(a, n, k, table)
         if abs(d - Fraction(score)) > _SCORE_ERR:
             raise VerificationError(
                 f"window at {n}: scan scored {score}, exact discrepancy is {float(d)}"
@@ -415,9 +446,18 @@ def find_prime_string(
 
     Returns None when no run exists below the limit (raise the limit and
     retry; absence below a finite horizon never refutes anything). With
-    ``max_diameter`` set, returns the first run at least that tight. The
-    table and the search are counted through ``reserve`` before the table
-    is sieved.
+    ``max_diameter`` set, returns the first run at least that tight.
+
+    The search reads growing prefixes of the primes: those up to 2^16, then
+    four times as far, and so on up to the limit, and stops at the first
+    prefix that holds a run. That run is the first overall, since a run
+    that starts earlier also ends earlier. Prefixes are sieved one at a time
+    when ``table`` is None and read from ``table`` otherwise. A
+    ``max_diameter`` below lcm(2, q)(m - 1) ends the search once a prefix
+    holds p_m: every run but (2, 3, ..., p_m) is of odd primes in one class
+    mod q, so its consecutive primes differ by at least lcm(2, q). The
+    search to the full limit is counted through ``reserve`` before
+    anything is sieved.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -425,34 +465,70 @@ def find_prime_string(
         raise ValueError(f"need gcd(a, q) = 1, got gcd({a}, {q}) = {gcd(a, q)}")
     if m < 1:
         raise ValueError("m must be >= 1")
-    table = _string_table(limit, table)
-    if table.limit < limit:
-        raise ValueError(f"table limit {table.limit} is below search limit {limit}")
-    ps = table.primes[: table.count(limit)]
+    return _search(q, a, m, max_diameter, _Prefixes(limit, table))
+
+
+class _Prefixes:
+    """The primes up to growing bounds x <= ``limit``, for prime-string
+    searches: read from ``table`` when one is given, else sieved, holding
+    only the largest table sieved so far. The search to ``limit`` is
+    counted through ``reserve`` before anything is sieved."""
+
+    def __init__(self, limit: int, table: PrimeTable | None):
+        reserve(_STRING_BYTES * _prime_count_bound(limit), f"a prime-string search to {limit}")
+        if table is not None and table.limit < limit:
+            raise ValueError(f"table limit {table.limit} is below search limit {limit}")
+        self.limit = limit
+        self.table = table
+
+    def bounds(self):
+        """2^16, four times that, and so on, up to and ending at ``limit``."""
+        x = min(_FIRST_PREFIX, self.limit)
+        yield x
+        while x < self.limit:
+            x = min(x * _PREFIX_GROWTH, self.limit)
+            yield x
+
+    def upto(self, x: int) -> np.ndarray:
+        """The primes <= x; a smaller sieved table is dropped before x is sieved."""
+        if self.table is None or self.table.limit < x:
+            self.table = None
+            self.table = sieve_primes(x)
+        return self.table.primes[: self.table.count(x)]
+
+
+def _search(
+    q: int, a: int, m: int, max_diameter: int | None, prefixes: _Prefixes
+) -> PrimeString | None:
+    """``find_prime_string`` over ``prefixes``, once its arguments are checked."""
+    # every run but (2, 3, ..., p_m) is of odd primes in one class mod q, so
+    # it is at least lcm(2, q)(m - 1) wide
+    too_tight = max_diameter is not None and max_diameter < math.lcm(2, q) * (m - 1)
+    for x in prefixes.bounds():
+        ps = prefixes.upto(x)
+        string = _first_run(ps, q, a % q, m, max_diameter)
+        if string is not None or (too_tight and ps.size >= m):
+            return string
+        del ps  # a view of the table the next prefix may replace
+    return None
+
+
+def _first_run(
+    ps: np.ndarray, q: int, a: int, m: int, max_diameter: int | None
+) -> PrimeString | None:
+    """The first run of m consecutive primes = a (mod q) in the ascending
+    ``ps``, at most ``max_diameter`` wide when that is set."""
     if ps.size < m:
         return None
-    mask = (ps % q) == (a % q)
-    cums = np.concatenate([[0], np.cumsum(mask)])
+    cums = np.concatenate([[0], np.cumsum(ps % q == a)])
     run_starts = np.flatnonzero(cums[m:] - cums[:-m] == m)
+    if max_diameter is not None:
+        run_starts = run_starts[ps[run_starts + m - 1] - ps[run_starts] <= max_diameter]
     if run_starts.size == 0:
         return None
-    diameters = ps[run_starts + m - 1] - ps[run_starts]
-    if max_diameter is not None:
-        run_starts = run_starts[diameters <= max_diameter]
-        if run_starts.size == 0:
-            return None
     r = int(run_starts[0])
     run = tuple(int(p) for p in ps[r : r + m])
-    return PrimeString(
-        q=q, a=a % q, m=m, r=r, primes=run, diameter=run[-1] - run[0]
-    )
-
-
-def _string_table(limit: int, table: PrimeTable | None) -> PrimeTable:
-    """``table``, or the primes <= limit when it is None, once a prime-string
-    search to ``limit`` has been counted through ``reserve``."""
-    reserve(_STRING_BYTES * _prime_count_bound(limit), f"a prime-string search to {limit}")
-    return sieve_primes(limit) if table is None else table
+    return PrimeString(q=q, a=a, m=m, r=r, primes=run, diameter=run[-1] - run[0])
 
 
 @dataclass(frozen=True)
@@ -498,6 +574,15 @@ def cluster_verify(
     rapidly shrinking error, trading a rarer residue class for a far looser
     diameter budget. On success every inequality is re-checked in exact
     rational arithmetic; exhausting the ladder is a soft failure.
+
+    Each round is a ``find_prime_string`` search over growing prefixes, so
+    a round stops at the prefix that holds its run, and a round whose
+    diameter budget is below lcm(2, q)(m - 1) stops at the first prefix
+    that holds p_m. When ``table`` is None the rounds share one sieved
+    table, the largest any round has needed so far, and a smaller one is
+    dropped before a larger one is sieved; so at most one round per request
+    pays for the sieve to the limit. The search to the full limit is
+    counted through ``reserve`` before anything is sieved.
     """
     a = parse_alpha(alpha)
     d = Fraction(delta)
@@ -505,7 +590,7 @@ def cluster_verify(
         raise ValueError("delta must lie strictly between 0 and 1/2")
     if m < 2:
         raise ValueError("m must be >= 2")
-    table = _string_table(limit, table)
+    prefixes = _Prefixes(limit, table)
     rounds: list[dict] = []
     # any run of m distinct primes in one class mod q has diameter >= q(m-1)
     q_cap = max(1, limit // max(m - 1, 1))
@@ -513,9 +598,7 @@ def cluster_verify(
     def _try(apx: Approximant) -> ClusterReport | None:
         res = apx.a % apx.q
         bound = None if apx.err == 0 else int(d / apx.err)
-        string = find_prime_string(
-            apx.q, res, m, limit, table=table, max_diameter=bound
-        )
+        string = _search(apx.q, res, m, bound, prefixes)
         rounds.append(
             {
                 "Q": apx.Q,
@@ -537,7 +620,7 @@ def cluster_verify(
             raise VerificationError(
                 f"pairwise clustering bound violated: {worst} > {d}"
             )
-        disc = interval_discrepancy(window_sample(a, string.r, m, table))
+        disc = _window_discrepancy(a, string.r, m, prefixes.table)
         if disc < 1 - d:
             raise VerificationError(
                 f"window discrepancy {disc} below 1 - delta = {1 - d}"

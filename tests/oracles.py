@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive: trial division, direct big-integer
 factorization, floor sums written out from the definition, grid brute
-force, the two-family discrepancy scan, and element-level sumsets of the
-basis. None of it shares code with the package; the basis gap check only
+force, the two-family discrepancy scan, a prime-string search over a whole
+table at once, and element-level sumsets of the basis. None of it shares code with the package; the basis gap check only
 calls the coloring it is handed.
 """
 
@@ -121,6 +121,25 @@ def family_discrepancy(points) -> Fraction:
         for j in range(i + 1, k + 2)
     )
     return max(excess, deficit)
+
+
+def whole_table_prime_string(
+    ps: np.ndarray, q: int, a: int, m: int, max_diameter: int | None = None
+) -> tuple[int, tuple[int, ...]] | None:
+    """(r, run) for the first m consecutive primes ps[r..r+m-1] all = a (mod q)
+    and at most ``max_diameter`` wide, or None: one pass over the whole
+    ascending table of primes ``ps``."""
+    if ps.size < m:
+        return None
+    mask = (ps % q) == (a % q)
+    cums = np.concatenate([[0], np.cumsum(mask)])
+    run_starts = np.flatnonzero(cums[m:] - cums[:-m] == m)
+    if max_diameter is not None:
+        run_starts = run_starts[ps[run_starts + m - 1] - ps[run_starts] <= max_diameter]
+    if run_starts.size == 0:
+        return None
+    r = int(run_starts[0])
+    return r, tuple(int(p) for p in ps[r : r + m])
 
 
 def star_discrepancy(points) -> float:

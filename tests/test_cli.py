@@ -284,15 +284,38 @@ def test_f_scan_counts_its_rows(capsys, monkeypatch):
 def test_scan_exact_check_failure_exits_2(capsys, monkeypatch):
     """A scanned window whose exact discrepancy is not within the float error
     bound of its score is a verification failure."""
-    real = equidistribution.window_sample
+    real = equidistribution._window_discrepancy
     monkeypatch.setattr(
-        equidistribution, "window_sample", lambda al, n, k, t: real(al, n + 1, k, t)
+        equidistribution, "_window_discrepancy", lambda al, n, k, t: real(al, n + 1, k, t)
     )
     code = main(["equidist", "scan", "--alpha", "golden", "--k", "20", "--limit", "200"])
     captured = capsys.readouterr()
     assert code == EXIT_VERIFICATION
     assert captured.out == ""
     assert captured.err.startswith("verification failure: window at 122: scan scored ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "seam, fault, message",
+    [
+        # a loose string: the search ignores its diameter bound
+        ("_search", lambda real: lambda q, a, m, d, pre: real(q, a, m, None, pre),
+         "pairwise clustering bound violated: "),
+        # a shifted window: the window one prime later is scored
+        ("_window_discrepancy", lambda real: lambda al, n, k, t: real(al, n + 1, k, t),
+         "window discrepancy "),
+    ],
+    ids=["loose-string", "shifted-window"],
+)
+def test_cluster_check_failure_exits_2(capsys, monkeypatch, seam, fault, message):
+    monkeypatch.setattr(equidistribution, seam, fault(getattr(equidistribution, seam)))
+    code = main(["equidist", "cluster", "--alpha", "sqrt:2", "--delta", "0.2", "--m", "3",
+                 "--limit", "100000"])
+    captured = capsys.readouterr()
+    assert code == EXIT_VERIFICATION
+    assert captured.out == ""
+    assert captured.err.startswith(f"verification failure: {message}")
     assert captured.err.count("\n") == 1
 
 

@@ -25,15 +25,26 @@ from erdos_trio import (
     well_distribution_statistic,
     window_sample,
 )
-from erdos_trio import PrimeTable, equidistribution, errors, primes
-from erdos_trio.equidistribution import _discrepancy, _fixed_point_parts
+from erdos_trio import PrimeString, PrimeTable, equidistribution, errors, primes
+from erdos_trio.equidistribution import _discrepancy, _fixed_point_parts, _window_discrepancy
 
-from oracles import family_discrepancy, grid_discrepancy, is_prime_oracle, star_discrepancy
+from oracles import (
+    family_discrepancy,
+    grid_discrepancy,
+    is_prime_oracle,
+    star_discrepancy,
+    whole_table_prime_string,
+)
 
 
 @pytest.fixture(scope="module")
 def table_1e5():
     return sieve_primes(10**5)
+
+
+@pytest.fixture(scope="module")
+def table_1e6():
+    return sieve_primes(10**6)
 
 
 def test_parse_alpha_forms():
@@ -207,12 +218,44 @@ def test_scan_recheck_catches_a_wrong_window(table_1e5, monkeypatch):
     res = well_distribution_statistic(a, 20, 200, table=table_1e5)
     after = interval_discrepancy(window_sample(a, res.argmax_start + 1, 20, table_1e5))
     assert abs(after - res.max_discrepancy_exact) > 1e-12
-    real = equidistribution.window_sample
+    real = equidistribution._window_discrepancy
     monkeypatch.setattr(
-        equidistribution, "window_sample", lambda al, n, k, t: real(al, n + 1, k, t)
+        equidistribution, "_window_discrepancy", lambda al, n, k, t: real(al, n + 1, k, t)
     )
     with pytest.raises(VerificationError):
         well_distribution_statistic(a, 20, 200, table=table_1e5)
+
+
+def test_integer_window_score_equals_fraction_oracle(table_1e5):
+    alphas = [parse_alpha(x) for x in ("golden", "sqrt:2", "0.333333333333333333333333", "-22/7")]
+    alphas += [Fraction(0), Fraction(3, 4), 1 - Fraction(1, 2**100)]
+    for a in alphas:
+        for k in (1, 2, 3, 10, 50, 200):
+            for n in (0, 1, 997):
+                d = _window_discrepancy(a, n, k, table_1e5)
+                assert d == interval_discrepancy(window_sample(a, n, k, table_1e5)), (a, n, k)
+
+
+def test_all_band_scan_scores_every_window_exactly(table_1e5, monkeypatch):
+    """Every window of alpha = 0.33...3 (24 digits) but the first, which
+    holds the prime 3, scores 2/3 within ~1e-19, far inside the float
+    error, so each is re-scored exactly; the argmax still equals the
+    exhaustive exact one."""
+    a = parse_alpha("0.333333333333333333333333")
+    k, limit, stride = 20, 600, 3
+    best, argmax = Fraction(-1), None
+    for n in range(0, limit + 1, stride):
+        d = interval_discrepancy(window_sample(a, n, k, table_1e5))
+        if d > best:
+            best, argmax = d, n
+    scored = []
+    real = equidistribution._window_discrepancy
+    monkeypatch.setattr(
+        equidistribution, "_window_discrepancy", lambda al, n, k, t: scored.append(n) or real(al, n, k, t)
+    )
+    res = well_distribution_statistic(a, k, limit, stride, table=table_1e5)
+    assert scored == list(range(stride, limit + 1, stride))
+    assert (res.argmax_start, res.max_discrepancy_exact) == (argmax, best)
 
 
 # The proven error of a fixed-point part: under 2^-64 from the raise and the
@@ -350,15 +393,32 @@ def test_scan_memory_budget(monkeypatch):
         assert time.perf_counter() - start < 1.0
 
 
+def _farthest_prefix(monkeypatch, search) -> int:
+    """The largest bound up to which ``search`` reads the primes."""
+    bounds = []
+    real = equidistribution._Prefixes.upto
+    monkeypatch.setattr(
+        equidistribution._Prefixes, "upto", lambda self, x: bounds.append(x) or real(self, x)
+    )
+    search()
+    monkeypatch.undo()
+    return max(bounds)
+
+
 def test_prime_string_memory_budget(monkeypatch):
     """A prime-string search, and the cluster search built on it, count the
-    table and the search per prime of the 1.3 x / ln x bound before they
-    sieve."""
+    search to the full limit per prime of the 1.3 x / ln x bound before they
+    sieve, whether they stop in the first prefix or read up to the limit."""
     limit = 10**6
     need = equidistribution._STRING_BYTES * primes._prime_count_bound(limit)
-    for search in (lambda: find_prime_string(4, 1, 2, limit),
-                   lambda: cluster_verify("sqrt:2", 0.2, 2, limit)):
-        search()
+    for search, farthest in (
+        (lambda: find_prime_string(4, 1, 2, limit), 2**16),
+        (lambda: find_prime_string(4, 1, 100, limit), limit),
+        (lambda: cluster_verify("sqrt:2", 0.2, 2, limit), 2**16),
+        # every round fails, and some read up to the limit
+        (lambda: cluster_verify("sqrt:3", 0.1, 4, limit), limit),
+    ):
+        assert _farthest_prefix(monkeypatch, search) == farthest
         assert _peak_bytes(search) <= need
         _assert_budget_is_exact(monkeypatch, need, search)
     # ~6 GB against the sieve's ~1.9 GB: refused before the sieve runs
@@ -392,6 +452,14 @@ def test_dirichlet_invariants_random():
         assert math.gcd(apx.a, apx.q) == 1
         assert apx.err == abs(alpha - Fraction(apx.a, apx.q))
         assert apx.err * apx.q * q_cap <= 1  # the non-strict Dirichlet bound
+
+
+def test_dirichlet_bound_check_fires(monkeypatch):
+    """A convergent whose numerator is off by one misses the Dirichlet bound."""
+    real = equidistribution._convergents
+    monkeypatch.setattr(equidistribution, "_convergents", lambda x: ((h + 1, k) for h, k in real(x)))
+    with pytest.raises(VerificationError, match="convergent 14/8 of .* misses the Dirichlet bound for Q=10"):
+        dirichlet_approx("golden", 10)
 
 
 def test_dirichlet_rejects_bad_q():
@@ -437,6 +505,113 @@ def test_prime_string_max_diameter(table_1e5):
     assert find_prime_string(4, 1, 3, 10**5, table=table_1e5, max_diameter=11) is None
     capped = find_prime_string(4, 1, 3, 10**5, table=table_1e5, max_diameter=12)
     assert capped.r == first.r
+
+
+def _oracle_string(table, q, a, m, limit, max_diameter=None):
+    hit = whole_table_prime_string(table.primes[: table.count(limit)], q, a, m, max_diameter)
+    if hit is None:
+        return None
+    r, run = hit
+    return PrimeString(q=q, a=a % q, m=m, r=r, primes=run, diameter=run[-1] - run[0])
+
+
+def _seeded_string_inputs() -> list[tuple]:
+    rng = random.Random(13)
+    cases = []
+    for _ in range(40):
+        q = rng.randrange(1, 61)
+        a = rng.choice([a for a in range(-q, q) if math.gcd(a, q) == 1])
+        m = rng.randrange(1, 5)
+        stop = math.lcm(2, q) * (m - 1)  # the early stop's bound
+        max_diameter = rng.choice([None, None, rng.randrange(stop, 20 * stop + 2), stop - 1, stop])
+        cases.append((q, a, m, int(10 ** rng.uniform(3, 6)), max_diameter))
+    return cases
+
+
+def test_prime_string_equals_whole_table_oracle(table_1e6):
+    edges = [
+        (4, 1, 40, 100, None),  # the horizon is exhausted
+        (17, 16, 2, 77416, 34),  # ... one short of the first tight run
+        (1, 0, 7000, 10**5, None),  # (2, 3, ..., p_7000) crosses the first prefix
+        (1, 0, 7000, 10**5, 70655),  # ... at exactly its diameter
+        (1, 0, 7000, 10**5, 70654),
+        (1, 0, 3, 100, 3),  # (2, 3, 5) is tighter than 2(m - 1)
+        (1, 0, 3, 100, 2),
+        (15, 8, 3, 10**6, 60),  # diameter exactly lcm(2, q)(m - 1), past 2^16
+        (9, 5, 4, 10**6, 54),
+    ]
+    found = 0
+    for q, a, m, limit, max_diameter in _seeded_string_inputs() + edges:
+        expect = _oracle_string(table_1e6, q, a, m, limit, max_diameter)
+        for table in (None, table_1e6):
+            got = find_prime_string(q, a, m, limit, table, max_diameter=max_diameter)
+            assert got == expect, (q, a, m, limit, max_diameter, table is None)
+        found += expect is not None
+    assert 0 < found < 49
+    assert find_prime_string(1, 0, 7000, 10**5).r == 0
+    assert find_prime_string(1, 0, 3, 100, max_diameter=3).primes == (2, 3, 5)
+
+
+def test_prime_string_early_stop_is_strict(table_1e6):
+    """Mutation control for the early stop. The first run of two consecutive
+    primes = 16 (mod 17) at most lcm(2, 17) = 34 wide is exactly that wide
+    and lies past the first prefix, 2^16; a stop at max_diameter <= 34
+    would miss it."""
+    for table in (None, table_1e6):
+        s = find_prime_string(17, 16, 2, 10**5, table, max_diameter=34)
+        assert s is not None and s.primes == (77383, 77417) and s.primes[0] > 2**16
+
+
+def _seeded_cluster_inputs() -> list[tuple]:
+    rng = random.Random(14)
+    alphas = ["golden", "sqrt:2", "sqrt:3", "sqrt:7", "sqrt:11", "sqrt:13", "sqrt:35"]
+    cases = [
+        (rng.choice(alphas), Fraction(rng.choice(["0.1", "0.2", "0.3", "0.45"])),
+         rng.randrange(2, 6), int(10 ** rng.uniform(1.5, 6)))
+        for _ in range(30)
+    ]
+    return cases + [
+        ("sqrt:2", Fraction(1, 5), 3, 30),  # the horizon is exhausted
+        ("sqrt:3", Fraction(1, 10), 4, 10**6),  # ... after rounds that read to the limit
+        (Fraction(3, 7), Fraction(1, 5), 4, 10**6),  # err = 0: no diameter bound
+        (Fraction(1, 7) + Fraction(1, 10**9), Fraction(1, 10), 3, 10**6),
+    ]
+
+
+def test_cluster_equals_whole_table_oracle(table_1e6, monkeypatch):
+    """With and without a table, the report, rounds included, is the one a
+    whole-table search gives."""
+
+    def whole_table(q, a, m, max_diameter, prefixes):
+        return _oracle_string(prefixes.table, q, a, m, prefixes.limit, max_diameter)
+
+    found = 0
+    for alpha, delta, m, limit in _seeded_cluster_inputs():
+        reports = [cluster_verify(alpha, delta, m, limit, table=t) for t in (None, table_1e6)]
+        monkeypatch.setattr(equidistribution, "_search", whole_table)
+        expect = cluster_verify(alpha, delta, m, limit, table=table_1e6)
+        monkeypatch.undo()
+        assert reports == [expect, expect], (alpha, delta, m, limit)
+        found += expect.found
+    assert 0 < found < 34
+
+
+def test_cluster_pairwise_check_fires(monkeypatch):
+    """A loose string, searched with no diameter bound, breaks the pairwise bound."""
+    real = equidistribution._search
+    monkeypatch.setattr(equidistribution, "_search", lambda q, a, m, d, pre: real(q, a, m, None, pre))
+    with pytest.raises(VerificationError, match="pairwise clustering bound violated: .* > "):
+        cluster_verify("sqrt:2", 0.2, 3, 10**5)
+
+
+def test_cluster_window_check_fires(monkeypatch):
+    """The window one prime past the string is not clustered."""
+    real = equidistribution._window_discrepancy
+    monkeypatch.setattr(
+        equidistribution, "_window_discrepancy", lambda al, n, k, t: real(al, n + 1, k, t)
+    )
+    with pytest.raises(VerificationError, match=r"window discrepancy \S+ below 1 - delta = "):
+        cluster_verify("sqrt:2", 0.2, 3, 10**5)
 
 
 def test_cluster_example_one_seventh_plus_epsilon():
