@@ -17,8 +17,9 @@ n mod p^t, so n may be an arbitrary-precision integer.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import Literal
 
 import numpy as np
@@ -37,11 +38,31 @@ _DIAGNOSTIC_BLOCKS = 8
 # Miller-Rabin; the set holds the 6,542 primes below 2^16.
 _SMALL_PRIME_BOUND = 1 << 16
 
-# Peak bytes per entry of k = 0..n in valuation_row (tracemalloc at n = 1e5,
-# 1e6 and 3e6): the legendre path ends holding three int32 rows (k, the
-# floor sum and the difference) beside the int64 result; the indicator path
-# peaks at 16.
-_ROW_BYTES = 3 * 4 + 8
+# Peak bytes per entry of k = 0..n in valuation_row, beside any table it
+# fills (tracemalloc, p = 2, 3 and 997): the indicator form takes 10.0 at
+# n = 65535 and 17.3 at n = 1e3 (numpy's 8,192-entry cast buffer) from
+# cached residues, and 18.0 at n = 1e5 and 1e6 where it builds them; the
+# legendre form takes 12.0-12.2 from a cached table and 16.0 building one.
+_ROW_BYTES = 20
+
+# valuation_row reads k mod p^t and v_p(k!) from tables of length 2^bits > n
+# cached per (p, bits) while 2^bits <= _ROW_MEMO_BOUND; past it, each call
+# builds the same tables at length n + 1 and keeps nothing.
+_ROW_MEMO_BOUND = 1 << 16
+
+# Tables kept per form. Criterion 1(b) walks n = p..3000 for one p at a
+# time, at most 12 lengths, so p = 2 never evicts its own tables.
+_ROW_MEMO_TABLES = 64
+
+# Peak bytes per entry and row of a residue table fill, the k row counted
+# as one more row: tracemalloc gives 4.00-4.04 at 2^12 and 2^16 (4.15-4.29
+# at 2^10, where array headers show), p = 2, 3 and 997.
+_RESIDUE_BYTES = 4
+
+# Peak bytes per entry of a factorial-valuation table fill: the int32 table,
+# the int32 k row and one quotient row. tracemalloc gives 12.0-12.1 at 2^12
+# and 2^16 (12.5 at 2^10), p = 2, 3 and 997.
+_FACTORIAL_BYTES = 12
 
 # Peak bytes per position k of the u(n, k) ledger in _log_u_series:
 # tracemalloc at n = 1e18 gives 511, 530 and 542 bytes per k at
@@ -113,39 +134,107 @@ def valuation_binomial(
     raise ValueError(f"unknown method {method!r}")
 
 
+def _residue_rows(p: int, length: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(q, k mod q for k < length) for q = p, p^2, ... below length: one
+    int32 row per power, built when it is asked for."""
+    ks = np.arange(length, dtype=np.int32)
+    q = p
+    while q < length:
+        yield q, ks % q
+        q *= p
+
+
+@lru_cache(maxsize=_ROW_MEMO_TABLES)
+def _residue_table(p: int, bits: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """Every row of ``_residue_rows(p, 2**bits)``, read-only. A miss counts
+    the rows and the k row through ``reserve`` before it builds them."""
+    length = 1 << bits
+    powers, q = 0, p
+    while q < length:
+        powers += 1
+        q *= p
+    reserve(
+        _RESIDUE_BYTES * (powers + 1) * length,
+        f"a table of k mod {p}^t below 2^{bits}",
+    )
+    rows = tuple(_residue_rows(p, length))
+    for _, residues in rows:
+        residues.flags.writeable = False
+    return rows
+
+
+def _factorial_valuations(p: int, length: int) -> np.ndarray:
+    """v_p(k!) = sum_t k // p^t for k < length (Legendre), as int32."""
+    ks = np.arange(length, dtype=np.int32)
+    out = np.zeros(length, dtype=np.int32)
+    q = p
+    while q < length:
+        out += ks // q
+        q *= p
+    return out
+
+
+@lru_cache(maxsize=_ROW_MEMO_TABLES)
+def _factorial_table(p: int, bits: int) -> np.ndarray:
+    """``_factorial_valuations(p, 2**bits)``, read-only. A miss counts its
+    fill through ``reserve`` before it builds the table."""
+    length = 1 << bits
+    reserve(_FACTORIAL_BYTES * length, f"a table of v_{p}(k!) below 2^{bits}")
+    table = _factorial_valuations(p, length)
+    table.flags.writeable = False
+    return table
+
+
 def valuation_row(
     n: int, p: int, method: Literal["indicator", "legendre"] = "indicator"
 ) -> np.ndarray:
-    """Vector of v_p(C(n, k)) for k = 0..n.
+    """Vector of v_p(C(n, k)) for k = 0..n, as a fresh int64 array.
 
-    Vectorized over k in int32 rows; the scalar ``valuation_binomial`` covers
-    arbitrary-precision n. The rows are counted through ``reserve`` before
-    any is built; the default budget also keeps n far below 2^31, where
-    int32 would overflow.
+    Vectorized over k; the scalar ``valuation_binomial`` covers
+    arbitrary-precision n. ``indicator`` counts, for each p^t <= n, the k
+    with (n mod p^t) < (k mod p^t), reading a table of residue rows k mod
+    p^t. ``legendre`` reads the table F[k] = v_p(k!) and returns
+    F[n] - F[k] - F[n - k]. The two tables share no code.
+
+    The tables do not depend on n. For n < ``_ROW_MEMO_BOUND`` = 2^16 they
+    are built at the power-of-two length 2^bits > n and cached read-only
+    per (p, bits), up to ``_ROW_MEMO_TABLES`` = 64 per form; a longer row
+    builds them at length n + 1 and keeps nothing. A residue table holds
+    floor(log_p(2^bits - 1)) int32 rows of 2^bits entries and a factorial
+    table one, so the caches hold at most 60 MiB: 43.8 MiB when the 64
+    largest residue tables (small p at 2^15 and 2^16) are cached at once,
+    and 16 MiB of factorial tables.
+
+    Every row's temporaries are counted through ``reserve`` before any is
+    built, and each table fill on a cache miss; a hit counts no fill. The
+    default budget also keeps n far below 2^31, where int32 would overflow.
     """
     if n < 0:
         raise ValueError("need n >= 0")
     reserve(_ROW_BYTES * (n + 1), f"valuation_row(n={n})")
     _check_prime(p)
-    ks = np.arange(n + 1, dtype=np.int32)
-    q = p
+    bits = int(n).bit_length()
+    memo = 1 << bits <= _ROW_MEMO_BOUND
     if method == "indicator":
-        out = np.zeros(n + 1, dtype=np.int32)
-        while q <= n:
-            out += n % q < ks % q
-            q *= p
-    elif method == "legendre":
-        nf = 0  # sum_t n // p^t, accumulated scalar
-        up = np.zeros(n + 1, dtype=np.int32)  # sum_t k // p^t
-        while q <= n:
-            nf += n // q
-            up += ks // q
-            q *= p
-        # sum_t (n - k) // p^t at k is the floor sum of k at n - k: up reversed
-        out = nf - up - up[::-1]
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return out.astype(np.int64)
+        out = None  # carry counts; the first power's comparison starts them
+        rows = _residue_table(p, bits) if memo else _residue_rows(p, n + 1)
+        for q, residues in rows:
+            if q > n:
+                break
+            carry = residues[: n + 1] > n % q
+            del residues  # a row built for this call goes before the next is built
+            if out is None:
+                out = carry.astype(np.int64)
+            else:
+                out += carry
+        return np.zeros(n + 1, dtype=np.int64) if out is None else out
+    if method == "legendre":
+        table = _factorial_table(p, bits) if memo else _factorial_valuations(p, n + 1)
+        # v_p((n - k)!) at k is the table at n - k: the row reversed
+        out = table[n] - table[: n + 1]
+        out -= table[n::-1]
+        return out.astype(np.int64)
+    raise ValueError(f"unknown method {method!r}")
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,31 @@ def legendre_valuation(n: int, k: int, p: int) -> int:
     return total
 
 
+def valuation_row_oracle(n: int, p: int, method: str) -> np.ndarray:
+    """v_p(C(n, k)) for k = 0..n as int64, rebuilt from n on every call.
+
+    ``indicator`` counts (n mod q) < (k mod q) over q = p^t <= n;
+    ``legendre`` takes sum_t n // q - k // q - (n - k) // q, the floor sum
+    of k reversed giving that of n - k.
+    """
+    ks = np.arange(n + 1, dtype=np.int64)
+    out = np.zeros(n + 1, dtype=np.int64)
+    q = p
+    if method == "indicator":
+        while q <= n:
+            out += n % q < ks % q
+            q *= p
+        return out
+    if method == "legendre":
+        nf = 0
+        while q <= n:
+            nf += n // q
+            out += ks // q
+            q *= p
+        return nf - out - out[::-1]
+    raise ValueError(f"unknown method {method!r}")
+
+
 def f_oracle(n: int, primes: list[int], bound: int) -> int | None:
     """f(n) from the definition: exact u(n, k) versus n^2, k ascending.
 

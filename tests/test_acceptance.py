@@ -66,7 +66,7 @@ class _Criterion:
 
 
 def test_criterion_1_valuation_oracle_equivalence():
-    with _Criterion("1", "valuation oracle equivalence", 60.0):
+    with _Criterion("1", "valuation oracle equivalence", 60.0) as crit:
         # (a) n <= 300: both forms match big-integer factorization of C(n, k)
         primes300 = et.sieve_primes(300).primes.tolist()
         for n in range(301):
@@ -83,12 +83,15 @@ def test_criterion_1_valuation_oracle_equivalence():
                     assert et.valuation_binomial(n, k, p, "indicator") == e, (n, k, p)
                     assert et.valuation_binomial(n, k, p, "legendre") == e, (n, k, p)
         # (b) n <= 3000: indicator form equals Legendre floor-sum form everywhere
+        start, pairs = time.perf_counter(), 0
         for p in et.sieve_primes(3000).primes.tolist():
             for n in range(p, 3001):
                 row_i = et.valuation_row(n, p, method="indicator")
                 row_l = et.valuation_row(n, p, method="legendre")
                 if not np.array_equal(row_i[p:], row_l[p:]):
                     raise AssertionError(f"forms disagree at p={p}, n={n}")
+                pairs += 1
+        crit.note(f"(b) {pairs} row pairs in {time.perf_counter() - start:.1f}s")
 
 
 def test_criterion_2_f_threshold_oracle_equivalence():

@@ -26,8 +26,15 @@ from erdos_trio import (
 from erdos_trio import binomial_thresholds as bt
 from erdos_trio import errors
 from erdos_trio.binomial_thresholds import _log_u_series
+from erdos_trio.errors import VerificationError
 
-from oracles import comb_exponent, f_oracle, legendre_valuation, small_prime_part
+from oracles import (
+    comb_exponent,
+    f_oracle,
+    legendre_valuation,
+    small_prime_part,
+    valuation_row_oracle,
+)
 
 
 def test_valuation_examples():
@@ -106,6 +113,59 @@ def test_valuation_early_exits_on_edge_inputs():
         _assert_forms_match(n, rng.randint(0, n), p, legendre_valuation)
 
 
+def _table_fill_bytes(n, p, method):
+    """Bytes a cache miss of valuation_row(n, p) counts for its table:
+    the residue rows k mod p^t below 2^bits > n plus the k row, or the
+    factorial-valuation table."""
+    length = 1 << n.bit_length()
+    if method == "legendre":
+        return bt._FACTORIAL_BYTES * length
+    powers = sum(1 for t in range(1, length.bit_length()) if p**t < length)
+    return bt._RESIDUE_BYTES * (powers + 1) * length
+
+
+def _clear_row_tables():
+    bt._residue_table.cache_clear()
+    bt._factorial_table.cache_clear()
+
+
+def _check_row_counts(monkeypatch, n, p, method):
+    """A cold call counts its table fill and its row; a warm one only its
+    row. The peak stays within what was counted, the larger count exactly
+    fits the budget, and one byte less refuses."""
+    bt._check_prime(p)  # the prime set counts its own fill
+    row_need = bt._ROW_BYTES * (n + 1)
+    fill_need = _table_fill_bytes(n, p, method)
+    want = valuation_row_oracle(n, p, method)
+
+    def peak_of_call():
+        tracemalloc.start()
+        try:
+            row = valuation_row(n, p, method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(row, want)
+        return peak
+
+    _clear_row_tables()
+    assert peak_of_call() <= row_need + fill_need  # cold
+    assert peak_of_call() <= row_need  # warm
+    for cold, need in ((True, max(row_need, fill_need)), (False, row_need)):
+        for budget, fits in ((need, True), (need - 1, False)):
+            if cold:
+                _clear_row_tables()
+            else:
+                valuation_row(n, p, method)
+            monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", budget)
+            if fits:
+                np.testing.assert_array_equal(valuation_row(n, p, method), want)
+            else:
+                with pytest.raises(ResourceLimitError):
+                    valuation_row(n, p, method)
+            monkeypatch.undo()
+
+
 def test_valuation_row_memory_budget(monkeypatch):
     """The budget counts every temporary row, and is read at call time."""
     n = 1000
@@ -122,6 +182,112 @@ def test_valuation_row_memory_budget(monkeypatch):
     # ~28 GB of rows: refused before any row is built
     with pytest.raises(ResourceLimitError):
         valuation_row(10**9, 2, method="legendre")
+    # cold and warm tables, both forms: the table fill binds when cold
+    for n, p in ((1000, 3), (600, 2), (520, 509)):
+        for method in ("indicator", "legendre"):
+            _check_row_counts(monkeypatch, n, p, method)
+
+
+def test_valuation_row_past_the_memo_bound_keeps_nothing():
+    """Past the memo bound a row builds its tables at n + 1 within its own
+    count, and the caches do not grow."""
+    n = bt._ROW_MEMO_BOUND + 4463
+    bt._check_prime(3)
+    _clear_row_tables()
+    for method in ("indicator", "legendre"):
+        tracemalloc.start()
+        try:
+            row = valuation_row(n, 3, method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bt._ROW_BYTES * (n + 1)
+        np.testing.assert_array_equal(row, valuation_row_oracle(n, 3, method))
+    assert bt._residue_table.cache_info().currsize == 0
+    assert bt._factorial_table.cache_info().currsize == 0
+
+
+def test_valuation_row_cache_holds_under_its_stated_bound():
+    """After a sweep over many p and lengths up to the memo bound, the
+    tables the caches keep stay under the 60 MiB the docstring states.
+    Large tables come last, so the sweep ends near the worst case."""
+    primes = sieve_primes(400).primes.tolist()
+    bt._check_prime(2)
+    _clear_row_tables()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for bits in (10, 12, 14, 15, 16):
+            for p in reversed(primes):
+                for method in ("indicator", "legendre"):
+                    valuation_row((1 << bits) - 1, p, method)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert bt._residue_table.cache_info().currsize == bt._ROW_MEMO_TABLES
+    assert bt._factorial_table.cache_info().currsize == bt._ROW_MEMO_TABLES
+    assert 50 * 2**20 < held <= 60 * 2**20
+    _clear_row_tables()
+
+
+def _row_cases():
+    """Seeded (n, p) plus the edges of the tables: n = 0, 1, 2^j - 1, 2^j,
+    either side of the memo bound; p = 2, p > n and a prime past 2^16."""
+    bound = bt._ROW_MEMO_BOUND
+    cases = [(n, p) for n in (0, 1, 2, 3) for p in (2, 3, 5, 65537)]
+    for j in range(1, 17):
+        for n in (2**j - 1, 2**j):
+            cases += [(n, 2), (n, 3), (n, 65521), (n, 65537)]
+    for n in (bound - 2, bound - 1, bound, bound + 1):
+        cases += [(n, 2), (n, 7), (n, 251), (n, 65537)]
+    primes = sieve_primes(3000).primes.tolist()
+    rng = random.Random(14)
+    for _ in range(300):
+        p = rng.choice(primes)
+        cases.append((rng.randrange(p, 3001), p))
+        cases.append((rng.randrange(0, 5000), rng.choice(primes[:20])))
+    return cases
+
+
+def test_valuation_row_forms_equal_the_row_oracle():
+    for n, p in _row_cases():
+        for method in ("indicator", "legendre"):
+            row = valuation_row(n, p, method)
+            assert row.dtype == np.int64, (n, p, method)
+            np.testing.assert_array_equal(row, valuation_row_oracle(n, p, method), f"{n} {p} {method}")
+
+
+def test_valuation_row_after_cache_evictions():
+    """Rows stay the oracle's when their tables are evicted and rebuilt:
+    more (p, bits) keys than the caches keep, revisited in a shuffled order."""
+    primes = sieve_primes(1000).primes.tolist()[: bt._ROW_MEMO_TABLES + 16]
+    keys = [(n, p) for p in primes for n in (p, 700)]
+    rng = random.Random(15)
+    _clear_row_tables()
+    for sweep in range(3):
+        rng.shuffle(keys)
+        for n, p in keys:
+            for method in ("indicator", "legendre"):
+                np.testing.assert_array_equal(
+                    valuation_row(n, p, method), valuation_row_oracle(n, p, method)
+                )
+        assert bt._residue_table.cache_info().currsize == bt._ROW_MEMO_TABLES
+    assert bt._residue_table.cache_info().misses > len(keys)
+
+
+def test_valuation_row_returns_a_fresh_row():
+    """Mutating a returned row leaves the cached tables, and the next
+    call's row, unchanged; the tables themselves are read-only."""
+    for n, p in ((100, 2), (100, 97), (0, 2)):
+        for method in ("indicator", "legendre"):
+            first = valuation_row(n, p, method)
+            want = first.copy()
+            first += 7
+            np.testing.assert_array_equal(valuation_row(n, p, method), want)
+    with pytest.raises(ValueError):
+        bt._factorial_table(2, 7)[3] = 0
+    with pytest.raises(ValueError):
+        bt._residue_table(2, 7)[0][1][3] = 0
 
 
 def test_valuation_row_matches_scalar():
@@ -326,6 +492,34 @@ def test_witness_at_300_verifies():
     w = lower_bound_witness(300)
     assert w.M_K == math.lcm(*range(1, 301)) * math.prod(sieve_primes(300).primes.tolist())
     assert 1.5 <= w.log_ratio <= 2.06
+
+
+def test_witness_valuation_check_fires(monkeypatch):
+    """A wrong valuation at one (k, p) breaks the witness's first check."""
+    real = bt.valuation_binomial
+
+    def wrong_at_3_2(n, k, p, method="indicator"):
+        return 1 if (k, p) == (3, 2) else real(n, k, p, method)
+
+    monkeypatch.setattr(bt, "valuation_binomial", wrong_at_3_2)
+    with pytest.raises(VerificationError) as err:
+        lower_bound_witness(5)
+    assert str(err.value) == "v_2(C(M_5-1, 3)) = 1 != 0; witness property fails"
+
+
+def test_witness_profile_check_fires(monkeypatch):
+    """A profile that reports u = 2 at one k breaks the witness's second
+    check, after every valuation passed the first."""
+    real = bt.u_profile
+
+    def wrong_at_4(n, k):
+        prof = real(n, k)
+        return bt.ValuationProfile(n, k, prof.valuations, 2) if k == 4 else prof
+
+    monkeypatch.setattr(bt, "u_profile", wrong_at_4)
+    with pytest.raises(VerificationError) as err:
+        lower_bound_witness(5)
+    assert str(err.value) == "u(M_5-1, 4) != 1"
 
 
 def test_witness_exponent_bracketing():
