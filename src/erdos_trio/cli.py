@@ -93,24 +93,17 @@ def _render(rows: list[dict], meta: dict, verdict: str, fmt: str) -> str:
     if fmt == "json":
         doc = {"meta": meta, "rows": rows, "verdict": verdict}
         return json.dumps(doc, indent=2, default=_json_default) + "\n"
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
+    columns = list(rows[0])  # every row of a command has the same keys
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(row.get(c)) for c in columns])
+            writer.writerow([_fmt(row[c]) for c in columns])
         return buf.getvalue()
     # table
-    cells = [[_fmt(row.get(c)) for c in columns] for row in rows]
-    widths = [
-        max(len(col), *(len(r[i]) for r in cells)) if cells else len(col)
-        for i, col in enumerate(columns)
-    ]
+    cells = [[_fmt(row[c]) for c in columns] for row in rows]
+    widths = [max(len(col), *(len(r[i]) for r in cells)) for i, col in enumerate(columns)]
     lines = ["  ".join(col.ljust(w) for col, w in zip(columns, widths)).rstrip()]
     for r in cells:
         lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
@@ -298,75 +291,46 @@ def _cmd_equidist_approx(args) -> tuple[list[dict], dict, str]:
 
 def _cmd_equidist_string(args) -> tuple[list[dict], dict, str]:
     s = eq.find_prime_string(args.q, args.a, args.m, args.limit)
-    if s is None:
-        rows = [
-            {
-                "q": args.q,
-                "a": args.a,
-                "m": args.m,
-                "limit": args.limit,
-                "found": False,
-            }
-        ]
-        return rows, {"claim": _STRING_CLAIM}, "horizon-exhausted"
-    rows = [
-        {
-            "q": s.q,
-            "a": s.a,
-            "m": s.m,
-            "limit": args.limit,
-            "found": True,
-            "r": s.r,
-            "primes": " ".join(str(p) for p in s.primes),
-            "diameter": s.diameter,
-        }
-    ]
-    return rows, {"claim": _STRING_CLAIM}, "verified"
-
-
-_STRING_CLAIM = "first run of m consecutive primes all = a (mod q) below the limit"
+    row = {"q": args.q, "a": args.a, "m": args.m, "limit": args.limit, "found": s is not None}
+    if s is not None:
+        row.update(
+            {"a": s.a, "r": s.r, "primes": " ".join(map(str, s.primes)), "diameter": s.diameter}
+        )
+    claim = "first run of m consecutive primes all = a (mod q) below the limit"
+    return [row], {"claim": claim}, "verified" if s is not None else "horizon-exhausted"
 
 
 def _cmd_equidist_cluster(args) -> tuple[list[dict], dict, str]:
     alpha = eq.parse_alpha(args.alpha, args.precision)
     rep = eq.cluster_verify(alpha, args.delta, args.m, args.limit)
+    row = {
+        **_alpha_cols(alpha),
+        "delta": float(rep.delta),
+        "m": rep.m,
+        "limit": rep.limit,
+        "found": rep.found,
+    }
+    if rep.found:
+        s, apx = rep.string, rep.approximant
+        row.update(
+            {
+                "q": apx.q,
+                "a": apx.a,
+                "err_float": float(apx.err),
+                "r": s.r,
+                "primes": " ".join(map(str, s.primes)),
+                "diameter": s.diameter,
+                "max_pair_distance": rep.max_pair_distance,
+                "max_pair_distance_float": float(rep.max_pair_distance),
+                "window_discrepancy": rep.window_discrepancy,
+                "window_discrepancy_float": float(rep.window_discrepancy),
+            }
+        )
     claim = (
         "m consecutive primes whose fractional parts {alpha p} cluster in a "
         "width-delta interval; window discrepancy >= 1 - delta"
     )
-    if not rep.found:
-        rows = [
-            {
-                **_alpha_cols(alpha),
-                "delta": float(rep.delta),
-                "m": rep.m,
-                "limit": rep.limit,
-                "found": False,
-            }
-        ]
-        return rows, {"claim": claim}, "horizon-exhausted"
-    s = rep.string
-    apx = rep.approximant
-    rows = [
-        {
-            **_alpha_cols(alpha),
-            "delta": float(rep.delta),
-            "m": rep.m,
-            "limit": rep.limit,
-            "found": True,
-            "q": apx.q,
-            "a": apx.a,
-            "err_float": float(apx.err),
-            "r": s.r,
-            "primes": " ".join(str(p) for p in s.primes),
-            "diameter": s.diameter,
-            "max_pair_distance": rep.max_pair_distance,
-            "max_pair_distance_float": float(rep.max_pair_distance),
-            "window_discrepancy": rep.window_discrepancy,
-            "window_discrepancy_float": float(rep.window_discrepancy),
-        }
-    ]
-    return rows, {"claim": claim}, "verified"
+    return [row], {"claim": claim}, "verified" if rep.found else "horizon-exhausted"
 
 
 # --------------------------------------------------------------------------

@@ -37,6 +37,7 @@ so the reported argmax window and its value are exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,14 +67,15 @@ _SCORE_ERR = 2.0**-49
 # of windows: its sorted copy and the kernel's two temporaries (25.0-27.8
 # at k = 10, 50, 1,000 and 20,000). Per point of the one window re-scored
 # exactly at a time: _POINT_BYTES + 24 * (bits // 30), bits the bit length
-# of alpha's denominator. That covers a Fraction sample of the window and
-# its sorted copy (400 + 24 * (bits // 30) at k = 2,000 and 20,000 with 54-
-# to 4,096-bit denominators), far more than the integer score of
-# ``_window_discrepancy`` takes (85, 137, 345 and 1,161 bytes per point
-# with 56-, 257-, 1,025- and 4,097-bit denominators).
+# of alpha's denominator. That covers the integer score of
+# ``_window_discrepancy``, whose primes, residues and scaled residues are
+# Python ints (tracemalloc per point at k = 10 / 50 / 2,000 / 200,000: 110 /
+# 60 / 48 / 48 with a 2-bit denominator, 150 / 93 / 81 / 84 with 31- and
+# 55-bit ones, 198 / 147 / 136 / 136 at 257 bits, 436 / 361 / 345 / 344 at
+# 1,025 bits and 2,731 / 2,350 / 2,258 / 2,256 at 8,193 bits).
 _PART_BYTES = 36
 _ENTRY_BYTES = 32
-_POINT_BYTES = 440
+_POINT_BYTES = 128
 # Windows scored per chunk: chunks hold about 2^16 float64 entries (512 KiB),
 # which sort and score faster than chunks of 2^22 and need 1/64 the memory.
 _CHUNK_ENTRIES = 1 << 16
@@ -387,16 +389,13 @@ class Approximant:
 def _convergents(alpha: Fraction):
     """Yield the continued-fraction convergents (h, k) of alpha."""
     num, den = alpha.numerator, alpha.denominator
-    h_prev, h = 1, None
-    k_prev, k = 0, None
+    h, h_prev = 1, 0
+    k, k_prev = 0, 1
     while den:
         a = num // den
         num, den = den, num - a * den
-        if h is None:
-            h, k = a, 1
-        else:
-            h, h_prev = a * h + h_prev, h
-            k, k_prev = a * k + k_prev, k
+        h, h_prev = a * h + h_prev, h
+        k, k_prev = a * k + k_prev, k
         yield h, k
 
 
@@ -563,26 +562,28 @@ def cluster_verify(
 ) -> ClusterReport:
     """Find and verify a window of m consecutive primes clustering {alpha p}.
 
-    Round 1 follows the proof shape directly: Q = ceil(1 / delta) (the
-    proof's ineffective run-diameter constant taken as 1) and the Dirichlet
-    approximant a/q with q <= Q. A run of m consecutive primes = a (mod q)
-    with diameter d satisfies every pairwise bound
-    ||alpha (p - p')|| <= err * d (q divides each difference), so the
-    search accepts only runs with err * d <= delta. If none exists below
-    the limit, later rounds climb the convergent ladder of alpha: each
-    convergent a_i/q_i is itself a Dirichlet approximant (for Q = q_i) with
-    rapidly shrinking error, trading a rarer residue class for a far looser
-    diameter budget. On success every inequality is re-checked in exact
-    rational arithmetic; exhausting the ladder is a soft failure.
+    The search climbs one ladder of approximants a/q of alpha and stops at
+    the first rung with a run. The first rung follows the proof: the
+    Dirichlet approximant with q <= Q = ceil(1 / delta) (the proof's
+    ineffective run-diameter constant taken as 1). Each later rung is a
+    continued-fraction convergent a/q with first q < q <= limit // (m - 1),
+    taken with Q = q: a Dirichlet approximant with a far smaller error and a
+    rarer residue class (a run of m primes in one class mod q is at least
+    q (m - 1) wide). A run of m consecutive primes = a (mod q) with diameter
+    d satisfies every pairwise bound ||alpha (p - p')|| <= err * d (q
+    divides each difference), so each rung accepts only runs with
+    err * d <= delta. The found run's pairwise bound and window discrepancy
+    are then re-checked in exact rational arithmetic, and a violation raises
+    VerificationError. A ladder with no run is a soft failure.
 
-    Each round is a ``find_prime_string`` search over growing prefixes, so
-    a round stops at the prefix that holds its run, and a round whose
-    diameter budget is below lcm(2, q)(m - 1) stops at the first prefix
-    that holds p_m. When ``table`` is None the rounds share one sieved
-    table, the largest any round has needed so far, and a smaller one is
-    dropped before a larger one is sieved; so at most one round per request
-    pays for the sieve to the limit. The search to the full limit is
-    counted through ``reserve`` before anything is sieved.
+    Each rung is a ``find_prime_string`` search over growing prefixes, so
+    it stops at the prefix that holds its run, and a rung whose diameter
+    budget is below lcm(2, q)(m - 1) stops at the first prefix that holds
+    p_m. When ``table`` is None the rungs share one sieved table, the
+    largest any rung has needed so far, and a smaller one is dropped before
+    a larger one is sieved; so at most one rung per request pays for the
+    sieve to the limit. The search to the full limit is counted through
+    ``reserve`` before anything is sieved.
     """
     a = parse_alpha(alpha)
     d = Fraction(delta)
@@ -591,14 +592,19 @@ def cluster_verify(
     if m < 2:
         raise ValueError("m must be >= 2")
     prefixes = _Prefixes(limit, table)
+    first = dirichlet_approx(a, math.ceil(1 / d))
+    later = (
+        Approximant(a=h, q=q, Q=q, err=abs(a - Fraction(h, q)))
+        for h, q in _convergents(a)
+        if q > first.q
+    )
+    q_cap = max(first.q, limit // (m - 1))  # the first rung always runs
     rounds: list[dict] = []
-    # any run of m distinct primes in one class mod q has diameter >= q(m-1)
-    q_cap = max(1, limit // max(m - 1, 1))
-
-    def _try(apx: Approximant) -> ClusterReport | None:
-        res = apx.a % apx.q
+    for apx in itertools.chain([first], later):
+        if apx.q > q_cap:
+            break
         bound = None if apx.err == 0 else int(d / apx.err)
-        string = _search(apx.q, res, m, bound, prefixes)
+        string = _search(apx.q, apx.a % apx.q, m, bound, prefixes)
         rounds.append(
             {
                 "Q": apx.Q,
@@ -609,53 +615,29 @@ def cluster_verify(
                 "found": string is not None,
             }
         )
-        if string is None:
-            return None
+        if string is not None:
+            break
+    worst = disc = None
+    if string is not None:
         worst = max(
             torus_distance(a, pj - pi)
             for i, pi in enumerate(string.primes)
             for pj in string.primes[i + 1 :]
         )
         if worst > d:
-            raise VerificationError(
-                f"pairwise clustering bound violated: {worst} > {d}"
-            )
+            raise VerificationError(f"pairwise clustering bound violated: {worst} > {d}")
         disc = _window_discrepancy(a, string.r, m, prefixes.table)
         if disc < 1 - d:
-            raise VerificationError(
-                f"window discrepancy {disc} below 1 - delta = {1 - d}"
-            )
-        return ClusterReport(
-            found=True,
-            alpha=a,
-            delta=d,
-            m=m,
-            limit=limit,
-            approximant=apx,
-            string=string,
-            max_pair_distance=worst,
-            window_discrepancy=disc,
-            rounds=tuple(rounds),
-        )
-
-    first = dirichlet_approx(a, math.ceil(1 / d))
-    report = _try(first)
-    if report is not None:
-        return report
-    for h, q in _convergents(a):
-        if q > q_cap:
-            break
-        if q <= first.q:
-            continue
-        err = abs(a - Fraction(h, q))
-        report = _try(Approximant(a=h, q=q, Q=q, err=err))
-        if report is not None:
-            return report
+            raise VerificationError(f"window discrepancy {disc} below 1 - delta = {1 - d}")
     return ClusterReport(
-        found=False,
+        found=string is not None,
         alpha=a,
         delta=d,
         m=m,
         limit=limit,
+        approximant=None if string is None else apx,
+        string=string,
+        max_pair_distance=worst,
+        window_discrepancy=disc,
         rounds=tuple(rounds),
     )

@@ -290,6 +290,17 @@ def test_rigidity_detects_extra_summand(monkeypatch):
         assert breaking > 0
 
 
+def test_rigidity_identity_check_fires(monkeypatch):
+    """A J_k that starts one too high no longer equals c_k + B_k. It only
+    shrinks, so no stray sum meets it and the identity check alone fires."""
+    real = rigidity_interval
+    monkeypatch.setattr(basis_splits, "rigidity_interval", lambda k: (real(k)[0] + 1, real(k)[1]))
+    for k in (1, 3, 7):
+        with pytest.raises(VerificationError) as err:
+            rigidity_check(k)
+        assert str(err.value) == f"stage {k}: c_k + B_k differs from J_k"
+
+
 def test_stage_40_checks_are_fast():
     for check in (
         lambda: sumset_cover_check(40),

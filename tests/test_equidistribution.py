@@ -386,7 +386,7 @@ def test_scan_memory_budget(monkeypatch):
         assert _peak_bytes(scan) <= need, (alpha, k, limit, stride)
         _assert_budget_is_exact(monkeypatch, need, scan)
     # ~7.4 GB of fractional parts, and ~3 GB of exact points: refused up front
-    for k, limit, stride in ((10, 150_000_000, 1000), (5_000_000, 0, 1)):
+    for k, limit, stride in ((10, 150_000_000, 1000), (10_000_000, 0, 1)):
         start = time.perf_counter()
         with pytest.raises(ResourceLimitError):
             well_distribution_statistic("golden", k, limit, stride)
@@ -594,6 +594,50 @@ def test_cluster_equals_whole_table_oracle(table_1e6, monkeypatch):
         assert reports == [expect, expect], (alpha, delta, m, limit)
         found += expect.found
     assert 0 < found < 34
+
+
+def _convergent_denominators(alpha: Fraction, cap: int) -> list[int]:
+    """Denominators up to ``cap`` of the continued-fraction convergents of
+    alpha, each found by evaluating its prefix of partial quotients."""
+    terms, x, dens = [], alpha, []
+    while not dens or dens[-1] <= cap:
+        terms.append(math.floor(x))
+        value = Fraction(terms[-1])
+        for t in reversed(terms[:-1]):
+            value = t + 1 / value
+        dens.append(value.denominator)
+        if x == terms[-1]:
+            break
+        x = 1 / (x - terms[-1])
+    return [q for q in dens if q <= cap]
+
+
+def test_cluster_climbs_one_ladder(table_1e6):
+    """The rounds are the ladder's rungs, (Q, q) = (ceil(1/delta), q of the
+    Dirichlet approximant) and then (q, q) for each convergent with
+    first q < q <= limit // (m - 1), up to the first rung that found a run."""
+    cases = _seeded_cluster_inputs() + [
+        (Fraction(5, 12), Fraction(1, 10), 3, 10**5),  # err = 0 on a later rung
+        ("golden", Fraction(1, 10), 5, 1000),  # the horizon is exhausted
+    ]
+    exact = exhausted = 0
+    for alpha, delta, m, limit in cases:
+        rep = cluster_verify(alpha, delta, m, limit, table=table_1e6)
+        Q = math.ceil(1 / delta)
+        dens = _convergent_denominators(parse_alpha(alpha), max(Q, limit))
+        first = max(q for q in dens if q <= Q)
+        ladder = [(Q, first)] + [(q, q) for q in dens if first < q <= limit // (m - 1)]
+        rounds = [(r["Q"], r["q"]) for r in rep.rounds]
+        found = [r["found"] for r in rep.rounds]
+        if rep.found:
+            assert rounds == ladder[: len(rounds)], (alpha, delta, m, limit)
+            assert found == [False] * (len(rounds) - 1) + [True]
+            assert rep.approximant.q == rounds[-1][1]
+        else:
+            assert rounds == ladder and not any(found), (alpha, delta, m, limit)
+        exact += any(r["err"] == 0 for r in rep.rounds)
+        exhausted += not rep.found
+    assert exact >= 2 and exhausted >= 2
 
 
 def test_cluster_pairwise_check_fires(monkeypatch):

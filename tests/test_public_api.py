@@ -18,7 +18,8 @@ count as a use:
 Dunder methods are out of reach of the syntax tree and are not checked.
 Within each package module, every top-level import must be read as a
 ``Name`` somewhere in that module. The memory budget has one binding and
-one refusal: only ``errors.reserve`` raises ``ResourceLimitError``.
+one refusal: only ``errors.reserve`` raises ``ResourceLimitError``. Every
+``raise VerificationError`` is registered with a test that makes it fire.
 """
 
 import ast
@@ -26,7 +27,7 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import erdos_trio
@@ -152,23 +153,33 @@ def test_package_modules_import_only_what_they_use():
     assert unused == [], f"imports never read: {unused}"
 
 
-def test_one_memory_budget_and_one_refusal():
-    """The memory budget has one binding and one refusal: ``errors`` assigns
-    ``DEFAULT_MEMORY_BUDGET``, no other package module imports it, and
-    ``raise ResourceLimitError`` appears only in ``errors.reserve``."""
-    raises, assigned, imported = [], [], []
+def _raise_sites(exception: str) -> list[str]:
+    """``module.function`` of each ``raise <exception>`` in the package, one
+    entry per site, in file and source order."""
+    sites = []
     for path in sorted((ROOT / "src" / "erdos_trio").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                if getattr(exc, "id", getattr(exc, "attr", None)) == "ResourceLimitError":
+                if getattr(exc, "id", getattr(exc, "attr", None)) == exception:
                     scope = node
                     while scope in parents and not isinstance(scope, ast.FunctionDef):
                         scope = parents[scope]
-                    raises.append(f"{path.stem}.{getattr(scope, 'name', '<module>')}")
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    sites.append(f"{path.stem}.{getattr(scope, 'name', '<module>')}")
+    return sites
+
+
+def test_one_memory_budget_and_one_refusal():
+    """The memory budget has one binding and one refusal: ``errors`` assigns
+    ``DEFAULT_MEMORY_BUDGET``, no other package module imports it, and
+    ``raise ResourceLimitError`` appears only in ``errors.reserve``."""
+    raises, assigned, imported = _raise_sites("ResourceLimitError"), [], []
+    for path in sorted((ROOT / "src" / "erdos_trio").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 if any(getattr(t, "id", None) == "DEFAULT_MEMORY_BUDGET" for t in targets):
                     assigned.append(path.stem)
@@ -179,3 +190,46 @@ def test_one_memory_budget_and_one_refusal():
         f"ResourceLimitError raised in {raises}; DEFAULT_MEMORY_BUDGET assigned in "
         f"{assigned} and imported as {imported}"
     )
+
+
+# Every ``raise VerificationError`` site in the package, by module.function,
+# with the test that makes it fire: one test per site, in source order.
+FIRING_TESTS = {
+    "basis_splits.sumset_cover_check": ["test_basis_splits::test_cover_detects_gaps_on_broken_set"],
+    "basis_splits.rigidity_check": [
+        "test_basis_splits::test_rigidity_detects_extra_summand",
+        "test_basis_splits::test_rigidity_identity_check_fires",
+    ],
+    "binomial_thresholds.lower_bound_witness": [
+        "test_binomial_thresholds::test_witness_valuation_check_fires",
+        "test_binomial_thresholds::test_witness_profile_check_fires",
+    ],
+    "cli._cmd_binomial_certificate": ["test_cli::test_certificate_confirmation_failure_exits_2"],
+    "equidistribution.well_distribution_statistic": [
+        "test_equidistribution::test_scan_recheck_catches_a_wrong_window",
+    ],
+    "equidistribution.dirichlet_approx": ["test_equidistribution::test_dirichlet_bound_check_fires"],
+    "equidistribution.cluster_verify": [
+        "test_equidistribution::test_cluster_pairwise_check_fires",
+        "test_equidistribution::test_cluster_window_check_fires",
+    ],
+}
+
+
+def test_every_verification_check_has_a_firing_test():
+    """Each ``raise VerificationError`` site is named in FIRING_TESTS, as
+    often per function as it occurs there, with a test that exists."""
+    sites = Counter(_raise_sites("VerificationError"))
+    registered = Counter({site: len(tests) for site, tests in FIRING_TESTS.items()})
+    assert sites == registered, (
+        f"raise sites with no registered firing test: {dict(sites - registered)}; "
+        f"registered tests with no raise site: {dict(registered - sites)}"
+    )
+    missing = []
+    for tests in FIRING_TESTS.values():
+        for test in tests:
+            module, name = test.split("::")
+            tree = ast.parse((ROOT / "tests" / f"{module}.py").read_text())
+            if not any(isinstance(n, ast.FunctionDef) and n.name == name for n in tree.body):
+                missing.append(test)
+    assert missing == [], f"firing tests that do not exist: {missing}"
