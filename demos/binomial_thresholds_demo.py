@@ -47,7 +47,6 @@ print(f"  Y = floor(6.21 (log n)^2) = {rep.y}")
 print(f"  mean log u(n, k) over k <= Y = {rep.average:.2f}")
 print(f"  threshold 2 log n            = {rep.threshold:.2f}")
 print(f"  certified f(n) <= Y: {rep.certified}")
-print(f"  peak log u at k = {rep.argmax_k} ({rep.max_log_u:.2f})")
 
 print()
 print("=" * 72)

@@ -3,29 +3,33 @@
 For 0 <= k <= n let u(n, k) be the product over primes p <= k of
 p^{v_p(C(n, k))}, and let f(n) be the least k with u(n, k) > n^2 (strict).
 This module computes v_p(C(n, k)) in two independent forms, builds the full
-valuation profile of u(n, k), keeps one exponent ledger of u(n, k) over
-k = 1, 2, ... that both scans for f(n) in exact integers and sums log u(n, k)
-for the averaging certificate that witnesses f(n) = O((log n)^2), and
-constructs the composite witness M_K = prod_{p<=K} p^{floor(log_p K)+1}
-whose predecessor satisfies f(M_K - 1) > K.
+valuation profile of u(n, k), scans for f(n) in exact integers along an
+exponent ledger of u(n, k) over k = 1, 2, ..., sums log u(n, k) over
+k <= Y in closed form, by counting Kummer carries per prime power, for the
+averaging certificate that witnesses f(n) = O((log n)^2), and constructs the
+composite witness M_K = prod_{p<=K} p^{floor(log_p K)+1} whose predecessor
+satisfies f(M_K - 1) > K.
 
 n is never expanded into factorials: ``valuation_binomial`` peels the base-p
-digits of n and k by repeated division by p, and the ledger reads residues
-n mod p^t, so n may be an arbitrary-precision integer.
+digits of n and k by repeated division by p, and the ledger and the
+certificate read residues n mod p^t, so n may be an arbitrary-precision
+integer.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from itertools import islice
 from typing import Literal
 
 import numpy as np
 
 from .errors import VerificationError, reserve
-from .primes import _prime_list, is_prime
+from .primes import _prime_list, _primes_below_power_of_two, is_prime
 
 # Default certificate constant: 24/(pi^2 - 6) + 0.01, slightly above the
 # smallest constant for which the averaging argument closes.
@@ -64,10 +68,11 @@ _RESIDUE_BYTES = 4
 # and 2^16 (12.5 at 2^10), p = 2, 3 and 997.
 _FACTORIAL_BYTES = 12
 
-# Peak bytes per position k of the u(n, k) ledger in _log_u_series:
-# tracemalloc at n = 1e18 gives 511, 530 and 542 bytes per k at
-# k_max = 29,718 / 118,872 / 343,562. Each step takes ~70 bytes and the
-# steps per position grow like log log k_max, which extrapolates to ~566
+# Peak bytes per position k of the u(n, k) ledger behind f_threshold, the
+# ledger alone on a warm prime list: tracemalloc at n = 1e18 gives 493, 516
+# and 529 bytes per k at k_max = 29,718 / 118,872 / 343,562 (1e6 and
+# 2^64 - 59 within 2 bytes of these). Each step takes ~70 bytes and the
+# steps per position grow like log log k_max, which extrapolates to ~555
 # at k_max = 3.5e6, the largest window the default memory budget admits.
 _STEP_BYTES = 600
 
@@ -278,6 +283,11 @@ def _u_steps(n: int, k_max: int) -> list[list[tuple[int, int]]]:
     on a -1 step is exact. Factor positions come from residues n mod p^t,
     so n may be huge.
 
+    A prime's numerator powers stop at the first q = p^t whose first
+    multiple position k0 = (n + 1) mod q (or q itself when that is 0) lies
+    past k_max: (n + 1) mod (q p^s) is (n + 1) mod q plus a multiple of q,
+    so every higher power's first position lies past k_max too.
+
     Entry k depends only on n and k, so the first k + 1 entries are the
     same for every k_max >= k. The ledger is counted through ``reserve``
     before any entry is built.
@@ -294,6 +304,8 @@ def _u_steps(n: int, k_max: int) -> list[list[tuple[int, int]]]:
         q = p
         while q <= n:
             k0 = (n + 1) % q or q
+            if k0 > k_max:
+                break
             if k0 <= p:
                 join += 1
                 k0 += q
@@ -309,20 +321,6 @@ def _u_steps(n: int, k_max: int) -> list[list[tuple[int, int]]]:
                 steps[k].append((p, -1))
             q *= p
     return steps
-
-
-def _log_u_series(n: int, k_max: int) -> np.ndarray:
-    """log u(n, k) for k = 0..k_max: the running sum of e * log p over the
-    entries of ``_u_steps``, in ledger order."""
-    ledger = _u_steps(n, k_max)
-    logs = {p: math.log(p) for p in _prime_list(k_max)}
-    out = np.zeros(k_max + 1, dtype=np.float64)
-    running = 0.0
-    for k in range(1, k_max + 1):
-        for p, e in ledger[k]:
-            running += e * logs[p]
-        out[k] = running
-    return out
 
 
 @dataclass(frozen=True)
@@ -371,6 +369,28 @@ def f_threshold(n: int) -> ThresholdResult:
         k_max = min(n, 2 * k_max)
 
 
+def _carries(n: int, y: int, p: int) -> int:
+    """N_p = sum of v_p(C(n, k)) over p <= k <= y, for a prime p <= y <= n.
+
+    By Kummer, v_p(C(n, k)) counts the t >= 1 with k mod p^t > n mod p^t,
+    so N_p adds, for each q = p^t, the k in [p, y] with k mod q > r, where
+    r = n mod q. Of k in [0, y], the (y + 1) // q full periods hold q - 1 - r
+    each and the partial one max(0, (y + 1) mod q - 1 - r); of k in
+    [0, p - 1], all below q, max(0, p - 1 - r) count. r never decreases in
+    t and no k <= y counts once r >= y, which ends the powers; past n,
+    r = n >= y.
+    """
+    count = 0
+    q = p
+    r = n % q
+    while r < y:
+        full, part = divmod(y + 1, q)
+        count += full * (q - 1 - r) + max(0, part - 1 - r) - max(0, p - 1 - r)
+        q *= p
+        r = n % q
+    return count
+
+
 @dataclass(frozen=True)
 class CertificateReport:
     """Averaging certificate for the polylog upper bound on f(n).
@@ -388,8 +408,6 @@ class CertificateReport:
     average: float
     threshold: float
     certified: bool
-    argmax_k: int
-    max_log_u: float
     diagnostics: tuple[dict, ...] = ()
 
 
@@ -397,6 +415,14 @@ def certificate_average(n: int, c: float = DEFAULT_CERTIFICATE_C) -> Certificate
     """Mean of log u(n, k) over 1 <= k <= Y, Y = floor(c * (log n)^2).
 
     Requires Y >= 1 and Y <= n (the mean is over defined u values only).
+    The sum is sum_{p<=Y} N_p log p, each N_p from ``_carries`` in O(log_p n)
+    floor divisions, added by ``math.fsum``. The diagnostics' T_j and R_j
+    are running sums over one ascending pass through the primes <= Y/2,
+    added in the order of a direct per-block sum.
+
+    The only request-sized structure is the cached list of the primes below
+    the next power of two past Y, counted through ``reserve`` on a cache
+    miss; no per-prime list is built beside it.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
@@ -408,23 +434,32 @@ def certificate_average(n: int, c: float = DEFAULT_CERTIFICATE_C) -> Certificate
         raise ValueError(f"Y = floor(c (log n)^2) = {y} < 1")
     if y > n:
         raise ValueError(f"Y = {y} exceeds n = {n}; u(n, k) is undefined past n")
-    logs = _log_u_series(n, y)
-    body = logs[1:]
-    average = float(np.mean(body))
-    argmax = int(np.argmax(body)) + 1
+    primes = _primes_below_power_of_two(y.bit_length())
+    count = bisect_right(primes, y)
+    total = math.fsum(_carries(n, y, p) * math.log(p) for p in islice(primes, count))
+    average = total / y
+    # Blocks j = 9 down to 2 take ever longer prefixes of the primes.
     diag = []
-    for j in range(2, _DIAGNOSTIC_BLOCKS + 2):
+    t_sum = r_sum = 0  # sum()'s start: an empty block stays the int 0
+    i = 0
+    for j in range(_DIAGNOSTIC_BLOCKS + 1, 1, -1):
         bound = y // j
-        block = _prime_list(bound) if bound >= 2 else ()
+        while i < count and primes[i] <= bound:
+            p = primes[i]
+            log_p = math.log(p)
+            t_sum += log_p
+            r_sum += (p - n % p) * log_p
+            i += 1
         diag.append(
             {
                 "j": j,
                 "prime_bound": bound,
-                "T_j": sum(math.log(p) for p in block),
-                "R_j": sum((p - n % p) * math.log(p) for p in block),
+                "T_j": t_sum,
+                "R_j": r_sum,
                 "M_j": int(y / (j * log_n)),
             }
         )
+    diag.reverse()
     return CertificateReport(
         n=n,
         c=c,
@@ -432,8 +467,6 @@ def certificate_average(n: int, c: float = DEFAULT_CERTIFICATE_C) -> Certificate
         average=average,
         threshold=2.0 * log_n,
         certified=average > 2.0 * log_n,
-        argmax_k=argmax,
-        max_log_u=float(body[argmax - 1]),
         diagnostics=tuple(diag),
     )
 

@@ -147,8 +147,6 @@ def _cmd_binomial_certificate(args) -> tuple[list[dict], dict, str]:
         "average_log_u": rep.average,
         "threshold_2_log_n": rep.threshold,
         "certified": rep.certified,
-        "argmax_k": rep.argmax_k,
-        "max_log_u": rep.max_log_u,
     }
     meta = {
         "claim": "mean of log u(n,k) over k <= Y = floor(C (log n)^2); "

@@ -25,7 +25,7 @@ from erdos_trio import (
 )
 from erdos_trio import binomial_thresholds as bt
 from erdos_trio import errors
-from erdos_trio.binomial_thresholds import _log_u_series
+from erdos_trio import primes as pr
 from erdos_trio.errors import VerificationError
 
 from oracles import (
@@ -330,39 +330,67 @@ def test_u_profile_against_big_integer_factorization():
         assert u_profile(n, k).exact_u == small_prime_part(n, k, primes)
 
 
-def test_log_u_series_matches_profiles():
+def test_ledger_exponents_match_profiles():
+    """The ledger's running exponent of each prime at k is v_p(C(n, k)) for
+    every p <= k: the exponents u_profile reads digit by digit."""
     for n in (10, 1799, 10**6, 2**64 - 59):
         k_max = min(n, 120)
-        series = _log_u_series(n, k_max)
+        ledger = bt._u_steps(n, k_max)
+        running: dict[int, int] = {}
         for k in range(1, k_max + 1):
-            assert abs(series[k] - math.log(u_profile(n, k).exact_u)) < 1e-9, (n, k)
+            for p, e in ledger[k]:
+                running[p] = running.get(p, 0) + e
+            want = {p: v for p, v in u_profile(n, k).valuations.items() if v}
+            assert {p: e for p, e in running.items() if e} == want, (n, k)
+
+
+def _replayed_u(n: int, k_max: int):
+    """u(n, k) for k = 1..k_max, multiplied out along the ledger; asserts
+    that every division by p on a -1 step leaves no remainder."""
+    ledger = bt._u_steps(n, k_max)
+    assert ledger[0] == []
+    u = 1
+    for k in range(1, k_max + 1):
+        for p, e in ledger[k]:
+            if e == -1:
+                assert u % p == 0, (n, k, p)
+                u //= p
+            else:
+                assert e > 0, (n, k, p)
+                u *= p**e
+        yield k, u
 
 
 def test_ledger_replays_exact_u_with_exact_divisions():
     """Multiplying out the ledger's steps gives u_profile's exact u at every
     k, and every division by p on a -1 step leaves no remainder."""
     for n in (10, 1799, 10**6, 2**64 - 59, lower_bound_witness(12).M_K - 1):
-        k_max = min(n, 120)
-        ledger = bt._u_steps(n, k_max)
-        assert ledger[0] == []
-        u = 1
-        for k in range(1, k_max + 1):
-            for p, e in ledger[k]:
-                if e == -1:
-                    assert u % p == 0, (n, k, p)
-                    u //= p
-                else:
-                    assert e > 0, (n, k, p)
-                    u *= p**e
+        for k, u in _replayed_u(n, min(n, 120)):
             assert u == u_profile(n, k).exact_u, (n, k)
 
 
-def test_log_u_series_prefix_is_window_independent():
-    """The entry at k is the same bits whatever the window K >= k: the sweep
-    only sees factor events at positions <= k, and a prime p joins the sum
-    at k = p. ``f_threshold``'s 64-then-double window rests on this."""
-    for n in (1007, 10**6 + 3, 2**64 - 59):
-        assert np.array_equal(_log_u_series(n, 64), _log_u_series(n, min(n, 1024))[:65]), n
+def test_ledger_prefix_is_window_independent():
+    """The entry at k is the same whatever the window K >= k: the sweep only
+    sees factor events at positions <= k, and a prime p joins u at k = p.
+    ``f_threshold``'s 64-then-double window rests on this."""
+    for n in (1007, 10**6 + 3, 2**64 - 59, 2**20 - 1, lower_bound_witness(12).M_K - 1):
+        assert bt._u_steps(n, 64) == bt._u_steps(n, min(n, 1024))[:65], n
+
+
+def test_ledger_early_exit_at_full_powers():
+    """Where q = p^t divides n + 1, the numerator position (n + 1) mod q is 0
+    and the first multiple of q is q itself; the ledger stops a prime's
+    powers once that lies past the window. At n = p^t - 1 and M_K - 1 every
+    low power divides n + 1: f(n) still equals the definition's, and the
+    ledger still replays u(n, k) exactly."""
+    primes = sieve_primes(400).primes.tolist()
+    ns = [2**20 - 1, 2**64 - 1, 3**13 - 1, 5**9 - 1, 7**8 - 1, 31**4 - 1]
+    ns += [lower_bound_witness(K).M_K - 1 for K in (5, 12, 20)]
+    for n in ns:
+        assert any((n + 1) % (p * p) == 0 for p in (2, 3, 5, 7, 31)), n
+        assert f_threshold(n).f == f_oracle(n, primes, 400), n
+        for k, u in _replayed_u(n, min(n, 150)):
+            assert u == small_prime_part(n, k, primes), (n, k)
 
 
 def test_f_threshold_across_window_doublings():
@@ -405,31 +433,58 @@ def test_f_threshold_decides_ties_and_near_misses_exactly():
 
 
 def test_ledger_memory_budget(monkeypatch):
-    """The u(n, k) ledger is refused before it is built when its positions
-    would exceed the budget, which is read at call time."""
-    n, c = 10**6, 6.21
-    y = certificate_average(n, c).y
-    need = bt._STEP_BYTES * y
+    """The u(n, k) ledger behind ``f_threshold`` is refused before it is built
+    when its positions would exceed the budget, which is read at call time."""
+    n, k_max = 10**6, 1185
+    need = bt._STEP_BYTES * k_max
     tracemalloc.start()
     try:
-        certificate_average(n, c)
+        bt._u_steps(n, k_max)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= need
     monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need)
-    assert certificate_average(n, c).y == y
+    assert len(bt._u_steps(n, k_max)) == k_max + 1
     monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need - 1)
     with pytest.raises(ResourceLimitError):
-        certificate_average(n, c)
+        bt._u_steps(n, k_max)
     monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", bt._STEP_BYTES * 64 - 1)
     with pytest.raises(ResourceLimitError):
         f_threshold(n)
-    monkeypatch.undo()
-    # Y ~ 3.4e7 positions, ~20 GB of ledger: refused before any is built
-    start = time.perf_counter()
+
+
+@pytest.mark.parametrize("n, c", [(10**6, 6.21), (10**18, 200.0)])
+def test_certificate_memory_budget(monkeypatch, n, c):
+    """The certificate's one request-sized structure is its prime list, the
+    cached primes below the next power of two past Y. On a cold cache its
+    peak stays within the list's count, the exact count passes and one byte
+    less refuses."""
+    y = int(c * math.log(n) ** 2)
+    need = pr._LIST_BYTES * pr._prime_count_bound((1 << y.bit_length()) - 1)
+    pr._primes_below_power_of_two.cache_clear()
+    tracemalloc.start()
+    try:
+        want = certificate_average(n, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need
+    pr._primes_below_power_of_two.cache_clear()
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need)
+    assert certificate_average(n, c) == want
+    pr._primes_below_power_of_two.cache_clear()
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need - 1)
     with pytest.raises(ResourceLimitError):
-        certificate_average(10**18, 20000)
+        certificate_average(n, c)
+
+
+def test_certificate_refuses_a_prime_list_past_the_budget():
+    """Y ~ 1.7e9 needs the primes below 2^31, ~6 GB as a list: refused
+    before any prime is sieved."""
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="primes below 2\\^31"):
+        certificate_average(10**18, 10**6)
     assert time.perf_counter() - start < 1.0
 
 
@@ -452,9 +507,55 @@ def test_certificate_against_direct_scan():
     rep = certificate_average(n, 6.21)
     logs = [math.log(u_profile(n, k).exact_u) for k in range(1, rep.y + 1)]
     assert abs(rep.average - sum(logs) / rep.y) < 1e-9
-    assert rep.argmax_k == int(np.argmax(logs)) + 1
-    assert abs(rep.max_log_u - max(logs)) < 1e-12
     assert rep.diagnostics[0]["j"] == 2
+
+
+def _carries_oracle(n: int, y: int, p: int, start: int) -> int:
+    """sum of v_p(C(n, k)) over start <= k <= y, each by factoring C(n, k)."""
+    return sum(comb_exponent(n, k, p) for k in range(start, y + 1))
+
+
+def test_carries_equal_summed_valuations():
+    """N_p from ``_carries`` is the sum of v_p(C(n, k)) over p <= k <= Y,
+    by factoring each C(n, k), for odd n <= 120 and Y <= n, and at edge n:
+    M_K - 1, prime powers and their neighbours, and 2^64 - 59.
+
+    Mutation control: the oracle counted from k = 1 differs on these inputs,
+    so a count that starts at k = 1 instead of k = p fails here."""
+    cases = [(n, y) for n in range(3, 121, 2) for y in range(1, n + 1, 9)]
+    edges = [lower_bound_witness(K).M_K - 1 for K in (5, 10, 20)]
+    edges += [2**16, 2**16 - 1, 3**10 - 1, 5**7, 5**7 + 1, 7**6 - 1, 2**64 - 59]
+    cases += [(n, y) for n in edges for y in (1, 2, 30, 97, 160)]
+    checked = differs_from_one = 0
+    for n, y in cases:
+        for p in (sieve_primes(y).primes.tolist() if y >= 2 else ()):
+            checked += 1
+            below_p = _carries_oracle(n, p - 1, p, 1)
+            want = _carries_oracle(n, y, p, p)
+            assert bt._carries(n, y, p) == want, (n, y, p)
+            differs_from_one += below_p > 0
+    assert differs_from_one > checked // 2
+
+
+def test_certificate_diagnostics_equal_per_block_sums():
+    """T_j and R_j from the one running pass equal, bit for bit, a direct
+    left-to-right sum over each block's primes (what ``sum()`` computes on
+    CPython 3.11), empty blocks included as the int 0."""
+    rng = random.Random(0xD1A6)
+    cases = [(5, 1.0), (50, 1.0)] + [(n, 6.21) for n in (10**4, 10**6, 2**64 - 59)]
+    cases += [(rng.randrange(10**4, 10**7), 6.21) for _ in range(20)]
+    cases += [(10**5, 0.02), (10**5, 0.04)]  # Y = 2 and 5: empty and one-prime blocks
+    for n, c in cases:
+        rep = certificate_average(n, c)
+        for d in rep.diagnostics:
+            block = sieve_primes(d["prime_bound"]).primes.tolist()
+            t_j = r_j = 0
+            for p in block:
+                t_j += math.log(p)
+                r_j += (p - n % p) * math.log(p)
+            assert d["prime_bound"] == rep.y // d["j"]
+            assert (type(d["T_j"]), d["T_j"]) == (type(t_j), t_j), (n, d["j"])
+            assert (type(d["R_j"]), d["R_j"]) == (type(r_j), r_j), (n, d["j"])
 
 
 def test_certificate_certifies_f_bound():

@@ -172,8 +172,8 @@ def test_equidist_cluster_bad_delta(capsys):
         # a zero denominator, and an unwritable --output path
         ("equidist", "approx", "--alpha", "1/0", "--Q", "10"),
         ("--output", ".", "binomial", "f", "--n", "10"),
-        # a u(n, k) ledger of Y ~ 3.4e7 positions is refused by the memory budget
-        ("binomial", "certificate", "--n", "1000000000000000000", "--C", "20000"),
+        # Y ~ 1.7e9 needs the primes below 2^31, ~6 GB as a list
+        ("binomial", "certificate", "--n", "1000000000000000000", "--C", "1000000"),
         # ~9e6 interval sums of ~2,300 bits are refused by the memory budget
         ("basis", "cover", "--k", "1000"),
         ("basis", "rigidity", "--k", "1000"),
@@ -409,9 +409,9 @@ GOLDEN = {
         "json": "f817187c1a48f6b9e8a50144e4fc35bc8fd7de8c77bf121ee0678b3b49fb5ccc",
     }),
     "binomial certificate --n 100000 --C 6.21": (0, {
-        "table": "2eb68ef52713b0fdb63bc0ab78d895d6f2e5c6832938a43360500c070514ae61",
-        "csv": "9fe4aa17745f91e21f33851cb4ad19c4017f785b003f39b211d564d20242b2bc",
-        "json": "05b3fe1bc428ffc444690291bb23fc7a0cbe463c1d093292f604080529500bea",
+        "table": "616a75eabafdcc090a4875306be6b4b5770cbe314b7259237033eccaee7c9b8d",
+        "csv": "a747f46d4e240d3ff62f6edda94e97ec34d12065fc5be3bcdb1fa7be7919c421",
+        "json": "8d16cb6419b1bae7e25ce486a01adde61a1468622f6316826de6745c75171145",
     }),
     "binomial witness --K 12": (0, {
         "table": "aaa1b3c5174038eac3c938496789062ead1e4d8199bb4501ebd0afccbf50d0d1",
