@@ -3,17 +3,17 @@
 For 0 <= k <= n let u(n, k) be the product over primes p <= k of
 p^{v_p(C(n, k))}, and let f(n) be the least k with u(n, k) > n^2 (strict).
 This module computes v_p(C(n, k)) in two independent forms, builds the full
-valuation profile of u(n, k), scans for f(n) in exact integers along an
-exponent ledger of u(n, k) over k = 1, 2, ..., sums log u(n, k) over
+valuation profile of u(n, k), scans for f(n) in exact integers along one
+streaming pass that carries u(n, k) from k to k + 1, sums log u(n, k) over
 k <= Y in closed form, by counting Kummer carries per prime power, for the
 averaging certificate that witnesses f(n) = O((log n)^2), and constructs the
 composite witness M_K = prod_{p<=K} p^{floor(log_p K)+1} whose predecessor
 satisfies f(M_K - 1) > K.
 
 n is never expanded into factorials: ``valuation_binomial`` peels the base-p
-digits of n and k by repeated division by p, and the ledger and the
-certificate read residues n mod p^t, so n may be an arbitrary-precision
-integer.
+digits of n and k by repeated division by p, the f(n) scan divides only
+n - k + 1, n // p and k by primes p <= k, and the certificate reads residues
+n mod p^t, so n may be an arbitrary-precision integer.
 """
 
 from __future__ import annotations
@@ -68,13 +68,15 @@ _RESIDUE_BYTES = 4
 # and 2^16 (12.5 at 2^10), p = 2, 3 and 997.
 _FACTORIAL_BYTES = 12
 
-# Peak bytes per position k of the u(n, k) ledger behind f_threshold, the
-# ledger alone on a warm prime list: tracemalloc at n = 1e18 gives 493, 516
-# and 529 bytes per k at k_max = 29,718 / 118,872 / 343,562 (1e6 and
-# 2^64 - 59 within 2 bytes of these). Each step takes ~70 bytes and the
-# steps per position grow like log log k_max, which extrapolates to ~555
-# at k_max = 3.5e6, the largest window the default memory budget admits.
-_STEP_BYTES = 600
+# Peak bytes per prime joined by the u(n, k) series behind f_threshold: two
+# one-entry lists, two int keys and two dict slots. tracemalloc on the series
+# read to k gives 216-292 at k = 64, 347-353 at 1e3, 425-439 at 1e4, 443-454
+# at 1e5 and 485-495 at 4e5 (n = 1e6, 1e18, 2^64 - 59 and 2^200 + 235). The
+# peak jumps when a dict resizes: just after one it reads 426 (k = 593), 487
+# (6,208), 525 (70,496), 561 (259,584) and 570 (535,488), n = 1.2e6. Whole
+# f_threshold scans, n = 3..1999, take 186-435, the most at f(28) = 5, where
+# the scan's ~1 KB that does not grow shows.
+_PRIME_BYTES = 600
 
 
 def _check_prime(p: int) -> None:
@@ -271,56 +273,60 @@ def u_profile(n: int, k: int) -> ValuationProfile:
     return ValuationProfile(n=n, k=k, valuations=vals, exact_u=u)
 
 
-def _u_steps(n: int, k_max: int) -> list[list[tuple[int, int]]]:
-    """The exponent ledger of u(n, k): entry k, for k = 1..k_max, lists the
-    factors (p, e) with u(n, k) = u(n, k - 1) * prod p^e (entry 0 is empty).
+def _u_series(n: int) -> Iterator[tuple[int, int]]:
+    """Yield (k, u(n, k)) for k = 1, 2, ..., n in one ascending pass, u as an
+    exact integer.
 
-    Uses C(n, k) = C(n, k-1) * (n - k + 1) / k. Entry k holds (p, +1) or
-    (p, -1) for each power of a prime p < k dividing the numerator n - k + 1
-    or the denominator k, then (k, e) with e = v_k(C(n, k)) > 0 when a prime
-    k joins u. For each p, its +1 steps come before its -1 steps, so its
-    exponent in u only falls towards v_p(C(n, k)) >= 0 and dividing u by p
-    on a -1 step is exact. Factor positions come from residues n mod p^t,
-    so n may be huge.
+    Uses C(n, k) = C(n, k-1) * (n - k + 1) / k. Each prime p < k has two
+    pending positions, kept in dicts keyed by k: the next numerator position
+    k = n + 1 (mod p), where u takes p^{v_p(n - k + 1)}, and the next
+    denominator position, the next multiple of p, where u gives up
+    p^{v_p(k)}. Both move on by p after they fire. At each k every
+    multiplication comes before any division, so v_p(C(n, k)) >= 0 makes
+    every division exact.
 
-    A prime's numerator powers stop at the first q = p^t whose first
-    multiple position k0 = (n + 1) mod q (or q itself when that is 0) lies
-    past k_max: (n + 1) mod (q p^s) is (n + 1) mod q plus a multiple of q,
-    so every higher power's first position lies past k_max too.
-
-    Entry k depends only on n and k, so the first k + 1 entries are the
-    same for every k_max >= k. The ledger is counted through ``reserve``
-    before any entry is built.
+    A k > 1 with no denominator due is prime, so the dicts are also an
+    incremental sieve. A prime p joins u at k = p with exponent
+    v_p(C(n, p)) = v_p(n // p): of the numerators n - p + 1..n only
+    p * (n // p) is a multiple of p, and v_p(p!) = 1. Its first numerator
+    position past p is p + (n + 1) mod p, or 2p when that residue is 0, and
+    its first denominator position is 2p. Each joined prime is counted
+    through ``reserve`` before its positions are stored.
     """
-    if not 1 <= k_max <= n:
-        raise ValueError("need 1 <= k_max <= n")
-    reserve(_STEP_BYTES * k_max, f"a u(n, k) sweep to k = {k_max}")
-    steps: list[list[tuple[int, int]]] = [[] for _ in range(k_max + 1)]
-    for p in _prime_list(k_max):
-        # p joins u at k = p with v_p(C(n, p)): one for each power of p
-        # dividing a numerator n - k + 1 with k <= p, less the denominator p.
-        join = -1
-        # numerator n - k + 1 divisible by q = p^t  <=>  k = (n + 1) mod q (+ j q)
-        q = p
-        while q <= n:
-            k0 = (n + 1) % q or q
-            if k0 > k_max:
-                break
-            if k0 <= p:
-                join += 1
-                k0 += q
-            for k in range(k0, k_max + 1, q):
-                steps[k].append((p, 1))
-            q *= p
-        if join:
-            steps[p].append((p, join))
-        # denominator k > p divisible by q = p^t
-        q = p
-        while q <= k_max:
-            for k in range(q if q > p else 2 * p, k_max + 1, q):
-                steps[k].append((p, -1))
-            q *= p
-    return steps
+    numerators: dict[int, list[int]] = {}
+    denominators: dict[int, list[int]] = {}
+    u = 1
+    joined = 0
+    for k in range(1, n + 1):
+        due = numerators.pop(k, None)
+        if due:
+            m = n - k + 1
+            for p in due:
+                m //= p
+                u *= p
+                while not m % p:
+                    m //= p
+                    u *= p
+                numerators.setdefault(k + p, []).append(p)
+        due = denominators.pop(k, None)
+        if due:
+            for p in due:
+                j = k // p
+                u //= p
+                while not j % p:
+                    j //= p
+                    u //= p
+                denominators.setdefault(k + p, []).append(p)
+        elif k > 1:
+            joined += 1
+            reserve(_PRIME_BYTES * joined, f"the u(n, k) series past k = {k}")
+            j = n // k
+            while not j % k:
+                j //= k
+                u *= k
+            numerators.setdefault(k + ((n + 1) % k or k), []).append(k)
+            denominators.setdefault(2 * k, []).append(k)
+        yield k, u
 
 
 @dataclass(frozen=True)
@@ -340,33 +346,17 @@ class ThresholdResult:
 def f_threshold(n: int) -> ThresholdResult:
     """Least k <= n with u(n, k) > n^2, scanning k ascending.
 
-    The scan carries u(n, k) itself as an exact integer, applying the steps
-    of ``_u_steps`` and comparing u > n^2 after each k. Every u met before
-    f(n) is at most n^2, so u stays small.
-
-    The sweep covers k <= min(n, 64) first and doubles its window until it
-    finds f(n) or reaches n. This is exact for every n: the ledger's steps
-    at k do not depend on the window, so a wider window only repeats the
-    comparisons a narrower one already made.
+    The scan reads u(n, k) as an exact integer from ``_u_series`` and stops
+    at the first k whose u exceeds n^2. Every u met before f(n) is at most
+    n^2, so u stays small.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     square = n * n
-    k_max = min(n, 64)
-    while True:
-        ledger = _u_steps(n, k_max)
-        u = 1
-        for k in range(1, k_max + 1):
-            for p, e in ledger[k]:
-                if e == -1:
-                    u //= p
-                else:
-                    u *= p**e
-            if u > square:
-                return ThresholdResult(n=n, f=k, decided_exactly=True)
-        if k_max == n:
-            return ThresholdResult(n=n, f=None, decided_exactly=True)
-        k_max = min(n, 2 * k_max)
+    for k, u in _u_series(n):
+        if u > square:
+            return ThresholdResult(n=n, f=k, decided_exactly=True)
+    return ThresholdResult(n=n, f=None, decided_exactly=True)
 
 
 def _carries(n: int, y: int, p: int) -> int:

@@ -1,10 +1,11 @@
 """Independent oracles the tests check the library against.
 
 Everything here is deliberately naive: trial division, direct big-integer
-factorization, floor sums written out from the definition, grid brute
-force, the two-family discrepancy scan, a prime-string search over a whole
-table at once, and element-level sumsets of the basis. None of it shares code with the package; the basis gap check only
-calls the coloring it is handed.
+factorization, floor sums written out from the definition, a grid scan of
+the discrepancy, the two-family discrepancy scan (exact, and in float64), a
+prime-string search over a whole table at once, and element-level sumsets
+of the basis. None of it shares code with the package; the basis gap check
+only calls the coloring it is handed.
 """
 
 from __future__ import annotations
@@ -114,16 +115,22 @@ def f_oracle(n: int, primes: list[int], bound: int) -> int | None:
 
 
 def grid_discrepancy(points: list[float], steps: int = 1024) -> float:
-    """Brute-force sup of |count/k - length| over closed grid intervals."""
+    """Sup of |count/k - length| over the closed grid intervals
+    [i/steps, j/steps], i <= j, by a running min and max over the grid.
+
+    count/k - length is A[j] - B[i], with A[j] = le[j]/k - j/steps and
+    B[i] = lt[i]/k - i/steps, where le and lt count the points <= and < each
+    grid value. The sup is therefore the larger of max_j (A[j] - min_{i<=j}
+    B[i]) and max_j (max_{i<=j} B[i] - A[j]).
+    """
     xs = np.sort(np.asarray(points, dtype=np.float64))
     k = xs.size
     grid = np.arange(steps + 1) / steps
-    le = np.searchsorted(xs, grid, side="right")  # points <= grid value
-    lt = np.searchsorted(xs, grid, side="left")  # points <  grid value
-    i, j = np.triu_indices(steps + 1)
-    counts = le[j] - lt[i]
-    lengths = (j - i) / steps
-    return float(np.max(np.abs(counts / k - lengths)))
+    a = np.searchsorted(xs, grid, side="right") / k - grid
+    b = np.searchsorted(xs, grid, side="left") / k - grid
+    excess = np.max(a - np.minimum.accumulate(b))
+    deficit = np.max(np.maximum.accumulate(b) - a)
+    return float(max(excess, deficit))
 
 
 def family_discrepancy(points) -> Fraction:
@@ -146,6 +153,23 @@ def family_discrepancy(points) -> Fraction:
         for j in range(i + 1, k + 2)
     )
     return max(excess, deficit)
+
+
+def family_discrepancy_rows(rows: np.ndarray) -> np.ndarray:
+    """``family_discrepancy`` of each row of a 2-D array, in float64: the
+    same two families, every pair (i, j) of a row at once by broadcasting."""
+    xs = np.sort(np.asarray(rows, dtype=np.float64), axis=1)
+    m, k = xs.shape
+    i = np.arange(k)[:, None]
+    j = np.arange(k)[None, :]
+    excess = (j - i + 1) / k - (xs[:, None, :] - xs[:, :, None])
+    excess = np.where(j >= i, excess, -np.inf).max(axis=(1, 2))
+    ext = np.concatenate([np.zeros((m, 1)), xs, np.ones((m, 1))], axis=1)
+    i = np.arange(k + 2)[:, None]
+    j = np.arange(k + 2)[None, :]
+    deficit = (ext[:, None, :] - ext[:, :, None]) - (j - i - 1) / k
+    deficit = np.where(j > i, deficit, -np.inf).max(axis=(1, 2))
+    return np.maximum(excess, deficit)
 
 
 def whole_table_prime_string(

@@ -9,6 +9,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -330,75 +331,32 @@ def test_u_profile_against_big_integer_factorization():
         assert u_profile(n, k).exact_u == small_prime_part(n, k, primes)
 
 
-def test_ledger_exponents_match_profiles():
-    """The ledger's running exponent of each prime at k is v_p(C(n, k)) for
-    every p <= k: the exponents u_profile reads digit by digit."""
-    for n in (10, 1799, 10**6, 2**64 - 59):
-        k_max = min(n, 120)
-        ledger = bt._u_steps(n, k_max)
-        running: dict[int, int] = {}
-        for k in range(1, k_max + 1):
-            for p, e in ledger[k]:
-                running[p] = running.get(p, 0) + e
-            want = {p: v for p, v in u_profile(n, k).valuations.items() if v}
-            assert {p: e for p, e in running.items() if e} == want, (n, k)
-
-
-def _replayed_u(n: int, k_max: int):
-    """u(n, k) for k = 1..k_max, multiplied out along the ledger; asserts
-    that every division by p on a -1 step leaves no remainder."""
-    ledger = bt._u_steps(n, k_max)
-    assert ledger[0] == []
-    u = 1
-    for k in range(1, k_max + 1):
-        for p, e in ledger[k]:
-            if e == -1:
-                assert u % p == 0, (n, k, p)
-                u //= p
-            else:
-                assert e > 0, (n, k, p)
-                u *= p**e
-        yield k, u
-
-
-def test_ledger_replays_exact_u_with_exact_divisions():
-    """Multiplying out the ledger's steps gives u_profile's exact u at every
-    k, and every division by p on a -1 step leaves no remainder."""
-    for n in (10, 1799, 10**6, 2**64 - 59, lower_bound_witness(12).M_K - 1):
-        for k, u in _replayed_u(n, min(n, 120)):
-            assert u == u_profile(n, k).exact_u, (n, k)
-
-
-def test_ledger_prefix_is_window_independent():
-    """The entry at k is the same whatever the window K >= k: the sweep only
-    sees factor events at positions <= k, and a prime p joins u at k = p.
-    ``f_threshold``'s 64-then-double window rests on this."""
-    for n in (1007, 10**6 + 3, 2**64 - 59, 2**20 - 1, lower_bound_witness(12).M_K - 1):
-        assert bt._u_steps(n, 64) == bt._u_steps(n, min(n, 1024))[:65], n
-
-
-def test_ledger_early_exit_at_full_powers():
-    """Where q = p^t divides n + 1, the numerator position (n + 1) mod q is 0
-    and the first multiple of q is q itself; the ledger stops a prime's
-    powers once that lies past the window. At n = p^t - 1 and M_K - 1 every
-    low power divides n + 1: f(n) still equals the definition's, and the
-    ledger still replays u(n, k) exactly."""
+def test_u_series_equals_small_prime_part():
+    """``_u_series`` yields u(n, k) at every k <= min(n, 150), equal to the
+    big-integer factorization of C(n, k) and to ``u_profile``, and f(n) is
+    the definition's. Besides small and huge n, the edges n = p^t - 1 and
+    M_K - 1 have every low power of p dividing n + 1: each multiple of p is
+    then both a numerator and a denominator position of p, and p's first
+    numerator position past p is 2p."""
     primes = sieve_primes(400).primes.tolist()
-    ns = [2**20 - 1, 2**64 - 1, 3**13 - 1, 5**9 - 1, 7**8 - 1, 31**4 - 1]
-    ns += [lower_bound_witness(K).M_K - 1 for K in (5, 12, 20)]
-    for n in ns:
-        assert any((n + 1) % (p * p) == 0 for p in (2, 3, 5, 7, 31)), n
+    edges = [2**20 - 1, 2**64 - 1, 3**13 - 1, 5**9 - 1, 7**8 - 1, 31**4 - 1]
+    edges += [lower_bound_witness(K).M_K - 1 for K in (5, 12, 20)]
+    assert all(any((n + 1) % (p * p) == 0 for p in (2, 3, 5, 7, 31)) for n in edges)
+    for n in [10, 1007, 1799, 10**6, 10**6 + 3, 2**64 - 59] + edges:
+        k_max = min(n, 150)
+        series = list(islice(bt._u_series(n), k_max))
+        assert [k for k, _ in series] == list(range(1, k_max + 1)), n
+        for k, u in series:
+            assert u == small_prime_part(n, k, primes) == u_profile(n, k).exact_u, (n, k)
         assert f_threshold(n).f == f_oracle(n, primes, 400), n
-        for k, u in _replayed_u(n, min(n, 150)):
-            assert u == small_prime_part(n, k, primes), (n, k)
 
 
-def test_f_threshold_across_window_doublings():
+def test_f_threshold_at_long_scans():
     primes = sieve_primes(400).primes.tolist()
-    # f(M_40 - 1) = 371: the window widens 64 -> 128 -> 256 -> 512
+    # f(M_40 - 1) = 371: 73 primes join the series before it stops
     n = lower_bound_witness(40).M_K - 1
     assert f_threshold(n).f == f_oracle(n, primes, 400) == 371
-    # f(4549) = 67 is the largest f(n) for n <= 5000, one doubling past 64
+    # f(4549) = 67 is the largest f(n) for n <= 5000
     assert f_threshold(4549).f == f_oracle(4549, primes, 400) == 67
 
 
@@ -432,26 +390,37 @@ def test_f_threshold_decides_ties_and_near_misses_exactly():
         assert res.decided_exactly
 
 
-def test_ledger_memory_budget(monkeypatch):
-    """The u(n, k) ledger behind ``f_threshold`` is refused before it is built
-    when its positions would exceed the budget, which is read at call time."""
-    n, k_max = 10**6, 1185
-    need = bt._STEP_BYTES * k_max
+def test_u_series_memory_budget(monkeypatch):
+    """The series behind ``f_threshold`` counts each prime it joins through
+    ``reserve`` before it stores the prime's positions, under the budget
+    read at call time. f(M_40 - 1) = 371 joins the 73 primes up to 367: the
+    scan's peak stays within their count, the exact count passes and one
+    byte less refuses. A series read to just past a dict resize (k = 26,178
+    at n = 10^6) also stays within its count."""
+    n = lower_bound_witness(40).M_K - 1
+    need = bt._PRIME_BYTES * 73
+    long_need = bt._PRIME_BYTES * len(sieve_primes(26_178).primes)
     tracemalloc.start()
     try:
-        bt._u_steps(n, k_max)
+        assert f_threshold(n).f == 371
         peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        for k, _ in bt._u_series(10**6):
+            if k == 26_178:
+                break
+        long_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= need
+    assert long_peak <= long_need
     monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need)
-    assert len(bt._u_steps(n, k_max)) == k_max + 1
+    assert f_threshold(n).f == 371
     monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need - 1)
-    with pytest.raises(ResourceLimitError):
-        bt._u_steps(n, k_max)
-    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", bt._STEP_BYTES * 64 - 1)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="k = 367"):
         f_threshold(n)
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", bt._PRIME_BYTES - 1)
+    with pytest.raises(ResourceLimitError, match="k = 2"):
+        f_threshold(10**6)
 
 
 @pytest.mark.parametrize("n, c", [(10**6, 6.21), (10**18, 200.0)])

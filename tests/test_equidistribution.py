@@ -30,6 +30,7 @@ from erdos_trio.equidistribution import _discrepancy, _fixed_point_parts, _windo
 
 from oracles import (
     family_discrepancy,
+    family_discrepancy_rows,
     grid_discrepancy,
     is_prime_oracle,
     star_discrepancy,
@@ -128,7 +129,47 @@ def test_discrepancy_matches_grid_bruteforce():
         assert exact <= grid + 2 / 1024 + 1e-12
 
 
+def _pairwise_grid_discrepancy(points, steps):
+    """The grid oracle's sup formed over every pair i <= j of grid points."""
+    xs = np.sort(np.asarray(points, dtype=np.float64))
+    grid = np.arange(steps + 1) / steps
+    le = np.searchsorted(xs, grid, side="right")
+    lt = np.searchsorted(xs, grid, side="left")
+    i, j = np.triu_indices(steps + 1)
+    return float(np.max(np.abs((le[j] - lt[i]) / xs.size - (j - i) / steps)))
+
+
+def test_grid_oracle_equals_its_pairwise_form():
+    """The grid oracle's running min and max give the sup over every closed
+    grid interval, as the pairwise form does: on seeded points, half of the
+    sets with points on the grid, and grids from 1 to 1024 steps.
+
+    Mutation control: B's min and max taken over the whole grid instead of
+    over i <= j also count the open gaps (j/steps, i/steps). Those differ
+    from the closed intervals only at a point on the grid, and the mutant
+    differs from the pairwise form on such inputs."""
+    rng = random.Random(0x6D1D)
+    differs = 0
+    for case in range(200):
+        steps = rng.choice([1, 2, 7, 64, 1024])
+        pts = [rng.random() for _ in range(rng.randrange(1, 13))]
+        if case % 2:
+            pts += [rng.randrange(steps) / steps for _ in range(rng.randrange(1, 4))]
+        want = _pairwise_grid_discrepancy(pts, steps)
+        assert abs(grid_discrepancy(pts, steps) - want) < 1e-15, (pts, steps)
+        xs = np.sort(pts)
+        grid = np.arange(steps + 1) / steps
+        a = np.searchsorted(xs, grid, side="right") / xs.size - grid
+        b = np.searchsorted(xs, grid, side="left") / xs.size - grid
+        mutant = max(np.max(a - b.min()), np.max(b.max() - a))
+        differs += abs(mutant - want) > 1e-12
+    assert differs >= 10
+
+
 def test_float_batch_rows_match_1d_and_oracle():
+    """The batch kernel equals the 1-D closed form and the float64 family
+    oracle on every row; that oracle equals the exact Fraction one on two
+    rows per k, one with a repeated point and one with a point at 0."""
     rng = np.random.RandomState(6)
     for k in (1, 2, 3, 7, 50, 199):
         batch = np.sort(rng.rand(40, k), axis=1)
@@ -137,9 +178,12 @@ def test_float_batch_rows_match_1d_and_oracle():
         batch[1::5, 0] = 0.0
         ds = _discrepancy(batch)
         assert ds.shape == (40,)
-        for row, d in zip(batch, ds):
+        families = family_discrepancy_rows(batch)
+        for row, d, family in zip(batch, ds, families):
             assert abs(interval_discrepancy(list(row)) - d) < 1e-12
-            assert abs(float(family_discrepancy(list(row))) - d) < 1e-12
+            assert abs(family - d) < 1e-12
+        for row, family in zip(batch[:2], families[:2]):
+            assert abs(float(family_discrepancy(list(row))) - family) < 1e-15
 
 
 @settings(max_examples=300, deadline=None)
