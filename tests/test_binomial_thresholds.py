@@ -33,6 +33,7 @@ from oracles import (
     comb_exponent,
     f_oracle,
     legendre_valuation,
+    prime_exponent,
     small_prime_part,
     valuation_row_oracle,
 )
@@ -331,24 +332,74 @@ def test_u_profile_against_big_integer_factorization():
         assert u_profile(n, k).exact_u == small_prime_part(n, k, primes)
 
 
-def test_u_series_equals_small_prime_part():
-    """``_u_series`` yields u(n, k) at every k <= min(n, 150), equal to the
-    big-integer factorization of C(n, k) and to ``u_profile``, and f(n) is
-    the definition's. Besides small and huge n, the edges n = p^t - 1 and
-    M_K - 1 have every low power of p dividing n + 1: each multiple of p is
-    then both a numerator and a denominator position of p, and p's first
-    numerator position past p is 2p."""
-    primes = sieve_primes(400).primes.tolist()
-    edges = [2**20 - 1, 2**64 - 1, 3**13 - 1, 5**9 - 1, 7**8 - 1, 31**4 - 1]
-    edges += [lower_bound_witness(K).M_K - 1 for K in (5, 12, 20)]
-    assert all(any((n + 1) % (p * p) == 0 for p in (2, 3, 5, 7, 31)) for n in edges)
-    for n in [10, 1007, 1799, 10**6, 10**6 + 3, 2**64 - 59] + edges:
-        k_max = min(n, 150)
+def test_ledger_exponents_match_profiles():
+    """The u(n, k) that ``_u_series`` yields at k factors over the primes
+    p <= k with exponent v_p(C(n, k)) for every such p: the exponents
+    u_profile reads digit by digit."""
+    primes = sieve_primes(120).primes.tolist()
+    for n in (10, 1799, 10**6, 2**64 - 59):
+        k_max = min(n, 120)
+        for k, u in islice(bt._u_series(n), k_max):
+            got = {}
+            for p in primes:
+                if p > k:
+                    break
+                e = prime_exponent(u, p)
+                if e:
+                    got[p] = e
+                    u //= p**e
+            assert u == 1, (n, k)
+            want = {p: v for p, v in u_profile(n, k).valuations.items() if v}
+            assert got == want, (n, k)
+
+
+def _step_factors(n: int, k: int, primes: list[int]) -> tuple[int, int]:
+    """The factors that take u(n, k - 1) to u(n, k) through
+    C(n, k) = C(n, k - 1) * (n - k + 1) / k: the primes p < k of n - k + 1,
+    with p^{v_p(C(n, p))} when k = p is prime, over the primes p < k of k."""
+    num = 1
+    den = 1
+    for p in primes:
+        if p >= k:
+            break
+        num *= p ** prime_exponent(n - k + 1, p)
+        den *= p ** prime_exponent(k, p)
+    if k in primes:
+        num *= k ** comb_exponent(n, k, k)
+    return num, den
+
+
+def test_ledger_replays_exact_u_with_exact_divisions():
+    """``_u_series`` yields k = 1, 2, ... in order with u_profile's exact u
+    at every k. Each step from u(n, k - 1) to u(n, k) multiplies before it
+    divides, so the division by k's factors leaves no remainder."""
+    primes = sieve_primes(120).primes.tolist()
+    for n in (10, 1007, 1799, 10**6, 10**6 + 3, 2**64 - 59, lower_bound_witness(12).M_K - 1):
+        k_max = min(n, 120)
         series = list(islice(bt._u_series(n), k_max))
         assert [k for k, _ in series] == list(range(1, k_max + 1)), n
+        prev = 1
         for k, u in series:
-            assert u == small_prime_part(n, k, primes) == u_profile(n, k).exact_u, (n, k)
+            num, den = _step_factors(n, k, primes)
+            assert (prev * num) % den == 0, (n, k)
+            assert u == prev * num // den == u_profile(n, k).exact_u, (n, k)
+            prev = u
+
+
+def test_ledger_early_exit_at_full_powers():
+    """Where q = p^t divides n + 1, every multiple of p up to q is both a
+    numerator and a denominator position of p, and p's first numerator
+    position past p is 2p. At n = p^t - 1 and M_K - 1 every low power
+    divides n + 1: ``_u_series`` still yields the big-integer u(n, k) at
+    every k <= 150, and f(n) still equals the definition's."""
+    primes = sieve_primes(400).primes.tolist()
+    ns = [2**20 - 1, 2**64 - 1, 3**13 - 1, 5**9 - 1, 7**8 - 1, 31**4 - 1]
+    ns += [lower_bound_witness(K).M_K - 1 for K in (5, 12, 20)]
+    for n in ns:
+        assert any((n + 1) % (p * p) == 0 for p in (2, 3, 5, 7, 31)), n
         assert f_threshold(n).f == f_oracle(n, primes, 400), n
+        for k, u in islice(bt._u_series(n), min(n, 150)):
+            assert u == small_prime_part(n, k, primes), (n, k)
 
 
 def test_f_threshold_at_long_scans():
