@@ -21,11 +21,12 @@ diameter budget below that rules the class out.
 
 Interval discrepancy has a closed form (Kuipers & Niederreiter, Uniform
 Distribution of Sequences, 1974, Ch. 2, Thm 1.4): for sorted x_1..x_k in
-[0, 1), D = 1/k + max_i(x_i - i/k) - min_i(x_i - i/k). One kernel
-evaluates it along the last axis of an array, so the same code scores a
-float64 matrix of scan windows, one float sample, or an object array of
-Fractions, where it is exact. The result type follows the input: Fraction
-points (such as a ``window_sample``) give a Fraction, floats give a float.
+[0, 1), D = 1/k + max_i(x_i - i/k) - min_i(x_i - i/k). It has two kernels:
+a float64 one along the last axis of an array, which scores a matrix of
+scan windows or one float sample, and an exact one in integers over the
+points' common denominator, which scores Fraction points and a scan's
+re-checked windows. The result type follows the input: Fraction points
+(such as a ``window_sample``) give a Fraction, floats give a float.
 
 A window scan is the one place where floats decide anything, and they
 decide only which windows to score exactly. Each window is scored in
@@ -160,32 +161,37 @@ def window_sample(
             f"window needs prime index {n + k}; table holds {len(table)} primes"
         )
     a = parse_alpha(alpha)
-    num, den = a.numerator, a.denominator
-    residues = sorted(num * int(p) % den for p in table.primes[n : n + k])
-    return tuple(Fraction(r, den) for r in residues)
+    return tuple(Fraction(r, a.denominator) for r in _sorted_residues(a, n, k, table))
+
+
+def _sorted_residues(alpha: Fraction, n: int, k: int, table: PrimeTable) -> list[int]:
+    """The residues num p mod den of the primes p_{n+1..n+k}, ascending, with
+    num/den = alpha: den times their fractional parts {alpha p}."""
+    num, den = alpha.numerator, alpha.denominator
+    return sorted(num * p % den for p in table.primes[n : n + k].tolist())
 
 
 def _window_discrepancy(alpha: Fraction, n: int, k: int, table: PrimeTable) -> Fraction:
     """The exact interval discrepancy of ``window_sample(alpha, n, k, table)``,
-    in integers.
+    in integers."""
+    return _exact_discrepancy(_sorted_residues(alpha, n, k, table), alpha.denominator)
 
-    With num/den = alpha and r_1 <= ... <= r_k the residues num p mod den of
-    the window's primes, the closed form scaled by k den is
+
+def _exact_discrepancy(residues: list[int], den: int) -> Fraction:
+    """The interval discrepancy of the points r_i / den, r_1 <= ... <= r_k
+    in [0, den), exactly.
+
+    The closed form scaled by k den is
     k den D = min(k den, den + max_i(k r_i - i den) - min_i(k r_i - i den)).
     """
-    num, den = alpha.numerator, alpha.denominator
-    residues = sorted(num * p % den for p in table.primes[n : n + k].tolist())
+    k = len(residues)
     ys = [k * r - i * den for i, r in enumerate(residues)]
     return Fraction(min(k * den, den + max(ys) - min(ys)), k * den)
 
 
-def _discrepancy(xs: np.ndarray):
-    """Closed-form interval discrepancy along the last axis of a sorted array.
-
-    Works on float64 arrays and on object arrays of Fractions (exactly).
-    Float rounding can overshoot 1 by an ulp; exact values never exceed 1,
-    so the cap returns them unchanged.
-    """
+def _discrepancy(xs: np.ndarray) -> np.ndarray:
+    """Closed-form interval discrepancy along the last axis of a sorted
+    float64 array. Rounding can overshoot 1 by an ulp; the cap removes it."""
     k = xs.shape[-1]
     ys = k * xs - np.arange(1, k + 1)
     return np.minimum((1 + ys.max(axis=-1) - ys.min(axis=-1)) / k, 1)
@@ -197,22 +203,22 @@ def interval_discrepancy(points: Sequence[Fraction | float]) -> float | Fraction
     Uses the closed form D = 1/k + max_i(x_i - i/k) - min_i(x_i - i/k) over
     the sorted points (Kuipers & Niederreiter 1974, Ch. 2, Thm 1.4). The
     result type follows the input: any Fraction among the points gives the
-    exact Fraction (floats among them count at their exact dyadic value);
-    all-float input is scored in float64 and gives a float. A point outside
-    [0, 1) raises ValueError.
+    exact Fraction, scored in integers over the points' common denominator
+    (floats among them count at their exact dyadic value); all-float input
+    is scored in float64 and gives a float. A point outside [0, 1),
+    infinities and NaN included, raises ValueError.
     """
     pts = list(points)
     if not pts:
         raise ValueError("discrepancy needs at least one point")
-    exact = any(isinstance(x, Fraction) for x in pts)
-    if exact:
-        xs = np.array(sorted(Fraction(x) for x in pts), dtype=object)
-    else:
-        xs = np.sort(np.asarray(pts, dtype=np.float64))
-    if not 0 <= xs[0] <= xs[-1] < 1:
-        raise ValueError(f"points must lie in [0, 1); got {xs[0]} .. {xs[-1]}")
-    d = _discrepancy(xs)
-    return d if exact else float(d)
+    outside = [x for x in pts if not 0 <= x < 1]
+    if outside:
+        raise ValueError(f"points must lie in [0, 1); got {outside[0]}")
+    if any(isinstance(x, Fraction) for x in pts):
+        xs = sorted(map(Fraction, pts))
+        den = math.lcm(*(x.denominator for x in xs))
+        return _exact_discrepancy([x.numerator * (den // x.denominator) for x in xs], den)
+    return float(_discrepancy(np.sort(np.asarray(pts, dtype=np.float64))))
 
 
 @dataclass(frozen=True)

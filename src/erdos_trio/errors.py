@@ -23,12 +23,14 @@ def reserve(need_bytes: int, what: str) -> None:
 
     The contract: every structure whose size follows a request (a sieve, a
     prime list, a row, the pending positions of the primes an f(n) scan has
-    met, a list of interval sums or rendered rows) is counted, at a measured
-    number of bytes per unit, before any of it is built, or, for the scan,
-    before each prime's positions are stored. It must fit in
-    ``DEFAULT_MEMORY_BUDGET`` bytes, which is read at call time. A need of
-    exactly the budget fits; one byte more raises ResourceLimitError with
-    the message "<what> needs ~<need> bytes; budget is <budget>".
+    met, a list of interval sums or rendered rows) is counted before any of
+    it is built, or, for the scan, before each prime's positions are stored.
+    It is counted at a measured number of bytes per unit, so the count
+    covers the tracemalloc peak of building it, temporaries and copies
+    included. It must fit in ``DEFAULT_MEMORY_BUDGET`` bytes, which is read
+    at call time. A need of exactly the budget fits; one byte more raises
+    ResourceLimitError with the message "<what> needs ~<need> bytes; budget
+    is <budget>".
     """
     if need_bytes > DEFAULT_MEMORY_BUDGET:
         raise ResourceLimitError(

@@ -29,6 +29,15 @@ SEGMENT_SPAN = 1 << 24
 # prime at 2^18, 2^20 and 2^22 (40 per unit of ``_prime_count_bound``).
 _LIST_BYTES = 48
 
+# Peak bytes of ``sieve_primes`` per prime of ``_prime_count_bound``, beside
+# one segment's mask and 1 KiB that does not grow: the primes are held twice
+# at the peak, as a segment's indices and their odd values, or as the chunks
+# and their concatenation. tracemalloc, base primes cached, mask and 441
+# bytes excluded, gives 15.6 at 1e3, 14.3 at 1e4, 13.4 at 1e6, 13.2 at 1e7
+# and 2^24, 12.3 at 3e7 and 13.0 at 5e7 and 1e8. Below 1e3 array headers
+# show; at limits 0 and 1 the whole peak is 457-473 bytes.
+_SIEVE_BYTES = 16
+
 # Miller-Rabin witnesses: the first 13 primes decide every n below
 # 3.317e24 (psi_13, Sorenson & Webster, Math. Comp. 86 (2017)).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -123,13 +132,15 @@ def _prime_count_bound(x: int) -> int:
 def sieve_primes(limit: int) -> PrimeTable:
     """Sieve every prime <= limit into a PrimeTable.
 
-    One segment's mask plus 8 bytes per prime of the output array are
-    counted through ``reserve`` before the sieve runs.
+    One segment's mask, 1 KiB and ``_SIEVE_BYTES`` per prime of the
+    1.3 x / ln x bound are counted through ``reserve`` before the sieve
+    runs; the sieving primes up to sqrt(limit) come from ``_prime_list``,
+    whose cache counts its own lists.
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    mask_bytes = min(limit, 2 * SEGMENT_SPAN) // 2 + 1
-    reserve(mask_bytes + 8 * _prime_count_bound(limit), f"sieving to {limit}")
+    mask_bytes = min(limit, SEGMENT_SPAN) // 2 + 1024
+    reserve(mask_bytes + _SIEVE_BYTES * _prime_count_bound(limit), f"sieving to {limit}")
     primes = _sieve(limit)
     primes.setflags(write=False)
     return PrimeTable(limit=limit, primes=primes)

@@ -3,9 +3,9 @@
 Everything here is deliberately naive: trial division, direct big-integer
 factorization, floor sums written out from the definition, a grid scan of
 the discrepancy, the two-family discrepancy scan (exact, and in float64), a
-prime-string search over a whole table at once, and element-level sumsets
-of the basis. None of it shares code with the package; the basis gap check
-only calls the coloring it is handed.
+prime-by-prime search for a prime string over a whole table, and
+element-level sumsets of the basis. None of it shares code with the package;
+the basis gap check only calls the coloring it is handed.
 """
 
 from __future__ import annotations
@@ -176,19 +176,18 @@ def whole_table_prime_string(
     ps: np.ndarray, q: int, a: int, m: int, max_diameter: int | None = None
 ) -> tuple[int, tuple[int, ...]] | None:
     """(r, run) for the first m consecutive primes ps[r..r+m-1] all = a (mod q)
-    and at most ``max_diameter`` wide, or None: one pass over the whole
-    ascending table of primes ``ps``."""
-    if ps.size < m:
-        return None
-    mask = (ps % q) == (a % q)
-    cums = np.concatenate([[0], np.cumsum(mask)])
-    run_starts = np.flatnonzero(cums[m:] - cums[:-m] == m)
-    if max_diameter is not None:
-        run_starts = run_starts[ps[run_starts + m - 1] - ps[run_starts] <= max_diameter]
-    if run_starts.size == 0:
-        return None
-    r = int(run_starts[0])
-    return r, tuple(int(p) for p in ps[r : r + m])
+    and at most ``max_diameter`` wide, or None: one plain loop over the whole
+    ascending table of primes ``ps``, prime by prime."""
+    primes = ps.tolist()
+    start = 0  # where the current stretch of primes = a (mod q) began
+    for i, p in enumerate(primes):
+        if p % q != a % q:
+            start = i + 1
+        elif i - start + 1 >= m:
+            r = i - m + 1
+            if max_diameter is None or p - primes[r] <= max_diameter:
+                return r, tuple(primes[r : i + 1])
+    return None
 
 
 def star_discrepancy(points) -> float:

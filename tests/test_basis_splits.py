@@ -2,7 +2,6 @@
 
 import random
 import time
-import tracemalloc
 
 import pytest
 
@@ -24,9 +23,10 @@ from erdos_trio import (
     stage_filler,
     sumset_cover_check,
 )
-from erdos_trio import basis_splits, errors
+from erdos_trio import basis_splits
 from erdos_trio.basis_splits import _sumset, stage_intervals
 
+from budget import assert_counted, peak_bytes
 from oracles import (
     basis_intervals,
     color_class_misses_window,
@@ -126,14 +126,8 @@ def test_representations_bruteforce_oracle():
 
 def test_representations_memory_budget():
     """The ranges hold O(stages) ints, not one entry per representation."""
-    tracemalloc.start()
-    try:
-        rep = representations(10**6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rep.count == 101585
-    assert peak < 64 * 1024
+    assert representations(10**6).count == 101585
+    assert peak_bytes(lambda: representations(10**6)) < 64 * 1024
     # ~4e11 and ~1e999 representations: counted from the ranges in one
     # linear merge of the intervals (~4,300 of them for the 1,001-digit n)
     for n in (10**13, 10**1000):
@@ -142,41 +136,17 @@ def test_representations_memory_budget():
         assert time.perf_counter() - start < 1.0
 
 
-def test_stage_intervals_and_elements_memory_budget(monkeypatch):
+def test_stage_intervals_and_elements_memory_budget():
     """The intervals of A and the elements of ``enumerate_A`` are counted
     before they are built, covering what tracemalloc measures."""
     limit = 3 * 5**1000  # the intervals ``sumset_cover_check(1000)`` builds
     bits = limit.bit_length()
     need = (3 * (bits // 2 + 1) + 1) * basis_splits._interval_bytes(bits)
-    tracemalloc.start()
-    try:
-        stage_intervals(limit)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= need
-    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need)
-    assert len(stage_intervals(limit)) == 3001
-    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need - 1)
-    with pytest.raises(ResourceLimitError):
-        stage_intervals(limit)
-    monkeypatch.undo()
+    assert len(assert_counted(need, lambda: stage_intervals(limit))) == 3001
 
     limit = 10**6
     need = basis_splits._ELEMENT_BYTES * 414087  # |A ∩ [0, 1e6]|
-    tracemalloc.start()
-    try:
-        enumerate_A(limit)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= need
-    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need)
-    assert len(enumerate_A(limit)) == 414087
-    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need - 1)
-    with pytest.raises(ResourceLimitError):
-        enumerate_A(limit)
-    monkeypatch.undo()
+    assert len(assert_counted(need, lambda: enumerate_A(limit))) == 414087
     # ~21 GB of interval endpoints at stage 1e5: refused before the first is built
     for check in (sumset_cover_check, rigidity_check):
         start = time.perf_counter()
@@ -185,25 +155,13 @@ def test_stage_intervals_and_elements_memory_budget(monkeypatch):
         assert time.perf_counter() - start < 1.0
 
 
-def test_sumset_memory_budget(monkeypatch):
+def test_sumset_memory_budget():
     """The interval sums are counted before any is built, at a size per sum
     that covers what tracemalloc measures; the budget is read at call time."""
     k = 60
     bits = (6 * 5**k).bit_length()  # the largest sum, 2 * max(A_k)
     need = len(stage_intervals(3 * 5**k)) ** 2 * (basis_splits._SUM_BYTES + 8 * (bits // 30))
-    tracemalloc.start()
-    try:
-        sumset_cover_check(k)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= need
-    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need)
-    assert sumset_cover_check(k).covered
-    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need - 1)
-    with pytest.raises(ResourceLimitError):
-        sumset_cover_check(k)
-    monkeypatch.undo()
+    assert assert_counted(need, lambda: sumset_cover_check(k)).covered
     # ~9e6 sums of ~2,300 bits, several GB: refused before any is built
     for check in (sumset_cover_check, rigidity_check):
         start = time.perf_counter()

@@ -7,7 +7,6 @@ derived from big-integer factorization oracles in ``oracles.py``.
 import math
 import random
 import time
-import tracemalloc
 from fractions import Fraction
 from itertools import islice
 
@@ -29,6 +28,7 @@ from erdos_trio import errors
 from erdos_trio import primes as pr
 from erdos_trio.errors import VerificationError
 
+from budget import assert_counted, peak_bytes
 from oracles import (
     comb_exponent,
     f_oracle,
@@ -131,7 +131,7 @@ def _clear_row_tables():
     bt._factorial_table.cache_clear()
 
 
-def _check_row_counts(monkeypatch, n, p, method):
+def _check_row_counts(n, p, method):
     """A cold call counts its table fill and its row; a warm one only its
     row. The peak stays within what was counted, the larger count exactly
     fits the budget, and one byte less refuses."""
@@ -139,55 +139,29 @@ def _check_row_counts(monkeypatch, n, p, method):
     row_need = bt._ROW_BYTES * (n + 1)
     fill_need = _table_fill_bytes(n, p, method)
     want = valuation_row_oracle(n, p, method)
-
-    def peak_of_call():
-        tracemalloc.start()
-        try:
-            row = valuation_row(n, p, method)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        np.testing.assert_array_equal(row, want)
-        return peak
-
-    _clear_row_tables()
-    assert peak_of_call() <= row_need + fill_need  # cold
-    assert peak_of_call() <= row_need  # warm
-    for cold, need in ((True, max(row_need, fill_need)), (False, row_need)):
-        for budget, fits in ((need, True), (need - 1, False)):
-            if cold:
-                _clear_row_tables()
-            else:
-                valuation_row(n, p, method)
-            monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", budget)
-            if fits:
-                np.testing.assert_array_equal(valuation_row(n, p, method), want)
-            else:
-                with pytest.raises(ResourceLimitError):
-                    valuation_row(n, p, method)
-            monkeypatch.undo()
+    row = lambda: valuation_row(n, p, method)  # noqa: E731
+    cold = assert_counted(
+        max(row_need, fill_need), row, before=_clear_row_tables, peak=row_need + fill_need
+    )
+    np.testing.assert_array_equal(cold, want)
+    np.testing.assert_array_equal(assert_counted(row_need, row, before=row), want)  # warm
 
 
-def test_valuation_row_memory_budget(monkeypatch):
+def test_valuation_row_memory_budget():
     """The budget counts every temporary row, and is read at call time."""
     n = 1000
     need = bt._ROW_BYTES * (n + 1)
     valuation_row(n, 3)  # fills the prime caches, which count their own fill
-    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need)
     for method in ("indicator", "legendre"):
-        row = valuation_row(n, 3, method=method)
+        row = assert_counted(need, lambda: valuation_row(n, 3, method=method))
         assert row[500] == comb_exponent(n, 500, 3)
-    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need - 1)
-    with pytest.raises(ResourceLimitError):
-        valuation_row(n, 3)
-    monkeypatch.undo()
     # ~28 GB of rows: refused before any row is built
     with pytest.raises(ResourceLimitError):
         valuation_row(10**9, 2, method="legendre")
     # cold and warm tables, both forms: the table fill binds when cold
     for n, p in ((1000, 3), (600, 2), (520, 509)):
         for method in ("indicator", "legendre"):
-            _check_row_counts(monkeypatch, n, p, method)
+            _check_row_counts(n, p, method)
 
 
 def test_valuation_row_past_the_memo_bound_keeps_nothing():
@@ -197,13 +171,7 @@ def test_valuation_row_past_the_memo_bound_keeps_nothing():
     bt._check_prime(3)
     _clear_row_tables()
     for method in ("indicator", "legendre"):
-        tracemalloc.start()
-        try:
-            row = valuation_row(n, 3, method)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bt._ROW_BYTES * (n + 1)
+        row = assert_counted(bt._ROW_BYTES * (n + 1), lambda: valuation_row(n, 3, method))
         np.testing.assert_array_equal(row, valuation_row_oracle(n, 3, method))
     assert bt._residue_table.cache_info().currsize == 0
     assert bt._factorial_table.cache_info().currsize == 0
@@ -211,21 +179,20 @@ def test_valuation_row_past_the_memo_bound_keeps_nothing():
 
 def test_valuation_row_cache_holds_under_its_stated_bound():
     """After a sweep over many p and lengths up to the memo bound, the
-    tables the caches keep stay under the 60 MiB the docstring states.
-    Large tables come last, so the sweep ends near the worst case."""
+    tables the caches keep stay under the 60 MiB the docstring states: the
+    sweep's peak, which bounds what they keep at its end, does. Large
+    tables come last, so the sweep ends near the worst case."""
     primes = sieve_primes(400).primes.tolist()
     bt._check_prime(2)
     _clear_row_tables()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+
+    def sweep():
         for bits in (10, 12, 14, 15, 16):
             for p in reversed(primes):
                 for method in ("indicator", "legendre"):
                     valuation_row((1 << bits) - 1, p, method)
-        held = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
+
+    held = peak_bytes(sweep)
     assert bt._residue_table.cache_info().currsize == bt._ROW_MEMO_TABLES
     assert bt._factorial_table.cache_info().currsize == bt._ROW_MEMO_TABLES
     assert 50 * 2**20 < held <= 60 * 2**20
@@ -451,52 +418,30 @@ def test_u_series_memory_budget(monkeypatch):
     n = lower_bound_witness(40).M_K - 1
     need = bt._PRIME_BYTES * 73
     long_need = bt._PRIME_BYTES * len(sieve_primes(26_178).primes)
-    tracemalloc.start()
-    try:
-        assert f_threshold(n).f == 371
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
+    assert assert_counted(need, lambda: f_threshold(n), match="k = 367").f == 371
+
+    def read_long_series():
         for k, _ in bt._u_series(10**6):
             if k == 26_178:
                 break
-        long_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= need
-    assert long_peak <= long_need
-    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need)
-    assert f_threshold(n).f == 371
-    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need - 1)
-    with pytest.raises(ResourceLimitError, match="k = 367"):
-        f_threshold(n)
+
+    assert peak_bytes(read_long_series) <= long_need
     monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", bt._PRIME_BYTES - 1)
     with pytest.raises(ResourceLimitError, match="k = 2"):
         f_threshold(10**6)
 
 
 @pytest.mark.parametrize("n, c", [(10**6, 6.21), (10**18, 200.0)])
-def test_certificate_memory_budget(monkeypatch, n, c):
+def test_certificate_memory_budget(n, c):
     """The certificate's one request-sized structure is its prime list, the
     cached primes below the next power of two past Y. On a cold cache its
     peak stays within the list's count, the exact count passes and one byte
     less refuses."""
     y = int(c * math.log(n) ** 2)
     need = pr._LIST_BYTES * pr._prime_count_bound((1 << y.bit_length()) - 1)
-    pr._primes_below_power_of_two.cache_clear()
-    tracemalloc.start()
-    try:
-        want = certificate_average(n, c)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= need
-    pr._primes_below_power_of_two.cache_clear()
-    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need)
-    assert certificate_average(n, c) == want
-    pr._primes_below_power_of_two.cache_clear()
-    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need - 1)
-    with pytest.raises(ResourceLimitError):
-        certificate_average(n, c)
+    want = certificate_average(n, c)
+    cold = pr._primes_below_power_of_two.cache_clear
+    assert assert_counted(need, lambda: certificate_average(n, c), before=cold) == want
 
 
 def test_certificate_refuses_a_prime_list_past_the_budget():

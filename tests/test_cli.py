@@ -6,12 +6,13 @@ import json
 import subprocess
 import sys
 import time
-import tracemalloc
 
 import pytest
 
-from erdos_trio import binomial_thresholds, cli, equidistribution, errors
+from erdos_trio import ResourceLimitError, binomial_thresholds, cli, equidistribution, errors
 from erdos_trio.cli import EXIT_HORIZON, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
+
+from budget import assert_counted, peak_bytes
 
 
 def run_cli(capsys, *argv):
@@ -210,27 +211,26 @@ def test_unservable_request_is_one_line_usage_error(capsys, argv):
     assert elapsed < 1.0
 
 
-def test_basis_reps_counts_rendered_rows(capsys, monkeypatch):
+def _served(argv):
+    """``main(argv)`` as a call for ``assert_counted``: ``main`` reports a
+    refused request as a usage error, which this raises as the refusal."""
+
+    def call():
+        code = main(argv)
+        if code == EXIT_USAGE:
+            raise ResourceLimitError(f"refused: {argv}")
+        assert code == EXIT_OK
+
+    return call
+
+
+def test_basis_reps_counts_rendered_rows(capsys):
     """``basis reps`` counts its rendered rows, at the JSON size per pair for
     every format, before it builds them; the count covers the command's
     tracemalloc peak."""
-    argv = ["--format", "json", "basis", "reps", "--n", "251500"]
     need = 32878 * cli._REP_ROW_BYTES  # 32,878 representations of 251,500
-    tracemalloc.start()
-    try:
-        assert main(argv) == EXIT_OK
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= need
-    capsys.readouterr()
-    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need)
     for fmt in ("json", "csv", "table"):
-        argv[1] = fmt
-        assert main(argv) == EXIT_OK
-        monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need - 1)
-        assert main(argv) == EXIT_USAGE
-        monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need)
+        assert_counted(need, _served(["--format", fmt, "basis", "reps", "--n", "251500"]))
     err = capsys.readouterr().err
     assert err.count("error: rendering 32878 representations needs ~") == 3
 
@@ -244,39 +244,23 @@ def test_basis_reps_refused_before_any_row(capsys, monkeypatch):
     start = time.perf_counter()
     assert main(argv) == EXIT_USAGE
     assert time.perf_counter() - start < 0.05
-    tracemalloc.start()
-    try:
-        assert main(argv) == EXIT_USAGE
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1024**2
+    codes = []
+    assert peak_bytes(lambda: codes.append(main(argv))) < 1024**2
+    assert codes == [EXIT_USAGE]
     err = capsys.readouterr().err
     assert err.count("error: rendering 2148464 representations needs ~") == 2
 
 
-def test_f_scan_counts_its_rows(capsys, monkeypatch):
+def test_f_scan_counts_its_rows(capsys):
     """``binomial f-scan`` counts its rows, at the JSON size per row for every
     format, before it computes any f(n); the count covers the command's
     tracemalloc peak."""
     argv = ["--format", "json", "binomial", "f-scan", "--from", "1000", "--to", "4999", "--stride", "2"]
     need = 2000 * cli._F_ROW_BYTES
     assert main(argv) == EXIT_OK  # fills the prime caches, which count their own fill
-    tracemalloc.start()
-    try:
-        assert main(argv) == EXIT_OK
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= need
-    capsys.readouterr()
-    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need)
     for fmt in ("json", "csv", "table"):
         argv[1] = fmt
-        assert main(argv) == EXIT_OK
-        monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need - 1)
-        assert main(argv) == EXIT_USAGE
-        monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need)
+        assert_counted(need, _served(argv))
     err = capsys.readouterr().err
     assert err.count("error: an f-scan of 2000 rows needs ~") == 3
 

@@ -3,7 +3,6 @@
 import math
 import random
 import time
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -25,9 +24,10 @@ from erdos_trio import (
     well_distribution_statistic,
     window_sample,
 )
-from erdos_trio import PrimeString, PrimeTable, equidistribution, errors, primes
+from erdos_trio import PrimeString, PrimeTable, equidistribution, primes
 from erdos_trio.equidistribution import _discrepancy, _fixed_point_parts, _window_discrepancy
 
+from budget import assert_counted
 from oracles import (
     family_discrepancy,
     family_discrepancy_rows,
@@ -96,7 +96,9 @@ def test_discrepancy_single_point_is_one():
 
 
 def test_discrepancy_rejects_points_outside_unit_interval():
-    for pts in ([0.2, 1.7], [-0.3], [Fraction(1)], [Fraction(1, 2), Fraction(-1, 9)]):
+    inf, nan = float("inf"), float("nan")
+    for pts in ([0.2, 1.7], [-0.3], [Fraction(1)], [Fraction(1, 2), Fraction(-1, 9)], [inf],
+                [0.5, -inf], [nan], [0.2, nan, 0.4], [Fraction(1, 2), inf], [Fraction(1, 2), nan]):
         with pytest.raises(ValueError):
             interval_discrepancy(pts)
     assert interval_discrepancy([0]) == 1.0
@@ -271,13 +273,15 @@ def test_scan_recheck_catches_a_wrong_window(table_1e5, monkeypatch):
 
 
 def test_integer_window_score_equals_fraction_oracle(table_1e5):
+    """The integer window score equals the exact two-family oracle on the
+    window's Fraction sample."""
     alphas = [parse_alpha(x) for x in ("golden", "sqrt:2", "0.333333333333333333333333", "-22/7")]
     alphas += [Fraction(0), Fraction(3, 4), 1 - Fraction(1, 2**100)]
     for a in alphas:
         for k in (1, 2, 3, 10, 50, 200):
             for n in (0, 1, 997):
                 d = _window_discrepancy(a, n, k, table_1e5)
-                assert d == interval_discrepancy(window_sample(a, n, k, table_1e5)), (a, n, k)
+                assert d == family_discrepancy(window_sample(a, n, k, table_1e5)), (a, n, k)
 
 
 def test_all_band_scan_scores_every_window_exactly(table_1e5, monkeypatch):
@@ -393,26 +397,7 @@ def test_scan_refuses_primes_from_2_to_the_32():
         well_distribution_statistic("golden", 1, 1, table=table)
 
 
-def _peak_bytes(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def _assert_budget_is_exact(monkeypatch, need, fn):
-    """fn runs when the budget is exactly ``need`` and is refused one byte below."""
-    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need)
-    fn()
-    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need - 1)
-    with pytest.raises(ResourceLimitError):
-        fn()
-    monkeypatch.undo()
-
-
-def test_scan_memory_budget(monkeypatch):
+def test_scan_memory_budget():
     """A scan counts its primes, one chunk of windows and the exact re-check
     before it sieves, covering what tracemalloc measures."""
     eq = equidistribution
@@ -427,8 +412,7 @@ def test_scan_memory_budget(monkeypatch):
         )
         scan = lambda: well_distribution_statistic(a, k, limit, stride)  # noqa: E731
         scan()  # fills the prime caches the sieve reads, which count their own fill
-        assert _peak_bytes(scan) <= need, (alpha, k, limit, stride)
-        _assert_budget_is_exact(monkeypatch, need, scan)
+        assert_counted(need, scan)
     # ~7.4 GB of fractional parts, and ~3 GB of exact points: refused up front
     for k, limit, stride in ((10, 150_000_000, 1000), (10_000_000, 0, 1)):
         start = time.perf_counter()
@@ -463,8 +447,7 @@ def test_prime_string_memory_budget(monkeypatch):
         (lambda: cluster_verify("sqrt:3", 0.1, 4, limit), limit),
     ):
         assert _farthest_prefix(monkeypatch, search) == farthest
-        assert _peak_bytes(search) <= need
-        _assert_budget_is_exact(monkeypatch, need, search)
+        assert_counted(need, search)
     # ~6 GB against the sieve's ~1.9 GB: refused before the sieve runs
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError):

@@ -1,7 +1,7 @@
 """Sieve, prime counting and primality against naive oracles."""
 
+import math
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ import pytest
 from erdos_trio import ResourceLimitError, is_prime, lower_bound_witness, sieve_primes
 from erdos_trio import errors, primes
 
+from budget import assert_counted
 from oracles import trial_division_primes
 
 
@@ -56,29 +57,30 @@ def test_prime_list_counted_on_a_cache_miss(monkeypatch):
     prime that covers what tracemalloc measures; a cache hit pays nothing."""
     bits = 18
     need = primes._LIST_BYTES * primes._prime_count_bound((1 << bits) - 1)
-    primes._primes_below_power_of_two.cache_clear()
-    tracemalloc.start()
-    try:
-        primes._primes_below_power_of_two(bits)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= need
-    primes._primes_below_power_of_two.cache_clear()
-    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need)
-    assert len(primes._prime_list((1 << bits) - 1)) == 23000
+    miss = primes._primes_below_power_of_two.cache_clear
+    listed = assert_counted(need, lambda: primes._prime_list((1 << bits) - 1), before=miss)
+    assert len(listed) == 23000
+    primes._prime_list((1 << bits) - 1)
     monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", 0)
     assert len(primes._prime_list((1 << bits) - 1)) == 23000  # a hit
-    primes._primes_below_power_of_two.cache_clear()
-    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", need - 1)
-    with pytest.raises(ResourceLimitError):
-        primes._prime_list((1 << bits) - 1)
     monkeypatch.undo()
     # M_K for K = 1e10 asks for the primes below 2^34, ~45 GB as a list
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError):
         lower_bound_witness(10**10)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("limit, count", [(10**4, 1229), (10**6, 78498), (3 * 10**7, 1857859)])
+def test_sieve_counted_before_it_runs(limit, count):
+    """``sieve_primes`` counts one segment's mask, 1 KiB and ``_SIEVE_BYTES``
+    per prime of the bound before it sieves, covering what tracemalloc
+    measures, on one segment and on two (3e7 > 2^24). The sieving primes
+    are cached first: their list counts itself."""
+    mask = min(limit, primes.SEGMENT_SPAN) // 2
+    need = mask + 1024 + primes._SIEVE_BYTES * primes._prime_count_bound(limit)
+    primes._prime_list(math.isqrt(limit))
+    assert len(assert_counted(need, lambda: sieve_primes(limit))) == count
 
 
 def test_is_prime_matches_trial_division():

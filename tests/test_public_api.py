@@ -19,7 +19,8 @@ Dunder methods are out of reach of the syntax tree and are not checked.
 Within each package module, every top-level import must be read as a
 ``Name`` somewhere in that module. The memory budget has one binding and
 one refusal: only ``errors.reserve`` raises ``ResourceLimitError``. Every
-``raise VerificationError`` is registered with a test that makes it fire.
+``raise VerificationError`` is registered with a test that makes it fire,
+and every ``reserve`` call with a test that checks its count.
 """
 
 import ast
@@ -153,22 +154,43 @@ def test_package_modules_import_only_what_they_use():
     assert unused == [], f"imports never read: {unused}"
 
 
-def _raise_sites(exception: str) -> list[str]:
-    """``module.function`` of each ``raise <exception>`` in the package, one
-    entry per site, in file and source order."""
+def _sites(is_site) -> list[str]:
+    """``module.function`` of each node of the package's syntax trees for
+    which ``is_site`` holds, one entry per node; a method is named
+    ``module.Class.method``."""
     sites = []
     for path in sorted((ROOT / "src" / "erdos_trio").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Raise) and node.exc is not None:
-                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                if getattr(exc, "id", getattr(exc, "attr", None)) == exception:
-                    scope = node
-                    while scope in parents and not isinstance(scope, ast.FunctionDef):
-                        scope = parents[scope]
-                    sites.append(f"{path.stem}.{getattr(scope, 'name', '<module>')}")
+            if is_site(node):
+                scope = node
+                while scope in parents and not isinstance(scope, ast.FunctionDef):
+                    scope = parents[scope]
+                name = getattr(scope, "name", "<module>")
+                if isinstance(parents.get(scope), ast.ClassDef):
+                    name = f"{parents[scope].name}.{name}"
+                sites.append(f"{path.stem}.{name}")
     return sites
+
+
+def _raise_sites(exception: str) -> list[str]:
+    """The sites of each ``raise <exception>`` in the package."""
+
+    def raises(node) -> bool:
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return getattr(exc, "id", getattr(exc, "attr", None)) == exception
+
+    return _sites(raises)
+
+
+def _test_function(test: str) -> ast.FunctionDef | None:
+    """The top-level function ``module::name`` of ``tests/``, or None."""
+    module, name = test.split("::")
+    tree = ast.parse((ROOT / "tests" / f"{module}.py").read_text())
+    return next((n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name), None)
 
 
 def test_one_memory_budget_and_one_refusal():
@@ -225,11 +247,51 @@ def test_every_verification_check_has_a_firing_test():
         f"raise sites with no registered firing test: {dict(sites - registered)}; "
         f"registered tests with no raise site: {dict(registered - sites)}"
     )
-    missing = []
-    for tests in FIRING_TESTS.values():
-        for test in tests:
-            module, name = test.split("::")
-            tree = ast.parse((ROOT / "tests" / f"{module}.py").read_text())
-            if not any(isinstance(n, ast.FunctionDef) and n.name == name for n in tree.body):
-                missing.append(test)
+    missing = [test for tests in FIRING_TESTS.values() for test in tests if _test_function(test) is None]
     assert missing == [], f"firing tests that do not exist: {missing}"
+
+
+# Every function of the package that counts a structure through
+# ``reserve(...)``, with the test that checks its count with
+# ``budget.assert_counted``: the peak is within the count, the exact count
+# fits and one byte less refuses.
+BUDGET_TESTS = {
+    "primes.sieve_primes": "test_primes::test_sieve_counted_before_it_runs",
+    "primes._primes_below_power_of_two": "test_primes::test_prime_list_counted_on_a_cache_miss",
+    "binomial_thresholds._residue_table": "test_binomial_thresholds::test_valuation_row_memory_budget",
+    "binomial_thresholds._factorial_table": "test_binomial_thresholds::test_valuation_row_memory_budget",
+    "binomial_thresholds.valuation_row": "test_binomial_thresholds::test_valuation_row_memory_budget",
+    "binomial_thresholds._u_series": "test_binomial_thresholds::test_u_series_memory_budget",
+    "basis_splits.stage_intervals": "test_basis_splits::test_stage_intervals_and_elements_memory_budget",
+    "basis_splits.enumerate_A": "test_basis_splits::test_stage_intervals_and_elements_memory_budget",
+    "basis_splits._sumset": "test_basis_splits::test_sumset_memory_budget",
+    "equidistribution.well_distribution_statistic": "test_equidistribution::test_scan_memory_budget",
+    "equidistribution._Prefixes.__init__": "test_equidistribution::test_prime_string_memory_budget",
+    "cli._cmd_binomial_f_scan": "test_cli::test_f_scan_counts_its_rows",
+    "cli._cmd_basis_reps": "test_cli::test_basis_reps_counts_rendered_rows",
+}
+
+
+def test_every_reserve_site_has_a_budget_test():
+    """Each function that calls ``reserve`` is named in BUDGET_TESTS, with a
+    test that exists and calls ``assert_counted``."""
+    sites = set(
+        _sites(
+            lambda node: isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "reserve"
+        )
+    )
+    assert sites == set(BUDGET_TESTS), (
+        f"reserve sites with no registered budget test: {sorted(sites - set(BUDGET_TESTS))}; "
+        f"registered sites with no reserve call: {sorted(set(BUDGET_TESTS) - sites)}"
+    )
+
+    def checks_counts(test: str) -> bool:
+        function = _test_function(test)
+        return function is not None and any(
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) == "assert_counted"
+            for node in ast.walk(function)
+        )
+
+    unchecked = sorted(f"{site}: {test}" for site, test in BUDGET_TESTS.items() if not checks_counts(test))
+    assert unchecked == [], f"budget tests that do not exist or do not call assert_counted: {unchecked}"
