@@ -49,14 +49,10 @@ _SMALL_PRIME_BOUND = 1 << 16
 # legendre form takes 12.0-12.2 from a cached table and 16.0 building one.
 _ROW_BYTES = 20
 
-# valuation_row reads k mod p^t and v_p(k!) from tables of length 2^bits > n
-# cached per (p, bits) while 2^bits <= _ROW_MEMO_BOUND; past it, each call
-# builds the same tables at length n + 1 and keeps nothing.
+# valuation_row reads k mod p^t and v_p(k!) from tables of length 2^bits > n,
+# cached for the last (p, bits) while 2^bits <= _ROW_MEMO_BOUND; past it,
+# each call builds the same tables at length n + 1 and keeps nothing.
 _ROW_MEMO_BOUND = 1 << 16
-
-# Tables kept per form. Criterion 1(b) walks n = p..3000 for one p at a
-# time, at most 12 lengths, so p = 2 never evicts its own tables.
-_ROW_MEMO_TABLES = 64
 
 # Peak bytes per entry and row of a residue table fill, the k row counted
 # as one more row: tracemalloc gives 4.00-4.04 at 2^12 and 2^16 (4.15-4.29
@@ -151,7 +147,7 @@ def _residue_rows(p: int, length: int) -> Iterator[tuple[int, np.ndarray]]:
         q *= p
 
 
-@lru_cache(maxsize=_ROW_MEMO_TABLES)
+@lru_cache(maxsize=1)
 def _residue_table(p: int, bits: int) -> tuple[tuple[int, np.ndarray], ...]:
     """Every row of ``_residue_rows(p, 2**bits)``, read-only. A miss counts
     the rows and the k row through ``reserve`` before it builds them."""
@@ -181,7 +177,7 @@ def _factorial_valuations(p: int, length: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=_ROW_MEMO_TABLES)
+@lru_cache(maxsize=1)
 def _factorial_table(p: int, bits: int) -> np.ndarray:
     """``_factorial_valuations(p, 2**bits)``, read-only. A miss counts its
     fill through ``reserve`` before it builds the table."""
@@ -205,12 +201,13 @@ def valuation_row(
 
     The tables do not depend on n. For n < ``_ROW_MEMO_BOUND`` = 2^16 they
     are built at the power-of-two length 2^bits > n and cached read-only
-    per (p, bits), up to ``_ROW_MEMO_TABLES`` = 64 per form; a longer row
-    builds them at length n + 1 and keeps nothing. A residue table holds
-    floor(log_p(2^bits - 1)) int32 rows of 2^bits entries and a factorial
-    table one, so the caches hold at most 60 MiB: 43.8 MiB when the 64
-    largest residue tables (small p at 2^15 and 2^16) are cached at once,
-    and 16 MiB of factorial tables.
+    for the last (p, bits) asked, one table per form; a longer row builds
+    them at length n + 1 and keeps nothing. Callers walk n upward for one p
+    at a time, so a table is read until the walk outgrows it and never
+    after. A residue table holds floor(log_p(2^bits - 1)) int32 rows of
+    2^bits entries and a factorial table one, so the caches hold at most
+    4 MiB: 3.75 MiB of residue rows (p = 2 at 2^16) and 256 KiB of v_p(k!).
+    A miss builds its table before the old one is dropped.
 
     Every row's temporaries are counted through ``reserve`` before any is
     built, and each table fill on a cache miss; a hit counts no fill. The

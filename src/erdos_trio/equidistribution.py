@@ -6,11 +6,12 @@ that fails: a Dirichlet approximant a/q of alpha plus a run of m consecutive
 primes in one residue class mod q forces the m fractional parts into an
 interval of width delta, so the window's discrepancy is at least 1 - delta.
 
-Everything here runs on exact rationals. alpha is held as a Fraction (a
-float input contributes its exact dyadic value; "sqrt:N" and "golden" are
-synthesized to a configurable number of bits), {alpha p} is an exact
-rational reduced mod 1, and the clustering inequalities are re-checked in
-exact arithmetic before a witness is reported.
+Every comparison that decides a result, and every value reported about
+alpha, is exact. alpha is held as a Fraction (a float input contributes its
+exact dyadic value; "sqrt:N" and "golden" are synthesized to a configurable
+number of bits), {alpha p} is an exact rational reduced mod 1, and the
+clustering inequalities are re-checked in exact arithmetic before a
+witness is reported. Floats only pick which windows a scan scores exactly.
 
 A clustering witness is found by searching growing prefixes of the primes,
 from 2^16 up to the limit by factors of four, so a witness near the start

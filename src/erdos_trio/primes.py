@@ -30,12 +30,14 @@ SEGMENT_SPAN = 1 << 24
 _LIST_BYTES = 48
 
 # Peak bytes of ``sieve_primes`` per prime of ``_prime_count_bound``, beside
-# one segment's mask and 1 KiB that does not grow: the primes are held twice
-# at the peak, as a segment's indices and their odd values, or as the chunks
-# and their concatenation. tracemalloc, base primes cached, mask and 441
-# bytes excluded, gives 15.6 at 1e3, 14.3 at 1e4, 13.4 at 1e6, 13.2 at 1e7
-# and 2^24, 12.3 at 3e7 and 13.0 at 5e7 and 1e8. Below 1e3 array headers
-# show; at limits 0 and 1 the whole peak is 457-473 bytes.
+# one segment's mask and 1 KiB that does not grow. Each segment turns its
+# indices into primes in place and drops its mask, so the peak is the join,
+# which holds the chunks and their concatenation: 16.0 bytes per prime
+# sieved from 1e6 on. tracemalloc, base primes cached, gives a whole peak of
+# 18.0 per prime of the bound at 1e3, 14.6 at 1e4, 13.4 at 1e6, 13.2 at 1e7
+# and 2^24 and 13.1 at 3e7, 5e7 and 1e8, 0.59-0.76 of the count from 1e6
+# on. Below 1e3 array headers show; at limits 0 and 1 the whole peak is
+# 465-481 bytes.
 _SIEVE_BYTES = 16
 
 # Miller-Rabin witnesses: the first 13 primes decide every n below
@@ -76,8 +78,10 @@ def _sieve(limit: int) -> np.ndarray:
     """All primes <= limit, sieved over odd integers one segment at a time.
 
     Each segment covers ``SEGMENT_SPAN`` integers, so the mask never
-    outgrows one segment whatever the limit. The sieving primes up to
-    sqrt(limit) come from the same sieve, through the cached ``_prime_list``.
+    outgrows one segment whatever the limit. A segment's unmarked indices
+    become its primes in place, and its mask is dropped before the next
+    segment or the final join. The sieving primes up to sqrt(limit) come
+    from the same sieve, through the cached ``_prime_list``.
     """
     if limit < 2:
         return np.array([], dtype=np.int64)
@@ -94,7 +98,11 @@ def _sieve(limit: int) -> np.ndarray:
                 start += p
             if start < hi:
                 mask[(start - lo) // 2 :: p] = False
-        chunks.append(np.flatnonzero(mask).astype(np.int64) * 2 + lo)
+        odd = np.flatnonzero(mask).astype(np.int64, copy=False)
+        del mask  # before the next segment's mask is built, or the join
+        odd *= 2
+        odd += lo
+        chunks.append(odd)
         lo = hi if hi % 2 else hi + 1  # keep segment starts odd
     return np.concatenate(chunks)
 

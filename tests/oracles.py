@@ -2,10 +2,10 @@
 
 Everything here is deliberately naive: trial division, direct big-integer
 factorization, floor sums written out from the definition, a grid scan of
-the discrepancy, the two-family discrepancy scan (exact, and in float64), a
-prime-by-prime search for a prime string over a whole table, and
-element-level sumsets of the basis. None of it shares code with the package;
-the basis gap check only calls the coloring it is handed.
+the discrepancy, the exact two-family discrepancy scan, a prime-by-prime
+search for a prime string over a whole table, and element-level sumsets of
+the basis. None of it shares code with the package, and it imports nothing
+from it; the basis gap check only calls the coloring it is handed.
 """
 
 from __future__ import annotations
@@ -139,37 +139,22 @@ def family_discrepancy(points) -> Fraction:
     Over sorted x_1..x_k the supremum of |count/k - length| is attained on
     the closed intervals [x_i, x_j] (j - i + 1 points, an excess) or on the
     open gaps (x_i, x_j) with sentinels x_0 = 0 and x_{k+1} = 1 (j - i - 1
-    points, a deficit).
+    points, a deficit). Both are scored in integers, times k and the points'
+    common denominator, from one difference per pair. (For points in
+    [0, 1), a gap that ends at a sentinel never beats the best closed one.)
     """
     xs = sorted(Fraction(x) for x in points)
     k = len(xs)
-    excess = max(
-        Fraction(j - i + 1, k) - (xs[j] - xs[i]) for i in range(k) for j in range(i, k)
-    )
-    ext = [Fraction(0)] + xs + [Fraction(1)]
-    deficit = max(
-        (ext[j] - ext[i]) - Fraction(j - i - 1, k)
-        for i in range(k + 2)
-        for j in range(i + 1, k + 2)
-    )
-    return max(excess, deficit)
-
-
-def family_discrepancy_rows(rows: np.ndarray) -> np.ndarray:
-    """``family_discrepancy`` of each row of a 2-D array, in float64: the
-    same two families, every pair (i, j) of a row at once by broadcasting."""
-    xs = np.sort(np.asarray(rows, dtype=np.float64), axis=1)
-    m, k = xs.shape
-    i = np.arange(k)[:, None]
-    j = np.arange(k)[None, :]
-    excess = (j - i + 1) / k - (xs[:, None, :] - xs[:, :, None])
-    excess = np.where(j >= i, excess, -np.inf).max(axis=(1, 2))
-    ext = np.concatenate([np.zeros((m, 1)), xs, np.ones((m, 1))], axis=1)
-    i = np.arange(k + 2)[:, None]
-    j = np.arange(k + 2)[None, :]
-    deficit = (ext[:, None, :] - ext[:, :, None]) - (j - i - 1) / k
-    deficit = np.where(j > i, deficit, -np.inf).max(axis=(1, 2))
-    return np.maximum(excess, deficit)
+    den = math.lcm(*(x.denominator for x in xs))
+    ext = [0] + [x.numerator * (den // x.denominator) for x in xs] + [den]
+    best = den  # the excess on [x_i, x_i]: one point, length 0
+    for i in range(k + 1):
+        for j in range(i + 1, k + 2):
+            width = k * (ext[j] - ext[i])
+            best = max(best, width - (j - i - 1) * den)
+            if i and j <= k:
+                best = max(best, (j - i + 1) * den - width)
+    return Fraction(best, k * den)
 
 
 def whole_table_prime_string(

@@ -178,24 +178,23 @@ def test_valuation_row_past_the_memo_bound_keeps_nothing():
 
 
 def test_valuation_row_cache_holds_under_its_stated_bound():
-    """After a sweep over many p and lengths up to the memo bound, the
-    tables the caches keep stay under the 60 MiB the docstring states: the
-    sweep's peak, which bounds what they keep at its end, does. Large
-    tables come last, so the sweep ends near the worst case."""
-    primes = sieve_primes(400).primes.tolist()
-    bt._check_prime(2)
+    """One table per form is enough: an ascending walk for one p misses once
+    per bit length of n. After a sweep over many p and lengths that ends at
+    p = 2 and 2^16, the caches keep those tables, within the stated 4 MiB."""
     _clear_row_tables()
-
-    def sweep():
-        for bits in (10, 12, 14, 15, 16):
-            for p in reversed(primes):
-                for method in ("indicator", "legendre"):
-                    valuation_row((1 << bits) - 1, p, method)
-
-    held = peak_bytes(sweep)
-    assert bt._residue_table.cache_info().currsize == bt._ROW_MEMO_TABLES
-    assert bt._factorial_table.cache_info().currsize == bt._ROW_MEMO_TABLES
-    assert 50 * 2**20 < held <= 60 * 2**20
+    for n in range(2, 3001):
+        for method in ("indicator", "legendre"):
+            valuation_row(n, 2, method)
+    caches = (bt._residue_table, bt._factorial_table)
+    assert [c.cache_info()[1:] for c in caches] == [(11, 1, 1)] * 2  # misses, maxsize, currsize
+    for bits in (10, 12, 14, 15, 16):
+        for p in reversed(sieve_primes(400).primes.tolist()):
+            for method in ("indicator", "legendre"):
+                valuation_row((1 << bits) - 1, p, method)
+    misses = [c.cache_info().misses for c in caches]
+    held = sum(row.nbytes for _, row in bt._residue_table(2, 16)) + bt._factorial_table(2, 16).nbytes
+    assert [c.cache_info().misses for c in caches] == misses  # both were held
+    assert held <= 4 * 2**20
     _clear_row_tables()
 
 
@@ -229,7 +228,7 @@ def test_valuation_row_forms_equal_the_row_oracle():
 def test_valuation_row_after_cache_evictions():
     """Rows stay the oracle's when their tables are evicted and rebuilt:
     more (p, bits) keys than the caches keep, revisited in a shuffled order."""
-    primes = sieve_primes(1000).primes.tolist()[: bt._ROW_MEMO_TABLES + 16]
+    primes = sieve_primes(1000).primes.tolist()[:80]
     keys = [(n, p) for p in primes for n in (p, 700)]
     rng = random.Random(15)
     _clear_row_tables()
@@ -240,7 +239,7 @@ def test_valuation_row_after_cache_evictions():
                 np.testing.assert_array_equal(
                     valuation_row(n, p, method), valuation_row_oracle(n, p, method)
                 )
-        assert bt._residue_table.cache_info().currsize == bt._ROW_MEMO_TABLES
+        assert bt._residue_table.cache_info().currsize == 1
     assert bt._residue_table.cache_info().misses > len(keys)
 
 

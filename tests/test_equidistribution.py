@@ -30,7 +30,6 @@ from erdos_trio.equidistribution import _discrepancy, _fixed_point_parts, _windo
 from budget import assert_counted
 from oracles import (
     family_discrepancy,
-    family_discrepancy_rows,
     grid_discrepancy,
     is_prime_oracle,
     star_discrepancy,
@@ -169,9 +168,9 @@ def test_grid_oracle_equals_its_pairwise_form():
 
 
 def test_float_batch_rows_match_1d_and_oracle():
-    """The batch kernel equals the 1-D closed form and the float64 family
-    oracle on every row; that oracle equals the exact Fraction one on two
-    rows per k, one with a repeated point and one with a point at 0."""
+    """The batch kernel equals the 1-D closed form and the exact family
+    oracle on every row, among them rows with a repeated point and rows
+    with a point at 0."""
     rng = np.random.RandomState(6)
     for k in (1, 2, 3, 7, 50, 199):
         batch = np.sort(rng.rand(40, k), axis=1)
@@ -180,12 +179,9 @@ def test_float_batch_rows_match_1d_and_oracle():
         batch[1::5, 0] = 0.0
         ds = _discrepancy(batch)
         assert ds.shape == (40,)
-        families = family_discrepancy_rows(batch)
-        for row, d, family in zip(batch, ds, families):
+        for row, d in zip(batch, ds):
             assert abs(interval_discrepancy(list(row)) - d) < 1e-12
-            assert abs(family - d) < 1e-12
-        for row, family in zip(batch[:2], families[:2]):
-            assert abs(float(family_discrepancy(list(row))) - family) < 1e-15
+            assert abs(family_discrepancy(row.tolist()) - d) < 1e-12
 
 
 @settings(max_examples=300, deadline=None)

@@ -9,7 +9,7 @@ import pytest
 from erdos_trio import ResourceLimitError, is_prime, lower_bound_witness, sieve_primes
 from erdos_trio import errors, primes
 
-from budget import assert_counted
+from budget import assert_counted, peak_bytes
 from oracles import trial_division_primes
 
 
@@ -81,6 +81,15 @@ def test_sieve_counted_before_it_runs(limit, count):
     need = mask + 1024 + primes._SIEVE_BYTES * primes._prime_count_bound(limit)
     primes._prime_list(math.isqrt(limit))
     assert len(assert_counted(need, lambda: sieve_primes(limit))) == count
+
+
+@pytest.mark.parametrize("limit", [10**6, 10**7, 3 * 10**7])
+def test_sieve_peak_within_three_quarters_of_its_count(limit):
+    """Segments turn their indices into primes in place and drop their
+    masks before the join, which holds the chunks and their concatenation."""
+    need = min(limit, primes.SEGMENT_SPAN) // 2 + 1024 + primes._SIEVE_BYTES * primes._prime_count_bound(limit)
+    primes._prime_list(math.isqrt(limit))
+    assert peak_bytes(lambda: sieve_primes(limit)) <= 0.75 * need
 
 
 def test_is_prime_matches_trial_division():

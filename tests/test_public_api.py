@@ -20,7 +20,8 @@ Within each package module, every top-level import must be read as a
 ``Name`` somewhere in that module. The memory budget has one binding and
 one refusal: only ``errors.reserve`` raises ``ResourceLimitError``. Every
 ``raise VerificationError`` is registered with a test that makes it fire,
-and every ``reserve`` call with a test that checks its count.
+and every ``reserve`` call with a test that checks its count. The oracles
+in ``tests/oracles.py`` import nothing from the package.
 """
 
 import ast
@@ -152,6 +153,14 @@ def test_package_modules_import_only_what_they_use():
                     if name not in read:
                         unused.append(f"{path.stem}.{name}")
     assert unused == [], f"imports never read: {unused}"
+
+
+def test_oracles_import_nothing_from_the_package():
+    """``tests/oracles.py`` imports no module of ``erdos_trio``, at any depth."""
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module]
+    assert [m for m in imported if m.split(".")[0] == "erdos_trio"] == [], imported
 
 
 def _sites(is_site) -> list[str]:
