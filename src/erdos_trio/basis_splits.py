@@ -15,14 +15,15 @@ the stage index. Three finite verifications are provided:
   no pairwise sum landing in J_k, so its sumset has a gap of length 5^{k-1}.
 
 A truncated to any bound is a union of O(k) disjoint integer intervals, and
-[a, b] + [c, d] = [a + c, b + d] with every point reached, so sumsets are
-computed exactly as unions of O(k^2) interval sums, never element by element.
+[a, b] + [c, d] = [a + c, b + d] with every point reached, so both checks
+read one sorted list of O(k^2) unordered pair sums, never single elements.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Callable, Literal, Sequence
 
 from .errors import VerificationError, reserve
@@ -30,15 +31,15 @@ from .errors import VerificationError, reserve
 Kind = Literal["core", "c", "B", "F", "none"]
 
 # One held (lo, hi) interval of ints of at most ``bits`` bits, an interval
-# sum of ``_sumset`` or a stage interval, takes at most
+# sum of ``_pair_sums`` or a stage interval, takes at most
 # _SUM_BYTES + 8 * (bits // 30) bytes (``_interval_bytes``): the tuple (56),
 # its list slot and sort scratch (13), and two ints of at most
 # 32 + 4 * (bits // 30) bytes each.
-# tracemalloc gives 169, 209 and 292 bytes per pair for cover and rigidity
-# at k = 100, 200 and 400 (sums of 235, 467 and 932 bits), against bounds
-# of 189, 253 and 381; ``stage_intervals(3 * 5^k)`` peaks at 100, 364 and
-# 614 bytes per interval at k = 100, 1000 and 2000, against 189, 1237 and
-# 2365.
+# tracemalloc gives 72-109, 147-153, 168, 210-211 and 293 bytes per pair sum
+# for cover and rigidity at k = 10, 60, 100, 200 and 400 (sums of 26, 142,
+# 235, 467 and 932 bits), against bounds of 133, 165, 189, 253 and 381;
+# ``stage_intervals(3 * 5^k)`` peaks at 100, 364 and 614 bytes per interval
+# at k = 100, 1000 and 2000, against 189, 1237 and 2365.
 _SUM_BYTES = 133
 
 # Peak bytes per element of ``enumerate_A``: a 28-byte int below 2^30, its
@@ -148,30 +149,18 @@ def enumerate_A(limit: int) -> list[int]:
     return out
 
 
-def _sumset(
-    left: Sequence[tuple[int, int]], right: Sequence[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """{a + b : a in left, b in right} as disjoint ascending intervals.
+def _pair_sums(intervals: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """[a + c, b + d] for each unordered pair of inclusive ``intervals``, sorted.
 
-    Both arguments are lists of inclusive intervals. [a, b] + [c, d] is
-    exactly [a + c, b + d], so the merged union of the pairwise interval
-    sums is the sumset itself; intervals that touch are merged.
-
-    The len(left) * len(right) sums are counted through ``reserve`` before
-    any is built.
+    Each pair i <= j is taken once, an interval with itself included
+    (4 = 2 + 2). Every point of a sum is reached, and the sums are not
+    merged: a sum equal to another is a second representation of its
+    points. The m (m + 1) / 2 sums are counted through ``reserve`` first.
     """
-    bits = (2 * max(hi for _, hi in (*left, *right))).bit_length()
-    reserve(
-        len(left) * len(right) * _interval_bytes(bits),
-        f"a sumset of {len(left)} x {len(right)} interval sums",
-    )
-    out: list[list[int]] = []
-    for lo, hi in sorted((a + c, b + d) for a, b in left for c, d in right):
-        if out and lo <= out[-1][1] + 1:
-            out[-1][1] = max(out[-1][1], hi)
-        else:
-            out.append([lo, hi])
-    return [(lo, hi) for lo, hi in out]
+    count = len(intervals) * (len(intervals) + 1) // 2
+    bits = (2 * max(hi for _, hi in intervals)).bit_length()
+    reserve(count * _interval_bytes(bits), f"{count} interval sums of {len(intervals)} intervals")
+    return sorted((a + c, b + d) for (a, b), (c, d) in combinations_with_replacement(intervals, 2))
 
 
 @dataclass(frozen=True)
@@ -187,10 +176,10 @@ class CoverageReport:
 def sumset_cover_check(k: int) -> CoverageReport:
     """Verify [4, 6 * 5^k] is contained in A_k + A_k; fatal if not.
 
-    A_k + A_k is the merged union of the pairwise sums of the intervals of
-    A_k, and the first point of [4, 6 * 5^k] it misses is the first gap. A
-    gap would contradict a proved coverage lemma, so it raises
-    VerificationError.
+    A_k + A_k is the union of the pair sums of the intervals of A_k, and one
+    sweep in ascending order finds the first point of [4, 6 * 5^k] it
+    misses, the first gap. A gap would contradict a proved coverage lemma,
+    so it raises VerificationError.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -198,7 +187,7 @@ def sumset_cover_check(k: int) -> CoverageReport:
     # A_k = A truncated to stages 1..k; its max element is 15 * 5^(k-1) = 3 * 5^k.
     intervals = stage_intervals(3 * 5**k)
     reach = 4  # least point of [4, hi] not yet known to be covered
-    for lo, up in _sumset(intervals, intervals):
+    for lo, up in _pair_sums(intervals):
         if lo > reach:
             break
         reach = max(reach, up + 1)
@@ -262,11 +251,11 @@ def rigidity_check(k: int) -> RigidityReport:
     """Verify every n in J_k has exactly the representation {c_k, n - c_k}.
 
     Summands are at most max(J_k) - 2, since the smallest element of A is 2.
-    Every point of an interval sum is reached, so n in J_k has exactly one
-    representation, through c_k, iff J_k = c_k + B_k and no other pair of
-    intervals of A has a sum meeting J_k: neither two intervals avoiding
-    {c_k}, nor {c_k} with an interval other than B_k. Anything else raises
-    VerificationError.
+    Every point of an interval sum is reached, so each n in J_k has exactly
+    one representation, through c_k, iff the only pair of intervals whose sum
+    meets J_k is ({c_k}, B_k) and that sum equals J_k. Any other sum meeting
+    J_k, an identical copy included, raises VerificationError naming the
+    least n it reaches in J_k; so does c_k + B_k differing from J_k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -274,17 +263,15 @@ def rigidity_check(k: int) -> RigidityReport:
     c = stage_anchor(k)
     block = stage_block(k)
     intervals = stage_intervals(j_hi - 2)
-    anchor = (c, c)
-    others = [iv for iv in intervals if iv != anchor]
-    stray = _sumset(others, others) + _sumset(
-        [anchor], [iv for iv in intervals if iv != block]
-    )
-    for lo, hi in stray:
-        if lo <= j_hi and hi >= j_lo:
-            raise VerificationError(
-                f"stage {k}: n = {max(lo, j_lo)} has a representation avoiding c_k + B_k"
-            )
-    if (c + block[0], c + block[1]) != (j_lo, j_hi):
+    meeting = [(lo, hi) for lo, hi in _pair_sums(intervals) if lo <= j_hi and hi >= j_lo]
+    through_anchor = (c + block[0], c + block[1])
+    if through_anchor in meeting and (c, c) in intervals and block in intervals:
+        meeting.remove(through_anchor)  # the pair ({c_k}, B_k) itself
+    if meeting:
+        raise VerificationError(
+            f"stage {k}: n = {max(meeting[0][0], j_lo)} has a representation avoiding c_k + B_k"
+        )
+    if through_anchor != (j_lo, j_hi):
         raise VerificationError(f"stage {k}: c_k + B_k differs from J_k")
     return RigidityReport(
         k=k, interval=(j_lo, j_hi), checked=j_hi - j_lo + 1, anchor=c
@@ -359,7 +346,10 @@ def rule_from_name(spec: str) -> PartitionRule:
     if spec == "alternating":
         return alternating_rule()
     if spec.startswith("random:"):
-        return seeded_rule(int(spec.split(":", 1)[1]))
+        try:
+            return seeded_rule(int(spec.split(":", 1)[1]))
+        except ValueError:
+            pass  # a seed that is not an integer
     raise ValueError(f"unknown partition rule {spec!r}")
 
 

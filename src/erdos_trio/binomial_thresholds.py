@@ -413,8 +413,8 @@ def certificate_average(n: int, c: float = DEFAULT_CERTIFICATE_C) -> Certificate
     """
     if n < 3:
         raise ValueError("n must be >= 3")
-    if c <= 0:
-        raise ValueError("c must be positive")
+    if not 0 < c < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"c must be a finite positive number, not {c}")
     log_n = math.log(n)
     y = int(c * log_n * log_n)
     if y < 1:

@@ -24,7 +24,7 @@ from erdos_trio import (
     sumset_cover_check,
 )
 from erdos_trio import basis_splits
-from erdos_trio.basis_splits import _sumset, stage_intervals
+from erdos_trio.basis_splits import _pair_sums, stage_intervals
 
 from budget import assert_counted, peak_bytes
 from oracles import (
@@ -159,10 +159,15 @@ def test_sumset_memory_budget():
     """The interval sums are counted before any is built, at a size per sum
     that covers what tracemalloc measures; the budget is read at call time."""
     k = 60
-    bits = (6 * 5**k).bit_length()  # the largest sum, 2 * max(A_k)
-    need = len(stage_intervals(3 * 5**k)) ** 2 * (basis_splits._SUM_BYTES + 8 * (bits // 30))
-    assert assert_counted(need, lambda: sumset_cover_check(k)).covered
-    # ~9e6 sums of ~2,300 bits, several GB: refused before any is built
+    # cover sums the intervals of A_k, up to 3 * 5^k; rigidity those of A up
+    # to max(J_k) - 2; each of the m intervals is paired with itself and the rest
+    for check, limit in ((sumset_cover_check, 3 * 5**k), (rigidity_check, rigidity_interval(k)[1] - 2)):
+        intervals = stage_intervals(limit)
+        m = len(intervals)
+        bits = (2 * intervals[-1][1]).bit_length()  # the largest sum
+        need = m * (m + 1) // 2 * (basis_splits._SUM_BYTES + 8 * (bits // 30))
+        assert assert_counted(need, lambda: check(k)).k == k
+    # ~4.5e6 sums of ~2,300 bits, several GB: refused before any is built
     for check in (sumset_cover_check, rigidity_check):
         start = time.perf_counter()
         with pytest.raises(ResourceLimitError):
@@ -182,14 +187,14 @@ def test_cover_examples_and_method_agreement():
         oracle = sumset_mask(basis_intervals(3 * 5**k))
         assert first_missing(oracle, 4, rep.hi) is None
         intervals = stage_intervals(3 * 5**k)
-        assert interval_mask(_sumset(intervals, intervals)) == oracle
+        assert interval_mask(_pair_sums(intervals)) == oracle
 
 
 def test_cover_detects_gaps_on_broken_set(monkeypatch):
     """Drop B_2 from the stage intervals: 45..49 loses its only representations."""
     limit = 15 * 5  # A_2 region
     intervals = [iv for iv in stage_intervals(limit) if iv != stage_block(2)]
-    sums = _sumset(intervals, intervals)
+    sums = _pair_sums(intervals)
     missing = {x for x in range(4, 6 * 25 + 1) if not any(lo <= x <= hi for lo, hi in sums)}
     assert set(range(45, 50)) <= missing  # J_2 has no representation without B_2
     assert interval_mask(sums) == sumset_mask(intervals)
@@ -246,6 +251,20 @@ def test_rigidity_detects_extra_summand(monkeypatch):
                     rigidity_check(k)
             monkeypatch.undo()
         assert breaking > 0
+
+
+def test_rigidity_needs_the_anchor_and_block_pair(monkeypatch):
+    """Let A be {2} together with J_k - 2. Each n in J_k then has exactly one
+    representation, 2 + (n - 2), and their one sum equals c_k + B_k, but it
+    is not the sum of the pair ({c_k}, B_k), so the check raises."""
+    for k in (1, 2, 5):
+        lo, hi = rigidity_interval(k)
+        monkeypatch.setattr(
+            basis_splits, "stage_intervals", lambda limit, lo=lo, hi=hi: [(2, 2), (lo - 2, hi - 2)]
+        )
+        with pytest.raises(VerificationError, match=f"stage {k}: n = {lo} has a representation"):
+            rigidity_check(k)
+        monkeypatch.undo()
 
 
 def test_rigidity_identity_check_fires(monkeypatch):
@@ -310,8 +329,9 @@ def test_rule_parsing():
     assert rule_from_name("all-c-to-1").name == "all-c-to-1"
     assert rule_from_name("alternating").name == "alternating"
     assert rule_from_name("random:7").name == "random:7"
-    with pytest.raises(ValueError):
-        rule_from_name("nope")
+    for spec in ("nope", "random:", "random:x", "random:1.5"):
+        with pytest.raises(ValueError, match=f"unknown partition rule '{spec}'"):
+            rule_from_name(spec)
 
 
 def test_input_validation():

@@ -535,6 +535,12 @@ def test_certificate_rejects_tiny_y():
         certificate_average(3, 0.001)
 
 
+@pytest.mark.parametrize("c", [0, -1, float("nan"), float("inf")])
+def test_certificate_rejects_c_not_finite_and_positive(c):
+    with pytest.raises(ValueError, match="c must be a finite positive number"):
+        certificate_average(10**6, c)
+
+
 def test_witness_examples():
     w2 = lower_bound_witness(2)
     assert w2.M_K == 4
