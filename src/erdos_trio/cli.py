@@ -7,10 +7,12 @@ approximants, prime strings, cluster verification).
 
 Output is a flat row list in one of three formats (``table``, ``csv``,
 ``json``); JSON wraps the rows with a ``meta`` object (echoed parameters
-plus the mathematical claim each check certifies) and a ``verdict``. Runs
-with identical parameters produce byte-identical stdout; wall-clock timing
-goes to stderr only. Scans run serially: the global ``--threads`` flag is
-still accepted as an integer but changes nothing.
+plus the mathematical claim each check certifies) and a ``verdict``. The
+JSON text has the bytes of ``json.dumps(doc, indent=2)``, but every row cell
+is encoded in one pass of the json module's C encoder. Runs with identical
+parameters produce byte-identical stdout; wall-clock timing goes to stderr
+only. Scans run serially: the global ``--threads`` flag is still accepted
+as an integer but changes nothing.
 
 Exit codes: 0 verified/ok, 1 bad arguments (including a request whose
 memory, counted before it is built, exceeds the budget, an ``--output`` path
@@ -45,19 +47,19 @@ EXIT_VERIFICATION = 2
 EXIT_HORIZON = 3
 
 
-# Peak bytes per row of ``basis reps`` as rendered JSON, the costliest
-# format: the row dict and its ints, and the encoder's chunks and text
-# (tracemalloc of the whole command, parser build included: 961 and 950
-# bytes per row at n = 251,500 and 1e6; csv 367 and 361, table 646 and 650).
-# Every format is counted at this size, before any row is built.
-_REP_ROW_BYTES = 1000
+# Peak bytes per row of ``basis reps`` as a table, the costliest format: the
+# row dict and its ints, the cell strings and the padded lines (tracemalloc
+# of the whole command, parser build included: 641 and 649 bytes per row at
+# n = 251,500 and 1e6; json 640 and 645, csv 374 and 382), plus 10%. Every
+# format is counted at this size, before any row is built.
+_REP_ROW_BYTES = 720
 
-# Peak bytes per row of ``binomial f-scan`` as rendered JSON, the costliest
-# format, measured the same way: 873 and 883 bytes per row at n = 1..20,000
-# and 1..60,000, and 896 and 914 over 4,000 n from 1e6 and from 1e12 (csv
-# 317 and 314, table 531 and 530 at the first two). Every format is counted
-# at this size, before the first f(n) is computed.
-_F_ROW_BYTES = 1000
+# Peak bytes per row of ``binomial f-scan`` as JSON, the costliest format,
+# measured the same way: 642 at n = 1..20,000 and 1..60,000, and 668, 704
+# and 739 over 4,000 n from 1e6, 1e12 and 1e18 (table 533, 531, 550, 578
+# and 603; csv 320, 314, 362, 375 and 403), plus 8% over the last. Every
+# format is counted at this size, before the first f(n) is computed.
+_F_ROW_BYTES = 800
 
 
 class _UsageError(Exception):
@@ -89,11 +91,37 @@ def _json_default(value) -> str:
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+# Encodes every cell of a JSON document's rows in one call. With ``indent``
+# None the json module runs its C encoder; its output is ASCII and escapes
+# every control character inside a string, so a raw NUL is only ever the
+# separator between two cells.
+_CELLS = json.JSONEncoder(separators=("\x00", ": "), default=_json_default)
+
+
+def _render_json(rows: list[dict], meta: dict, verdict: str) -> str:
+    """The bytes of ``json.dumps({"meta": meta, "rows": rows, "verdict":
+    verdict}, indent=2, default=_json_default)`` and a newline, for one or
+    more flat rows with the first row's keys: the cells go through
+    ``_CELLS`` in one pass and fill one row template built from those keys.
+    ``meta`` is dumped with ``indent=2`` and indented one more level; an
+    ASCII JSON string holds no raw newline, so that only re-indents."""
+    head = json.dumps(meta, indent=2, default=_json_default).replace("\n", "\n  ")
+    fields = ",\n".join(f"      {json.dumps(key).replace('%', '%%')}: %s" for key in rows[0])
+    template = ",\n".join([f"    {{\n{fields}\n    }}"] * len(rows))
+    cells = _CELLS.encode([v for row in rows for v in row.values()])[1:-1].split("\x00")
+    return (
+        f'{{\n  "meta": {head},\n  "rows": [\n{template % tuple(cells)}\n  ],\n'
+        f'  "verdict": {json.dumps(verdict)}\n}}\n'
+    )
+
+
 def _render(rows: list[dict], meta: dict, verdict: str, fmt: str) -> str:
+    """The command's output in ``fmt``. Every row of a command has the first
+    row's keys, in the same order: the table and csv columns and the JSON
+    row template are all read from ``rows[0]``."""
     if fmt == "json":
-        doc = {"meta": meta, "rows": rows, "verdict": verdict}
-        return json.dumps(doc, indent=2, default=_json_default) + "\n"
-    columns = list(rows[0])  # every row of a command has the same keys
+        return _render_json(rows, meta, verdict)
+    columns = list(rows[0])
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")

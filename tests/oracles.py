@@ -273,3 +273,16 @@ def color_class_misses_window(color_of, k: int, color: int) -> bool:
     ]
     counts, _ = window_representations(mine, lo, hi)
     return not counts.any()
+
+
+def witness_holds(n: int, K: int) -> bool:
+    """u(n, k) = 1 for every k <= K, checked per k in two forms: Legendre's
+    floor sum gives v_p(C(n, k)) = 0 for every prime p <= k, and factoring
+    C(n, k) over those primes leaves u(n, k) = 1."""
+    primes = trial_division_primes(K)
+    for k in range(K + 1):
+        if any(legendre_valuation(n, k, p) for p in primes if p <= k):
+            return False
+        if small_prime_part(n, k, primes) != 1:
+            return False
+    return True

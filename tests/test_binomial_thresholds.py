@@ -36,6 +36,7 @@ from oracles import (
     prime_exponent,
     small_prime_part,
     valuation_row_oracle,
+    witness_holds,
 )
 
 
@@ -558,39 +559,32 @@ def test_witness_examples():
 
 
 def test_witness_at_300_verifies():
-    """The witness check runs the legendre form's early exit on every (k, p):
-    K = 300 is 62 primes times 301 values of k over an 832-bit n."""
+    """K = 300: 62 primes, each checked in closed form against an 832-bit n."""
     w = lower_bound_witness(300)
     assert w.M_K == math.lcm(*range(1, 301)) * math.prod(sieve_primes(300).primes.tolist())
     assert 1.5 <= w.log_ratio <= 2.06
 
 
-def test_witness_valuation_check_fires(monkeypatch):
-    """A wrong valuation at one (k, p) breaks the witness's first check."""
-    real = bt.valuation_binomial
+def test_witness_closed_form_matches_per_k_oracle():
+    """Every witness the closed form passes has u(M_K - 1, k) = 1 for each
+    k <= K by the per-k oracle, K = 2..54 and two seeded K up to 300; n = M_K,
+    where 2 divides C(n, 2), fails the oracle."""
+    rng = random.Random(0x3113)
+    for K in [*range(2, 55), *rng.sample(range(55, 301), 2)]:
+        m = lower_bound_witness(K).M_K
+        assert witness_holds(m - 1, K), K
+        assert not witness_holds(m, K), K
 
-    def wrong_at_3_2(n, k, p, method="indicator"):
-        return 1 if (k, p) == (3, 2) else real(n, k, p, method)
 
-    monkeypatch.setattr(bt, "valuation_binomial", wrong_at_3_2)
+def test_witness_check_fires(monkeypatch):
+    """An exponent of 2 one short (2^2 <= 5) breaks the closed-form check; the
+    n it builds, 899, has v_2(C(899, 4)) = 5, so the witness property fails."""
+    real = bt._witness_exponent
+    monkeypatch.setattr(bt, "_witness_exponent", lambda p, K: real(p, K) - (p == 2))
     with pytest.raises(VerificationError) as err:
         lower_bound_witness(5)
-    assert str(err.value) == "v_2(C(M_5-1, 3)) = 1 != 0; witness property fails"
-
-
-def test_witness_profile_check_fires(monkeypatch):
-    """A profile that reports u = 2 at one k breaks the witness's second
-    check, after every valuation passed the first."""
-    real = bt.u_profile
-
-    def wrong_at_4(n, k):
-        prof = real(n, k)
-        return bt.ValuationProfile(n, k, prof.valuations, 2) if k == 4 else prof
-
-    monkeypatch.setattr(bt, "u_profile", wrong_at_4)
-    with pytest.raises(VerificationError) as err:
-        lower_bound_witness(5)
-    assert str(err.value) == "u(M_5-1, 4) != 1"
+    assert str(err.value) == "M_5-1 is not -1 mod 2^2 with 2^1 <= 5 < 2^2; witness property fails"
+    assert not witness_holds(2**2 * 3**2 * 5**2 - 1, 5)
 
 
 def test_witness_exponent_bracketing():

@@ -3,11 +3,15 @@
 import dataclasses
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erdos_trio import ResourceLimitError, binomial_thresholds, cli, equidistribution, errors
 from erdos_trio.cli import EXIT_HORIZON, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
@@ -196,7 +200,7 @@ def test_equidist_cluster_bad_delta(capsys):
         ("equidist", "approx", "--alpha", "1234567/" + "7" * 4000, "--Q", "3" * 4000),
         # synthesizing alpha is bounded at 8192 bits
         ("--precision", "100000", "equidist", "approx", "--alpha", "sqrt:2", "--Q", "10"),
-        # 1e12 f-scan rows at ~900 bytes each are refused before the first f(n)
+        # 1e12 f-scan rows at ~800 bytes each are refused before the first f(n)
         ("binomial", "f-scan", "--from", "1", "--to", "1000000000000"),
     ],
 )
@@ -225,9 +229,9 @@ def _served(argv):
 
 
 def test_basis_reps_counts_rendered_rows(capsys):
-    """``basis reps`` counts its rendered rows, at the JSON size per pair for
-    every format, before it builds them; the count covers the command's
-    tracemalloc peak."""
+    """``basis reps`` counts its rendered rows, at the size per pair of its
+    costliest format for every format, before it builds them; the count
+    covers the command's tracemalloc peak."""
     need = 32878 * cli._REP_ROW_BYTES  # 32,878 representations of 251,500
     for fmt in ("json", "csv", "table"):
         assert_counted(need, _served(["--format", fmt, "basis", "reps", "--n", "251500"]))
@@ -252,9 +256,9 @@ def test_basis_reps_refused_before_any_row(capsys, monkeypatch):
 
 
 def test_f_scan_counts_its_rows(capsys):
-    """``binomial f-scan`` counts its rows, at the JSON size per row for every
-    format, before it computes any f(n); the count covers the command's
-    tracemalloc peak."""
+    """``binomial f-scan`` counts its rows, at the size per row of its
+    costliest format for every format, before it computes any f(n); the
+    count covers the command's tracemalloc peak."""
     argv = ["--format", "json", "binomial", "f-scan", "--from", "1000", "--to", "4999", "--stride", "2"]
     need = 2000 * cli._F_ROW_BYTES
     assert main(argv) == EXIT_OK  # fills the prime caches, which count their own fill
@@ -462,3 +466,73 @@ def test_stdout_golden(capsys, args, fmt):
     want_code, hashes = GOLDEN[args]
     assert code == want_code
     assert hashlib.sha256(out.encode()).hexdigest() == hashes[fmt]
+
+
+def test_every_command_rows_share_the_first_rows_keys():
+    """The JSON row template and the table and csv columns are read from the
+    first row: every row of a command has its keys in the same order, and
+    each cell is a scalar."""
+    argvs = [args.split() for args in sorted(GOLDEN)] + [
+        ["basis", "reps", "--n", "251500"],
+        ["binomial", "f-scan", "--from", "1000", "--to", "1015"],
+    ]
+    for argv in argvs:
+        args = cli.build_parser().parse_args(argv)
+        rows, _, _ = args.handler(args)
+        columns = list(rows[0])
+        assert all(list(row) == columns for row in rows), argv
+        assert all(
+            v is None or isinstance(v, (bool, int, float, str, Fraction))
+            for row in rows for v in row.values()
+        ), argv
+
+
+# Characters that could end a cell, a row or a string early if the renderer
+# split or templated on them, beside any character at all.
+_TEXT = st.lists(
+    st.sampled_from(["\x00", '"', "\\", "{", "}", ",", '": "', "\n", "\t", "%s", "é", " "])
+    | st.characters(),
+    max_size=6,
+).map("".join)
+_CELL = st.one_of(
+    st.integers(),
+    st.integers(-(10**300), 10**300),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308]),
+    st.booleans(),
+    st.none(),
+    st.fractions(),
+    _TEXT,
+)
+_NESTED = st.recursive(
+    _CELL,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _documents(draw):
+    keys = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+    values = st.lists(_CELL, min_size=len(keys), max_size=len(keys))
+    rows = [dict(zip(keys, row)) for row in draw(st.lists(values, min_size=1, max_size=5))]
+    meta = draw(st.dictionaries(_TEXT, _NESTED, max_size=3))
+    # like certificate's diagnostics: a list of dicts, beside empty containers
+    meta |= {
+        "diagnostics": draw(st.lists(st.dictionaries(_TEXT, _CELL, max_size=3), max_size=3)),
+        "empty_dict": {},
+        "empty_list": [],
+    }
+    return rows, meta, draw(_TEXT)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(doc=_documents())
+def test_json_render_matches_indented_dumps(doc):
+    """The one-pass JSON renderer gives the bytes of the whole-document
+    ``json.dumps(..., indent=2)``."""
+    rows, meta, verdict = doc
+    want = json.dumps(
+        {"meta": meta, "rows": rows, "verdict": verdict}, indent=2, default=cli._json_default
+    ) + "\n"
+    assert cli._render(rows, meta, verdict, "json") == want

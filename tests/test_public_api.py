@@ -231,10 +231,7 @@ FIRING_TESTS = {
         "test_basis_splits::test_rigidity_detects_extra_summand",
         "test_basis_splits::test_rigidity_identity_check_fires",
     ],
-    "binomial_thresholds.lower_bound_witness": [
-        "test_binomial_thresholds::test_witness_valuation_check_fires",
-        "test_binomial_thresholds::test_witness_profile_check_fires",
-    ],
+    "binomial_thresholds.lower_bound_witness": ["test_binomial_thresholds::test_witness_check_fires"],
     "cli._cmd_binomial_certificate": ["test_cli::test_certificate_confirmation_failure_exits_2"],
     "equidistribution.well_distribution_statistic": [
         "test_equidistribution::test_scan_recheck_catches_a_wrong_window",
