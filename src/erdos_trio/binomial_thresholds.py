@@ -19,17 +19,15 @@ n mod p^t, so n may be an arbitrary-precision integer.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import islice
 from typing import Literal
 
 import numpy as np
 
 from .errors import VerificationError, reserve
-from .primes import _prime_list, _primes_below_power_of_two, is_prime
+from .primes import SEGMENT_SPAN, _prime_count_bound, _prime_list, _segments, is_prime
 
 # Default certificate constant: 24/(pi^2 - 6) + 0.01, slightly above the
 # smallest constant for which the averaging argument closes.
@@ -63,6 +61,13 @@ _RESIDUE_BYTES = 4
 # the int32 k row and one quotient row. tracemalloc gives 12.0-12.1 at 2^12
 # and 2^16 (12.5 at 2^10), p = 2, 3 and 997.
 _FACTORIAL_BYTES = 12
+
+# Peak bytes per prime of one segment of the certificate's stream, beside its
+# mask and 4 KiB that does not grow (at most 2,583 B below Y = 3e3): its int64
+# primes and their Python ints. tracemalloc of the certificate, per prime of
+# the bound at min(Y, SEGMENT_SPAN): 43.3 at Y = 1e3, 20.8 at 1e4, 10.3 at
+# 1e5, 7.8 at 3e6 (short segments) and 29.8 at 34,356,299 (n = 1e18, c = 2e4).
+_STREAM_BYTES = 48
 
 # Peak bytes per prime joined by the u(n, k) series behind f_threshold: two
 # one-entry lists, two int keys and two dict slots. tracemalloc on the series
@@ -404,12 +409,12 @@ def certificate_average(n: int, c: float = DEFAULT_CERTIFICATE_C) -> Certificate
     Requires Y >= 1 and Y <= n (the mean is over defined u values only).
     The sum is sum_{p<=Y} N_p log p, each N_p from ``_carries`` in O(log_p n)
     floor divisions, added by ``math.fsum``. The diagnostics' T_j and R_j
-    are running sums over one ascending pass through the primes <= Y/2,
-    added in the order of a direct per-block sum.
+    are running sums over the primes <= Y/2, added in ascending order, as a
+    direct per-block sum adds them.
 
-    The only request-sized structure is the cached list of the primes below
-    the next power of two past Y, counted through ``reserve`` on a cache
-    miss; no per-prime list is built beside it.
+    The primes <= Y are read once, in ascending order, from the sieve's
+    stream for both, and no prime list is held; one segment of the stream
+    is counted through ``reserve`` before it is sieved.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
@@ -421,31 +426,31 @@ def certificate_average(n: int, c: float = DEFAULT_CERTIFICATE_C) -> Certificate
         raise ValueError(f"Y = floor(c (log n)^2) = {y} < 1")
     if y > n:
         raise ValueError(f"Y = {y} exceeds n = {n}; u(n, k) is undefined past n")
-    primes = _primes_below_power_of_two(y.bit_length())
-    count = bisect_right(primes, y)
-    total = math.fsum(_carries(n, y, p) * math.log(p) for p in islice(primes, count))
-    average = total / y
+    span = min(y, SEGMENT_SPAN)
+    reserve(span // 2 + 4096 + _STREAM_BYTES * _prime_count_bound(span), f"a segment of the primes to {y}")
     # Blocks j = 9 down to 2 take ever longer prefixes of the primes.
-    diag = []
-    t_sum = r_sum = 0  # sum()'s start: an empty block stays the int 0
-    i = 0
-    for j in range(_DIAGNOSTIC_BLOCKS + 1, 1, -1):
-        bound = y // j
-        while i < count and primes[i] <= bound:
-            p = primes[i]
-            log_p = math.log(p)
-            t_sum += log_p
-            r_sum += (p - n % p) * log_p
-            i += 1
-        diag.append(
-            {
-                "j": j,
-                "prime_bound": bound,
-                "T_j": t_sum,
-                "R_j": r_sum,
-                "M_j": int(y / (j * log_n)),
-            }
-        )
+    bounds = [y // j for j in range(_DIAGNOSTIC_BLOCKS + 1, 1, -1)]
+    passed = []  # (T_j, R_j) at each bound, filled as the pass goes by
+
+    def terms():
+        """N_p log p for each prime p <= Y, ascending; T_j and R_j on the way."""
+        t_sum = r_sum = 0  # sum()'s start: an empty block stays the int 0
+        for segment in _segments(y):
+            for p in segment.tolist():
+                log_p = math.log(p)
+                if p <= bounds[-1]:
+                    while p > bounds[len(passed)]:
+                        passed.append((t_sum, r_sum))
+                    t_sum += log_p
+                    r_sum += (p - n % p) * log_p
+                yield _carries(n, y, p) * log_p
+        passed.extend([(t_sum, r_sum)] * (len(bounds) - len(passed)))
+
+    average = math.fsum(terms()) / y
+    diag = [
+        {"j": j, "prime_bound": bound, "T_j": t_j, "R_j": r_j, "M_j": int(y / (j * log_n))}
+        for j, bound, (t_j, r_j) in zip(range(_DIAGNOSTIC_BLOCKS + 1, 1, -1), bounds, passed)
+    ]
     diag.reverse()
     return CertificateReport(
         n=n,

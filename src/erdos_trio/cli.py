@@ -30,6 +30,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -40,6 +41,7 @@ from . import basis_splits as bs
 from . import binomial_thresholds as bt
 from . import equidistribution as eq
 from .errors import ResourceLimitError, VerificationError, reserve
+from .primes import _prime_list
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -192,6 +194,12 @@ def _cmd_binomial_certificate(args) -> tuple[list[dict], dict, str]:
 
 
 def _cmd_binomial_witness(args) -> tuple[list[dict], dict, str]:
+    # M_K is printed in full: refuse, before it is built, an M_K with more
+    # digits than Python's int-to-str limit allows (0, or no such limit: none)
+    log10_m = math.fsum(bt._witness_exponent(p, args.K) * math.log10(p) for p in _prime_list(args.K))
+    most, digits = getattr(sys, "get_int_max_str_digits", int)(), int(log10_m) + 1
+    if 0 < most < digits:
+        raise ValueError(f"M_{args.K} has {digits} digits, past the {most}-digit int-to-str limit")
     w = bt.lower_bound_witness(args.K)
     factorization = "*".join(f"{p}^{e}" for p, e in sorted(w.exponents.items()))
     rows = [

@@ -13,12 +13,12 @@ number of bits), {alpha p} is an exact rational reduced mod 1, and the
 clustering inequalities are re-checked in exact arithmetic before a
 witness is reported. Floats only pick which windows a scan scores exactly.
 
-A clustering witness is found by searching growing prefixes of the primes,
-from 2^16 up to the limit by factors of four, so a witness near the start
-costs a small sieve, not one to the limit. One exact fact also ends a
-search early: every run of m >= 2 consecutive primes in one class mod
-q >= 2 is of odd primes, so it is at least lcm(2, q)(m - 1) wide, and a
-diameter budget below that rules the class out.
+A clustering witness is found by reading the primes in order, one sieve
+segment at a time, so a witness near the start costs a small sieve and a
+search holds no table. One exact fact also ends a search early: every run
+of m >= 2 consecutive primes in one class mod q >= 2 is of odd primes, so
+it is at least lcm(2, q)(m - 1) wide, and a diameter budget (or a limit)
+below that rules the class out.
 
 Interval discrepancy has a closed form (Kuipers & Niederreiter, Uniform
 Distribution of Sequences, 1974, Ch. 2, Thm 1.4): for sorted x_1..x_k in
@@ -49,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import VerificationError, reserve
-from .primes import PrimeTable, _prime_count_bound, sieve_primes
+from .primes import SEGMENT_SPAN, PrimeTable, _prime_count_bound, _segments, _spans, sieve_primes
 
 # A scan's fractional parts are 96-bit fixed-point numbers, formed from
 # 32-bit limbs so that each limb-by-prime product fits in uint64.
@@ -82,19 +82,13 @@ _POINT_BYTES = 128
 # which sort and score faster than chunks of 2^22 and need 1/64 the memory.
 _CHUNK_ENTRIES = 1 << 16
 
-# A prime-string search reads the primes up to _FIRST_PREFIX, then up to
-# _PREFIX_GROWTH times as far, and so on up to its limit.
-_FIRST_PREFIX = 1 << 16
-_PREFIX_GROWTH = 4
-
-# Peak bytes of a prime-string search to a limit, per prime of the 1.3 x / ln x
-# bound at the limit: the 8-byte table entry plus 18 bytes of mask,
-# cumulative sums and run test. The search holds one prefix table at a time,
-# so a search that reads up to its limit peaks as a search of the whole
-# table does (tracemalloc, sieve included: 23.2, 21.4, 20.9, 20.6 and 20.5
-# at limits 1e4, 1e5, 1e6, 1e7 and 4e7), and one that stops in the first
-# prefix far lower (1.8 at 1e6).
-_STRING_BYTES = 26
+# Peak bytes of a prime-string search per prime of a whole segment and of
+# its carry, beside the mask: the primes, their join with the carry, the run
+# test and a found run as Python ints. tracemalloc, base primes cached, per
+# unit of the bound at SEGMENT_SPAN plus min(m - 1, the bound at the limit):
+# 18.4 at limit 1e8, m = 100 (every segment read), 19.5 and 22.6 at m = 1e6
+# and 5e6 (long carries), 33.8 at m = 3e6, q = 1 (a run of 3e6 primes).
+_RUN_BYTES = 40
 
 DEFAULT_ALPHA_BITS = 256
 
@@ -162,20 +156,21 @@ def window_sample(
             f"window needs prime index {n + k}; table holds {len(table)} primes"
         )
     a = parse_alpha(alpha)
-    return tuple(Fraction(r, a.denominator) for r in _sorted_residues(a, n, k, table))
+    return tuple(Fraction(r, a.denominator) for r in _sorted_residues(a, table.primes[n : n + k].tolist()))
 
 
-def _sorted_residues(alpha: Fraction, n: int, k: int, table: PrimeTable) -> list[int]:
-    """The residues num p mod den of the primes p_{n+1..n+k}, ascending, with
-    num/den = alpha: den times their fractional parts {alpha p}."""
+def _sorted_residues(alpha: Fraction, primes: Sequence[int]) -> list[int]:
+    """The residues num p mod den of the primes, ascending, with num/den =
+    alpha: den times their fractional parts {alpha p}."""
     num, den = alpha.numerator, alpha.denominator
-    return sorted(num * p % den for p in table.primes[n : n + k].tolist())
+    return sorted(num * p % den for p in primes)
 
 
 def _window_discrepancy(alpha: Fraction, n: int, k: int, table: PrimeTable) -> Fraction:
     """The exact interval discrepancy of ``window_sample(alpha, n, k, table)``,
     in integers."""
-    return _exact_discrepancy(_sorted_residues(alpha, n, k, table), alpha.denominator)
+    residues = _sorted_residues(alpha, table.primes[n : n + k].tolist())
+    return _exact_discrepancy(residues, alpha.denominator)
 
 
 def _exact_discrepancy(residues: list[int], den: int) -> Fraction:
@@ -454,16 +449,16 @@ def find_prime_string(
     retry; absence below a finite horizon never refutes anything). With
     ``max_diameter`` set, returns the first run at least that tight.
 
-    The search reads growing prefixes of the primes: those up to 2^16, then
-    four times as far, and so on up to the limit, and stops at the first
-    prefix that holds a run. That run is the first overall, since a run
-    that starts earlier also ends earlier. Prefixes are sieved one at a time
-    when ``table`` is None and read from ``table`` otherwise. A
-    ``max_diameter`` below lcm(2, q)(m - 1) ends the search once a prefix
-    holds p_m: every run but (2, 3, ..., p_m) is of odd primes in one class
-    mod q, so its consecutive primes differ by at least lcm(2, q). The
-    search to the full limit is counted through ``reserve`` before
-    anything is sieved.
+    The search reads the primes in ascending order, one segment of
+    ``primes._spans(limit)`` at a time, sieved, or sliced from ``table`` at
+    the same bounds, and carries the last m - 1 primes across each
+    boundary, so the first run found is the first overall. Every run but
+    (2, 3, ..., p_m) is of odd primes in one class mod q, so its consecutive
+    primes differ by at least lcm(2, q); a ``max_diameter`` or a limit below
+    lcm(2, q)(m - 1) ends the search once p_m is read. One whole segment
+    and the carry are counted through ``reserve``, whatever the limit, so a
+    search is bounded by time, not memory: it reads the primes to 1e9 in
+    ~5 s on a 2-core x86 host.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -471,70 +466,50 @@ def find_prime_string(
         raise ValueError(f"need gcd(a, q) = 1, got gcd({a}, {q}) = {gcd(a, q)}")
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _search(q, a, m, max_diameter, _Prefixes(limit, table))
-
-
-class _Prefixes:
-    """The primes up to growing bounds x <= ``limit``, for prime-string
-    searches: read from ``table`` when one is given, else sieved, holding
-    only the largest table sieved so far. The search to ``limit`` is
-    counted through ``reserve`` before anything is sieved."""
-
-    def __init__(self, limit: int, table: PrimeTable | None):
-        reserve(_STRING_BYTES * _prime_count_bound(limit), f"a prime-string search to {limit}")
-        if table is not None and table.limit < limit:
-            raise ValueError(f"table limit {table.limit} is below search limit {limit}")
-        self.limit = limit
-        self.table = table
-
-    def bounds(self):
-        """2^16, four times that, and so on, up to and ending at ``limit``."""
-        x = min(_FIRST_PREFIX, self.limit)
-        yield x
-        while x < self.limit:
-            x = min(x * _PREFIX_GROWTH, self.limit)
-            yield x
-
-    def upto(self, x: int) -> np.ndarray:
-        """The primes <= x; a smaller sieved table is dropped before x is sieved."""
-        if self.table is None or self.table.limit < x:
-            self.table = None
-            self.table = sieve_primes(x)
-        return self.table.primes[: self.table.count(x)]
+    return _search(q, a, m, max_diameter, limit, table)
 
 
 def _search(
-    q: int, a: int, m: int, max_diameter: int | None, prefixes: _Prefixes
+    q: int, a: int, m: int, max_diameter: int | None, limit: int, table: PrimeTable | None
 ) -> PrimeString | None:
-    """``find_prime_string`` over ``prefixes``, once its arguments are checked."""
+    """``find_prime_string`` once its arguments are checked."""
+    carried = min(m - 1, _prime_count_bound(limit))
+    need = SEGMENT_SPAN // 2 + _RUN_BYTES * (_prime_count_bound(SEGMENT_SPAN) + carried)
+    reserve(need, f"a prime-string search to {limit}")
+    if table is None:
+        segments = _segments(limit)
+    elif table.limit < limit:
+        raise ValueError(f"table limit {table.limit} is below search limit {limit}")
+    else:
+        segments = (table.primes[slice(*np.searchsorted(table.primes, span))] for span in _spans(limit))
+    a %= q
     # every run but (2, 3, ..., p_m) is of odd primes in one class mod q, so
-    # it is at least lcm(2, q)(m - 1) wide
-    too_tight = max_diameter is not None and max_diameter < math.lcm(2, q) * (m - 1)
-    for x in prefixes.bounds():
-        ps = prefixes.upto(x)
-        string = _first_run(ps, q, a % q, m, max_diameter)
-        if string is not None or (too_tight and ps.size >= m):
-            return string
-        del ps  # a view of the table the next prefix may replace
+    # it is at least lcm(2, q)(m - 1) wide; a run below the limit is narrower
+    widest = limit if max_diameter is None else min(max_diameter, limit)
+    too_tight = widest < math.lcm(2, q) * (m - 1)
+    carry, r = np.empty(0, dtype=np.int64), 0  # r: the index of carry[0] among the primes
+    for segment in segments:
+        ps = np.concatenate((carry, segment))
+        del carry, segment
+        if ps.size >= m:  # the first run in ps: m primes = a (mod q), tight enough
+            cums = np.zeros(ps.size + 1, dtype=np.int64)
+            # a prime below q is its own residue, and q may be past int64
+            np.cumsum((ps if q > ps[-1] else ps % q) == a, out=cums[1:])
+            runs = cums[m:] - cums[:-m] == m
+            del cums
+            if max_diameter is not None:
+                runs &= ps[m - 1 :] - ps[: ps.size - m + 1] <= max_diameter
+            i = int(runs.argmax())
+            if runs[i]:
+                run = tuple(ps[i : i + m].tolist())
+                return PrimeString(q=q, a=a, m=m, r=r + i, primes=run, diameter=run[-1] - run[0])
+            if too_tight:  # p_m is read
+                return None
+        keep = min(m - 1, ps.size)
+        carry = ps[ps.size - keep :].copy()
+        r += ps.size - keep
+        del ps  # before the next segment is sieved
     return None
-
-
-def _first_run(
-    ps: np.ndarray, q: int, a: int, m: int, max_diameter: int | None
-) -> PrimeString | None:
-    """The first run of m consecutive primes = a (mod q) in the ascending
-    ``ps``, at most ``max_diameter`` wide when that is set."""
-    if ps.size < m:
-        return None
-    cums = np.concatenate([[0], np.cumsum(ps % q == a)])
-    run_starts = np.flatnonzero(cums[m:] - cums[:-m] == m)
-    if max_diameter is not None:
-        run_starts = run_starts[ps[run_starts + m - 1] - ps[run_starts] <= max_diameter]
-    if run_starts.size == 0:
-        return None
-    r = int(run_starts[0])
-    run = tuple(int(p) for p in ps[r : r + m])
-    return PrimeString(q=q, a=a, m=m, r=r, primes=run, diameter=run[-1] - run[0])
 
 
 @dataclass(frozen=True)
@@ -583,14 +558,12 @@ def cluster_verify(
     are then re-checked in exact rational arithmetic, and a violation raises
     VerificationError. A ladder with no run is a soft failure.
 
-    Each rung is a ``find_prime_string`` search over growing prefixes, so
-    it stops at the prefix that holds its run, and a rung whose diameter
-    budget is below lcm(2, q)(m - 1) stops at the first prefix that holds
-    p_m. When ``table`` is None the rungs share one sieved table, the
-    largest any rung has needed so far, and a smaller one is dropped before
-    a larger one is sieved; so at most one rung per request pays for the
-    sieve to the limit. The search to the full limit is counted through
-    ``reserve`` before anything is sieved.
+    Each rung is a ``find_prime_string`` search, which streams the primes
+    from 2 (or slices ``table``) and stops at its run; a rung whose diameter
+    budget is below lcm(2, q)(m - 1) stops once it has read p_m. The window
+    check scores the run's own primes, which are the window, so no table is
+    held between rungs. Each rung counts its search through ``reserve``
+    before it sieves.
     """
     a = parse_alpha(alpha)
     d = Fraction(delta)
@@ -598,7 +571,6 @@ def cluster_verify(
         raise ValueError("delta must lie strictly between 0 and 1/2")
     if m < 2:
         raise ValueError("m must be >= 2")
-    prefixes = _Prefixes(limit, table)
     first = dirichlet_approx(a, math.ceil(1 / d))
     later = (
         Approximant(a=h, q=q, Q=q, err=abs(a - Fraction(h, q)))
@@ -611,7 +583,7 @@ def cluster_verify(
         if apx.q > q_cap:
             break
         bound = None if apx.err == 0 else int(d / apx.err)
-        string = _search(apx.q, apx.a % apx.q, m, bound, prefixes)
+        string = _search(apx.q, apx.a, m, bound, limit, table)
         rounds.append(
             {
                 "Q": apx.Q,
@@ -633,7 +605,7 @@ def cluster_verify(
         )
         if worst > d:
             raise VerificationError(f"pairwise clustering bound violated: {worst} > {d}")
-        disc = _window_discrepancy(a, string.r, m, prefixes.table)
+        disc = _exact_discrepancy(_sorted_residues(a, string.primes), a.denominator)
         if disc < 1 - d:
             raise VerificationError(f"window discrepancy {disc} below 1 - delta = {1 - d}")
     return ClusterReport(

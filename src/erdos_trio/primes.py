@@ -5,15 +5,18 @@ prime up to a limit; ``is_prime`` is a Miller-Rabin test; ``_prime_list``
 serves the small prime lists the scans reuse from a cache of one list per
 power of two.
 
-There is one sieve. It marks odd integers segment by segment, so its mask
-never outgrows one segment of ``SEGMENT_SPAN`` integers, and limits below
-the span are simply one segment.
+There is one sieve, ``_segments``: the primes in ascending order, one
+segment at a time, marking odd integers. Spans double from ``_FIRST_SPAN``
+up to ``SEGMENT_SPAN``, so a reader that stops early sieves little.
+``sieve_primes`` and the cached lists join the segments; prime-string
+searches and the averaging certificate read the stream and hold no table.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,6 +26,9 @@ from .errors import reserve
 
 # Integers covered by one sieve segment (even+odd): 2**23 odds, 8 MiB of mask.
 SEGMENT_SPAN = 1 << 24
+# Integers covered by the first segment; each later span doubles, so a
+# cluster rung that stops at p_m sieves 2^12 integers, not a whole span.
+_FIRST_SPAN = 1 << 12
 
 # Peak bytes per prime of a cached prime list: the sieve's int64 array, the
 # list ``tolist`` builds and the tuple. tracemalloc gives 48.0 bytes per
@@ -74,37 +80,46 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _sieve(limit: int) -> np.ndarray:
-    """All primes <= limit, sieved over odd integers one segment at a time.
-
-    Each segment covers ``SEGMENT_SPAN`` integers, so the mask never
-    outgrows one segment whatever the limit. A segment's unmarked indices
-    become its primes in place, and its mask is dropped before the next
-    segment or the final join. The sieving primes up to sqrt(limit) come
-    from the same sieve, through the cached ``_prime_list``.
-    """
-    if limit < 2:
-        return np.array([], dtype=np.int64)
-    odd_base = _prime_list(math.isqrt(limit))[1:]  # skip 2; segments hold odd numbers only
-    chunks = [np.array([2], dtype=np.int64)]
-    lo = 3
+def _spans(limit: int) -> Iterator[tuple[int, int]]:
+    """The bounds [lo, hi) of the sieve's segments, from 0 to limit + 1:
+    ``_FIRST_SPAN`` integers, each later span twice the last, up to ``SEGMENT_SPAN``."""
+    lo, span = 0, min(_FIRST_SPAN, SEGMENT_SPAN)
     while lo <= limit:
-        hi = min(lo + SEGMENT_SPAN, limit + 1)  # exclusive
-        n_odd = (hi - lo + 1) // 2
-        mask = np.ones(n_odd, dtype=bool)
-        for p in odd_base:
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start % 2 == 0:
-                start += p
-            if start < hi:
-                mask[(start - lo) // 2 :: p] = False
+        hi = min(lo + span, limit + 1)
+        yield lo, hi
+        lo, span = hi, min(2 * span, SEGMENT_SPAN)
+
+
+def _segments(limit: int) -> Iterator[np.ndarray]:
+    """The primes <= limit in ascending order, one int64 array per segment
+    of ``_spans(limit)``. A segment marks the odd integers of [lo, hi) (lo
+    is even) with the base primes up to sqrt(hi - 1), which come from the
+    same sieve through the cached ``_prime_list``; its unmarked indices
+    become its primes in place, after its mask is dropped."""
+    if limit < 2:
+        return
+    # the base primes but 2: segments hold odd numbers only
+    odd_base = np.array(_prime_list(math.isqrt(limit))[1:], dtype=np.int64)
+    for lo, hi in _spans(limit):
+        mask = np.ones((hi - lo) // 2, dtype=bool)  # lo + 1, lo + 3, ...
+        base = odd_base[: np.searchsorted(odd_base, math.isqrt(hi - 1), side="right")]
+        # the mask index of each base prime's first odd multiple past lo, from p^2 on
+        starts = (np.maximum(base * base, ((lo // base + 1) | 1) * base) - lo) // 2
+        for p, start in zip(base.tolist(), starts.tolist()):
+            mask[start::p] = False
         odd = np.flatnonzero(mask).astype(np.int64, copy=False)
-        del mask  # before the next segment's mask is built, or the join
+        del mask
         odd *= 2
-        odd += lo
-        chunks.append(odd)
-        lo = hi if hi % 2 else hi + 1  # keep segment starts odd
-    return np.concatenate(chunks)
+        odd += lo + 1
+        if lo == 0:
+            odd[0] = 2  # 1 is never marked; 2 takes its place, in order
+        yield odd
+        del odd  # before the next segment's mask is built
+
+
+def _sieve(limit: int) -> np.ndarray:
+    """All primes <= limit: the segments of ``_segments(limit)`` joined."""
+    return np.concatenate([np.empty(0, dtype=np.int64), *_segments(limit)])
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from it; the basis gap check only calls the coloring it is handed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -173,6 +174,11 @@ def whole_table_prime_string(
             if max_diameter is None or p - primes[r] <= max_diameter:
                 return r, tuple(primes[r : i + 1])
     return None
+
+
+def one_prime_later(primes: tuple[int, ...]) -> list[int]:
+    """The window of as many consecutive primes that starts at primes[1]."""
+    return [*primes[1:], next(p for p in itertools.count(primes[-1] + 1) if is_prime_oracle(p))]
 
 
 def star_discrepancy(points) -> float:

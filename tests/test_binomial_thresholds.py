@@ -6,7 +6,7 @@ derived from big-integer factorization oracles in ``oracles.py``.
 
 import math
 import random
-import time
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 
@@ -433,24 +433,28 @@ def test_u_series_memory_budget(monkeypatch):
 
 @pytest.mark.parametrize("n, c", [(10**6, 6.21), (10**18, 200.0)])
 def test_certificate_memory_budget(n, c):
-    """The certificate's one request-sized structure is its prime list, the
-    cached primes below the next power of two past Y. On a cold cache its
-    peak stays within the list's count, the exact count passes and one byte
-    less refuses."""
+    """The certificate reads the primes <= Y a segment at a time and counts
+    one segment of min(Y, SEGMENT_SPAN) integers: its mask, 4 KiB and
+    ``_STREAM_BYTES`` per prime of the bound. Its peak stays within that
+    count, the exact count passes and one byte less refuses."""
     y = int(c * math.log(n) ** 2)
-    need = pr._LIST_BYTES * pr._prime_count_bound((1 << y.bit_length()) - 1)
-    want = certificate_average(n, c)
-    cold = pr._primes_below_power_of_two.cache_clear
-    assert assert_counted(need, lambda: certificate_average(n, c), before=cold) == want
+    span = min(y, pr.SEGMENT_SPAN)
+    need = span // 2 + 4096 + bt._STREAM_BYTES * pr._prime_count_bound(span)
+    want = certificate_average(n, c)  # the base primes count their own list
+    assert assert_counted(need, lambda: certificate_average(n, c)) == want
 
 
-def test_certificate_refuses_a_prime_list_past_the_budget():
-    """Y ~ 1.7e9 needs the primes below 2^31, ~6 GB as a list: refused
-    before any prime is sieved."""
-    start = time.perf_counter()
-    with pytest.raises(ResourceLimitError, match="primes below 2\\^31"):
-        certificate_average(10**18, 10**6)
-    assert time.perf_counter() - start < 1.0
+def test_certificate_holds_no_prime_list():
+    """After the certificate returns it holds nothing that grows with Y. The
+    ~29,000 primes <= Y = 343,562 are read from the stream and dropped,
+    where a cached list of them held ~1.4 MB; only the base primes below
+    2^10 stay cached. Measured from a cold cache."""
+    pr._primes_below_power_of_two.cache_clear()
+    tracemalloc.start()
+    rep = certificate_average(10**18, 200.0)
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    assert rep.y == 343562 and held < 16 * 1024
 
 
 def test_f_threshold_of_witness_predecessor():

@@ -17,6 +17,7 @@ from erdos_trio import ResourceLimitError, binomial_thresholds, cli, equidistrib
 from erdos_trio.cli import EXIT_HORIZON, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 
 from budget import assert_counted, peak_bytes
+from oracles import one_prime_later
 
 
 def run_cli(capsys, *argv):
@@ -168,8 +169,8 @@ def test_equidist_cluster_bad_delta(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        # sieving to 1e12 is refused up front by the memory budget
-        ("equidist", "string", "--q", "4", "--a", "1", "--m", "2", "--limit", "1000000000000"),
+        # a search's carry of 1e9 primes is refused up front by the memory budget
+        ("equidist", "string", "--q", "4", "--a", "1", "--m", "1000000000", "--limit", "1000000000000"),
         # an alpha beyond float range cannot fill the alpha_float column
         ("equidist", "approx", "--alpha", "1e400", "--Q", "10"),
         # ~3.7e7 representation pairs are refused up front by the memory budget
@@ -177,8 +178,9 @@ def test_equidist_cluster_bad_delta(capsys):
         # a zero denominator, and an unwritable --output path
         ("equidist", "approx", "--alpha", "1/0", "--Q", "10"),
         ("--output", ".", "binomial", "f", "--n", "10"),
-        # Y ~ 1.7e9 needs the primes below 2^31, ~6 GB as a list
-        ("binomial", "certificate", "--n", "1000000000000000000", "--C", "1000000"),
+        # each rung of the ladder counts a carry of ~1e9 primes
+        ("equidist", "cluster", "--alpha", "sqrt:2", "--delta", "0.2", "--m", "1000000000",
+         "--limit", "1000000000000"),
         # ~9e6 interval sums of ~2,300 bits are refused by the memory budget
         ("basis", "cover", "--k", "1000"),
         ("basis", "rigidity", "--k", "1000"),
@@ -193,8 +195,9 @@ def test_equidist_cluster_bad_delta(capsys):
         # ~1.5e8 scanned primes at ~50 bytes each, past the sieve's 8
         ("equidist", "scan", "--alpha", "golden", "--k", "10", "--limit", "150000000",
          "--stride", "1000"),
-        # the search holds ~26 bytes per prime, past the sieve's 8
-        ("equidist", "string", "--q", "4", "--a", "1", "--m", "2", "--limit", "4000000000"),
+        # M_K has 867,752 digits, past Python's 4,300-digit int-to-str
+        # limit: refused before M_K is built
+        ("binomial", "witness", "--K", "1000000"),
         # err and 1/(qQ) have ~8,000-digit denominators, past Python's
         # 4,300-digit int-to-str limit, so no format can print them
         ("equidist", "approx", "--alpha", "1234567/" + "7" * 4000, "--Q", "3" * 4000),
@@ -213,6 +216,51 @@ def test_unservable_request_is_one_line_usage_error(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("limit", ["4000000000", "1000000000000"])
+def test_prime_string_search_past_the_sieve_budget_is_served(capsys, limit):
+    """A search holds one segment and its carry, not a table, so a limit
+    whose sieve the budget refuses is served; its first run is (13, 17)."""
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "--format", "json", "equidist", "string", "--q", "4", "--a", "1",
+                        "--m", "2", "--limit", limit)
+    assert code == EXIT_OK and time.perf_counter() - start < 1.0
+    assert json.loads(out)["rows"][0]["primes"] == "13 17"
+
+
+def test_prime_string_modulus_past_int64(capsys):
+    """A modulus past int64 leaves every prime below the limit its own
+    residue: m = 1 finds the prime a, and m = 2 exhausts the horizon."""
+    tail = ["--a", "3", "--m", "1", "--limit", "1000"]
+    code, out = run_cli(capsys, "--format", "csv", "equidist", "string", "--q", str(10**20), *tail)
+    assert code == EXIT_OK and out.splitlines()[1].endswith(",3,0")
+    code, out = run_cli(capsys, "equidist", "string", "--q", str(10**20), "--a", "1", "--m", "2",
+                        "--limit", "1000")
+    assert code == EXIT_HORIZON and "verdict: horizon-exhausted" in out
+
+
+def test_witness_refused_past_the_int_to_str_limit(capsys, monkeypatch):
+    """M_4998 has 4,297 digits and prints; M_4999 has 4,304 and is refused
+    before it is built, as M_1000000 is; with no limit (0) it prints."""
+    code, out = run_cli(capsys, "--format", "csv", "binomial", "witness", "--K", "4998")
+    assert code == EXIT_OK and len(out.splitlines()[1].split(",")[1]) == 4297
+    start = time.perf_counter()
+    for K in ("4999", "1000000"):
+        assert main(["binomial", "witness", "--K", K]) == EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "error: M_4999 has 4304 digits, past the 4300-digit int-to-str limit",
+        "error: M_1000000 has 867752 digits, past the 4300-digit int-to-str limit",
+    ]
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        code, out = run_cli(capsys, "--format", "csv", "binomial", "witness", "--K", "4999")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == EXIT_OK and len(out.splitlines()[1].split(",")[1]) == 4304
 
 
 def _served(argv):
@@ -288,10 +336,10 @@ def test_scan_exact_check_failure_exits_2(capsys, monkeypatch):
     "seam, fault, message",
     [
         # a loose string: the search ignores its diameter bound
-        ("_search", lambda real: lambda q, a, m, d, pre: real(q, a, m, None, pre),
+        ("_search", lambda real: lambda q, a, m, d, *rest: real(q, a, m, None, *rest),
          "pairwise clustering bound violated: "),
         # a shifted window: the window one prime later is scored
-        ("_window_discrepancy", lambda real: lambda al, n, k, t: real(al, n + 1, k, t),
+        ("_sorted_residues", lambda real: lambda al, ps: real(al, one_prime_later(ps)),
          "window discrepancy "),
     ],
     ids=["loose-string", "shifted-window"],

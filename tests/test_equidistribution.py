@@ -32,6 +32,7 @@ from oracles import (
     family_discrepancy,
     grid_discrepancy,
     is_prime_oracle,
+    one_prime_later,
     star_discrepancy,
     whole_table_prime_string,
 )
@@ -417,37 +418,55 @@ def test_scan_memory_budget():
         assert time.perf_counter() - start < 1.0
 
 
-def _farthest_prefix(monkeypatch, search) -> int:
-    """The largest bound up to which ``search`` reads the primes."""
-    bounds = []
-    real = equidistribution._Prefixes.upto
-    monkeypatch.setattr(
-        equidistribution._Prefixes, "upto", lambda self, x: bounds.append(x) or real(self, x)
-    )
+def _farthest_read(monkeypatch, search) -> int:
+    """The largest prime ``search`` reads from the sieve's stream."""
+    read = [0]
+    real = equidistribution._segments
+
+    def segments(limit):
+        for segment in real(limit):
+            read.extend(segment[-1:].tolist())
+            yield segment
+
+    monkeypatch.setattr(equidistribution, "_segments", segments)
     search()
     monkeypatch.undo()
-    return max(bounds)
+    return max(read)
 
 
 def test_prime_string_memory_budget(monkeypatch):
-    """A prime-string search, and the cluster search built on it, count the
-    search to the full limit per prime of the 1.3 x / ln x bound before they
-    sieve, whether they stop in the first prefix or read up to the limit."""
-    limit = 10**6
-    need = equidistribution._STRING_BYTES * primes._prime_count_bound(limit)
-    for search, farthest in (
-        (lambda: find_prime_string(4, 1, 2, limit), 2**16),
-        (lambda: find_prime_string(4, 1, 100, limit), limit),
-        (lambda: cluster_verify("sqrt:2", 0.2, 2, limit), 2**16),
+    """A prime-string search, and each rung of the cluster search built on
+    it, counts one whole segment and its carry of min(m - 1, 1.3 x / ln x)
+    primes before it sieves: the same bytes at limits 1e6, 1e8 and 4e9,
+    whether it stops in the first segment or reads up to the limit. A
+    search past the sieve's own budget is served: it holds no table."""
+    for limit in (10**6, 10**8, 4 * 10**9):
+        primes._prime_list(math.isqrt(limit))  # the base primes count their own list
+    eq = equidistribution
+
+    def need(m, limit):
+        carry = min(m - 1, primes._prime_count_bound(limit))
+        return primes.SEGMENT_SPAN // 2 + eq._RUN_BYTES * (primes._prime_count_bound(primes.SEGMENT_SPAN) + carry)
+
+    assert need(2, 10**6) == need(2, 10**8) == need(2, 4 * 10**9)
+    for search, m, limit, farthest in (
+        (lambda: find_prime_string(4, 1, 2, 10**6), 2, 10**6, 4093),
+        (lambda: find_prime_string(4, 1, 100, 10**6), 100, 10**6, 999983),
+        (lambda: find_prime_string(4, 1, 100, 10**8), 100, 10**8, 99999989),
+        (lambda: find_prime_string(1, 0, 10**5, 10**8), 10**5, 10**8, 2093041),
+        (lambda: cluster_verify("sqrt:2", 0.2, 2, 10**6), 2, 10**6, 4093),
         # every round fails, and some read up to the limit
-        (lambda: cluster_verify("sqrt:3", 0.1, 4, limit), limit),
+        (lambda: cluster_verify("sqrt:3", 0.1, 4, 10**6), 4, 10**6, 999983),
     ):
-        assert _farthest_prefix(monkeypatch, search) == farthest
-        assert_counted(need, search)
-    # ~6 GB against the sieve's ~1.9 GB: refused before the sieve runs
+        assert _farthest_read(monkeypatch, search) == farthest
+        assert_counted(need(m, limit), search)
+    start = time.perf_counter()
+    served = assert_counted(need(2, 4 * 10**9), lambda: find_prime_string(4, 1, 2, 4 * 10**9))
+    assert served.primes == (13, 17) and time.perf_counter() - start < 1.0
+    # a carry of 1e9 primes is refused before anything is sieved
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError):
-        find_prime_string(4, 1, 2, 4 * 10**9)
+        find_prime_string(4, 1, 10**9, 10**12)
     assert time.perf_counter() - start < 1.0
 
 
@@ -551,38 +570,82 @@ def _seeded_string_inputs() -> list[tuple]:
     return cases
 
 
-def test_prime_string_equals_whole_table_oracle(table_1e6):
+# (first span, segment span): the sieve's own, and spans small enough that
+# runs and carries straddle many segment boundaries
+_SPANS = [(primes._FIRST_SPAN, primes.SEGMENT_SPAN), (1 << 8, 1 << 12)]
+
+
+def test_prime_string_equals_whole_table_oracle(table_1e6, monkeypatch):
+    """Streamed and sliced from a table, at the sieve's spans and at small
+    ones, the search finds the run, r included, that one loop over the whole
+    table finds."""
     edges = [
         (4, 1, 40, 100, None),  # the horizon is exhausted
         (17, 16, 2, 77416, 34),  # ... one short of the first tight run
-        (1, 0, 7000, 10**5, None),  # (2, 3, ..., p_7000) crosses the first prefix
+        (1, 0, 7000, 10**5, None),  # (2, 3, ..., p_7000) crosses many segments
         (1, 0, 7000, 10**5, 70655),  # ... at exactly its diameter
         (1, 0, 7000, 10**5, 70654),
+        (2, 1, 2000, 10**5, None),  # (3, ..., p_2001): the carry spans segments
+        (1, 0, 5000, 10**5, 48000),  # a carry of 4,999 primes read to the limit
         (1, 0, 3, 100, 3),  # (2, 3, 5) is tighter than 2(m - 1)
         (1, 0, 3, 100, 2),
         (15, 8, 3, 10**6, 60),  # diameter exactly lcm(2, q)(m - 1), past 2^16
         (9, 5, 4, 10**6, 54),
     ]
-    found = 0
-    for q, a, m, limit, max_diameter in _seeded_string_inputs() + edges:
-        expect = _oracle_string(table_1e6, q, a, m, limit, max_diameter)
-        for table in (None, table_1e6):
-            got = find_prime_string(q, a, m, limit, table, max_diameter=max_diameter)
-            assert got == expect, (q, a, m, limit, max_diameter, table is None)
-        found += expect is not None
-    assert 0 < found < 49
-    assert find_prime_string(1, 0, 7000, 10**5).r == 0
-    assert find_prime_string(1, 0, 3, 100, max_diameter=3).primes == (2, 3, 5)
+    for first, span in _SPANS:
+        monkeypatch.setattr(primes, "_FIRST_SPAN", first)
+        monkeypatch.setattr(primes, "SEGMENT_SPAN", span)
+        found = 0
+        for q, a, m, limit, max_diameter in _seeded_string_inputs() + edges:
+            expect = _oracle_string(table_1e6, q, a, m, limit, max_diameter)
+            for table in (None, table_1e6):
+                got = find_prime_string(q, a, m, limit, table, max_diameter=max_diameter)
+                assert got == expect, (q, a, m, limit, max_diameter, table is None, span)
+            found += expect is not None
+        assert 0 < found < 51
+        assert find_prime_string(1, 0, 7000, 10**5).r == 0
+        assert find_prime_string(2, 1, 2000, 10**5).r == 1
+        assert find_prime_string(1, 0, 3, 100, max_diameter=3).primes == (2, 3, 5)
+
+
+def test_prime_string_run_straddles_a_boundary(table_1e6, monkeypatch):
+    """The first run is found wherever a segment boundary cuts it: spans of
+    run[j] - 1 integers leave exactly j of its m primes in the first
+    segment, for each j = 1..m-1.
+
+    Mutation control: a carry of m - 2 primes in place of m - 1 passes the
+    whole-table oracle test above, and fails here at j = m - 1."""
+    for q, a, m in ((4, 1, 3), (12, 5, 3), (10, 9, 4), (4, 3, 5)):
+        expect = _oracle_string(table_1e6, q, a, m, 10**6)
+        for j in range(1, m):
+            monkeypatch.setattr(primes, "_FIRST_SPAN", expect.primes[j] - 1)
+            monkeypatch.setattr(primes, "SEGMENT_SPAN", expect.primes[j] - 1)
+            for table in (None, table_1e6):
+                assert find_prime_string(q, a, m, 10**6, table) == expect, (q, a, m, j)
 
 
 def test_prime_string_early_stop_is_strict(table_1e6):
     """Mutation control for the early stop. The first run of two consecutive
     primes = 16 (mod 17) at most lcm(2, 17) = 34 wide is exactly that wide
-    and lies past the first prefix, 2^16; a stop at max_diameter <= 34
-    would miss it."""
+    and lies far past the first segment, 2^12 integers, which holds p_2; a
+    stop at max_diameter <= 34 would miss it."""
     for table in (None, table_1e6):
         s = find_prime_string(17, 16, 2, 10**5, table, max_diameter=34)
-        assert s is not None and s.primes == (77383, 77417) and s.primes[0] > 2**16
+        assert s is not None and s.primes == (77383, 77417) and s.primes[0] > primes._FIRST_SPAN
+
+
+def test_prime_string_modulus_past_int64():
+    """Every prime below q is its own residue: m = 1 finds the prime a mod q
+    when it is below the limit, and no two primes share a class."""
+    q = 10**20
+    assert find_prime_string(q, 3, 1, 1000) == PrimeString(q=q, a=3, m=1, r=1, primes=(3,), diameter=0)
+    assert find_prime_string(q, q + 997, 1, 1000).primes == (997,)
+    assert find_prime_string(q, 1, 1, 1000) is None
+    assert find_prime_string(q, 1009, 1, 1000) is None
+    assert find_prime_string(q, 1, 2, 1000) is None
+    start = time.perf_counter()
+    assert find_prime_string(q, 1, 2, 10**12) is None  # no run can fit below the limit
+    assert time.perf_counter() - start < 1.0
 
 
 def _seeded_cluster_inputs() -> list[tuple]:
@@ -602,21 +665,25 @@ def _seeded_cluster_inputs() -> list[tuple]:
 
 
 def test_cluster_equals_whole_table_oracle(table_1e6, monkeypatch):
-    """With and without a table, the report, rounds included, is the one a
-    whole-table search gives."""
+    """With and without a table, at the sieve's spans and at small ones,
+    the report, rounds included, is the one a whole-table search gives."""
 
-    def whole_table(q, a, m, max_diameter, prefixes):
-        return _oracle_string(prefixes.table, q, a, m, prefixes.limit, max_diameter)
+    def whole_table(q, a, m, max_diameter, limit, table):
+        return _oracle_string(table_1e6, q, a, m, limit, max_diameter)
 
-    found = 0
-    for alpha, delta, m, limit in _seeded_cluster_inputs():
-        reports = [cluster_verify(alpha, delta, m, limit, table=t) for t in (None, table_1e6)]
+    cases = _seeded_cluster_inputs()
+    expected = []
+    for alpha, delta, m, limit in cases:
         monkeypatch.setattr(equidistribution, "_search", whole_table)
-        expect = cluster_verify(alpha, delta, m, limit, table=table_1e6)
+        expected.append(cluster_verify(alpha, delta, m, limit, table=table_1e6))
         monkeypatch.undo()
-        assert reports == [expect, expect], (alpha, delta, m, limit)
-        found += expect.found
-    assert 0 < found < 34
+    assert 0 < sum(e.found for e in expected) < 34
+    for first, span in _SPANS:
+        monkeypatch.setattr(primes, "_FIRST_SPAN", first)
+        monkeypatch.setattr(primes, "SEGMENT_SPAN", span)
+        for (alpha, delta, m, limit), expect in zip(cases, expected):
+            reports = [cluster_verify(alpha, delta, m, limit, table=t) for t in (None, table_1e6)]
+            assert reports == [expect, expect], (alpha, delta, m, limit, span)
 
 
 def _convergent_denominators(alpha: Fraction, cap: int) -> list[int]:
@@ -666,17 +733,15 @@ def test_cluster_climbs_one_ladder(table_1e6):
 def test_cluster_pairwise_check_fires(monkeypatch):
     """A loose string, searched with no diameter bound, breaks the pairwise bound."""
     real = equidistribution._search
-    monkeypatch.setattr(equidistribution, "_search", lambda q, a, m, d, pre: real(q, a, m, None, pre))
+    monkeypatch.setattr(equidistribution, "_search", lambda q, a, m, d, *rest: real(q, a, m, None, *rest))
     with pytest.raises(VerificationError, match="pairwise clustering bound violated: .* > "):
         cluster_verify("sqrt:2", 0.2, 3, 10**5)
 
 
 def test_cluster_window_check_fires(monkeypatch):
     """The window one prime past the string is not clustered."""
-    real = equidistribution._window_discrepancy
-    monkeypatch.setattr(
-        equidistribution, "_window_discrepancy", lambda al, n, k, t: real(al, n + 1, k, t)
-    )
+    real = equidistribution._sorted_residues
+    monkeypatch.setattr(equidistribution, "_sorted_residues", lambda al, ps: real(al, one_prime_later(ps)))
     with pytest.raises(VerificationError, match=r"window discrepancy \S+ below 1 - delta = "):
         cluster_verify("sqrt:2", 0.2, 3, 10**5)
 

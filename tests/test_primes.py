@@ -32,15 +32,24 @@ def test_sieve_matches_trial_division():
 
 
 def test_segmented_sieve_matches_simple(monkeypatch):
-    """The one sieve against simple trial division, with a span small enough
-    that a run crosses many segment boundaries."""
+    """The one sieve against simple trial division, with spans small enough
+    that a run crosses many segment boundaries: 2^8 integers first, doubling
+    to 2^12. Each segment holds the primes of its span of ``_spans``."""
     span = 1 << 12
+    monkeypatch.setattr(primes, "_FIRST_SPAN", 1 << 8)
     monkeypatch.setattr(primes, "SEGMENT_SPAN", span)
     oracle = trial_division_primes(123456)
-    for limit in (0, 1, 2, 3, 10, span - 1, span, span + 1, 2 * span + 1, 65537, 123456):
+    for limit in (0, 1, 2, 3, 10, 255, 256, 257, span - 1, span, span + 1, 2 * span + 1, 65537, 123456):
         table = sieve_primes(limit)
         assert table.primes.dtype == np.int64
         assert table.primes.tolist() == [p for p in oracle if p <= limit], limit
+        spans = list(primes._spans(limit))
+        assert spans[0][0] == 0 and spans[-1][1] == limit + 1
+        assert [hi - lo for lo, hi in spans[:-1]] == [min(256 << i, span) for i in range(len(spans) - 1)]
+        segments = list(primes._segments(limit))
+        assert len(segments) == (len(spans) if limit >= 2 else 0)
+        for (lo, hi), segment in zip(spans, segments):
+            assert segment.tolist() == [p for p in oracle if lo <= p < hi], (limit, lo)
 
 
 def test_memory_budget_enforced(monkeypatch):
