@@ -23,18 +23,20 @@ below that rules the class out.
 Interval discrepancy has a closed form (Kuipers & Niederreiter, Uniform
 Distribution of Sequences, 1974, Ch. 2, Thm 1.4): for sorted x_1..x_k in
 [0, 1), D = 1/k + max_i(x_i - i/k) - min_i(x_i - i/k). It has two kernels:
-a float64 one along the last axis of an array, which scores a matrix of
-scan windows or one float sample, and an exact one in integers over the
-points' common denominator, which scores Fraction points and a scan's
-re-checked windows. The result type follows the input: Fraction points
-(such as a ``window_sample``) give a Fraction, floats give a float.
+a float64 one along the last axis of a sorted array, which it consumes in
+place, scoring a scan's chunk of windows or one float sample, and an exact
+one in integers over the points' common denominator, which scores Fraction
+points and a scan's re-checked windows. The result type follows the input:
+Fraction points (such as a ``window_sample``) give a Fraction, floats give
+a float.
 
 A window scan is the one place where floats decide anything, and they
-decide only which windows to score exactly. Each window is scored in
-float64 from 96-bit fixed-point fractional parts, within a proven E =
-2^-49 of its exact discrepancy; every window within 2E of the float
-maximum is then re-scored exactly, in integers over alpha's denominator,
-so the reported argmax window and its value are exact.
+decide only which windows to score exactly. Windows are scored in float64
+from 96-bit fixed-point fractional parts, within a proven E = 2^-49 of
+their exact discrepancy, skipping those that a Lipschitz bound from
+scored neighbours certifies below the band; every window within 2E of the
+float maximum is then re-scored exactly, in integers over alpha's
+denominator, so the reported argmax window and its value are exact.
 """
 
 from __future__ import annotations
@@ -49,7 +51,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import VerificationError, reserve
-from .primes import SEGMENT_SPAN, PrimeTable, _prime_count_bound, _segments, _spans, sieve_primes
+from .primes import (
+    SEGMENT_SPAN,
+    PrimeTable,
+    _nth_prime_bound,
+    _prime_count_bound,
+    _segments,
+    _spans,
+    sieve_primes,
+)
 
 # A scan's fractional parts are 96-bit fixed-point numbers, formed from
 # 32-bit limbs so that each limb-by-prime product fits in uint64.
@@ -61,26 +71,33 @@ _SCORE_ERR = 2.0**-49
 
 # Peak bytes of a window scan, counted in three parts. Per scanned prime:
 # its share of the table and the three uint64 arrays of the fixed-point
-# product, which give way to the float64 parts, the window scores and the
-# band (tracemalloc of the whole scan: 32.8-32.9 at 1e6, 4e6 and 8e6
-# primes, k = 10, stride 1000; 34.1 at 2e5 primes when every part is
-# recomputed exactly, alpha = 2^-100; 33.9 at 4e6 primes and stride 1 when
-# every window is in the band, alpha = 0). Per float64 entry of one chunk
-# of windows: its sorted copy and the kernel's two temporaries (25.0-27.8
-# at k = 10, 50, 1,000 and 20,000). Per point of the one window re-scored
-# exactly at a time: _POINT_BYTES + 24 * (bits // 30), bits the bit length
-# of alpha's denominator. That covers the integer score of
+# product, which give way to the float64 parts, the window scores, the
+# prune's grid and per-offset arrays (O(windows / _GRID)) and the band
+# (tracemalloc of the whole scan: 32.4-32.5 at 1e6, 4e6 and 8e6 primes,
+# k = 10, stride 1000, and at 1e6 and 4e6 primes, stride 1, where the
+# prune's arrays are largest and the float pass alone peaks at 28.6; 33.5
+# at 2e5 primes when every part is recomputed exactly, alpha = 2^-100;
+# 33.6 at 4e6 primes and stride 1 when every window is in the band,
+# alpha = 0). Per float64 entry of one chunk of windows: the reused buffer
+# and the gathered rows copied into it, or the kernel's ramp (10.2-16.1 at
+# k = 10, 50, 1,000, 20,000 and 70,000). Per point of the one window
+# re-scored exactly at a time: _POINT_BYTES + 24 * (bits // 30), bits the
+# bit length of alpha's denominator. That covers the integer score of
 # ``_window_discrepancy``, whose primes, residues and scaled residues are
 # Python ints (tracemalloc per point at k = 10 / 50 / 2,000 / 200,000: 110 /
 # 60 / 48 / 48 with a 2-bit denominator, 150 / 93 / 81 / 84 with 31- and
 # 55-bit ones, 198 / 147 / 136 / 136 at 257 bits, 436 / 361 / 345 / 344 at
 # 1,025 bits and 2,731 / 2,350 / 2,258 / 2,256 at 8,193 bits).
 _PART_BYTES = 36
-_ENTRY_BYTES = 32
+_ENTRY_BYTES = 24
 _POINT_BYTES = 128
 # Windows scored per chunk: chunks hold about 2^16 float64 entries (512 KiB),
 # which sort and score faster than chunks of 2^22 and need 1/64 the memory.
 _CHUNK_ENTRIES = 1 << 16
+# A scan first scores every _GRID-th window and the last, and then only the
+# windows between them that a Lipschitz bound cannot rule out of the band
+# (``_bounded_windows``); 4 scored the benchmark's scans faster than 2, 8 or 16.
+_GRID = 4
 
 # Peak bytes of a prime-string search per prime of a whole segment and of
 # its carry, beside the mask: the primes, their join with the carry, the run
@@ -185,12 +202,26 @@ def _exact_discrepancy(residues: list[int], den: int) -> Fraction:
     return Fraction(min(k * den, den + max(ys) - min(ys)), k * den)
 
 
-def _discrepancy(xs: np.ndarray) -> np.ndarray:
+def _discrepancy(
+    xs: np.ndarray, out: np.ndarray | None = None, low: np.ndarray | None = None
+) -> np.ndarray:
     """Closed-form interval discrepancy along the last axis of a sorted
-    float64 array. Rounding can overshoot 1 by an ulp; the cap removes it."""
+    float64 array, which it consumes: each x_i becomes x_i - fl(i/k) in
+    place. The row maxima and minima are reduced into ``out`` and ``low``,
+    arrays of the input's shape less its last axis (allocated when not
+    given), and ``out`` is returned. Rounding can overshoot 1 by an ulp; the
+    cap removes it."""
     k = xs.shape[-1]
-    ys = k * xs - np.arange(1, k + 1)
-    return np.minimum((1 + ys.max(axis=-1) - ys.min(axis=-1)) / k, 1)
+    if out is None:
+        out, low = np.empty(xs.shape[:-1]), np.empty(xs.shape[:-1])
+    ramp = np.arange(1.0, k + 1)
+    ramp /= k
+    xs -= ramp
+    xs.max(axis=-1, out=out)
+    xs.min(axis=-1, out=low)
+    out -= low
+    out += 1 / k
+    return np.minimum(out, 1, out=out)
 
 
 def interval_discrepancy(points: Sequence[Fraction | float]) -> float | Fraction:
@@ -276,6 +307,37 @@ def _fixed_point_parts(alpha: Fraction, ps: np.ndarray) -> np.ndarray:
     return parts
 
 
+def _bounded_windows(scores: np.ndarray, r: int, stride: int, k: int, best: float) -> np.ndarray:
+    """The windows j = r (mod G), G = ``_GRID`` and 0 < r < G, that a
+    scan's second pass scores, ascending.
+
+    Each such j lies between two scored neighbours g: the grid windows
+    0, G, 2G, ... and the last window, n - 1. The windows g and j share all
+    but t = min(|j - g| stride, k) of their k primes, so (see
+    ``well_distribution_statistic``) j's exact discrepancy is at most
+    U(j) = min_g(score(g) + E + t / k). j is returned unless U(j) <
+    best - 3E, tested as score(g) < best - 3.5E - E - t / k for a
+    neighbour g: the cut is rounded by less than 4u = E / 4, so a window
+    left out has U(j) < best - 3.5E + E / 4 < best - 3E.
+    """
+    last = scores.size - 1
+    cells = last // _GRID  # the full cells [cG, (c + 1)G]
+    floor = best - 3.5 * _SCORE_ERR
+
+    def cut(d: int) -> float:
+        return floor - _SCORE_ERR - min(d * stride, k) / k
+
+    keep = scores[: cells * _GRID : _GRID] >= cut(r)
+    keep &= scores[_GRID : cells * _GRID + 1 : _GRID] >= cut(_GRID - r)
+    js = np.flatnonzero(keep)
+    js *= _GRID
+    js += r
+    tail = cells * _GRID + r  # in the short cell [cells G, last], if any
+    if tail < last and scores[tail - r] >= cut(r) and scores[last] >= cut(last - tail):
+        js = np.append(js, tail)
+    return js
+
+
 def well_distribution_statistic(
     alpha: float | int | str | Fraction,
     k: int,
@@ -286,22 +348,38 @@ def well_distribution_statistic(
     """Scan windows of size k starting at n = 0, stride, ..., <= scan_limit.
 
     ``argmax_start`` is exact: the smallest scanned start whose window has
-    the largest exact discrepancy. Every window is scored in float64 from
-    fixed-point fractional parts (``_fixed_point_parts``), and every float
-    score is within E = 2^-49 of the window's exact discrepancy:
+    the largest exact discrepancy. Windows are scored in float64 from
+    fixed-point fractional parts (``_fixed_point_parts``) by ``_discrepancy``,
+    one chunk at a time, gathered into one reused buffer and sorted in
+    place. Every float score is within E = 2^-49 of the window's exact
+    discrepancy:
 
     * each part errs by eps < 2^-52 + 2^-64; sorting moves each order
       statistic by at most eps, so the max and the min of x_(i) - i/k each
       move by at most eps, and the discrepancy by at most 2 eps;
-    * with u = 2^-53, each y_i = k x_i - i takes two roundings of at most
-      k u each, 1 + max(y) one of at most k u, subtracting min(y) one of
-      at most 2k u, and the division by k one of at most 2u (the quotient
-      is below 2): 9u in all, and capping at 1 adds none;
+    * with u = 2^-53, the ramp fl(i/k) is rounded by at most u and each
+      x_i - fl(i/k), below 1 in size, by at most u, so the max and the min
+      of the y_i each err by at most 2u; their difference (below 2) is
+      rounded by at most 2u, fl(1/k) by at most u, and adding it (a sum
+      below 2) by at most 2u: 9u in all, and capping at 1 adds none;
     * so |score - exact| <= 2 eps + 9u < 14u < E.
 
-    One pass over the chunks of windows keeps every float score, and the
-    band is every window whose score is within 2E of the maximum. The exact
-    maximum's windows all lie in that band, since each scores at least
+    Not every window is float-scored. Replacing t of a window's k points
+    moves any interval's count by at most t, so it moves the interval
+    discrepancy by at most t/k; two windows whose starts are d apart share
+    all but t = min(d, k) of their primes. A first pass scores every
+    ``_GRID``-th window and the last. A window j between two scored
+    neighbours g then has an exact discrepancy of at most U(j) =
+    min_g(score(g) + E + min(|j - g| stride, k) / k), and the second pass
+    scores only the windows whose U(j) reaches best - 3E, best the first
+    pass's maximum (``_bounded_windows``, which spends E/2 more on its own
+    rounding). A skipped window scores below U(j) + E < best - 2E in float,
+    and the final maximum is at least best, so it lies outside the band
+    below, whose windows and scores are those of a scan that scores every
+    window.
+
+    The band is every window whose score is within 2E of the maximum. The
+    exact maximum's windows all lie in that band, since each scores at least
     exact max - E >= float max - 2E. The band is scored exactly in
     integers (``_window_discrepancy``) in ascending start order, keeping
     the first largest value. With q the denominator of alpha and
@@ -332,19 +410,29 @@ def well_distribution_statistic(
         f"a scan of {n_windows} windows of {k} primes",
     )
     if table is None:
-        bound = max(100, int(needed * (math.log(max(needed, 6)) + math.log(math.log(max(needed, 6))) + 1)))
-        table = sieve_primes(bound)
+        table = sieve_primes(_nth_prime_bound(needed))
     if len(table) < needed:
         raise ValueError(f"scan needs {needed} primes; table holds {len(table)}")
     ps = table.primes[:needed]
     if ps[-1] >> 32:
         raise ValueError(f"scan needs primes below 2^32; prime {needed} is {int(ps[-1])}")
-    windows = np.lib.stride_tricks.sliding_window_view(_fixed_point_parts(a, ps), k)
-    scores = np.empty(n_windows)
-    for off in range(0, n_windows, chunk):
-        scores[off : off + chunk] = _discrepancy(
-            np.sort(windows[off * stride : (off + chunk) * stride : stride], axis=1)
-        )
+    windows = np.lib.stride_tricks.sliding_window_view(_fixed_point_parts(a, ps), k)[::stride]
+    rows = np.empty((min(n_windows, chunk), k))
+    highs, lows = np.empty(len(rows)), np.empty(len(rows))
+    scores = np.full(n_windows, -1.0)  # below every band; stays on skipped windows
+
+    def score_windows(js: np.ndarray) -> None:
+        for off in range(0, js.size, chunk):
+            at = js[off : off + chunk]
+            got = rows[: at.size]
+            got[...] = windows[at]
+            got.sort(axis=1)
+            scores[at] = _discrepancy(got, highs[: at.size], lows[: at.size])
+
+    score_windows(np.append(np.arange(0, n_windows - 1, _GRID), n_windows - 1))
+    best = float(scores.max())
+    for r in range(1, _GRID):
+        score_windows(_bounded_windows(scores, r, stride, k, best))
     best = float(scores.max())
     band = np.flatnonzero(scores >= best - 2 * _SCORE_ERR)
     # no window's exact value exceeds the ceiling, and every exact value is a

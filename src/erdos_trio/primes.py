@@ -135,12 +135,6 @@ class PrimeTable:
     def __len__(self) -> int:
         return int(self.primes.size)
 
-    def count(self, x: int) -> int:
-        """pi(x): number of primes <= x (x may be below the table limit)."""
-        if x > self.limit:
-            raise ValueError(f"count({x}) exceeds table limit {self.limit}")
-        return int(np.searchsorted(self.primes, x, side="right"))
-
 
 def _prime_count_bound(x: int) -> int:
     """An upper bound on pi(x), the number of primes <= x: 1.3 x / ln x.
@@ -150,6 +144,15 @@ def _prime_count_bound(x: int) -> int:
     scales with a number of primes uses this bound.
     """
     return int(1.3 * x / max(math.log(x), 1.0)) if x >= 2 else 0
+
+
+def _nth_prime_bound(n: int) -> int:
+    """An upper bound on p_n, the n-th prime: n (ln n + ln ln n), at least 100.
+
+    p_n < n (ln n + ln ln n) for every n >= 6 (Rosser & Schoenfeld 1962,
+    (3.13)); the floor of 100 covers p_1..p_5 = 2..11.
+    """
+    return max(100, int(n * (math.log(n) + math.log(math.log(n))))) if n >= 6 else 100
 
 
 def sieve_primes(limit: int) -> PrimeTable:

@@ -171,14 +171,14 @@ def test_grid_oracle_equals_its_pairwise_form():
 def test_float_batch_rows_match_1d_and_oracle():
     """The batch kernel equals the 1-D closed form and the exact family
     oracle on every row, among them rows with a repeated point and rows
-    with a point at 0."""
+    with a point at 0. The kernel consumes its input, so it scores a copy."""
     rng = np.random.RandomState(6)
     for k in (1, 2, 3, 7, 50, 199):
         batch = np.sort(rng.rand(40, k), axis=1)
         if k > 3:
             batch[::2, k // 2] = batch[::2, k // 2 - 1]  # force duplicates
         batch[1::5, 0] = 0.0
-        ds = _discrepancy(batch)
+        ds = _discrepancy(batch.copy())
         assert ds.shape == (40,)
         for row, d in zip(batch, ds):
             assert abs(interval_discrepancy(list(row)) - d) < 1e-12
@@ -228,6 +228,53 @@ def test_scan_golden_regression_lock():
     assert res.max_discrepancy == pytest.approx(0.27446853496761325, abs=1e-12)
     assert res.argmax_start == 8174
     assert res.windows == 10001
+
+
+def test_scan_float_scores_under_half_the_regression_lock_windows(monkeypatch):
+    """The Lipschitz prune float-scores fewer than half of the regression
+    lock's windows and leaves its result as it was."""
+    table = sieve_primes(2 * 10**5)
+    rows = []
+    real = equidistribution._discrepancy
+    monkeypatch.setattr(
+        equidistribution, "_discrepancy", lambda xs, *out: rows.append(len(xs)) or real(xs, *out)
+    )
+    res = well_distribution_statistic(parse_alpha("golden"), 50, 10**4, table=table)
+    assert (res.max_discrepancy, res.argmax_start, res.windows) == (0.27446853496761325, 8174, 10001)
+    assert sum(rows) < res.windows / 2
+
+
+@pytest.mark.parametrize("stride", [1, 3, 20])
+def test_bounded_windows_keeps_every_window_its_bound_reaches(stride):
+    """``_bounded_windows`` returns every window j whose Lipschitz bound
+    U(j) = min_g(score(g) + E + min(|j - g| stride, k) / k), taken exactly
+    over its scored neighbours g, reaches best - 3E, and none whose bound is
+    below best - 4E. Each case puts one neighbour c E from where it makes
+    one window's bound cross best - 3E, in the full cells and in the short
+    last one; at stride 20 >= k every t saturates at k."""
+    eq = equidistribution
+    E, G = Fraction(eq._SCORE_ERR), eq._GRID
+    k, best, n = 10, 1.0, 2 * G + 3  # scored: 0, G, 2G and the last, 2G + 2
+    for j in (j for j in range(1, n - 1) if j % G):
+        left = j - j % G
+        for g in (left, min(left + G, n - 1)):
+            for c in (1, 2, 3, 3.75, 4.25, 5.25, 6):
+                scores = np.full(n, best)
+                t = Fraction(min(abs(j - g) * stride, k), k)
+                scores[g] = float(best - t - Fraction(c) * E)  # j's bound: best - (c - 1)E
+                for r in range(1, G):
+                    got = eq._bounded_windows(scores, r, stride, k, best).tolist()
+                    assert got == sorted(got)
+                    for i in range(r, n - 1, G):
+                        lo = i - i % G
+                        bound = min(
+                            Fraction(scores[h]) + E + Fraction(min(abs(i - h) * stride, k), k)
+                            for h in (lo, min(lo + G, n - 1))
+                        )
+                        if bound >= best - 3 * E:
+                            assert i in got, (stride, j, g, c, i)
+                        if bound < best - 4 * E:
+                            assert i not in got, (stride, j, g, c, i)
 
 
 def test_scan_stride_subsets_full(table_1e5):
@@ -370,6 +417,15 @@ def test_wrap_recompute_makes_parts_exact():
         (0, 5, 60, 1),
         (Fraction(1, 2), 6, 80, 1),
         (Fraction(3, 4), 7, 200, 2),
+        # the prune's edges: stride >= k, where t saturates at k
+        ("sqrt:3", 5, 600, 5),
+        ("sqrt:7", 6, 700, 9),
+        # fewer windows than the grid's step
+        ("golden", 6, 4, 2),
+        ("sqrt:2", 9, 1, 1),
+        # 401 windows, so the last is on the grid; 292 and 727 skipped
+        ("sqrt:11", 10, 400, 1),
+        ("golden", 30, 1000, 1),
     ],
 )
 def test_scan_argmax_equals_exhaustive_exact_oracle(table_1e5, alpha, k, limit, stride):
@@ -550,7 +606,7 @@ def test_prime_string_max_diameter(table_1e5):
 
 
 def _oracle_string(table, q, a, m, limit, max_diameter=None):
-    hit = whole_table_prime_string(table.primes[: table.count(limit)], q, a, m, max_diameter)
+    hit = whole_table_prime_string(table.primes[table.primes <= limit], q, a, m, max_diameter)
     if hit is None:
         return None
     r, run = hit

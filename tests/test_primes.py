@@ -25,10 +25,15 @@ def test_sieve_matches_trial_division():
     oracle = trial_division_primes(10**5)
     table = sieve_primes(10**5)
     assert table.primes.tolist() == oracle
-    # pi(x) agrees everywhere below the limit
-    arr = np.array(oracle)
-    for x in (1, 2, 3, 10, 97, 100, 1000, 99991, 10**5):
-        assert table.count(x) == int(np.searchsorted(arr, x, side="right"))
+
+
+def test_nth_prime_bound_covers_every_prime_to_2e5():
+    """n (ln n + ln ln n), floored at 100, is at least p_n for every n up to
+    2e5, read from one sieve, so a scan's table always holds its primes."""
+    n = 2 * 10**5
+    ps = sieve_primes(primes._nth_prime_bound(n)).primes[:n].tolist()
+    assert len(ps) == n
+    assert all(primes._nth_prime_bound(i) >= p for i, p in enumerate(ps, 1))
 
 
 def test_segmented_sieve_matches_simple(monkeypatch):
