@@ -16,14 +16,17 @@ the stage index. Three finite verifications are provided:
 
 A truncated to any bound is a union of O(k) disjoint integer intervals, and
 [a, b] + [c, d] = [a + c, b + d] with every point reached, so both checks
-read one sorted list of O(k^2) unordered pair sums, never single elements.
+read one sorted list of the unordered pair sums that meet their range, never
+single elements: all O(k^2) of them for coverage, and for rigidity the one
+that meets J_k, found by O(k) bisections of O(log k) steps each.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from operator import itemgetter
 from typing import Callable, Literal, Sequence
 
 from .errors import VerificationError, reserve
@@ -33,14 +36,22 @@ Kind = Literal["core", "c", "B", "F", "none"]
 # One held (lo, hi) interval of ints of at most ``bits`` bits, an interval
 # sum of ``_pair_sums`` or a stage interval, takes at most
 # _SUM_BYTES + 8 * (bits // 30) bytes (``_interval_bytes``): the tuple (56),
-# its list slot and sort scratch (13), and two ints of at most
+# its list slot, sort key and sort scratch (25), and two ints of at most
 # 32 + 4 * (bits // 30) bytes each.
-# tracemalloc gives 72-109, 147-153, 168, 210-211 and 293 bytes per pair sum
-# for cover and rigidity at k = 10, 60, 100, 200 and 400 (sums of 26, 142,
-# 235, 467 and 932 bits), against bounds of 133, 165, 189, 253 and 381;
-# ``stage_intervals(3 * 5^k)`` peaks at 100, 364 and 614 bytes per interval
-# at k = 100, 1000 and 2000, against 189, 1237 and 2365.
-_SUM_BYTES = 133
+# tracemalloc gives 76, 156, 178, 222 and 304 bytes per pair sum for cover at
+# k = 10, 60, 100, 200 and 400 (sums of 26, 142, 235, 467 and 932 bits),
+# against bounds of 145, 177, 201, 265 and 393;
+# ``stage_intervals(3 * 5^k)`` peaks at 82, 334 and 611 bytes per interval
+# at k = 100, 1000 and 2000, against counts of 237, 885 and 1,600.
+_SUM_BYTES = 145
+
+# Bytes per interval of the four lists ``_pair_sums`` bisects and bounds its
+# runs with: four list slots and their growth, and two run ends past the
+# small-int cache (28 each). tracemalloc gives 91 bytes per interval on
+# rigidity's range at k = 100, 1000 and 2000 (300-6,000 intervals, one sum);
+# the lists' headers take 736 bytes at one interval, counted as 8 intervals
+# more. Every count from k = 1 to 40, cover and rigidity, holds its peak.
+_RUN_BYTES = 112
 
 # Peak bytes per element of ``enumerate_A``: a 28-byte int below 2^30, its
 # list slot and the list's over-allocation while it grows (tracemalloc: 40.0
@@ -53,27 +64,34 @@ def _interval_bytes(bits: int) -> int:
     return _SUM_BYTES + 8 * (bits // 30)
 
 
+# The core [2, 3], below every stage.
+_CORE = (2, 3)
+
+
+def _stage(q: int) -> tuple[int, tuple[int, int], tuple[int, int], tuple[int, int]]:
+    """(c_k, B_k, F_k, J_k) of the stage with Q = 5^(k-1) = ``q``, inclusive
+    endpoints: the one statement of the stage geometry."""
+    return 4 * q, (5 * q, 6 * q - 1), (10 * q - 1, 15 * q), (9 * q, 10 * q - 1)
+
+
 def stage_anchor(k: int) -> int:
     """c_k = 4 * 5^(k-1)."""
-    return 4 * 5 ** (k - 1)
+    return _stage(5 ** (k - 1))[0]
 
 
 def stage_block(k: int) -> tuple[int, int]:
     """B_k = [5 * 5^(k-1), 6 * 5^(k-1) - 1], inclusive endpoints."""
-    q = 5 ** (k - 1)
-    return 5 * q, 6 * q - 1
+    return _stage(5 ** (k - 1))[1]
 
 
 def stage_filler(k: int) -> tuple[int, int]:
     """F_k = [10 * 5^(k-1) - 1, 15 * 5^(k-1)], inclusive endpoints."""
-    q = 5 ** (k - 1)
-    return 10 * q - 1, 15 * q
+    return _stage(5 ** (k - 1))[2]
 
 
 def rigidity_interval(k: int) -> tuple[int, int]:
     """J_k = [9 * 5^(k-1), 10 * 5^(k-1) - 1], inclusive endpoints."""
-    q = 5 ** (k - 1)
-    return 9 * q, 10 * q - 1
+    return _stage(5 ** (k - 1))[3]
 
 
 @dataclass(frozen=True)
@@ -86,23 +104,25 @@ class StageClassification:
 
 def classify(x: int) -> StageClassification:
     """O(1) membership: estimate the stage from log_5(x/4), then check exactly."""
-    if x in (2, 3):
-        return StageClassification(kind="core")
-    if x < 4:
+    if x < _CORE[0]:
         return StageClassification(kind="none")
-    # largest k with 4 * 5^(k-1) <= x; float estimate corrected by +-1 steps
+    if x <= _CORE[1]:
+        return StageClassification(kind="core")
+    # largest k with c_k <= x; float estimate corrected by +-1 steps
     k = max(1, int((math.log2(x) - 2) / math.log2(5)) + 1)
-    while stage_anchor(k + 1) <= x:
-        k += 1
-    while k > 1 and stage_anchor(k) > x:
-        k -= 1
-    if x == stage_anchor(k):
+    q = 5 ** (k - 1)
+    c, block, filler, _ = _stage(q)
+    while k > 1 and c > x:
+        k, q = k - 1, q // 5
+        c, block, filler, _ = _stage(q)
+    while _stage(5 * q)[0] <= x:
+        k, q = k + 1, 5 * q
+        c, block, filler, _ = _stage(q)
+    if x == c:
         return StageClassification(kind="c", stage=k)
-    lo, hi = stage_block(k)
-    if lo <= x <= hi:
+    if block[0] <= x <= block[1]:
         return StageClassification(kind="B", stage=k)
-    lo, hi = stage_filler(k)
-    if lo <= x <= hi:
+    if filler[0] <= x <= filler[1]:
         return StageClassification(kind="F", stage=k)
     return StageClassification(kind="none")
 
@@ -110,10 +130,11 @@ def classify(x: int) -> StageClassification:
 def stage_intervals(limit: int) -> list[tuple[int, int]]:
     """Disjoint ascending intervals whose union is A intersected with [0, limit].
 
-    Their ints grow with the stage, so the list is quadratic in the number
-    of stages; it is counted through ``reserve`` before it is built, as at
-    most 3 intervals for each of the <= bits/2 + 1 stages plus the core, each
-    at the size of the largest.
+    Q = 5^(k-1) steps by one multiplication by 5 per stage, and each stage's
+    parts are read from ``_stage(Q)``. Their ints grow with the stage, so
+    the list is quadratic in the number of stages; it is counted through
+    ``reserve`` before it is built, as at most 3 intervals for each of the
+    <= bits/2 + 1 stages plus the core, each at the size of the largest.
     """
     bits = max(limit, 0).bit_length()
     reserve(
@@ -121,16 +142,17 @@ def stage_intervals(limit: int) -> list[tuple[int, int]]:
         f"the interval list of A up to a {bits}-bit limit",
     )
     out: list[tuple[int, int]] = []
-    if limit >= 2:
-        out.append((2, min(3, limit)))
-    k = 1
-    while stage_anchor(k) <= limit:
-        c = stage_anchor(k)
+    if limit >= _CORE[0]:
+        out.append((_CORE[0], min(_CORE[1], limit)))
+    q = 1
+    c, block, filler, _ = _stage(q)
+    while c <= limit:
         out.append((c, c))
-        for lo, hi in (stage_block(k), stage_filler(k)):
+        for lo, hi in (block, filler):
             if lo <= limit:
                 out.append((lo, min(hi, limit)))
-        k += 1
+        q *= 5
+        c, block, filler, _ = _stage(q)
     return out
 
 
@@ -149,18 +171,36 @@ def enumerate_A(limit: int) -> list[int]:
     return out
 
 
-def _pair_sums(intervals: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-    """[a + c, b + d] for each unordered pair of inclusive ``intervals``, sorted.
+def _pair_sums(intervals: Sequence[tuple[int, int]], lo: int, hi: int) -> list[tuple[int, int]]:
+    """[a + c, b + d] for each unordered pair of the disjoint ascending
+    inclusive ``intervals`` whose sum meets [lo, hi], sorted by lower end.
 
     Each pair i <= j is taken once, an interval with itself included
     (4 = 2 + 2). Every point of a sum is reached, and the sums are not
     merged: a sum equal to another is a second representation of its
-    points. The m (m + 1) / 2 sums are counted through ``reserve`` first.
+    points. Both endpoints c_j and d_j ascend with j, so the partners j >= i
+    of interval i = [a, b] whose sum meets [lo, hi] are one run: from the
+    first j >= i with d_j >= lo - b to the last with c_j <= hi - a, two
+    bisections. The runs' sums, ties in pair order, are counted through
+    ``reserve`` with the per-interval lists before any sum is built.
     """
-    count = len(intervals) * (len(intervals) + 1) // 2
-    bits = (2 * max(hi for _, hi in intervals)).bit_length()
-    reserve(count * _interval_bytes(bits), f"{count} interval sums of {len(intervals)} intervals")
-    return sorted((a + c, b + d) for (a, b), (c, d) in combinations_with_replacement(intervals, 2))
+    starts = [a for a, _ in intervals]
+    ends = [b for _, b in intervals]
+    firsts = [bisect_left(ends, lo - b, i) for i, b in enumerate(ends)]
+    lasts = [bisect_right(starts, hi - a, first) for a, first in zip(starts, firsts)]
+    count = sum(lasts) - sum(firsts)
+    bits = (2 * ends[-1]).bit_length()
+    reserve(
+        count * _interval_bytes(bits) + (len(intervals) + 8) * _RUN_BYTES,
+        f"{count} interval sums of {len(intervals)} intervals",
+    )
+    sums = [
+        (a + c, b + d)
+        for (a, b), first, last in zip(intervals, firsts, lasts)
+        for c, d in intervals[first:last]
+    ]
+    sums.sort(key=itemgetter(0))
+    return sums
 
 
 @dataclass(frozen=True)
@@ -183,11 +223,13 @@ def sumset_cover_check(k: int) -> CoverageReport:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    hi = 6 * 5**k
-    # A_k = A truncated to stages 1..k; its max element is 15 * 5^(k-1) = 3 * 5^k.
-    intervals = stage_intervals(3 * 5**k)
+    # A_k = A truncated to stages 1..k; its max element is max(F_k) = 3 * 5^k,
+    # or the core's 3 at k = 0, and [4, 6 * 5^k] runs to twice that.
+    top = stage_filler(k)[1] if k else _CORE[1]
+    hi = 2 * top
+    intervals = stage_intervals(top)
     reach = 4  # least point of [4, hi] not yet known to be covered
-    for lo, up in _pair_sums(intervals):
+    for lo, up in _pair_sums(intervals, 4, hi):
         if lo > reach:
             break
         reach = max(reach, up + 1)
@@ -253,9 +295,11 @@ def rigidity_check(k: int) -> RigidityReport:
     Summands are at most max(J_k) - 2, since the smallest element of A is 2.
     Every point of an interval sum is reached, so each n in J_k has exactly
     one representation, through c_k, iff the only pair of intervals whose sum
-    meets J_k is ({c_k}, B_k) and that sum equals J_k. Any other sum meeting
-    J_k, an identical copy included, raises VerificationError naming the
-    least n it reaches in J_k; so does c_k + B_k differing from J_k.
+    meets J_k is ({c_k}, B_k) and that sum equals J_k. ``_pair_sums`` builds
+    only the sums that meet J_k, one on the true set, after two bisections
+    per interval, O(k log k) steps in all. Any other sum meeting J_k, an
+    identical copy included, raises VerificationError naming the least n it
+    reaches in J_k; so does c_k + B_k differing from J_k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -263,7 +307,7 @@ def rigidity_check(k: int) -> RigidityReport:
     c = stage_anchor(k)
     block = stage_block(k)
     intervals = stage_intervals(j_hi - 2)
-    meeting = [(lo, hi) for lo, hi in _pair_sums(intervals) if lo <= j_hi and hi >= j_lo]
+    meeting = _pair_sums(intervals, j_lo, j_hi)
     through_anchor = (c + block[0], c + block[1])
     if through_anchor in meeting and (c, c) in intervals and block in intervals:
         meeting.remove(through_anchor)  # the pair ({c_k}, B_k) itself
@@ -371,9 +415,10 @@ def gap_witness(rule: PartitionRule, k: int) -> GapReport:
 
     Rigidity says every point of J_k is reached only as c_k + b with b in
     B_k, so the class without c_k has no pairwise sum in J_k, whatever color
-    the other elements get. Only elements up to 10 * 5^(k-1) can take part
-    in a representation of a point of J_k (the partner would otherwise be
-    below the minimum of A); the report records that truncation bound.
+    the other elements get; the gap is J_k, of length 5^(k-1). Only elements
+    up to 10 * 5^(k-1) = max(J_k) + 1 can take part in a representation of
+    a point of J_k (the partner would otherwise be below the minimum of A);
+    the report records that truncation bound.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -387,6 +432,6 @@ def gap_witness(rule: PartitionRule, k: int) -> GapReport:
         anchor_color=ac,
         gapped_color=3 - ac,
         interval=rigid.interval,
-        gap_length=5 ** (k - 1),
-        truncation=10 * 5 ** (k - 1),
+        gap_length=rigid.checked,
+        truncation=rigid.interval[1] + 1,
     )

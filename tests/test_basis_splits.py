@@ -2,6 +2,8 @@
 
 import random
 import time
+from itertools import combinations_with_replacement
+from operator import itemgetter
 
 import pytest
 
@@ -155,24 +157,69 @@ def test_stage_intervals_and_elements_memory_budget():
         assert time.perf_counter() - start < 1.0
 
 
+def _pair_sums_need(intervals, count):
+    """What ``_pair_sums`` counts for ``count`` sums of ``intervals``: each at
+    the size of the largest possible sum, plus the per-interval lists."""
+    bits = (2 * intervals[-1][1]).bit_length()
+    return count * basis_splits._interval_bytes(bits) + (len(intervals) + 8) * basis_splits._RUN_BYTES
+
+
 def test_sumset_memory_budget():
     """The interval sums are counted before any is built, at a size per sum
-    that covers what tracemalloc measures; the budget is read at call time."""
+    and per interval that covers what tracemalloc measures; the budget is
+    read at call time."""
     k = 60
-    # cover sums the intervals of A_k, up to 3 * 5^k; rigidity those of A up
-    # to max(J_k) - 2; each of the m intervals is paired with itself and the rest
-    for check, limit in ((sumset_cover_check, 3 * 5**k), (rigidity_check, rigidity_interval(k)[1] - 2)):
-        intervals = stage_intervals(limit)
-        m = len(intervals)
-        bits = (2 * intervals[-1][1]).bit_length()  # the largest sum
-        need = m * (m + 1) // 2 * (basis_splits._SUM_BYTES + 8 * (bits // 30))
-        assert assert_counted(need, lambda: check(k)).k == k
+    # cover sums the intervals of A_k, up to 3 * 5^k, over [4, 6 * 5^k]: every
+    # pair of the m intervals, an interval with itself included
+    intervals = stage_intervals(3 * 5**k)
+    m = len(intervals)
+    need = _pair_sums_need(intervals, m * (m + 1) // 2)
+    assert assert_counted(need, lambda: sumset_cover_check(k)).k == k
+    # rigidity bisects the intervals of A up to max(J_k) - 2 and builds the one
+    # sum that meets J_k; the interval list it holds is counted on its own
+    for k in (60, 1000):
+        lo, hi = rigidity_interval(k)
+        intervals = stage_intervals(hi - 2)
+        bits = (hi - 2).bit_length()
+        listed = (3 * (bits // 2 + 1) + 1) * basis_splits._interval_bytes(bits)
+        sums = _pair_sums_need(intervals, 1)
+        assert assert_counted(sums, lambda: _pair_sums(intervals, lo, hi)) == [(lo, hi)]
+        report = assert_counted(max(listed, sums), lambda: rigidity_check(k), peak=listed + sums)
+        assert report.checked == 5 ** (k - 1)
     # ~4.5e6 sums of ~2,300 bits, several GB: refused before any is built
-    for check in (sumset_cover_check, rigidity_check):
-        start = time.perf_counter()
-        with pytest.raises(ResourceLimitError):
-            check(1000)
-        assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="interval sums"):
+        sumset_cover_check(1000)
+    assert time.perf_counter() - start < 1.0
+
+
+def _pair_sums_bruteforce(intervals, lo, hi):
+    """Every unordered pair's sum that meets [lo, hi], sorted by lower end,
+    ties in pair order."""
+    sums = [(a + c, b + d) for (a, b), (c, d) in combinations_with_replacement(intervals, 2)]
+    return sorted([(s_lo, s_hi) for s_lo, s_hi in sums if s_lo <= hi and s_hi >= lo], key=itemgetter(0))
+
+
+def test_pair_sums_bounded_by_bisection_match_bruteforce():
+    """The bisected runs give exactly the pair sums that meet [lo, hi]: on the
+    intervals of A at several limits, on A without B_2 and on one interval,
+    for ranges that end exactly on sum endpoints, one off them, and below,
+    above and around every sum."""
+    broken = [iv for iv in stage_intervals(75) if iv != stage_block(2)]
+    sets = [stage_intervals(limit) for limit in (2, 4, 15, 100, 3 * 5**4, 10**5)]
+    sets += [broken, [(7, 7)], [(5, 9)]]
+    rng = random.Random(3)
+    for intervals in sets:
+        everything = _pair_sums_bruteforce(intervals, 0, 10**9)
+        ends = sorted({x for s in everything for x in s})
+        ranges = [(0, 3), (ends[-1] + 1, ends[-1] + 50), (0, ends[-1] + 1), (ends[0], ends[-1])]
+        ranges += [(x + d, x + d + w) for x in ends for d in (-1, 0, 1) for w in (0, 1)]
+        ranges += [(x - w, x) for x in ends for w in (0, 1, 3)]
+        ranges += [tuple(sorted(rng.sample(range(ends[-1] + 2), 2))) for _ in range(50)]
+        for lo, hi in ranges:
+            assert _pair_sums(intervals, lo, hi) == _pair_sums_bruteforce(intervals, lo, hi), (intervals, lo, hi)
+    assert _pair_sums([(7, 7)], 14, 14) == [(14, 14)]
+    assert _pair_sums([(7, 7)], 15, 20) == [] == _pair_sums([(7, 7)], 0, 13)
 
 
 def test_cover_examples_and_method_agreement():
@@ -187,14 +234,14 @@ def test_cover_examples_and_method_agreement():
         oracle = sumset_mask(basis_intervals(3 * 5**k))
         assert first_missing(oracle, 4, rep.hi) is None
         intervals = stage_intervals(3 * 5**k)
-        assert interval_mask(_pair_sums(intervals)) == oracle
+        assert interval_mask(_pair_sums(intervals, 4, rep.hi)) == oracle
 
 
 def test_cover_detects_gaps_on_broken_set(monkeypatch):
     """Drop B_2 from the stage intervals: 45..49 loses its only representations."""
     limit = 15 * 5  # A_2 region
     intervals = [iv for iv in stage_intervals(limit) if iv != stage_block(2)]
-    sums = _pair_sums(intervals)
+    sums = _pair_sums(intervals, 4, 6 * 25)
     missing = {x for x in range(4, 6 * 25 + 1) if not any(lo <= x <= hi for lo, hi in sums)}
     assert set(range(45, 50)) <= missing  # J_2 has no representation without B_2
     assert interval_mask(sums) == sumset_mask(intervals)

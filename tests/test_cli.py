@@ -181,9 +181,10 @@ def test_equidist_cluster_bad_delta(capsys):
         # each rung of the ladder counts a carry of ~1e9 primes
         ("equidist", "cluster", "--alpha", "sqrt:2", "--delta", "0.2", "--m", "1000000000",
          "--limit", "1000000000000"),
-        # ~9e6 interval sums of ~2,300 bits are refused by the memory budget
+        # ~4.5e6 interval sums of ~2,300 bits are refused by the memory budget
         ("basis", "cover", "--k", "1000"),
-        ("basis", "rigidity", "--k", "1000"),
+        # stage 40,000's ~120,000 intervals of ~93,000 bits, before any sum
+        ("basis", "rigidity", "--k", "40000"),
         # M_K for K = 1e10 needs the primes below 2^34, ~45 GB as a list
         ("binomial", "witness", "--K", "10000000000"),
         # stage 1e5 intervals hold ~21 GB of endpoints before any sum
@@ -216,6 +217,21 @@ def test_unservable_request_is_one_line_usage_error(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["basis", "rigidity", "--k", "1000"], ["basis", "gaps", "--rule", "alternating", "--k", "1000"]],
+)
+def test_late_stage_rigidity_is_served(capsys, argv):
+    """Rigidity builds only the interval sums that meet J_k, one on the true
+    set, so stage 1000 is served: J_1000 holds 5^999 points."""
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "--format", "json", *argv)
+    assert code == EXIT_OK and time.perf_counter() - start < 1.0
+    row = json.loads(out)["rows"][0]
+    assert row.get("checked", row.get("gap_length")) == 5**999
+    assert (row["j_lo"], row["j_hi"]) == (9 * 5**999, 10 * 5**999 - 1)
 
 
 @pytest.mark.parametrize("limit", ["4000000000", "1000000000000"])
