@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Literal
 
 import numpy as np
@@ -35,10 +35,6 @@ DEFAULT_CERTIFICATE_C = 24.0 / (math.pi**2 - 6.0) + 0.01
 
 # Block indices j = 2..9 reported in the certificate diagnostics.
 _DIAGNOSTIC_BLOCKS = 8
-
-# Primes below this bound are checked against a cached set, larger ones by
-# Miller-Rabin; the set holds the 6,542 primes below 2^16.
-_SMALL_PRIME_BOUND = 1 << 16
 
 # Peak bytes per entry of k = 0..n in valuation_row, beside any table it
 # fills (tracemalloc, p = 2, 3 and 997): the indicator form takes 10.0 at
@@ -80,18 +76,6 @@ _STREAM_BYTES = 48
 _PRIME_BYTES = 600
 
 
-def _check_prime(p: int) -> None:
-    """Raise ValueError unless p is prime: a set lookup below
-    ``_SMALL_PRIME_BOUND``, Miller-Rabin at and above it."""
-    if not (p in _small_primes() if p < _SMALL_PRIME_BOUND else is_prime(p)):
-        raise ValueError(f"{p} is not prime")
-
-
-@cache
-def _small_primes() -> frozenset[int]:
-    return frozenset(_prime_list(_SMALL_PRIME_BOUND - 1))
-
-
 def valuation_binomial(
     n: int, k: int, p: int, method: Literal["indicator", "legendre"] = "indicator"
 ) -> int:
@@ -115,7 +99,8 @@ def valuation_binomial(
     """
     if k < 0 or k > n:
         raise ValueError("need 0 <= k <= n")
-    _check_prime(p)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     count = 0
     if method == "indicator":
         less = False  # (n mod p^t) < (k mod p^t) for the digits peeled so far
@@ -221,7 +206,8 @@ def valuation_row(
     if n < 0:
         raise ValueError("need n >= 0")
     reserve(_ROW_BYTES * (n + 1), f"valuation_row(n={n})")
-    _check_prime(p)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     bits = int(n).bit_length()
     memo = 1 << bits <= _ROW_MEMO_BOUND
     if method == "indicator":
@@ -267,7 +253,7 @@ def u_profile(n: int, k: int) -> ValuationProfile:
         raise ValueError("need 0 <= k <= n")
     vals: dict[int, int] = {}
     u = 1
-    for p in _prime_list(k) if k >= 2 else ():
+    for p in _prime_list(k):
         v = valuation_binomial(n, k, p)
         vals[p] = v
         if v:

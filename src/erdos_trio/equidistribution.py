@@ -24,11 +24,10 @@ Interval discrepancy has a closed form (Kuipers & Niederreiter, Uniform
 Distribution of Sequences, 1974, Ch. 2, Thm 1.4): for sorted x_1..x_k in
 [0, 1), D = 1/k + max_i(x_i - i/k) - min_i(x_i - i/k). It has two kernels:
 a float64 one along the last axis of a sorted array, which it consumes in
-place, scoring a scan's chunk of windows or one float sample, and an exact
-one in integers over the points' common denominator, which scores Fraction
-points and a scan's re-checked windows. The result type follows the input:
-Fraction points (such as a ``window_sample``) give a Fraction, floats give
-a float.
+place, scoring a scan's chunk of windows, and an exact one in integers over
+the points' common denominator, which scores every ``interval_discrepancy``
+input (a float point at its exact dyadic value) and a scan's re-checked
+windows, and gives a Fraction.
 
 A window scan is the one place where floats decide anything, and they
 decide only which windows to score exactly. Windows are scored in float64
@@ -202,18 +201,14 @@ def _exact_discrepancy(residues: list[int], den: int) -> Fraction:
     return Fraction(min(k * den, den + max(ys) - min(ys)), k * den)
 
 
-def _discrepancy(
-    xs: np.ndarray, out: np.ndarray | None = None, low: np.ndarray | None = None
-) -> np.ndarray:
+def _discrepancy(xs: np.ndarray, out: np.ndarray, low: np.ndarray) -> np.ndarray:
     """Closed-form interval discrepancy along the last axis of a sorted
     float64 array, which it consumes: each x_i becomes x_i - fl(i/k) in
-    place. The row maxima and minima are reduced into ``out`` and ``low``,
-    arrays of the input's shape less its last axis (allocated when not
-    given), and ``out`` is returned. Rounding can overshoot 1 by an ulp; the
-    cap removes it."""
+    place. The row maxima and minima are reduced into the caller's ``out``
+    and ``low``, arrays of the input's shape less its last axis, and
+    ``out`` is returned. Rounding can overshoot 1 by an ulp; the cap
+    removes it."""
     k = xs.shape[-1]
-    if out is None:
-        out, low = np.empty(xs.shape[:-1]), np.empty(xs.shape[:-1])
     ramp = np.arange(1.0, k + 1)
     ramp /= k
     xs -= ramp
@@ -224,16 +219,14 @@ def _discrepancy(
     return np.minimum(out, 1, out=out)
 
 
-def interval_discrepancy(points: Sequence[Fraction | float]) -> float | Fraction:
+def interval_discrepancy(points: Sequence[Fraction | float]) -> Fraction:
     """Sup over intervals [a, b] of |count/k - (b - a)| for points in [0, 1).
 
     Uses the closed form D = 1/k + max_i(x_i - i/k) - min_i(x_i - i/k) over
-    the sorted points (Kuipers & Niederreiter 1974, Ch. 2, Thm 1.4). The
-    result type follows the input: any Fraction among the points gives the
-    exact Fraction, scored in integers over the points' common denominator
-    (floats among them count at their exact dyadic value); all-float input
-    is scored in float64 and gives a float. A point outside [0, 1),
-    infinities and NaN included, raises ValueError.
+    the sorted points (Kuipers & Niederreiter 1974, Ch. 2, Thm 1.4), scored
+    in integers over the points' common denominator, so the result is the
+    exact Fraction; a float point counts at its exact dyadic value. A point
+    outside [0, 1), infinities and NaN included, raises ValueError.
     """
     pts = list(points)
     if not pts:
@@ -241,11 +234,9 @@ def interval_discrepancy(points: Sequence[Fraction | float]) -> float | Fraction
     outside = [x for x in pts if not 0 <= x < 1]
     if outside:
         raise ValueError(f"points must lie in [0, 1); got {outside[0]}")
-    if any(isinstance(x, Fraction) for x in pts):
-        xs = sorted(map(Fraction, pts))
-        den = math.lcm(*(x.denominator for x in xs))
-        return _exact_discrepancy([x.numerator * (den // x.denominator) for x in xs], den)
-    return float(_discrepancy(np.sort(np.asarray(pts, dtype=np.float64))))
+    xs = sorted(map(Fraction, pts))
+    den = math.lcm(*(x.denominator for x in xs))
+    return _exact_discrepancy([x.numerator * (den // x.denominator) for x in xs], den)
 
 
 @dataclass(frozen=True)
@@ -535,7 +526,9 @@ def find_prime_string(
 
     Returns None when no run exists below the limit (raise the limit and
     retry; absence below a finite horizon never refutes anything). With
-    ``max_diameter`` set, returns the first run at least that tight.
+    ``max_diameter`` set, returns the first run at least that tight. It is
+    the package's one prime-string search: each rung of ``cluster_verify``
+    is a call, whose convergent a/q passes the argument checks.
 
     The search reads the primes in ascending order, one segment of
     ``primes._spans(limit)`` at a time, sieved, or sliced from ``table`` at
@@ -554,13 +547,6 @@ def find_prime_string(
         raise ValueError(f"need gcd(a, q) = 1, got gcd({a}, {q}) = {gcd(a, q)}")
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _search(q, a, m, max_diameter, limit, table)
-
-
-def _search(
-    q: int, a: int, m: int, max_diameter: int | None, limit: int, table: PrimeTable | None
-) -> PrimeString | None:
-    """``find_prime_string`` once its arguments are checked."""
     carried = min(m - 1, _prime_count_bound(limit))
     need = SEGMENT_SPAN // 2 + _RUN_BYTES * (_prime_count_bound(SEGMENT_SPAN) + carried)
     reserve(need, f"a prime-string search to {limit}")
@@ -646,12 +632,12 @@ def cluster_verify(
     are then re-checked in exact rational arithmetic, and a violation raises
     VerificationError. A ladder with no run is a soft failure.
 
-    Each rung is a ``find_prime_string`` search, which streams the primes
-    from 2 (or slices ``table``) and stops at its run; a rung whose diameter
-    budget is below lcm(2, q)(m - 1) stops once it has read p_m. The window
-    check scores the run's own primes, which are the window, so no table is
-    held between rungs. Each rung counts its search through ``reserve``
-    before it sieves.
+    Each rung is one ``find_prime_string`` call with the rung's a, q and
+    diameter budget; it streams the primes from 2 (or slices ``table``) and
+    stops at its run, and a rung whose diameter budget is below
+    lcm(2, q)(m - 1) stops once it has read p_m. The window check scores
+    the run's own primes, which are the window, so no table is held between
+    rungs. Each rung counts its search through ``reserve`` before it sieves.
     """
     a = parse_alpha(alpha)
     d = Fraction(delta)
@@ -671,7 +657,7 @@ def cluster_verify(
         if apx.q > q_cap:
             break
         bound = None if apx.err == 0 else int(d / apx.err)
-        string = _search(apx.q, apx.a, m, bound, limit, table)
+        string = find_prime_string(apx.q, apx.a, m, limit, table, max_diameter=bound)
         rounds.append(
             {
                 "Q": apx.Q,

@@ -1,9 +1,10 @@
 """Prime generation and primality: the substrate for the other modules.
 
 ``sieve_primes`` returns an immutable ascending ``PrimeTable`` of every
-prime up to a limit; ``is_prime`` is a Miller-Rabin test; ``_prime_list``
-serves the small prime lists the scans reuse from a cache of one list per
-power of two.
+prime up to a limit; ``is_prime``, the package's one primality check,
+looks n below 2^16 up in a cached set of primes and tests larger n by
+Miller-Rabin; ``_prime_list`` serves the small prime lists the scans reuse
+from a cache of one list per power of two.
 
 There is one sieve, ``_segments``: the primes in ascending order, one
 segment at a time, marking odd integers. Spans double from ``_FIRST_SPAN``
@@ -18,7 +19,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -50,20 +51,25 @@ _SIEVE_BYTES = 16
 # 3.317e24 (psi_13, Sorenson & Webster, Math. Comp. 86 (2017)).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
+# n below this bound is looked up in the cached set of the 6,542 primes
+# below it; n at or above it takes Miller-Rabin.
+_SMALL_PRIME_BOUND = 1 << 16
+
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin with the fixed witnesses 2..41.
+    """Whether n is prime: a lookup in the cached set of the primes below
+    ``_SMALL_PRIME_BOUND`` = 2^16 (negative n, 0 and 1 included), and at or
+    above it Miller-Rabin with the fixed witnesses 2..41.
 
     Deterministic for n < 3317044064679887385961981 (about 3.317e24); above
     that bound a True result means a strong probable prime to those bases.
+    The set's first use sieves it through ``_prime_list``, which counts it.
     """
-    if n < 2:
-        return False
+    if n < _SMALL_PRIME_BOUND:
+        return n in _small_primes()
     for p in _MR_BASES:
         if n % p == 0:
-            return n == p
-    if n < 43 * 43:  # no prime factor <= 41, so prime
-        return True
+            return False
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
@@ -78,6 +84,11 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+@cache
+def _small_primes() -> frozenset[int]:
+    return frozenset(_prime_list(_SMALL_PRIME_BOUND - 1))
 
 
 def _spans(limit: int) -> Iterator[tuple[int, int]]:

@@ -136,7 +136,7 @@ def _check_row_counts(n, p, method):
     """A cold call counts its table fill and its row; a warm one only its
     row. The peak stays within what was counted, the larger count exactly
     fits the budget, and one byte less refuses."""
-    bt._check_prime(p)  # the prime set counts its own fill
+    pr.is_prime(p)  # the prime set counts its own fill
     row_need = bt._ROW_BYTES * (n + 1)
     fill_need = _table_fill_bytes(n, p, method)
     want = valuation_row_oracle(n, p, method)
@@ -169,7 +169,7 @@ def test_valuation_row_past_the_memo_bound_keeps_nothing():
     """Past the memo bound a row builds its tables at n + 1 within its own
     count, and the caches do not grow."""
     n = bt._ROW_MEMO_BOUND + 4463
-    bt._check_prime(3)
+    pr.is_prime(3)
     _clear_row_tables()
     for method in ("indicator", "legendre"):
         row = assert_counted(bt._ROW_BYTES * (n + 1), lambda: valuation_row(n, 3, method))

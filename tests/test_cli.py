@@ -352,7 +352,8 @@ def test_scan_exact_check_failure_exits_2(capsys, monkeypatch):
     "seam, fault, message",
     [
         # a loose string: the search ignores its diameter bound
-        ("_search", lambda real: lambda q, a, m, d, *rest: real(q, a, m, None, *rest),
+        ("find_prime_string",
+         lambda real: lambda q, a, m, limit, table=None, *, max_diameter=None: real(q, a, m, limit, table),
          "pairwise clustering bound violated: "),
         # a shifted window: the window one prime later is scored
         ("_sorted_residues", lambda real: lambda al, ps: real(al, one_prime_later(ps)),

@@ -25,7 +25,7 @@ from erdos_trio import (
     window_sample,
 )
 from erdos_trio import PrimeString, PrimeTable, equidistribution, primes
-from erdos_trio.equidistribution import _discrepancy, _fixed_point_parts, _window_discrepancy
+from erdos_trio.equidistribution import _SCORE_ERR, _discrepancy, _fixed_point_parts, _window_discrepancy
 
 from budget import assert_counted
 from oracles import (
@@ -168,21 +168,39 @@ def test_grid_oracle_equals_its_pairwise_form():
     assert differs >= 10
 
 
-def test_float_batch_rows_match_1d_and_oracle():
-    """The batch kernel equals the 1-D closed form and the exact family
-    oracle on every row, among them rows with a repeated point and rows
-    with a point at 0. The kernel consumes its input, so it scores a copy."""
+def test_float_batch_rows_within_E_of_exact_discrepancy():
+    """The batch kernel scores every row within E = 2^-49 of its exact
+    discrepancy, which the closed form and the family oracle agree on,
+    among them rows with a repeated point and rows with a point at 0. The
+    kernel consumes its input, so it scores a copy into the caller's
+    arrays."""
     rng = np.random.RandomState(6)
     for k in (1, 2, 3, 7, 50, 199):
         batch = np.sort(rng.rand(40, k), axis=1)
         if k > 3:
             batch[::2, k // 2] = batch[::2, k // 2 - 1]  # force duplicates
         batch[1::5, 0] = 0.0
-        ds = _discrepancy(batch.copy())
-        assert ds.shape == (40,)
-        for row, d in zip(batch, ds):
-            assert abs(interval_discrepancy(list(row)) - d) < 1e-12
-            assert abs(family_discrepancy(row.tolist()) - d) < 1e-12
+        out, low = np.empty(40), np.empty(40)
+        ds = _discrepancy(batch.copy(), out, low)
+        assert ds is out and ds.shape == (40,)
+        for row, d in zip(batch, ds.tolist()):
+            exact = interval_discrepancy(list(row))
+            assert exact == family_discrepancy(row.tolist())
+            assert abs(exact - Fraction(d)) <= Fraction(_SCORE_ERR)
+
+
+def test_float_points_are_scored_exactly():
+    """Float-only points give the exact Fraction of their dyadic values,
+    the family oracle's value, with repeated points and 0.0 among them."""
+    rng = random.Random(0xF10A7)
+    for k in range(1, 41):
+        pts = [rng.random() for _ in range(k)]
+        if k > 2:
+            pts[1] = pts[0]  # a repeated point
+            pts[rng.randrange(k)] = 0.0
+        d = interval_discrepancy(pts)
+        assert isinstance(d, Fraction)
+        assert d == family_discrepancy(pts), pts
 
 
 @settings(max_examples=300, deadline=None)
@@ -724,13 +742,13 @@ def test_cluster_equals_whole_table_oracle(table_1e6, monkeypatch):
     """With and without a table, at the sieve's spans and at small ones,
     the report, rounds included, is the one a whole-table search gives."""
 
-    def whole_table(q, a, m, max_diameter, limit, table):
+    def whole_table(q, a, m, limit, table=None, *, max_diameter=None):
         return _oracle_string(table_1e6, q, a, m, limit, max_diameter)
 
     cases = _seeded_cluster_inputs()
     expected = []
     for alpha, delta, m, limit in cases:
-        monkeypatch.setattr(equidistribution, "_search", whole_table)
+        monkeypatch.setattr(equidistribution, "find_prime_string", whole_table)
         expected.append(cluster_verify(alpha, delta, m, limit, table=table_1e6))
         monkeypatch.undo()
     assert 0 < sum(e.found for e in expected) < 34
@@ -788,10 +806,33 @@ def test_cluster_climbs_one_ladder(table_1e6):
 
 def test_cluster_pairwise_check_fires(monkeypatch):
     """A loose string, searched with no diameter bound, breaks the pairwise bound."""
-    real = equidistribution._search
-    monkeypatch.setattr(equidistribution, "_search", lambda q, a, m, d, *rest: real(q, a, m, None, *rest))
+    real = equidistribution.find_prime_string
+    monkeypatch.setattr(
+        equidistribution,
+        "find_prime_string",
+        lambda q, a, m, limit, table=None, *, max_diameter=None: real(q, a, m, limit, table),
+    )
     with pytest.raises(VerificationError, match="pairwise clustering bound violated: .* > "):
         cluster_verify("sqrt:2", 0.2, 3, 10**5)
+
+
+def test_cluster_rungs_are_find_prime_string_calls(monkeypatch):
+    """Each round of a cluster search is one ``find_prime_string`` call with
+    that round's q, a and diameter bound, in a found case and in one whose
+    every round fails."""
+    real = equidistribution.find_prime_string
+    calls = []
+
+    def recorder(q, a, m, limit, table=None, *, max_diameter=None):
+        calls.append((q, a, max_diameter))
+        return real(q, a, m, limit, table, max_diameter=max_diameter)
+
+    monkeypatch.setattr(equidistribution, "find_prime_string", recorder)
+    for alpha, delta, m, limit, found in (("sqrt:2", 0.2, 3, 10**7, True), ("sqrt:3", 0.1, 4, 10**6, False)):
+        calls.clear()
+        rep = cluster_verify(alpha, delta, m, limit)
+        assert rep.found is found and len(rep.rounds) >= 2
+        assert calls == [(r["q"], r["a"], r["max_diameter"]) for r in rep.rounds]
 
 
 def test_cluster_window_check_fires(monkeypatch):

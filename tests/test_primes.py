@@ -107,9 +107,14 @@ def test_sieve_peak_within_three_quarters_of_its_count(limit):
 
 
 def test_is_prime_matches_trial_division():
-    oracle = set(trial_division_primes(2000))
-    for x in range(2000 + 1):
-        assert is_prime(x) == (x in oracle)
+    """On both sides of the set's bound 2^16: below it is_prime is a set
+    lookup, and from 65536 on Miller-Rabin, whose first prime is 65537."""
+    bound = primes._SMALL_PRIME_BOUND
+    assert bound == 1 << 16
+    oracle = set(trial_division_primes(bound + 30000))
+    for x in [*range(-5, 2001), *range(bound - 3000, bound + 30001)]:
+        assert is_prime(x) == (x in oracle), x
+    assert min(p for p in oracle if p >= bound) == 65537
     assert is_prime(2**61 - 1)
     assert not is_prime(2**62 - 1)
     # strong pseudoprime to every prime base up to 37 (Sorenson & Webster)

@@ -273,7 +273,7 @@ BUDGET_TESTS = {
     "basis_splits.enumerate_A": "test_basis_splits::test_stage_intervals_and_elements_memory_budget",
     "basis_splits._pair_sums": "test_basis_splits::test_sumset_memory_budget",
     "equidistribution.well_distribution_statistic": "test_equidistribution::test_scan_memory_budget",
-    "equidistribution._search": "test_equidistribution::test_prime_string_memory_budget",
+    "equidistribution.find_prime_string": "test_equidistribution::test_prime_string_memory_budget",
     "cli._cmd_binomial_f_scan": "test_cli::test_f_scan_counts_its_rows",
     "cli._cmd_basis_reps": "test_cli::test_basis_reps_counts_rendered_rows",
 }
