@@ -33,9 +33,6 @@ from .primes import SEGMENT_SPAN, _prime_count_bound, _prime_list, _segments, is
 # smallest constant for which the averaging argument closes.
 DEFAULT_CERTIFICATE_C = 24.0 / (math.pi**2 - 6.0) + 0.01
 
-# Block indices j = 2..9 reported in the certificate diagnostics.
-_DIAGNOSTIC_BLOCKS = 8
-
 # Peak bytes per entry of k = 0..n in valuation_row, beside any table it
 # fills (tracemalloc, p = 2, 3 and 997): the indicator form takes 10.0 at
 # n = 65535 and 17.3 at n = 1e3 (numpy's 8,192-entry cast buffer) from
@@ -374,10 +371,7 @@ class CertificateReport:
     """Averaging certificate for the polylog upper bound on f(n).
 
     ``average`` is (1/Y) * sum_{k<=Y} log u(n, k) with Y = floor(C (log n)^2);
-    average > 2 log n certifies f(n) <= Y. Diagnostics expose, for each
-    block index j, the prime set P_j = {p <= Y/j}, T_j = sum log p,
-    R_j = sum (p - n mod p) log p and the block depth M_j = floor(Y/(j log n))
-    used by the averaging argument.
+    average > 2 log n certifies f(n) <= Y.
     """
 
     n: int
@@ -386,7 +380,6 @@ class CertificateReport:
     average: float
     threshold: float
     certified: bool
-    diagnostics: tuple[dict, ...] = ()
 
 
 def certificate_average(n: int, c: float = DEFAULT_CERTIFICATE_C) -> CertificateReport:
@@ -394,13 +387,10 @@ def certificate_average(n: int, c: float = DEFAULT_CERTIFICATE_C) -> Certificate
 
     Requires Y >= 1 and Y <= n (the mean is over defined u values only).
     The sum is sum_{p<=Y} N_p log p, each N_p from ``_carries`` in O(log_p n)
-    floor divisions, added by ``math.fsum``. The diagnostics' T_j and R_j
-    are running sums over the primes <= Y/2, added in ascending order, as a
-    direct per-block sum adds them.
-
-    The primes <= Y are read once, in ascending order, from the sieve's
-    stream for both, and no prime list is held; one segment of the stream
-    is counted through ``reserve`` before it is sieved.
+    floor divisions, added by ``math.fsum``. The primes <= Y are read once,
+    in ascending order, from the sieve's stream, and no prime list is held;
+    one segment of the stream is counted through ``reserve`` before it is
+    sieved.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
@@ -414,30 +404,9 @@ def certificate_average(n: int, c: float = DEFAULT_CERTIFICATE_C) -> Certificate
         raise ValueError(f"Y = {y} exceeds n = {n}; u(n, k) is undefined past n")
     span = min(y, SEGMENT_SPAN)
     reserve(span // 2 + 4096 + _STREAM_BYTES * _prime_count_bound(span), f"a segment of the primes to {y}")
-    # Blocks j = 9 down to 2 take ever longer prefixes of the primes.
-    bounds = [y // j for j in range(_DIAGNOSTIC_BLOCKS + 1, 1, -1)]
-    passed = []  # (T_j, R_j) at each bound, filled as the pass goes by
-
-    def terms():
-        """N_p log p for each prime p <= Y, ascending; T_j and R_j on the way."""
-        t_sum = r_sum = 0  # sum()'s start: an empty block stays the int 0
-        for segment in _segments(y):
-            for p in segment.tolist():
-                log_p = math.log(p)
-                if p <= bounds[-1]:
-                    while p > bounds[len(passed)]:
-                        passed.append((t_sum, r_sum))
-                    t_sum += log_p
-                    r_sum += (p - n % p) * log_p
-                yield _carries(n, y, p) * log_p
-        passed.extend([(t_sum, r_sum)] * (len(bounds) - len(passed)))
-
-    average = math.fsum(terms()) / y
-    diag = [
-        {"j": j, "prime_bound": bound, "T_j": t_j, "R_j": r_j, "M_j": int(y / (j * log_n))}
-        for j, bound, (t_j, r_j) in zip(range(_DIAGNOSTIC_BLOCKS + 1, 1, -1), bounds, passed)
-    ]
-    diag.reverse()
+    average = math.fsum(
+        _carries(n, y, p) * math.log(p) for segment in _segments(y) for p in segment.tolist()
+    ) / y
     return CertificateReport(
         n=n,
         c=c,
@@ -445,7 +414,6 @@ def certificate_average(n: int, c: float = DEFAULT_CERTIFICATE_C) -> Certificate
         average=average,
         threshold=2.0 * log_n,
         certified=average > 2.0 * log_n,
-        diagnostics=tuple(diag),
     )
 
 

@@ -181,7 +181,6 @@ def _cmd_binomial_certificate(args) -> tuple[list[dict], dict, str]:
     meta = {
         "claim": "mean of log u(n,k) over k <= Y = floor(C (log n)^2); "
         "a mean above 2 log n certifies f(n) <= Y",
-        "diagnostics": [dict(d) for d in rep.diagnostics],
     }
     if rep.certified:
         confirmed = bt.f_threshold(args.n)
@@ -193,13 +192,19 @@ def _cmd_binomial_certificate(args) -> tuple[list[dict], dict, str]:
     return [row], meta, "verified"
 
 
-def _cmd_binomial_witness(args) -> tuple[list[dict], dict, str]:
-    # M_K is printed in full: refuse, before it is built, an M_K with more
-    # digits than Python's int-to-str limit allows (0, or no such limit: none)
-    log10_m = math.fsum(bt._witness_exponent(p, args.K) * math.log10(p) for p in _prime_list(args.K))
-    most, digits = getattr(sys, "get_int_max_str_digits", int)(), int(log10_m) + 1
+def _refuse_unprintable(subject: str, log10_value: float) -> None:
+    """Refuse, before it is built, an integer whose log10 is ``log10_value``
+    if it has more digits than Python's int-to-str limit allows (0, or no
+    such limit: none); ``subject`` names it in the error line."""
+    most, digits = getattr(sys, "get_int_max_str_digits", int)(), int(log10_value) + 1
     if 0 < most < digits:
-        raise ValueError(f"M_{args.K} has {digits} digits, past the {most}-digit int-to-str limit")
+        raise ValueError(f"{subject} has {digits} digits, past the {most}-digit int-to-str limit")
+
+
+def _cmd_binomial_witness(args) -> tuple[list[dict], dict, str]:
+    # M_K is printed in full
+    log10_m = math.fsum(bt._witness_exponent(p, args.K) * math.log10(p) for p in _prime_list(args.K))
+    _refuse_unprintable(f"M_{args.K}", log10_m)
     w = bt.lower_bound_witness(args.K)
     factorization = "*".join(f"{p}^{e}" for p, e in sorted(w.exponents.items()))
     rows = [
@@ -233,7 +238,14 @@ def _cmd_basis_cover(args) -> tuple[list[dict], dict, str]:
     return rows, {"claim": "[4, 6*5^k] is contained in A_k + A_k"}, "verified"
 
 
+def _refuse_unprintable_stage(k: int) -> None:
+    """Refuse a stage whose row cannot be printed before it is built: the
+    largest integer a rigidity or gaps row prints is 10 * 5^(k-1)."""
+    _refuse_unprintable(f"stage {k}'s 10 * 5^{k - 1}", 1 + (k - 1) * math.log10(5))
+
+
 def _cmd_basis_rigidity(args) -> tuple[list[dict], dict, str]:
+    _refuse_unprintable_stage(args.k)
     rep = bs.rigidity_check(args.k)
     rows = [
         {
@@ -252,6 +264,7 @@ def _cmd_basis_gaps(args) -> tuple[list[dict], dict, str]:
     rule = (
         bs.seeded_rule(args.seed) if args.rule == "random" else bs.rule_from_name(args.rule)
     )
+    _refuse_unprintable_stage(args.k)
     rep = bs.gap_witness(rule, args.k)
     rows = [
         {

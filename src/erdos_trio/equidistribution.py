@@ -60,33 +60,33 @@ from .primes import (
     sieve_primes,
 )
 
-# A scan's fractional parts are 96-bit fixed-point numbers, formed from
-# 32-bit limbs so that each limb-by-prime product fits in uint64.
+# A scan's fractional parts are 96-bit fixed-point numbers, whose top 64
+# bits come from two limb-by-prime products in uint64.
 _FRAC_BITS = 96
-_LIMB_MASK = (1 << 32) - 1
 # E: every float window score of a scan is within this of the window's
 # exact discrepancy (derived in ``well_distribution_statistic``).
 _SCORE_ERR = 2.0**-49
 
 # Peak bytes of a window scan, counted in three parts. Per scanned prime:
-# its share of the table and the three uint64 arrays of the fixed-point
+# its share of the table and the two uint64 arrays of the fixed-point
 # product, which give way to the float64 parts, the window scores, the
 # prune's grid and per-offset arrays (O(windows / _GRID)) and the band
-# (tracemalloc of the whole scan: 32.4-32.5 at 1e6, 4e6 and 8e6 primes,
-# k = 10, stride 1000, and at 1e6 and 4e6 primes, stride 1, where the
-# prune's arrays are largest and the float pass alone peaks at 28.6; 33.5
-# at 2e5 primes when every part is recomputed exactly, alpha = 2^-100;
-# 33.6 at 4e6 primes and stride 1 when every window is in the band,
-# alpha = 0). Per float64 entry of one chunk of windows: the reused buffer
-# and the gathered rows copied into it, or the kernel's ramp (10.2-16.1 at
-# k = 10, 50, 1,000, 20,000 and 70,000). Per point of the one window
-# re-scored exactly at a time: _POINT_BYTES + 24 * (bits // 30), bits the
-# bit length of alpha's denominator. That covers the integer score of
-# ``_window_discrepancy``, whose primes, residues and scaled residues are
-# Python ints (tracemalloc per point at k = 10 / 50 / 2,000 / 200,000: 110 /
-# 60 / 48 / 48 with a 2-bit denominator, 150 / 93 / 81 / 84 with 31- and
-# 55-bit ones, 198 / 147 / 136 / 136 at 257 bits, 436 / 361 / 345 / 344 at
-# 1,025 bits and 2,731 / 2,350 / 2,258 / 2,256 at 8,193 bits).
+# (tracemalloc of the whole scan less its chunk and exact-window counts,
+# k = 10: 25.2 at 1e6 and 4e6 primes and stride 1000; 27.5-28.2 at stride 1,
+# where the prune's arrays are largest; 28.8 at 2e5 and 32.5 at 1e6 primes
+# when every part is recomputed exactly, alpha = 2^-100; 32.5-33.2 at 1e6
+# and 4e6 primes and stride 1 when every window is in the band, alpha = 0,
+# the worst case, which the parts' two products do not reach). Per float64
+# entry of one chunk of windows: the reused buffer and the gathered rows
+# copied into it, or the kernel's ramp (10.2-16.1 at k = 10, 50, 1,000,
+# 20,000 and 70,000). Per point of the one window re-scored exactly at a
+# time: _POINT_BYTES + 24 * (bits // 30), bits the bit length of alpha's
+# denominator. That covers the integer score of ``_window_discrepancy``,
+# whose primes, residues and scaled residues are Python ints (tracemalloc
+# per point at k = 10 / 50 / 2,000 / 200,000: 110 / 60 / 48 / 48 with a
+# 2-bit denominator, 150 / 93 / 81 / 84 with 31- and 55-bit ones, 198 /
+# 147 / 136 / 136 at 257 bits, 436 / 361 / 345 / 344 at 1,025 bits and
+# 2,731 / 2,350 / 2,258 / 2,256 at 8,193 bits).
 _PART_BYTES = 36
 _ENTRY_BYTES = 24
 _POINT_BYTES = 128
@@ -263,33 +263,29 @@ def _fixed_point_parts(alpha: Fraction, ps: np.ndarray) -> np.ndarray:
     """{alpha p} in float64 for each prime p < 2^32 of ``ps``, within
     2^-52 + 2^-64 of the exact value.
 
-    A = ceil({alpha} 2^96), held as three 32-bit limbs, exceeds {alpha} 2^96
-    by less than 1, so Y = A p mod 2^96 is {alpha p} 2^96 raised by less
-    than p < 2^32, modulo 2^96. A raise that wraps past 2^96 leaves Y < p,
-    so the top 64 bits of Y are zero; those parts (a superset of the
-    wrapped ones) are recomputed exactly. Every other part is Y's top 64
-    bits times 2^-64: the raise and the dropped low 32 bits, each less than
-    2^32 units of 2^-96, leave it within 2^-64 of {alpha p}, and the
-    conversion to float64 adds at most one ulp below 1, 2^-52. When A is
-    exactly {alpha} 2^96 nothing is raised, and no part is recomputed.
+    A = ceil({alpha} 2^96) mod 2^96 exceeds {alpha} 2^96 by less than 1,
+    modulo 2^96, so Y = A p mod 2^96 is {alpha p} 2^96 raised by less than
+    p < 2^32, modulo 2^96. Written A = A_hi 2^32 + A_lo with A_lo < 2^32,
+    Y's top 64 bits are (A_hi p + (A_lo p >> 32)) mod 2^64: two limb
+    products, of which only A_hi p wraps in uint64, and A_lo p < 2^64. A
+    raise that wraps past 2^96 leaves Y < p, so the top 64 bits of Y are
+    zero; those parts (a superset of the wrapped ones) are recomputed
+    exactly. Every other part is Y's top 64 bits times 2^-64: the raise and
+    the dropped low 32 bits, each less than 2^32 units of 2^-96, leave it
+    within 2^-64 of {alpha p}, and the conversion to float64 adds at most
+    one ulp below 1, 2^-52. When A is exactly {alpha} 2^96 nothing is
+    raised, and no part is recomputed.
     """
     num, den = alpha.numerator, alpha.denominator
     lifted = (num % den) << _FRAC_BITS
-    a = -(-lifted // den)  # may be 2^96, which is 0 mod 2^96
-    # Y = low + mid 2^32 + top 2^64 from the limb products, in place: four
-    # uint64 arrays of len(ps) at most, and only the low 32 bits of top count
-    top = ps.astype(np.uint64)
-    low = top * np.uint64(a & _LIMB_MASK)
-    mid = top * np.uint64(a >> 32 & _LIMB_MASK)
+    a = -(-lifted // den) % (1 << _FRAC_BITS)  # the ceiling may be 2^96
+    # two uint64 arrays of len(ps): top, and the primes turned into A_lo p >> 32
+    low = ps.astype(np.uint64)
+    top = low * np.uint64(a >> 32)  # mod 2^64
+    low *= np.uint64(a & (1 << 32) - 1)
     low >>= 32
-    mid += low  # < 2^64: (2^32 - 1)^2 + 2^32 - 1
-    np.multiply(top, np.uint64(a >> 64 & _LIMB_MASK), out=top)
-    np.right_shift(mid, 32, out=low)
-    top += low
-    top <<= 32
-    mid &= _LIMB_MASK
-    top |= mid  # Y's top 64 bits
-    del low, mid
+    top += low  # mod 2^64: Y's top 64 bits
+    del low
     parts = top.astype(np.float64)
     parts *= 2.0**-64
     if lifted % den:

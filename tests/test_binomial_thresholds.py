@@ -476,7 +476,6 @@ def test_certificate_against_direct_scan():
     rep = certificate_average(n, 6.21)
     logs = [math.log(u_profile(n, k).exact_u) for k in range(1, rep.y + 1)]
     assert abs(rep.average - sum(logs) / rep.y) < 1e-9
-    assert rep.diagnostics[0]["j"] == 2
 
 
 def _carries_oracle(n: int, y: int, p: int, start: int) -> int:
@@ -504,27 +503,6 @@ def test_carries_equal_summed_valuations():
             assert bt._carries(n, y, p) == want, (n, y, p)
             differs_from_one += below_p > 0
     assert differs_from_one > checked // 2
-
-
-def test_certificate_diagnostics_equal_per_block_sums():
-    """T_j and R_j from the one running pass equal, bit for bit, a direct
-    left-to-right sum over each block's primes (what ``sum()`` computes on
-    CPython 3.11), empty blocks included as the int 0."""
-    rng = random.Random(0xD1A6)
-    cases = [(5, 1.0), (50, 1.0)] + [(n, 6.21) for n in (10**4, 10**6, 2**64 - 59)]
-    cases += [(rng.randrange(10**4, 10**7), 6.21) for _ in range(20)]
-    cases += [(10**5, 0.02), (10**5, 0.04)]  # Y = 2 and 5: empty and one-prime blocks
-    for n, c in cases:
-        rep = certificate_average(n, c)
-        for d in rep.diagnostics:
-            block = sieve_primes(d["prime_bound"]).primes.tolist()
-            t_j = r_j = 0
-            for p in block:
-                t_j += math.log(p)
-                r_j += (p - n % p) * math.log(p)
-            assert d["prime_bound"] == rep.y // d["j"]
-            assert (type(d["T_j"]), d["T_j"]) == (type(t_j), t_j), (n, d["j"])
-            assert (type(d["R_j"]), d["R_j"]) == (type(r_j), r_j), (n, d["j"])
 
 
 def test_certificate_certifies_f_bound():

@@ -183,11 +183,13 @@ def test_equidist_cluster_bad_delta(capsys):
          "--limit", "1000000000000"),
         # ~4.5e6 interval sums of ~2,300 bits are refused by the memory budget
         ("basis", "cover", "--k", "1000"),
-        # stage 40,000's ~120,000 intervals of ~93,000 bits, before any sum
+        # stage 40,000's J_k has ~27,960 digits, past Python's 4,300-digit
+        # int-to-str limit: refused before its ~120,000 intervals are built
         ("basis", "rigidity", "--k", "40000"),
         # M_K for K = 1e10 needs the primes below 2^34, ~45 GB as a list
         ("binomial", "witness", "--K", "10000000000"),
-        # stage 1e5 intervals hold ~21 GB of endpoints before any sum
+        # stage 1e5 intervals hold ~21 GB of endpoints before any sum (for
+        # rigidity and gaps, its ~69,900-digit J_k is refused before that)
         ("basis", "cover", "--k", "100000"),
         ("basis", "rigidity", "--k", "100000"),
         ("basis", "gaps", "--rule", "alternating", "--k", "100000"),
@@ -277,6 +279,35 @@ def test_witness_refused_past_the_int_to_str_limit(capsys, monkeypatch):
     finally:
         sys.set_int_max_str_digits(limit)
     assert code == EXIT_OK and len(out.splitlines()[1].split(",")[1]) == 4304
+
+
+@pytest.mark.parametrize("cmd", [["rigidity"], ["gaps", "--rule", "all-c-to-1"]])
+def test_stage_refused_past_the_int_to_str_limit(capsys, cmd):
+    """Stage 6,151's row prints 10 * 5^6150, of 4,300 digits; stage 6,152's
+    would print 4,301 and is refused before the stage is built, as stage
+    31,441's is. With no limit (0), stage 31,442 is refused by the memory
+    budget, before any interval is built."""
+    code, out = run_cli(capsys, "--format", "csv", "basis", *cmd, "--k", "6151")
+    assert code == EXIT_OK and max(map(len, out.splitlines()[1].split(","))) == 4300
+    start = time.perf_counter()
+    for k in ("6152", "31441"):
+        assert main(["basis", *cmd, "--k", k]) == EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        "error: stage 6152's 10 * 5^6151 has 4301 digits, past the 4300-digit int-to-str limit",
+        "error: stage 31441's 10 * 5^31440 has 21977 digits, past the 4300-digit int-to-str limit",
+    ]
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        start = time.perf_counter()
+        assert main(["basis", *cmd, "--k", "31442"]) == EXIT_USAGE
+        assert time.perf_counter() - start < 1.0
+    finally:
+        sys.set_int_max_str_digits(limit)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the interval list of A") and "budget" in err[0]
 
 
 def _served(argv):
@@ -464,7 +495,7 @@ GOLDEN = {
     "binomial certificate --n 100000 --C 6.21": (0, {
         "table": "616a75eabafdcc090a4875306be6b4b5770cbe314b7259237033eccaee7c9b8d",
         "csv": "a747f46d4e240d3ff62f6edda94e97ec34d12065fc5be3bcdb1fa7be7919c421",
-        "json": "8d16cb6419b1bae7e25ce486a01adde61a1468622f6316826de6745c75171145",
+        "json": "d624a68062d6b3fc39ed3c55fc1073a5e959d7ca89c763b7506b1f5a04321504",
     }),
     "binomial witness --K 12": (0, {
         "table": "aaa1b3c5174038eac3c938496789062ead1e4d8199bb4501ebd0afccbf50d0d1",
@@ -582,9 +613,9 @@ def _documents(draw):
     values = st.lists(_CELL, min_size=len(keys), max_size=len(keys))
     rows = [dict(zip(keys, row)) for row in draw(st.lists(values, min_size=1, max_size=5))]
     meta = draw(st.dictionaries(_TEXT, _NESTED, max_size=3))
-    # like certificate's diagnostics: a list of dicts, beside empty containers
+    # a list of dicts nested in meta, beside empty containers
     meta |= {
-        "diagnostics": draw(st.lists(st.dictionaries(_TEXT, _CELL, max_size=3), max_size=3)),
+        "nested": draw(st.lists(st.dictionaries(_TEXT, _CELL, max_size=3), max_size=3)),
         "empty_dict": {},
         "empty_list": [],
     }

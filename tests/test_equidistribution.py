@@ -408,6 +408,27 @@ def test_fixed_point_parts_within_proven_bound(table_1e5, alpha):
         assert abs(Fraction(part) - _exact_part(alpha, p)) <= _PART_ERR, (alpha, p)
 
 
+def test_fixed_point_parts_are_the_96_bit_products_bits(table_1e5):
+    """Every part whose 96-bit product has nonzero top 64 bits is, bit for
+    bit, those bits times 2^-64, from A = ceil({alpha} 2^96) mod 2^96 and
+    A p in Python ints; every other part is the exact part's float."""
+    rng = random.Random(0x96B)
+    alphas = [1 - Fraction(1, 2**100), Fraction(-22, 7), parse_alpha("sqrt:3", 8192)]
+    for bits in (31, 32, 33, 63, 64, 65, 96, 97, 200, 1000):
+        for _ in range(4):
+            den = rng.getrandbits(bits) | 1 << bits - 1
+            alphas.append(Fraction(rng.randrange(-5 * den, 5 * den), den))
+    # the first 2,000 primes and the three largest primes below 2^32
+    ps = table_1e5.primes[:2000].tolist() + [4294967231, 4294967279, 4294967291]
+    for alpha in alphas:
+        a = -(-(alpha.numerator % alpha.denominator << 96) // alpha.denominator) % 2**96
+        got = _fixed_point_parts(alpha, np.array(ps)).view(np.uint64).tolist()
+        for p, part_bits in zip(ps, got):
+            top = (a * p) % 2**96 >> 32
+            want = float(top) * 2**-64 if top else float(_exact_part(alpha, p))
+            assert part_bits == np.float64(want).view(np.uint64), (alpha, p)
+
+
 def test_wrap_recompute_makes_parts_exact():
     ps = np.array([2, 3, 5, 7, 11, 13])
     # A = ceil(2^96 / 7) raises 7 A past 2^96, to 7 A mod 2^96 = 6
