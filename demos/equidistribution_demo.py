@@ -39,7 +39,7 @@ for label in ("sqrt:2", "golden"):
     res = well_distribution_statistic(alpha, k=50, scan_limit=2000, table=table)
     print(
         f"  alpha = {label:<7} max window discrepancy over n <= 2000: "
-        f"{res.max_discrepancy:.4f} at n = {res.argmax_start}"
+        f"{float(res.max_discrepancy_exact):.4f} at n = {res.argmax_start}"
     )
 
 print()

@@ -48,12 +48,8 @@ from .basis_splits import (
     gap_witness,
     representations,
     rigidity_check,
-    rigidity_interval,
     rule_from_name,
     seeded_rule,
-    stage_anchor,
-    stage_block,
-    stage_filler,
     sumset_cover_check,
 )
 from .equidistribution import (

@@ -74,26 +74,6 @@ def _stage(q: int) -> tuple[int, tuple[int, int], tuple[int, int], tuple[int, in
     return 4 * q, (5 * q, 6 * q - 1), (10 * q - 1, 15 * q), (9 * q, 10 * q - 1)
 
 
-def stage_anchor(k: int) -> int:
-    """c_k = 4 * 5^(k-1)."""
-    return _stage(5 ** (k - 1))[0]
-
-
-def stage_block(k: int) -> tuple[int, int]:
-    """B_k = [5 * 5^(k-1), 6 * 5^(k-1) - 1], inclusive endpoints."""
-    return _stage(5 ** (k - 1))[1]
-
-
-def stage_filler(k: int) -> tuple[int, int]:
-    """F_k = [10 * 5^(k-1) - 1, 15 * 5^(k-1)], inclusive endpoints."""
-    return _stage(5 ** (k - 1))[2]
-
-
-def rigidity_interval(k: int) -> tuple[int, int]:
-    """J_k = [9 * 5^(k-1), 10 * 5^(k-1) - 1], inclusive endpoints."""
-    return _stage(5 ** (k - 1))[3]
-
-
 @dataclass(frozen=True)
 class StageClassification:
     """Which part of A an integer lies in (stage is None for core/none)."""
@@ -225,7 +205,7 @@ def sumset_cover_check(k: int) -> CoverageReport:
         raise ValueError("k must be >= 0")
     # A_k = A truncated to stages 1..k; its max element is max(F_k) = 3 * 5^k,
     # or the core's 3 at k = 0, and [4, 6 * 5^k] runs to twice that.
-    top = stage_filler(k)[1] if k else _CORE[1]
+    top = _stage(5 ** (k - 1))[2][1] if k else _CORE[1]
     hi = 2 * top
     intervals = stage_intervals(top)
     reach = 4  # least point of [4, hi] not yet known to be covered
@@ -303,9 +283,7 @@ def rigidity_check(k: int) -> RigidityReport:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    j_lo, j_hi = rigidity_interval(k)
-    c = stage_anchor(k)
-    block = stage_block(k)
+    c, block, _, (j_lo, j_hi) = _stage(5 ** (k - 1))
     intervals = stage_intervals(j_hi - 2)
     meeting = _pair_sums(intervals, j_lo, j_hi)
     through_anchor = (c + block[0], c + block[1])
@@ -378,7 +356,7 @@ def seeded_rule(seed: int) -> PartitionRule:
     """Pseudorandom total coloring, a pure function of (seed, element)."""
     return PartitionRule(
         name=f"random:{seed}",
-        anchor_color=lambda k: 1 + (_mix(stage_anchor(k), seed) & 1),
+        anchor_color=lambda k: 1 + (_mix(_stage(5 ** (k - 1))[0], seed) & 1),
         default_color=lambda x: 1 + (_mix(x, seed) & 1),
     )
 

@@ -26,8 +26,9 @@ from typing import Literal
 
 import numpy as np
 
+from . import primes
 from .errors import VerificationError, reserve
-from .primes import SEGMENT_SPAN, _prime_count_bound, _prime_list, _segments, is_prime
+from .primes import _prime_count_bound, _prime_list, _segments, is_prime
 
 # Default certificate constant: 24/(pi^2 - 6) + 0.01, slightly above the
 # smallest constant for which the averaging argument closes.
@@ -402,7 +403,7 @@ def certificate_average(n: int, c: float = DEFAULT_CERTIFICATE_C) -> Certificate
         raise ValueError(f"Y = floor(c (log n)^2) = {y} < 1")
     if y > n:
         raise ValueError(f"Y = {y} exceeds n = {n}; u(n, k) is undefined past n")
-    span = min(y, SEGMENT_SPAN)
+    span = min(y, primes.SEGMENT_SPAN)
     reserve(span // 2 + 4096 + _STREAM_BYTES * _prime_count_bound(span), f"a segment of the primes to {y}")
     average = math.fsum(
         _carries(n, y, p) * math.log(p) for segment in _segments(y) for p in segment.tolist()

@@ -223,7 +223,22 @@ def _cmd_binomial_witness(args) -> tuple[list[dict], dict, str]:
 # --------------------------------------------------------------------------
 # basis group
 
+def _refuse_unprintable_stage(k: int, scale: int, exponent: int) -> None:
+    """Refuse stage k before it is built if the largest integer its row
+    prints, scale * 5^exponent, is too long to print. Below 2^32 its digits
+    are counted from the exponent in float64. From 2^32 on, 5^exponent has
+    over 2^31 digits, past the highest limit Python accepts (2^31 - 1), and
+    no float of the exponent is formed."""
+    subject = f"stage {k}'s {scale} * 5^{exponent}"
+    most = getattr(sys, "get_int_max_str_digits", int)()
+    if most and exponent >= 1 << 32:
+        raise ValueError(f"{subject} has over 2^31 digits, past the {most}-digit int-to-str limit")
+    if 0 <= exponent < 1 << 32:
+        _refuse_unprintable(subject, math.log10(scale) + exponent * math.log10(5))
+
+
 def _cmd_basis_cover(args) -> tuple[list[dict], dict, str]:
+    _refuse_unprintable_stage(args.k, 6, args.k)  # hi = 6 * 5^k
     rep = bs.sumset_cover_check(args.k)
     rows = [
         {
@@ -238,14 +253,8 @@ def _cmd_basis_cover(args) -> tuple[list[dict], dict, str]:
     return rows, {"claim": "[4, 6*5^k] is contained in A_k + A_k"}, "verified"
 
 
-def _refuse_unprintable_stage(k: int) -> None:
-    """Refuse a stage whose row cannot be printed before it is built: the
-    largest integer a rigidity or gaps row prints is 10 * 5^(k-1)."""
-    _refuse_unprintable(f"stage {k}'s 10 * 5^{k - 1}", 1 + (k - 1) * math.log10(5))
-
-
 def _cmd_basis_rigidity(args) -> tuple[list[dict], dict, str]:
-    _refuse_unprintable_stage(args.k)
+    _refuse_unprintable_stage(args.k, 10, args.k - 1)  # j_hi = 10 * 5^(k-1) - 1
     rep = bs.rigidity_check(args.k)
     rows = [
         {
@@ -261,10 +270,8 @@ def _cmd_basis_rigidity(args) -> tuple[list[dict], dict, str]:
 
 
 def _cmd_basis_gaps(args) -> tuple[list[dict], dict, str]:
-    rule = (
-        bs.seeded_rule(args.seed) if args.rule == "random" else bs.rule_from_name(args.rule)
-    )
-    _refuse_unprintable_stage(args.k)
+    rule = bs.rule_from_name(args.rule)
+    _refuse_unprintable_stage(args.k, 10, args.k - 1)  # the truncation, 10 * 5^(k-1)
     rep = bs.gap_witness(rule, args.k)
     rows = [
         {
@@ -306,7 +313,7 @@ def _cmd_equidist_scan(args) -> tuple[list[dict], dict, str]:
             "scan_limit": res.scan_limit,
             "stride": res.stride,
             "windows": res.windows,
-            "max_discrepancy": res.max_discrepancy,
+            "max_discrepancy": float(res.max_discrepancy_exact),
             "max_discrepancy_exact": res.max_discrepancy_exact,
             "argmax_start": res.argmax_start,
         }
@@ -388,7 +395,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="erdos-trio", description=__doc__.splitlines()[0])
     parser.add_argument("--format", choices=("table", "csv", "json"), default="table")
     parser.add_argument("--output", default=None, help="write output to this path")
-    parser.add_argument("--seed", type=int, default=0, help="seed for random rules")
     parser.add_argument(
         "--precision", type=int, default=eq.DEFAULT_ALPHA_BITS,
         help="bits used when synthesizing sqrt:/golden alphas",

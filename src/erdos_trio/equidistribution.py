@@ -49,9 +49,9 @@ from typing import Sequence
 
 import numpy as np
 
+from . import primes
 from .errors import VerificationError, reserve
 from .primes import (
-    SEGMENT_SPAN,
     PrimeTable,
     _nth_prime_bound,
     _prime_count_bound,
@@ -245,8 +245,8 @@ class WindowScanResult:
     on the true supremum over all starts).
 
     ``argmax_start`` is the smallest scanned start whose window has the
-    largest exact discrepancy, ``max_discrepancy_exact`` is that exact
-    value and ``max_discrepancy`` is its float.
+    largest exact discrepancy and ``max_discrepancy_exact`` is that exact
+    value.
     """
 
     alpha: Fraction
@@ -254,7 +254,6 @@ class WindowScanResult:
     scan_limit: int
     stride: int
     windows: int
-    max_discrepancy: float
     max_discrepancy_exact: Fraction
     argmax_start: int
 
@@ -444,7 +443,6 @@ def well_distribution_statistic(
         scan_limit=scan_limit,
         stride=stride,
         windows=n_windows,
-        max_discrepancy=float(exact),
         max_discrepancy_exact=exact,
         argmax_start=best_n,
     )
@@ -544,7 +542,7 @@ def find_prime_string(
     if m < 1:
         raise ValueError("m must be >= 1")
     carried = min(m - 1, _prime_count_bound(limit))
-    need = SEGMENT_SPAN // 2 + _RUN_BYTES * (_prime_count_bound(SEGMENT_SPAN) + carried)
+    need = primes.SEGMENT_SPAN // 2 + _RUN_BYTES * (_prime_count_bound(primes.SEGMENT_SPAN) + carried)
     reserve(need, f"a prime-string search to {limit}")
     if table is None:
         segments = _segments(limit)

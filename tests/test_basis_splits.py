@@ -17,16 +17,12 @@ from erdos_trio import (
     gap_witness,
     representations,
     rigidity_check,
-    rigidity_interval,
     rule_from_name,
     seeded_rule,
-    stage_anchor,
-    stage_block,
-    stage_filler,
     sumset_cover_check,
 )
 from erdos_trio import basis_splits
-from erdos_trio.basis_splits import _pair_sums, stage_intervals
+from erdos_trio.basis_splits import _pair_sums, _stage, stage_intervals
 
 from budget import assert_counted, peak_bytes
 from oracles import (
@@ -178,7 +174,7 @@ def test_sumset_memory_budget():
     # rigidity bisects the intervals of A up to max(J_k) - 2 and builds the one
     # sum that meets J_k; the interval list it holds is counted on its own
     for k in (60, 1000):
-        lo, hi = rigidity_interval(k)
+        lo, hi = _stage(5 ** (k - 1))[3]
         intervals = stage_intervals(hi - 2)
         bits = (hi - 2).bit_length()
         listed = (3 * (bits // 2 + 1) + 1) * basis_splits._interval_bytes(bits)
@@ -205,7 +201,7 @@ def test_pair_sums_bounded_by_bisection_match_bruteforce():
     intervals of A at several limits, on A without B_2 and on one interval,
     for ranges that end exactly on sum endpoints, one off them, and below,
     above and around every sum."""
-    broken = [iv for iv in stage_intervals(75) if iv != stage_block(2)]
+    broken = [iv for iv in stage_intervals(75) if iv != _stage(5)[1]]
     sets = [stage_intervals(limit) for limit in (2, 4, 15, 100, 3 * 5**4, 10**5)]
     sets += [broken, [(7, 7)], [(5, 9)]]
     rng = random.Random(3)
@@ -240,7 +236,7 @@ def test_cover_examples_and_method_agreement():
 def test_cover_detects_gaps_on_broken_set(monkeypatch):
     """Drop B_2 from the stage intervals: 45..49 loses its only representations."""
     limit = 15 * 5  # A_2 region
-    intervals = [iv for iv in stage_intervals(limit) if iv != stage_block(2)]
+    intervals = [iv for iv in stage_intervals(limit) if iv != _stage(5)[1]]
     sums = _pair_sums(intervals, 4, 6 * 25)
     missing = {x for x in range(4, 6 * 25 + 1) if not any(lo <= x <= hi for lo, hi in sums)}
     assert set(range(45, 50)) <= missing  # J_2 has no representation without B_2
@@ -249,7 +245,7 @@ def test_cover_detects_gaps_on_broken_set(monkeypatch):
     monkeypatch.setattr(
         basis_splits,
         "stage_intervals",
-        lambda lim: [iv for iv in stage_intervals(lim) if iv != stage_block(2)],
+        lambda lim: [iv for iv in stage_intervals(lim) if iv != _stage(5)[1]],
     )
     with pytest.raises(VerificationError, match=f"{min(missing)} not in A_2"):
         sumset_cover_check(2)
@@ -262,26 +258,24 @@ def test_rigidity_examples():
     assert r2.interval == (45, 49) and r2.checked == 5 and r2.anchor == 20
     # cross-check against the literal scan for the small stages
     for k in (1, 2, 3):
-        lo, hi = rigidity_interval(k)
-        c = stage_anchor(k)
-        b_lo, b_hi = stage_block(k)
+        c, (b_lo, b_hi), _, (lo, hi) = _stage(5 ** (k - 1))
         for n in range(lo, hi + 1):
             assert _pairs(representations(n)) == [(c, n - c)]
             assert b_lo <= n - c <= b_hi
 
 
 def _rigid_by_oracle(k, intervals):
-    lo, hi = rigidity_interval(k)
+    c, _, _, (lo, hi) = _stage(5 ** (k - 1))
     elements = [x for a, b in intervals for x in range(a, b + 1)]
     counts, smaller = window_representations(elements, lo, hi)
-    return bool((counts == 1).all()) and smaller == [stage_anchor(k)]
+    return bool((counts == 1).all()) and smaller == [c]
 
 
 def test_rigidity_detects_extra_summand(monkeypatch):
     """Add one non-member x <= max(J_k) - 2 to A: the interval engine raises
     exactly when the element-level count finds a second representation."""
     for k in (2, 3, 4):
-        lo, hi = rigidity_interval(k)
+        lo, hi = _stage(5 ** (k - 1))[3]
         assert _rigid_by_oracle(k, stage_intervals(hi - 2))
         breaking = 0
         for x in (x for x in range(2, hi - 1) if classify(x).kind == "none"):
@@ -305,7 +299,7 @@ def test_rigidity_needs_the_anchor_and_block_pair(monkeypatch):
     representation, 2 + (n - 2), and their one sum equals c_k + B_k, but it
     is not the sum of the pair ({c_k}, B_k), so the check raises."""
     for k in (1, 2, 5):
-        lo, hi = rigidity_interval(k)
+        lo, hi = _stage(5 ** (k - 1))[3]
         monkeypatch.setattr(
             basis_splits, "stage_intervals", lambda limit, lo=lo, hi=hi: [(2, 2), (lo - 2, hi - 2)]
         )
@@ -317,8 +311,13 @@ def test_rigidity_needs_the_anchor_and_block_pair(monkeypatch):
 def test_rigidity_identity_check_fires(monkeypatch):
     """A J_k that starts one too high no longer equals c_k + B_k. It only
     shrinks, so no stray sum meets it and the identity check alone fires."""
-    real = rigidity_interval
-    monkeypatch.setattr(basis_splits, "rigidity_interval", lambda k: (real(k)[0] + 1, real(k)[1]))
+    real = _stage
+
+    def shifted(q):
+        c, block, filler, (lo, hi) = real(q)
+        return c, block, filler, (lo + 1, hi)
+
+    monkeypatch.setattr(basis_splits, "_stage", shifted)
     for k in (1, 3, 7):
         with pytest.raises(VerificationError) as err:
             rigidity_check(k)
@@ -353,7 +352,7 @@ def test_gap_witness_positive_control():
     for color in (1, 2):
         rule = constant_rule(color)
         k = 3
-        lo, hi = rigidity_interval(k)
+        lo, hi = _stage(5 ** (k - 1))[3]
         members = [x for x in enumerate_A(hi) if rule.color_of(x) == color]
         sums = {a + b for a in members for b in members if a <= b and a + b <= hi}
         assert set(range(lo, hi + 1)) <= sums

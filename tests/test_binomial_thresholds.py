@@ -444,6 +444,17 @@ def test_certificate_memory_budget(n, c):
     assert assert_counted(need, lambda: certificate_average(n, c)) == want
 
 
+def test_certificate_counts_the_span_read_at_call_time(monkeypatch):
+    """The count reads ``primes.SEGMENT_SPAN`` when the certificate runs: at
+    a span of 2^12 it is one segment of 2^12 integers, far below the
+    Y = 343,562 integers counted at the sieve's own span."""
+    n, c = 10**18, 200.0
+    want = certificate_average(n, c)
+    monkeypatch.setattr(pr, "SEGMENT_SPAN", 1 << 12)
+    need = (1 << 11) + 4096 + bt._STREAM_BYTES * pr._prime_count_bound(1 << 12)
+    assert assert_counted(need, lambda: certificate_average(n, c)) == want
+
+
 def test_certificate_holds_no_prime_list():
     """After the certificate returns it holds nothing that grows with Y. The
     ~29,000 primes <= Y = 343,562 are read from the stream and dropped,

@@ -98,12 +98,13 @@ def test_basis_gaps(capsys):
 
 
 def test_basis_gaps_seeded_rule(capsys):
-    code, out = run_cli(
-        capsys, "--format", "json", "--seed", "11",
-        "basis", "gaps", "--rule", "random", "--k", "4",
-    )
+    """A seeded coloring has one spelling, random:SEED; bare random is refused."""
+    code, out = run_cli(capsys, "--format", "json", "basis", "gaps", "--rule", "random:11", "--k", "4")
     assert code == EXIT_OK
     assert json.loads(out)["rows"][0]["rule"] == "random:11"
+    assert main(["basis", "gaps", "--rule", "random", "--k", "4"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: unknown partition rule 'random'\n"
 
 
 def test_equidist_approx(capsys):
@@ -188,8 +189,8 @@ def test_equidist_cluster_bad_delta(capsys):
         ("basis", "rigidity", "--k", "40000"),
         # M_K for K = 1e10 needs the primes below 2^34, ~45 GB as a list
         ("binomial", "witness", "--K", "10000000000"),
-        # stage 1e5 intervals hold ~21 GB of endpoints before any sum (for
-        # rigidity and gaps, its ~69,900-digit J_k is refused before that)
+        # stage 1e5 intervals would hold ~21 GB of endpoints before any sum;
+        # its rows' ~69,900-digit integers are refused before that
         ("basis", "cover", "--k", "100000"),
         ("basis", "rigidity", "--k", "100000"),
         ("basis", "gaps", "--rule", "alternating", "--k", "100000"),
@@ -310,6 +311,35 @@ def test_stage_refused_past_the_int_to_str_limit(capsys, cmd):
     assert len(err) == 1 and err[0].startswith("error: the interval list of A") and "budget" in err[0]
 
 
+def test_cover_refused_past_the_int_to_str_limit(capsys):
+    """Cover prints hi = 6 * 5^k, of 4,300 digits at stage 6,150, which the
+    memory budget refuses for its interval sums; stage 6,151's hi would
+    have 4,301 digits and is refused for printing before any power of 5
+    is formed."""
+    start = time.perf_counter()
+    for k in ("6150", "6151"):
+        assert main(["basis", "cover", "--k", k]) == EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("error: 170228926 interval sums of 18451 intervals") and "budget" in err[0]
+    assert err[1:] == ["error: stage 6151's 6 * 5^6151 has 4301 digits, past the 4300-digit int-to-str limit"]
+
+
+@pytest.mark.parametrize("cmd", [["cover"], ["rigidity"], ["gaps", "--rule", "all-c-to-1"]])
+@pytest.mark.parametrize("k", ["10000000", "1" + "0" * 400])
+def test_huge_stage_refused_at_once(capsys, cmd, k):
+    """A stage whose row is far too long to print is refused from k alone:
+    its digit count is never formed from a float of a k past float range,
+    and no power of 5 is built first."""
+    start = time.perf_counter()
+    assert main(["basis", *cmd, "--k", k]) == EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: stage {k}'s ")
+    assert captured.err.endswith(" digits, past the 4300-digit int-to-str limit\n")
+
+
 def _served(argv):
     """``main(argv)`` as a call for ``assert_counted``: ``main`` reports a
     refused request as a usage error, which this raises as the refusal."""
@@ -419,14 +449,14 @@ def test_parser_reuse_keeps_no_state(capsys):
     become the default of the next."""
     tail = ["equidist", "scan", "--alpha", "golden", "--k", "10", "--limit", "100"]
     code, out = run_cli(
-        capsys, "--seed", "5", "--precision", "64", "--format", "json", *tail, "--stride", "7"
+        capsys, "--precision", "64", "--format", "json", *tail, "--stride", "7"
     )
     assert code == EXIT_OK
     assert json.loads(out)["meta"]["params"]["stride"] == 7
     code, out = run_cli(capsys, "--format", "json", *tail)
     assert code == EXIT_OK
     assert json.loads(out)["meta"]["params"] == {
-        "alpha": "golden", "k": 10, "limit": 100, "precision": 256, "seed": 0, "stride": 1,
+        "alpha": "golden", "k": 10, "limit": 100, "precision": 256, "stride": 1,
     }
     assert run_cli(capsys, *tail)[1].endswith("verdict: verified\n")  # table again
 
@@ -485,72 +515,72 @@ GOLDEN = {
     "binomial f --n 10": (0, {
         "table": "189233ce6a5d409bef5442d4f2e775ac53e51f97f2f817977be04f7f9d580596",
         "csv": "c7ecf07c8196c33dca749fbd6b5057beef04b30f0b8a367ed5af132e7f6f0a19",
-        "json": "968adf37a5a6718f54cf06160dcb80bb70b51a3d58b37d92821c6f829ffb743e",
+        "json": "0bdf600d06ebead646099d50936500dd82035389df5824f2fbb0df27bef81eee",
     }),
     "binomial f-scan --from 2 --to 60 --stride 3": (0, {
         "table": "e3f7684e3aa64304d5760b58c0b80d0239db00789e00ad5542d4518917f558c7",
         "csv": "3965177abcdc9f65edbdd025042627e4a12aaf8950dbea4ffbf80b5abd98edeb",
-        "json": "f817187c1a48f6b9e8a50144e4fc35bc8fd7de8c77bf121ee0678b3b49fb5ccc",
+        "json": "392936b23ac1ecea5a2bb5e482e7c396f0efd1f668770124be0fccae7482d71d",
     }),
     "binomial certificate --n 100000 --C 6.21": (0, {
         "table": "616a75eabafdcc090a4875306be6b4b5770cbe314b7259237033eccaee7c9b8d",
         "csv": "a747f46d4e240d3ff62f6edda94e97ec34d12065fc5be3bcdb1fa7be7919c421",
-        "json": "d624a68062d6b3fc39ed3c55fc1073a5e959d7ca89c763b7506b1f5a04321504",
+        "json": "48823d7b0690376f710cadcd488be46e79b3bfaf37db6d1edcf04396b5a7d959",
     }),
     "binomial witness --K 12": (0, {
         "table": "aaa1b3c5174038eac3c938496789062ead1e4d8199bb4501ebd0afccbf50d0d1",
         "csv": "faddf8eb117dec353478feb7e39cf6a107a01192638bacda2fd9f1eb1b9e2175",
-        "json": "620384ca66f7f81303c91ea1b7e8e51853d1564082f15c96e70f6a9f76499bb9",
+        "json": "b28fd892fd56a9e0f5719d9aeca870016a7cfa75baa763638b6bbae3b336780e",
     }),
     "basis cover --k 3": (0, {
         "table": "f03263f2f227d2de163bf5faa98d9dcb0e4cef1f5e6657ea210a7c15fc50515d",
         "csv": "093da6571c2c64a6cb5ab594010d9873284f6a560b5e3343f1cf806bffd8fa91",
-        "json": "2434a30c3210cfcc69eee7fc00913664b41dad940e0e61d05238b9717be2902c",
+        "json": "a49a42983ca234a417fffe4a63c5cb0d6029a6f30ff3ae853b519f3b90d214aa",
     }),
     "basis rigidity --k 3": (0, {
         "table": "072a2b7a55d60129b7cfbbd252757ca9e5324ce09995485593dd3e7404d872f5",
         "csv": "44d1909d560da594f4f13d72c084bf8ecbf6d5a166144666be259c267c79f138",
-        "json": "6e1e02bc933c363a5059b73db724c2cc7241c952b5487908ce4adc031e015d09",
+        "json": "b1c53be601c6a3e2c3e65ccce022cbe1e5cdb6c0956123aa9c593efe929477d3",
     }),
-    "--seed 11 basis gaps --rule random --k 4": (0, {
+    "basis gaps --rule random:11 --k 4": (0, {
         "table": "56e02b99ba582ddbd5b16ee8494e5bf221c12b3af0e8cb7d1ce729204e6d315b",
         "csv": "1b1df89d701d472d42d421451f23c220cf508b3389cae93c9b4d5853c3ead002",
-        "json": "931c41719e616b432bc9eb09b054286cb21eb8e1a51794f03daee3d2fa29de2a",
+        "json": "3d02b38e404674e8eb87b85bc6908b53b2a07c19c902d813a00a996d7fccae0f",
     }),
     "basis reps --n 1000": (0, {
         "table": "2d33faff5e6fb4acfcc79b6edec3d2b6a285176556fa6e55db2585c2495c3a24",
         "csv": "c0a03e832e4ca7fdd43f904fcbfffcaeb55181efc9ada6cfe681a8e1911dc23d",
-        "json": "d89b117f8deb75ad9593838902cb8533a3cdb51f4ab565c2a193aeb93d92bccd",
+        "json": "7538953d6abdba5871f0feb1b5ff5f11ab064c8acf626c519d833756bce75c78",
     }),
     "basis reps --n 30000": (0, {
         "table": "42ca44ef6f69024af8be3c76fba5232198113705aa2e82f047fba09a770d2692",
         "csv": "ce7ea4c0bdd0659d8aa741ac380e0bec480d525486873809962669dc033011ad",
-        "json": "7db10143817226dfa56db46aa3a9207a622ebab6843592892c742a09e37504ab",
+        "json": "f864bbbad56c0d3da7a820f1b9d63c9e04a5afa9059350b898b75a0e6ab2e6e7",
     }),
     "equidist scan --alpha golden --k 20 --limit 200": (0, {
         "table": "5423d18f8c6c6e48c7a63a7c435229e71142bc444a3aa8ae09eaa2c897c70996",
         "csv": "73cf3849f88cb7931876b009d11a011a23fde3aaa971bcce3ba2e50e86010ca4",
-        "json": "763f202a037e2175685a20567b1cafbec69666d24e1f2d2026d7e5b5c061dff3",
+        "json": "e215b798d898687bed61143bd4a13d5aa7cdf45f489ae07b55ffd08065f42516",
     }),
     "--precision 64 equidist approx --alpha sqrt:2 --Q 100": (0, {
         "table": "c43928d163bdc610435b7695b60d244c36cd7c9ca210adb480b91c44ebfcb3fe",
         "csv": "86e90c6a201a27dc424e633abb407e3bba59f6e6d721c6cd0e04cb5aa519c35f",
-        "json": "2a0b963312f18963cd29a2810c7d810eb41ac42216478ffa9294c47ca2bd319b",
+        "json": "db967e328d389796f76b1c907a1edcacae78d0ebe37d802cb80bf89b9750abd0",
     }),
     "equidist string --q 4 --a 1 --m 2 --limit 100": (0, {
         "table": "47c2435dc746521b64d99dcb2202072142cf078ee990edbbeba2d3fb5ea34887",
         "csv": "8f80b1f1d979bbbbbfdae6e3903e20da30087f215adf2ad6be053a4913799021",
-        "json": "1f3b8ecdd2aa1f8b475bf868b9841067fac7ae8d8db631e3cb59c00bb2d95907",
+        "json": "c2a9cd250ebd7bd6bdd26ee0e0e45e365e614dfaef2aef152221552240aa3423",
     }),
     "equidist string --q 4 --a 1 --m 40 --limit 100": (3, {
         "table": "5a03eba8412fbb48b3d354db314c04e80a519c97dd67b138f550c9e31ad29f7f",
         "csv": "c413806a14e376ae90924d7507b864673fe55a38453c9b41073ff5bd3852467c",
-        "json": "d55327bb374c1472568696a1c233f8e3cdeb5cd9fb28ff4c1f02fa1d39fbb701",
+        "json": "545bcdfe761767755d28aae56ad0f95f2b898f71a692561ecb0e69ad218f948d",
     }),
     "equidist cluster --alpha sqrt:2 --delta 0.2 --m 2 --limit 100000": (0, {
         "table": "38464ce9f83ef34b80c4f1e2ce9ac74fc0369d9b7f90e1fb2bddc15c2c4d3eb9",
         "csv": "c57b48063abce5a98da047381d43c49f1806bae9f0c1183b151ff067fcb90398",
-        "json": "9dd1f1a37c0f1f30e82c8d4541f5122bce22df5109590340b536eeaa86542041",
+        "json": "6ffd3d601e302bb10b092817cc9cf759b521526dd95016fe7d2a94ec41ffcd75",
     }),
 }
 

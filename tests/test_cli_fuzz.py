@@ -37,7 +37,6 @@ VALUES = {
 GLOBAL_FLAGS = {
     "--format": "format",
     "--output": "output",
-    "--seed": "int",
     "--precision": "int",
     "--threads": "threads",
 }

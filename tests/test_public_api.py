@@ -20,8 +20,9 @@ Within each package module, every top-level import must be read as a
 ``Name`` somewhere in that module. The memory budget has one binding and
 one refusal: only ``errors.reserve`` raises ``ResourceLimitError``. Every
 ``raise VerificationError`` is registered with a test that makes it fire,
-and every ``reserve`` call with a test that checks its count. The oracles
-in ``tests/oracles.py`` import nothing from the package.
+and every ``reserve`` call with a test that checks its count. Every flag
+of the command line parser is read by ``cli.py``. The oracles in
+``tests/oracles.py`` import nothing from the package.
 """
 
 import ast
@@ -153,6 +154,34 @@ def test_package_modules_import_only_what_they_use():
                     if name not in read:
                         unused.append(f"{path.stem}.{name}")
     assert unused == [], f"imports never read: {unused}"
+
+
+# ``--threads`` is accepted and changes nothing; acceptance criterion 11
+# passes it.
+UNREAD_FLAGS = {"threads"}
+
+
+def test_every_cli_flag_is_read():
+    """Each ``add_argument`` destination in ``cli.build_parser`` is read as
+    ``args.<dest>`` somewhere in ``cli.py``: a flag that no handler reads is
+    a second spelling or dead weight."""
+    tree = ast.parse((ROOT / "src" / "erdos_trio" / "cli.py").read_text())
+    build = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "build_parser")
+    dests = set()
+    for node in ast.walk(build):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+            dest = next((kw.value.value for kw in node.keywords if kw.arg == "dest"), None)
+            names = [a.value for a in node.args if isinstance(a, ast.Constant)]
+            long = next((n for n in names if n.startswith("--")), names[0])
+            dests.add(dest or long.lstrip("-").replace("-", "_"))
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args"
+    }
+    assert dests
+    assert sorted(dests - read - UNREAD_FLAGS) == [], f"flags never read as args.<dest>: {sorted(dests - read)}"
+    assert UNREAD_FLAGS <= dests
 
 
 def test_oracles_import_nothing_from_the_package():
