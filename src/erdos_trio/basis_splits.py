@@ -107,20 +107,28 @@ def classify(x: int) -> StageClassification:
     return StageClassification(kind="none")
 
 
+def _count_intervals(bits: int) -> None:
+    """Count, through ``reserve``, the interval list of A up to a limit of
+    ``bits`` bits: at most 3 intervals for each of the <= bits/2 + 1 stages
+    plus the core, each at the size of the largest. The count grows with
+    ``bits``, so a check may first count a lower bound on its limit's bits,
+    from k alone, and refuse a stage far past the budget before it forms
+    any power of 5."""
+    reserve(
+        (3 * (bits // 2 + 1) + 1) * _interval_bytes(bits),
+        f"the interval list of A up to a {bits}-bit limit",
+    )
+
+
 def stage_intervals(limit: int) -> list[tuple[int, int]]:
     """Disjoint ascending intervals whose union is A intersected with [0, limit].
 
     Q = 5^(k-1) steps by one multiplication by 5 per stage, and each stage's
     parts are read from ``_stage(Q)``. Their ints grow with the stage, so
-    the list is quadratic in the number of stages; it is counted through
-    ``reserve`` before it is built, as at most 3 intervals for each of the
-    <= bits/2 + 1 stages plus the core, each at the size of the largest.
+    the list is quadratic in the number of stages; it is counted by
+    ``_count_intervals`` before it is built.
     """
-    bits = max(limit, 0).bit_length()
-    reserve(
-        (3 * (bits // 2 + 1) + 1) * _interval_bytes(bits),
-        f"the interval list of A up to a {bits}-bit limit",
-    )
+    _count_intervals(max(limit, 0).bit_length())
     out: list[tuple[int, int]] = []
     if limit >= _CORE[0]:
         out.append((_CORE[0], min(_CORE[1], limit)))
@@ -199,10 +207,13 @@ def sumset_cover_check(k: int) -> CoverageReport:
     A_k + A_k is the union of the pair sums of the intervals of A_k, and one
     sweep in ascending order finds the first point of [4, 6 * 5^k] it
     misses, the first gap. A gap would contradict a proved coverage lemma,
-    so it raises VerificationError.
+    so it raises VerificationError. The interval list is first counted from
+    k alone, so a stage far past the memory budget is refused before 5^k is
+    formed.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
+    _count_intervals(2 * k)  # the limit 3 * 5^k has more than 2k bits
     # A_k = A truncated to stages 1..k; its max element is max(F_k) = 3 * 5^k,
     # or the core's 3 at k = 0, and [4, 6 * 5^k] runs to twice that.
     top = _stage(5 ** (k - 1))[2][1] if k else _CORE[1]
@@ -279,10 +290,13 @@ def rigidity_check(k: int) -> RigidityReport:
     only the sums that meet J_k, one on the true set, after two bisections
     per interval, O(k log k) steps in all. Any other sum meeting J_k, an
     identical copy included, raises VerificationError naming the least n it
-    reaches in J_k; so does c_k + B_k differing from J_k.
+    reaches in J_k; so does c_k + B_k differing from J_k. As in
+    ``sumset_cover_check``, a stage far past the memory budget is refused
+    from k alone, before 5^(k-1) is formed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    _count_intervals(2 * k)  # the limit 10 * 5^(k-1) - 3 has at least 2k bits
     c, block, _, (j_lo, j_hi) = _stage(5 ** (k - 1))
     intervals = stage_intervals(j_hi - 2)
     meeting = _pair_sums(intervals, j_lo, j_hi)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import primes
 from .errors import VerificationError, reserve
-from .primes import _prime_count_bound, _prime_list, _segments, is_prime
+from .primes import _prime_count_bound, _prime_ints, _segments, is_prime
 
 # Default certificate constant: 24/(pi^2 - 6) + 0.01, slightly above the
 # smallest constant for which the averaging argument closes.
@@ -251,7 +251,7 @@ def u_profile(n: int, k: int) -> ValuationProfile:
         raise ValueError("need 0 <= k <= n")
     vals: dict[int, int] = {}
     u = 1
-    for p in _prime_list(k):
+    for p in _prime_ints(k):
         v = valuation_binomial(n, k, p)
         vals[p] = v
         if v:
@@ -457,7 +457,7 @@ def lower_bound_witness(K: int) -> WitnessMK:
     """
     if K < 2:
         raise ValueError("K must be >= 2")
-    exponents = {p: _witness_exponent(p, K) for p in _prime_list(K)}
+    exponents = {p: _witness_exponent(p, K) for p in _prime_ints(K)}
     m = math.prod(p**e for p, e in exponents.items())
     n = m - 1
     for p, e in exponents.items():

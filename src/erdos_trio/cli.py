@@ -41,7 +41,7 @@ from . import basis_splits as bs
 from . import binomial_thresholds as bt
 from . import equidistribution as eq
 from .errors import ResourceLimitError, VerificationError, reserve
-from .primes import _prime_list
+from .primes import _prime_ints
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -201,9 +201,18 @@ def _refuse_unprintable(subject: str, log10_value: float) -> None:
         raise ValueError(f"{subject} has {digits} digits, past the {most}-digit int-to-str limit")
 
 
+def _refuse_long(subject: str, value: int) -> None:
+    """Refuse a positive integer, already built, before it is rendered, if
+    it has more digits than Python's int-to-str limit allows: exactly when
+    it is at least 10^limit. Its float log10 only names the digit count."""
+    most = getattr(sys, "get_int_max_str_digits", int)()
+    if 0 < most and value >= 10**most:
+        _refuse_unprintable(subject, max(math.log10(value), most))
+
+
 def _cmd_binomial_witness(args) -> tuple[list[dict], dict, str]:
     # M_K is printed in full
-    log10_m = math.fsum(bt._witness_exponent(p, args.K) * math.log10(p) for p in _prime_list(args.K))
+    log10_m = math.fsum(bt._witness_exponent(p, args.K) * math.log10(p) for p in _prime_ints(args.K))
     _refuse_unprintable(f"M_{args.K}", log10_m)
     w = bt.lower_bound_witness(args.K)
     factorization = "*".join(f"{p}^{e}" for p, e in sorted(w.exponents.items()))
@@ -328,6 +337,10 @@ def _cmd_equidist_scan(args) -> tuple[list[dict], dict, str]:
 def _cmd_equidist_approx(args) -> tuple[list[dict], dict, str]:
     alpha = eq.parse_alpha(args.alpha, args.precision)
     apx = eq.dirichlet_approx(alpha, args.Q)
+    # the longest integers the row prints: err's numerator is below its
+    # denominator, at most q times alpha's, and the bound's is qQ
+    _refuse_long("err's denominator", apx.err.denominator)
+    _refuse_long("qQ", apx.q * apx.Q)
     rows = [
         {
             **_alpha_cols(alpha),

@@ -55,9 +55,9 @@ from .primes import (
     PrimeTable,
     _nth_prime_bound,
     _prime_count_bound,
+    _prime_list,
     _segments,
     _spans,
-    sieve_primes,
 )
 
 # A scan's fractional parts are 96-bit fixed-point numbers, whose top 64
@@ -68,18 +68,20 @@ _FRAC_BITS = 96
 _SCORE_ERR = 2.0**-49
 
 # Peak bytes of a window scan, counted in three parts. Per scanned prime:
-# its share of the table and the two uint64 arrays of the fixed-point
-# product, which give way to the float64 parts, the window scores, the
-# prune's grid and per-offset arrays (O(windows / _GRID)) and the band
-# (tracemalloc of the whole scan less its chunk and exact-window counts,
-# k = 10: 25.2 at 1e6 and 4e6 primes and stride 1000; 27.5-28.2 at stride 1,
-# where the prune's arrays are largest; 28.8 at 2e5 and 32.5 at 1e6 primes
-# when every part is recomputed exactly, alpha = 2^-100; 32.5-33.2 at 1e6
-# and 4e6 primes and stride 1 when every window is in the band, alpha = 0,
-# the worst case, which the parts' two products do not reach). Per float64
-# entry of one chunk of windows: the reused buffer and the gathered rows
-# copied into it, or the kernel's ramp (10.2-16.1 at k = 10, 50, 1,000,
-# 20,000 and 70,000). Per point of the one window re-scored exactly at a
+# the two uint64 arrays of the fixed-point product, which give way to the
+# float64 parts, the window scores, the prune's grid and per-offset arrays
+# (O(windows / _GRID)) and the band. The primes themselves are counted by
+# the cache or the sieve that serves them. tracemalloc of the whole scan,
+# primes read from the cache, less its chunk and exact-window counts, at
+# k = 10: 16.8 at 1e6 primes and stride 1000; 19.1 at stride 1, where the
+# prune's arrays are largest; 20.3 at 2e5 and 24.1 at 1e6 primes when every
+# part is recomputed exactly (alpha = 2^-100); 24.1 at 1e6 primes and
+# stride 1 when every window is in the band (alpha = 0), the worst case.
+# Past 2^24 the scan's own sieved table adds its share, within this count
+# and the sieve's: 28.2 and 33.2 at 4e6 primes, golden and alpha = 0. Per
+# float64 entry of one chunk of windows: the reused buffer and the gathered
+# rows copied into it, or the kernel's ramp (10.2-16.1 at k = 10, 50,
+# 1,000, 20,000 and 70,000). Per point of the one window re-scored exactly at a
 # time: _POINT_BYTES + 24 * (bits // 30), bits the bit length of alpha's
 # denominator. That covers the integer score of ``_window_discrepancy``,
 # whose primes, residues and scaled residues are Python ints (tracemalloc
@@ -87,7 +89,7 @@ _SCORE_ERR = 2.0**-49
 # 2-bit denominator, 150 / 93 / 81 / 84 with 31- and 55-bit ones, 198 /
 # 147 / 136 / 136 at 257 bits, 436 / 361 / 345 / 344 at 1,025 bits and
 # 2,731 / 2,350 / 2,258 / 2,256 at 8,193 bits).
-_PART_BYTES = 36
+_PART_BYTES = 28
 _ENTRY_BYTES = 24
 _POINT_BYTES = 128
 # Windows scored per chunk: chunks hold about 2^16 float64 entries (512 KiB),
@@ -379,9 +381,13 @@ def well_distribution_statistic(
     its exact value raises VerificationError.
 
     The scan needs scan_limit + k primes; a table that cannot supply them,
-    or a scanned prime >= 2^32, is a ValueError. Its primes, one chunk of
-    windows and one exact window are counted through ``reserve`` before the
-    table is sieved.
+    or a scanned prime >= 2^32, is a ValueError. With no table, the primes
+    up to the bound ``_nth_prime_bound(scan_limit + k)`` are read from the
+    prime cache while that bound is below 2^24, and sieved for this call
+    past it (``primes._prime_list``); the call itself holds nothing after
+    it returns. Its parts, one chunk of windows and one exact window are
+    counted through ``reserve`` before any prime is read; the cache and the
+    sieve count the primes.
     """
     if k < 1 or stride < 1 or scan_limit < 0:
         raise ValueError("need k >= 1, stride >= 1, scan_limit >= 0")
@@ -396,7 +402,8 @@ def well_distribution_statistic(
         f"a scan of {n_windows} windows of {k} primes",
     )
     if table is None:
-        table = sieve_primes(_nth_prime_bound(needed))
+        bound = _nth_prime_bound(needed)
+        table = PrimeTable(limit=bound, primes=_prime_list(bound))
     if len(table) < needed:
         raise ValueError(f"scan needs {needed} primes; table holds {len(table)}")
     ps = table.primes[:needed]
@@ -533,7 +540,7 @@ def find_prime_string(
     lcm(2, q)(m - 1) ends the search once p_m is read. One whole segment
     and the carry are counted through ``reserve``, whatever the limit, so a
     search is bounded by time, not memory: it reads the primes to 1e9 in
-    ~5 s on a 2-core x86 host.
+    ~4.1 s on a 2-core x86 host.
     """
     if q < 1:
         raise ValueError("q must be >= 1")

@@ -3,23 +3,24 @@
 ``sieve_primes`` returns an immutable ascending ``PrimeTable`` of every
 prime up to a limit; ``is_prime``, the package's one primality check,
 looks n below 2^16 up in a cached set of primes and tests larger n by
-Miller-Rabin; ``_prime_list`` serves the small prime lists the scans reuse
-from a cache of one list per power of two.
+Miller-Rabin; ``_prime_list`` serves the primes up to a limit as a
+read-only int64 array: below 2^24 a prefix of the package's one prime
+cache, one array per power of two, and past it a sieve for the call;
+``_prime_ints`` counts and serves them as a list of Python ints.
 
 There is one sieve, ``_segments``: the primes in ascending order, one
 segment at a time, marking odd integers. Spans double from ``_FIRST_SPAN``
 up to ``SEGMENT_SPAN``, so a reader that stops early sieves little.
-``sieve_primes`` and the cached lists join the segments; prime-string
+``sieve_primes`` and the cached arrays join the segments; prime-string
 searches and the averaging certificate read the stream and hold no table.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -31,10 +32,10 @@ SEGMENT_SPAN = 1 << 24
 # cluster rung that stops at p_m sieves 2^12 integers, not a whole span.
 _FIRST_SPAN = 1 << 12
 
-# Peak bytes per prime of a cached prime list: the sieve's int64 array, the
-# list ``tolist`` builds and the tuple. tracemalloc gives 48.0 bytes per
-# prime at 2^18, 2^20 and 2^22 (40 per unit of ``_prime_count_bound``).
-_LIST_BYTES = 48
+# The prime cache keeps the primes below 2^bits for bits <= _CACHE_BITS:
+# below 2^24 that is 1,077,871 primes, 8.2 MiB of int64, and all 25 arrays
+# together hold 17.3 MiB. A longer request is sieved per call.
+_CACHE_BITS = 24
 
 # Peak bytes of ``sieve_primes`` per prime of ``_prime_count_bound``, beside
 # one segment's mask and 1 KiB that does not grow. Each segment turns its
@@ -46,6 +47,13 @@ _LIST_BYTES = 48
 # on. Below 1e3 array headers show; at limits 0 and 1 the whole peak is
 # 465-481 bytes.
 _SIEVE_BYTES = 16
+
+# Peak bytes of ``_prime_ints`` per prime of ``_prime_count_bound``, beside
+# 1 KiB that does not grow: a list pointer and an int object per prime, and
+# past the cache the sieved int64 array held while the list is built.
+# tracemalloc gives 32.9-33.9 per prime of the bound from 2^12 to 2^24 - 1
+# (cached), and 39.4-39.5 at 2^24 and 2^25 (sieved for the call).
+_INT_BYTES = 48
 
 # Miller-Rabin witnesses: the first 13 primes decide every n below
 # 3.317e24 (psi_13, Sorenson & Webster, Math. Comp. 86 (2017)).
@@ -63,7 +71,7 @@ def is_prime(n: int) -> bool:
 
     Deterministic for n < 3317044064679887385961981 (about 3.317e24); above
     that bound a True result means a strong probable prime to those bases.
-    The set's first use sieves it through ``_prime_list``, which counts it.
+    The set's first use reads it through ``_prime_ints``, which counts it.
     """
     if n < _SMALL_PRIME_BOUND:
         return n in _small_primes()
@@ -88,7 +96,7 @@ def is_prime(n: int) -> bool:
 
 @cache
 def _small_primes() -> frozenset[int]:
-    return frozenset(_prime_list(_SMALL_PRIME_BOUND - 1))
+    return frozenset(_prime_ints(_SMALL_PRIME_BOUND - 1))
 
 
 def _spans(limit: int) -> Iterator[tuple[int, int]]:
@@ -104,13 +112,13 @@ def _spans(limit: int) -> Iterator[tuple[int, int]]:
 def _segments(limit: int) -> Iterator[np.ndarray]:
     """The primes <= limit in ascending order, one int64 array per segment
     of ``_spans(limit)``. A segment marks the odd integers of [lo, hi) (lo
-    is even) with the base primes up to sqrt(hi - 1), which come from the
-    same sieve through the cached ``_prime_list``; its unmarked indices
-    become its primes in place, after its mask is dropped."""
+    is even) with the base primes up to sqrt(hi - 1), a slice of
+    ``_prime_list`` read from the same sieve; its unmarked indices become
+    its primes in place, after its mask is dropped."""
     if limit < 2:
         return
     # the base primes but 2: segments hold odd numbers only
-    odd_base = np.array(_prime_list(math.isqrt(limit))[1:], dtype=np.int64)
+    odd_base = _prime_list(math.isqrt(limit))[1:]
     for lo, hi in _spans(limit):
         mask = np.ones((hi - lo) // 2, dtype=bool)  # lo + 1, lo + 3, ...
         base = odd_base[: np.searchsorted(odd_base, math.isqrt(hi - 1), side="right")]
@@ -172,7 +180,7 @@ def sieve_primes(limit: int) -> PrimeTable:
     One segment's mask, 1 KiB and ``_SIEVE_BYTES`` per prime of the
     1.3 x / ln x bound are counted through ``reserve`` before the sieve
     runs; the sieving primes up to sqrt(limit) come from ``_prime_list``,
-    whose cache counts its own lists.
+    whose cache misses are sieves counted the same way.
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
@@ -183,24 +191,34 @@ def sieve_primes(limit: int) -> PrimeTable:
     return PrimeTable(limit=limit, primes=primes)
 
 
-def _prime_list(limit: int) -> tuple[int, ...]:
-    """Tuple of primes <= limit, for the small limits used in scans.
+def _prime_list(limit: int) -> np.ndarray:
+    """The primes <= limit, a read-only ascending int64 array.
 
-    It is a prefix of the cached list of primes below the next power of two,
-    so a scan over many limits up to L sieves only about log2(L) times.
+    Below 2^``_CACHE_BITS`` it is a prefix of the cached array of the primes
+    below the next power of two, so the scans over many limits up to L
+    sieve only about log2(L) times in a process. Past it the primes are
+    sieved to the limit for this call and kept by nobody.
     """
-    primes = _primes_below_power_of_two(max(limit, 0).bit_length())
-    return primes[: bisect_right(primes, limit)]
+    limit = max(limit, 0)
+    if limit >> _CACHE_BITS:
+        return sieve_primes(limit).primes
+    primes = _primes_below_power_of_two(limit.bit_length())
+    return primes[: np.searchsorted(primes, limit, side="right")]
 
 
-@lru_cache(maxsize=64)
-def _primes_below_power_of_two(bits: int) -> tuple[int, ...]:
-    """Primes < 2**bits. ``_sieve`` asks ``_prime_list`` for the primes up to
-    isqrt(2**bits - 1) < 2**ceil(bits/2), a smaller power of two for
-    bits >= 2, so the recursion ends.
+def _prime_ints(limit: int) -> list[int]:
+    """The primes <= limit as a list of Python ints, for arithmetic past
+    int64. The list is counted through ``reserve``, at ``_INT_BYTES`` per
+    prime of the bound and 1 KiB, before its primes are read or sieved."""
+    reserve(1024 + _INT_BYTES * _prime_count_bound(limit), f"a list of the primes to {limit}")
+    return _prime_list(limit).tolist()
 
-    Each miss of the cache counts the list through ``reserve`` before it
-    sieves; a hit pays nothing."""
-    limit = (1 << bits) - 1
-    reserve(_LIST_BYTES * _prime_count_bound(limit), f"a list of the primes below 2^{bits}")
-    return tuple(_sieve(limit).tolist())
+
+@cache
+def _primes_below_power_of_two(bits: int) -> np.ndarray:
+    """The primes < 2**bits, bits <= ``_CACHE_BITS``: the package's one prime
+    cache. A miss is ``sieve_primes``, whose ``reserve`` counts the array;
+    its base primes, up to isqrt(2**bits - 1) < 2**ceil(bits/2), come from
+    a smaller power of two for bits >= 2, so the recursion ends. A hit
+    pays nothing."""
+    return sieve_primes((1 << bits) - 1).primes

@@ -153,6 +153,21 @@ def test_stage_intervals_and_elements_memory_budget():
         assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize(
+    "check",
+    [sumset_cover_check, rigidity_check, lambda k: gap_witness(alternating_rule(), k)],
+    ids=["cover", "rigidity", "gaps"],
+)
+def test_huge_stage_refused_from_k_alone(check):
+    """Stage 1e7's interval list is counted from k's 2k-bit lower bound on
+    its limit, before 5^(k-1) (~23 million bits) is formed: refused at once,
+    where forming the power first took ~8 s."""
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="the interval list of A up to a 20000000-bit limit"):
+        check(10**7)
+    assert time.perf_counter() - start < 1.0
+
+
 def _pair_sums_need(intervals, count):
     """What ``_pair_sums`` counts for ``count`` sums of ``intervals``: each at
     the size of the largest possible sum, plus the per-interval lists."""

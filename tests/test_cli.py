@@ -187,8 +187,11 @@ def test_equidist_cluster_bad_delta(capsys):
         # stage 40,000's J_k has ~27,960 digits, past Python's 4,300-digit
         # int-to-str limit: refused before its ~120,000 intervals are built
         ("basis", "rigidity", "--k", "40000"),
-        # M_K for K = 1e10 needs the primes below 2^34, ~45 GB as a list
+        # M_K for K = 1e10 needs its primes as Python ints, ~27 GB
         ("binomial", "witness", "--K", "10000000000"),
+        # M_K's digit count reads the primes to 1e9 as Python ints, ~3.0 GB,
+        # counted before any of them is sieved
+        ("binomial", "witness", "--K", "1000000000"),
         # stage 1e5 intervals would hold ~21 GB of endpoints before any sum;
         # its rows' ~69,900-digit integers are refused before that
         ("basis", "cover", "--k", "100000"),
@@ -196,7 +199,7 @@ def test_equidist_cluster_bad_delta(capsys):
         ("basis", "gaps", "--rule", "alternating", "--k", "100000"),
         # a 1,001-digit n has ~1e999 representations
         ("basis", "reps", "--n", "1" + "0" * 1000),
-        # ~1.5e8 scanned primes at ~50 bytes each, past the sieve's 8
+        # ~1.5e8 scanned primes at ~28 bytes each, past the sieve's 8
         ("equidist", "scan", "--alpha", "golden", "--k", "10", "--limit", "150000000",
          "--stride", "1000"),
         # M_K has 867,752 digits, past Python's 4,300-digit int-to-str
@@ -280,6 +283,36 @@ def test_witness_refused_past_the_int_to_str_limit(capsys, monkeypatch):
     finally:
         sys.set_int_max_str_digits(limit)
     assert code == EXIT_OK and len(out.splitlines()[1].split(",")[1]) == 4304
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_approx_refused_past_the_int_to_str_limit(capsys, fmt):
+    """``equidist approx`` refuses, before rendering, a row whose err or
+    1/(qQ) has a denominator past the int-to-str limit. For golden at 8,192
+    bits, Q one below the first convergent denominator whose err's
+    denominator has 4,301 digits keeps the last convergent, whose err's has
+    4,299, and prints; that Q is refused. For 1/7, qQ = 7Q has 4,300 digits
+    up to Q = ceil(10^4300 / 7) - 1 and 4,301 from there."""
+    alpha = equidistribution.parse_alpha("golden", 8192)
+    q = next(
+        q
+        for h, q in equidistribution._convergents(alpha)
+        # err's denominator divides alpha's times q: test the cheap bound first
+        if alpha.denominator * q >= 10**4300 and abs(alpha - Fraction(h, q)).denominator >= 10**4300
+    )
+    seventh = -(-(10**4300) // 7)
+    for tail, served, refused in (
+        (["--precision", "8192", "equidist", "approx", "--alpha", "golden"], q - 1, q),
+        (["equidist", "approx", "--alpha", "1/7"], seventh - 1, seventh),
+    ):
+        code, out = run_cli(capsys, "--format", fmt, *tail, "--Q", str(served))
+        assert code == EXIT_OK and out
+        assert main(["--format", fmt, *tail, "--Q", str(refused)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        subject = "err's denominator" if tail[-1] == "golden" else "qQ"
+        assert captured.out == "" and captured.err == (
+            f"error: {subject} has 4301 digits, past the 4300-digit int-to-str limit\n"
+        )
 
 
 @pytest.mark.parametrize("cmd", [["rigidity"], ["gaps", "--rule", "all-c-to-1"]])

@@ -3,6 +3,7 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -488,8 +489,10 @@ def test_scan_refuses_primes_from_2_to_the_32():
 
 
 def test_scan_memory_budget():
-    """A scan counts its primes, one chunk of windows and the exact re-check
-    before it sieves, covering what tracemalloc measures."""
+    """A scan counts its parts, one chunk of windows and the exact re-check
+    before it reads a prime, covering what tracemalloc measures with its
+    primes read from the cache. Past 2^24 its primes are sieved for the
+    call, and the whole peak is within its count and the sieve's."""
     eq = equidistribution
     for alpha, k, limit, stride in (("golden", 10, 20000, 1), ("sqrt:2", 10, 10**5, 100),
                                     (Fraction(1, 7), 300, 2000, 1), ("golden", 2000, 0, 1)):
@@ -501,14 +504,65 @@ def test_scan_memory_budget():
             + k * (eq._POINT_BYTES + 24 * (a.denominator.bit_length() // 30))
         )
         scan = lambda: well_distribution_statistic(a, k, limit, stride)  # noqa: E731
-        scan()  # fills the prime caches the sieve reads, which count their own fill
+        scan()  # fills the prime cache, whose misses count themselves
         assert_counted(need, scan)
-    # ~7.4 GB of fractional parts, and ~3 GB of exact points: refused up front
+    k, bits = 10, parse_alpha("golden").denominator.bit_length()
+    limit = _last_cached_need(24) + 1 - k
+    bound = primes._nth_prime_bound(limit + k)
+    sieved = primes.SEGMENT_SPAN // 2 + 1024 + primes._SIEVE_BYTES * primes._prime_count_bound(bound)
+    need = (
+        eq._PART_BYTES * (limit + k)
+        + eq._ENTRY_BYTES * k * (eq._CHUNK_ENTRIES // k)
+        + k * (eq._POINT_BYTES + 24 * (bits // 30))
+    )
+    assert bound >= 1 << 24 and sieved <= need  # the sieve runs under a budget of the scan's count
+    assert_counted(need, lambda: well_distribution_statistic("golden", k, limit), peak=need + sieved)
+    # ~4.2 GB of fractional parts, and ~3 GB of exact points: refused up front
     for k, limit, stride in ((10, 150_000_000, 1000), (10_000_000, 0, 1)):
         start = time.perf_counter()
         with pytest.raises(ResourceLimitError):
             well_distribution_statistic("golden", k, limit, stride)
         assert time.perf_counter() - start < 1.0
+
+
+def _last_cached_need(bits: int) -> int:
+    """The most primes a scan reads from the cached array below 2^bits: the
+    largest n whose bound ``_nth_prime_bound(n)`` is below 2^bits."""
+    lo, hi = 6, 1 << bits
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if primes._nth_prime_bound(mid) < 1 << bits else (lo, mid - 1)
+    return lo
+
+
+@pytest.mark.parametrize("bits", [17, 18, 19, 20, 24])
+def test_cached_scan_equals_scan_of_the_sieved_table(bits):
+    """With no table a scan reads its primes from the prime cache while the
+    bound on p_needed is below 2^24, and sieves them past it; on both sides
+    of the bound crossing 2^bits it equals, field for field, the scan given
+    ``sieve_primes`` of that bound."""
+    last = _last_cached_need(bits)
+    assert primes._nth_prime_bound(last) < 1 << bits <= primes._nth_prime_bound(last + 1)
+    k = 10
+    for needed in (last, last + 1):
+        table = sieve_primes(primes._nth_prime_bound(needed))
+        for alpha in ("golden", "sqrt:2"):
+            scan = well_distribution_statistic(alpha, k, needed - k)
+            assert scan == well_distribution_statistic(alpha, k, needed - k, table=table)
+
+
+def test_scan_past_the_cache_cap_holds_no_primes():
+    """A scan whose bound on p_needed reaches 2^24 sieves its ~1e6 primes
+    (~8 MiB) for the call and drops them: after it returns, less than 16 KiB
+    is held, the base primes below 2^13 its sieve caches. Measured from a
+    cold cache."""
+    k, needed = 10, _last_cached_need(24) + 1
+    primes._primes_below_power_of_two.cache_clear()
+    tracemalloc.start()
+    scan = well_distribution_statistic("golden", k, needed - k, 1000)
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    assert scan.windows == 1020 and held < 16 * 1024
 
 
 def _farthest_read(monkeypatch, search) -> int:

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from erdos_trio import ResourceLimitError, is_prime, lower_bound_witness, sieve_primes
+from erdos_trio import ResourceLimitError, is_prime, lower_bound_witness, sieve_primes, u_profile
 from erdos_trio import errors, primes
 
 from budget import assert_counted, peak_bytes
@@ -67,22 +67,52 @@ def test_memory_budget_enforced(monkeypatch):
 
 
 def test_prime_list_counted_on_a_cache_miss(monkeypatch):
-    """A cached prime list is counted before it is sieved, at a size per
-    prime that covers what tracemalloc measures; a cache hit pays nothing."""
-    bits = 18
-    need = primes._LIST_BYTES * primes._prime_count_bound((1 << bits) - 1)
+    """A miss of the prime cache is ``sieve_primes``, counted by the sieve's
+    own ``reserve`` before it runs (base primes included, from a cold
+    cache); a hit pays nothing. Past 2^24 the primes are sieved per call,
+    under the same count, and not cached."""
+    limit = (1 << 18) - 1
+    need = min(limit, primes.SEGMENT_SPAN) // 2 + 1024 + primes._SIEVE_BYTES * primes._prime_count_bound(limit)
     miss = primes._primes_below_power_of_two.cache_clear
-    listed = assert_counted(need, lambda: primes._prime_list((1 << bits) - 1), before=miss)
-    assert len(listed) == 23000
-    primes._prime_list((1 << bits) - 1)
+    listed = assert_counted(need, lambda: primes._prime_list(limit), before=miss)
+    assert len(listed) == 23000 and listed.dtype == np.int64
+    primes._prime_list(limit)
     monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", 0)
-    assert len(primes._prime_list((1 << bits) - 1)) == 23000  # a hit
+    assert len(primes._prime_list(limit)) == 23000  # a hit
     monkeypatch.undo()
-    # M_K for K = 1e10 asks for the primes below 2^34, ~45 GB as a list
-    start = time.perf_counter()
-    with pytest.raises(ResourceLimitError):
-        lower_bound_witness(10**10)
-    assert time.perf_counter() - start < 1.0
+    assert np.shares_memory(primes._prime_list(limit), primes._prime_list(limit))  # one cached array
+    past = primes._prime_list(1 << 24)
+    assert len(past) == 1077871 and not np.shares_memory(past, primes._prime_list(1 << 24))
+
+
+@pytest.mark.parametrize("limit", [(1 << 18) - 1, 1 << 24])
+def test_prime_ints_counted_before_they_are_read(limit):
+    """``_prime_ints`` counts its list of Python ints before it reads a
+    prime: a cached prefix below 2^24, and at 2^24 a sieve for the call,
+    whose own count is below the list's and whose array the peak holds."""
+    need = 1024 + primes._INT_BYTES * primes._prime_count_bound(limit)
+    ints = assert_counted(need, lambda: primes._prime_ints(limit))
+    assert ints == primes._prime_list(limit).tolist() and type(ints[-1]) is int
+
+
+def test_prime_ints_refused_before_any_sieve():
+    """The callers that take the primes as Python ints are refused by the
+    list's count before a prime is sieved: ~3.0 GB for the primes to 1e9,
+    ~27 GB to 1e10."""
+    for call in (lambda: u_profile(10**10, 10**9), lambda: lower_bound_witness(10**10)):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="a list of the primes to 10000000000? needs"):
+            call()
+        assert time.perf_counter() - start < 1.0
+
+
+def test_cached_primes_refuse_writes():
+    """The cached arrays, and every prefix ``_prime_list`` serves from them,
+    are read-only: a caller cannot corrupt the primes other callers read."""
+    for served in (primes._primes_below_power_of_two(12), primes._prime_list(1000), primes._prime_list(1 << 24)):
+        assert not served.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            served[0] = 4
 
 
 @pytest.mark.parametrize("limit, count", [(10**4, 1229), (10**6, 78498), (3 * 10**7, 1857859)])

@@ -292,13 +292,13 @@ def test_every_verification_check_has_a_firing_test():
 # fits and one byte less refuses.
 BUDGET_TESTS = {
     "primes.sieve_primes": "test_primes::test_sieve_counted_before_it_runs",
-    "primes._primes_below_power_of_two": "test_primes::test_prime_list_counted_on_a_cache_miss",
+    "primes._prime_ints": "test_primes::test_prime_ints_counted_before_they_are_read",
     "binomial_thresholds._residue_table": "test_binomial_thresholds::test_valuation_row_memory_budget",
     "binomial_thresholds._factorial_table": "test_binomial_thresholds::test_valuation_row_memory_budget",
     "binomial_thresholds.valuation_row": "test_binomial_thresholds::test_valuation_row_memory_budget",
     "binomial_thresholds._u_series": "test_binomial_thresholds::test_u_series_memory_budget",
     "binomial_thresholds.certificate_average": "test_binomial_thresholds::test_certificate_memory_budget",
-    "basis_splits.stage_intervals": "test_basis_splits::test_stage_intervals_and_elements_memory_budget",
+    "basis_splits._count_intervals": "test_basis_splits::test_stage_intervals_and_elements_memory_budget",
     "basis_splits.enumerate_A": "test_basis_splits::test_stage_intervals_and_elements_memory_budget",
     "basis_splits._pair_sums": "test_basis_splits::test_sumset_memory_budget",
     "equidistribution.well_distribution_statistic": "test_equidistribution::test_scan_memory_budget",
