@@ -12,8 +12,9 @@ satisfies f(M_K - 1) > K.
 
 n is never expanded into factorials: ``valuation_binomial`` peels the base-p
 digits of n and k by repeated division by p, the f(n) scan divides only
-n - k + 1, n // p and k by primes p <= k, and the certificate reads residues
-n mod p^t, so n may be an arbitrary-precision integer.
+n - k + 1 and n // k by primes p <= k or their gcds, and u by k, and the
+certificate reads residues n mod p^t, so n may be an arbitrary-precision
+integer.
 """
 
 from __future__ import annotations
@@ -63,15 +64,29 @@ _FACTORIAL_BYTES = 12
 # 1e5, 7.8 at 3e6 (short segments) and 29.8 at 34,356,299 (n = 1e18, c = 2e4).
 _STREAM_BYTES = 48
 
-# Peak bytes per prime joined by the u(n, k) series behind f_threshold: two
-# one-entry lists, two int keys and two dict slots. tracemalloc on the series
-# read to k gives 216-292 at k = 64, 347-353 at 1e3, 425-439 at 1e4, 443-454
-# at 1e5 and 485-495 at 4e5 (n = 1e6, 1e18, 2^64 - 59 and 2^200 + 235). The
-# peak jumps when a dict resizes: just after one it reads 426 (k = 593), 487
-# (6,208), 525 (70,496), 561 (259,584) and 570 (535,488), n = 1.2e6. Whole
-# f_threshold scans, n = 3..1999, take 186-435, the most at f(28) = 5, where
-# the scan's ~1 KB that does not grow shows.
-_PRIME_BYTES = 600
+# Peak bytes per prime the u(n, k) series behind f_threshold schedules, each
+# prime above _WHEEL_TOP: a one-entry list, an int key and a dict slot.
+# tracemalloc on the series read to k, the worst over every prefix, per
+# prime scheduled: 206-258 from 122 to 625 primes, 275-297 up to 4,034 and
+# 310-335 from 5,572 to 28,884 (n = 1e6, k to 6.5e5), highest just after the
+# dict resizes; n = 1.2e6 reads at most 334 to k = 6.5e5, and n = 1e18,
+# 2^64 - 59 and 2^200 + 235 at most 300 to k = 3e5. f_threshold(M_40 - 1)
+# peaks at 194 per prime of its 58. A scan that schedules no prime, as most
+# do, peaks below 1 KB (n = 3..1999), which does not grow.
+_PRIME_BYTES = 400
+
+# Peak bytes per entry of a dict keyed by the primes to a bound, beside
+# 1 KiB that does not grow: u_profile's valuations and lower_bound_witness's
+# exponents. tracemalloc, filled by a loop or a comprehension, gives 45-83
+# per entry from 2^6 to 2^25 entries, highest just after a resize (82.6 at
+# the 23,000 primes below 2^18); a table of 4-byte indices that has just
+# doubled holds at most ~90 per entry with the one it replaces.
+_MAP_BYTES = 96
+
+# The u(n, k) series takes the primes up to this bound out of n - k + 1 by
+# one gcd against their product, 614,889,782,588,491,410 < 2^60, and keeps
+# a position for each larger prime.
+_WHEEL_TOP = 47
 
 
 def valuation_binomial(
@@ -245,13 +260,16 @@ def u_profile(n: int, k: int) -> ValuationProfile:
     """Valuation profile of the small-prime part u(n, k).
 
     Every prime p <= k appears as a key, including those with exponent 0;
-    k in {0, 1} gives the empty product u = 1.
+    k in {0, 1} gives the empty product u = 1. The list of the primes and
+    the map are each counted through ``reserve`` before they are built.
     """
     if k < 0 or k > n:
         raise ValueError("need 0 <= k <= n")
+    ps = _prime_ints(k)
+    reserve(1024 + _MAP_BYTES * len(ps), f"the valuations of the primes to {k}")
     vals: dict[int, int] = {}
     u = 1
-    for p in _prime_ints(k):
+    for p in ps:
         v = valuation_binomial(n, k, p)
         vals[p] = v
         if v:
@@ -263,55 +281,52 @@ def _u_series(n: int) -> Iterator[tuple[int, int]]:
     """Yield (k, u(n, k)) for k = 1, 2, ..., n in one ascending pass, u as an
     exact integer.
 
-    Uses C(n, k) = C(n, k-1) * (n - k + 1) / k. Each prime p < k has two
-    pending positions, kept in dicts keyed by k: the next numerator position
-    k = n + 1 (mod p), where u takes p^{v_p(n - k + 1)}, and the next
-    denominator position, the next multiple of p, where u gives up
-    p^{v_p(k)}. Both move on by p after they fire. At each k every
-    multiplication comes before any division, so v_p(C(n, k)) >= 0 makes
-    every division exact.
+    Uses C(n, k) = C(n, k-1) * (n - k + 1) / k, the multiplications first.
+    A prime k joins u with exponent v_k(C(n, k)) = v_k(n // k): of the
+    numerators n - k + 1..n only k * (n // k) is a multiple of k, and
+    v_k(k!) = 1. A composite k has only prime factors below k, all joined,
+    so the step divides u by exactly k; v_p(C(n, k)) >= 0 makes that exact.
 
-    A k > 1 with no denominator due is prime, so the dicts are also an
-    incremental sieve. A prime p joins u at k = p with exponent
-    v_p(C(n, p)) = v_p(n // p): of the numerators n - p + 1..n only
-    p * (n // p) is a multiple of p, and v_p(p!) = 1. Its first numerator
-    position past p is p + (n + 1) mod p, or 2p when that residue is 0, and
-    its first denominator position is 2p. Each joined prime is counted
-    through ``reserve`` before its positions are stored.
+    The numerator m = n - k + 1 gives u its powers of the joined primes in
+    two ways. The joined primes up to ``_WHEEL_TOP`` = 47 are one product w,
+    below 2^60: g = gcd(m, w) is the product of those dividing m, and
+    m //= g, u *= g, g = gcd(m, g) repeats while g > 1, one gcd per power.
+    Each larger prime p is kept at its next numerator position, a k with
+    k = n + 1 (mod p): the first past p is p + (n + 1) mod p, or 2p when
+    that residue is 0, and a position moves on by p when it fires. Each such
+    prime is counted through ``reserve`` before its position is stored; w
+    is bounded, not request-sized, and is not counted.
     """
-    numerators: dict[int, list[int]] = {}
-    denominators: dict[int, list[int]] = {}
-    u = 1
-    joined = 0
+    positions: dict[int, list[int]] = {}
+    u = w = 1
+    scheduled = 0
     for k in range(1, n + 1):
-        due = numerators.pop(k, None)
-        if due:
-            m = n - k + 1
-            for p in due:
+        m = n - k + 1
+        g = math.gcd(m, w)
+        while g > 1:
+            m //= g
+            u *= g
+            g = math.gcd(m, g)
+        for p in positions.pop(k, ()):
+            m //= p
+            u *= p
+            while not m % p:
                 m //= p
                 u *= p
-                while not m % p:
-                    m //= p
-                    u *= p
-                numerators.setdefault(k + p, []).append(p)
-        due = denominators.pop(k, None)
-        if due:
-            for p in due:
-                j = k // p
-                u //= p
-                while not j % p:
-                    j //= p
-                    u //= p
-                denominators.setdefault(k + p, []).append(p)
-        elif k > 1:
-            joined += 1
-            reserve(_PRIME_BYTES * joined, f"the u(n, k) series past k = {k}")
+            positions.setdefault(k + p, []).append(p)
+        if is_prime(k):
             j = n // k
             while not j % k:
                 j //= k
                 u *= k
-            numerators.setdefault(k + ((n + 1) % k or k), []).append(k)
-            denominators.setdefault(2 * k, []).append(k)
+            if k <= _WHEEL_TOP:
+                w *= k
+            else:
+                scheduled += 1
+                reserve(_PRIME_BYTES * scheduled, f"the u(n, k) series past k = {k}")
+                positions.setdefault(k + ((n + 1) % k or k), []).append(k)
+        else:
+            u //= k
         yield k, u
 
 
@@ -453,11 +468,15 @@ def lower_bound_witness(K: int) -> WitnessMK:
     base p and v_p(C(n, k)) = 0 by Kummer's theorem. Hence u(n, k) = 1 for
     every k <= K. That is pi(K) big-integer reductions; ``tests/oracles.py``
     keeps the check per k as the reference. A failure is a
-    VerificationError: it would contradict a proved statement.
+    VerificationError: it would contradict a proved statement. The list of
+    the primes and the map of exponents are each counted through ``reserve``
+    before they are built.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
-    exponents = {p: _witness_exponent(p, K) for p in _prime_ints(K)}
+    ps = _prime_ints(K)
+    reserve(1024 + _MAP_BYTES * len(ps), f"the exponents of the primes to {K}")
+    exponents = {p: _witness_exponent(p, K) for p in ps}
     m = math.prod(p**e for p, e in exponents.items())
     n = m - 1
     for p, e in exponents.items():

@@ -315,6 +315,9 @@ def _cmd_equidist_scan(args) -> tuple[list[dict], dict, str]:
     res = eq.well_distribution_statistic(
         eq.parse_alpha(args.alpha, args.precision), args.k, args.limit, args.stride
     )
+    # the longest integer the row prints: the exact discrepancy is at most
+    # 1, and its denominator divides k times alpha's
+    _refuse_long("max_discrepancy_exact's denominator", res.max_discrepancy_exact.denominator)
     rows = [
         {
             **_alpha_cols(res.alpha),

@@ -22,9 +22,10 @@ def reserve(need_bytes: int, what: str) -> None:
     """Refuse a request-sized structure that would not fit in the budget.
 
     The contract: every structure whose size follows a request (a sieve, a
-    prime list, a row, the pending positions of the primes an f(n) scan has
-    met, a list of interval sums or rendered rows) is counted before any of
-    it is built, or, for the scan, before each prime's positions are stored.
+    prime list, a row, the pending positions of the primes above 47 an f(n)
+    scan has met, a list of interval sums or rendered rows) is counted before
+    any of it is built, or, for the scan, before each prime's position is
+    stored.
     It is counted at a measured number of bytes per unit, so the count
     covers the tracemalloc peak of building it, temporaries and copies
     included. It must fit in ``DEFAULT_MEMORY_BUDGET`` bytes, which is read

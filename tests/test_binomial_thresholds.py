@@ -17,6 +17,7 @@ from erdos_trio import (
     ResourceLimitError,
     certificate_average,
     f_threshold,
+    is_prime,
     lower_bound_witness,
     sieve_primes,
     u_profile,
@@ -369,6 +370,24 @@ def test_ledger_early_exit_at_full_powers():
             assert u == small_prime_part(n, k, primes), (n, k)
 
 
+def test_u_series_across_the_wheel_edge():
+    """The primes up to 47 enter u through one gcd per power, the primes
+    from 53 on through their scheduled positions, and a composite k divides
+    u by exactly k. Where high powers of 2, 3, 5, 7, 47 or 53 divide n or
+    n + 1, ``_u_series`` yields the big-integer u(n, k) at every k <= 60,
+    across the edge between the two (k = 46..60)."""
+    primes = sieve_primes(60).primes.tolist()
+    mixed = 2**12 * 3**7 * 5**5 * 7**4 * 47**3 * 53**3
+    ns = [mixed, mixed - 1]
+    for p, t in ((2, 70), (3, 44), (5, 30), (7, 25), (47, 12), (53, 11)):
+        ns += [p**t, p**t - 1]
+    for n in ns:
+        series = list(islice(bt._u_series(n), 60))
+        assert [k for k, _ in series] == list(range(1, 61)), n
+        for k, u in series:
+            assert u == small_prime_part(n, k, primes), (n, k)
+
+
 def test_f_threshold_at_long_scans():
     primes = sieve_primes(400).primes.tolist()
     # f(M_40 - 1) = 371: 73 primes join the series before it stops
@@ -409,26 +428,64 @@ def test_f_threshold_decides_ties_and_near_misses_exactly():
 
 
 def test_u_series_memory_budget(monkeypatch):
-    """The series behind ``f_threshold`` counts each prime it joins through
-    ``reserve`` before it stores the prime's positions, under the budget
-    read at call time. f(M_40 - 1) = 371 joins the 73 primes up to 367: the
+    """The series behind ``f_threshold`` counts each prime above 47 through
+    ``reserve`` before it stores the prime's position, under the budget read
+    at call time; the primes up to 47 are one product below 2^60 and are not
+    counted. f(M_40 - 1) = 371 schedules the 58 primes from 53 to 367: the
     scan's peak stays within their count, the exact count passes and one
-    byte less refuses. A series read to just past a dict resize (k = 26,178
-    at n = 10^6) also stays within its count."""
+    byte less refuses. A series read to just past a resize of its dict
+    (k = 27,881 at n = 10^6) also stays within its count. f(10^6) = 29
+    schedules no prime, so a budget below one prime's count first refuses
+    M_40 - 1, at k = 53."""
+    is_prime(2)  # the primality check's cached set counts itself, once
     n = lower_bound_witness(40).M_K - 1
-    need = bt._PRIME_BYTES * 73
-    long_need = bt._PRIME_BYTES * len(sieve_primes(26_178).primes)
+    need = bt._PRIME_BYTES * 58
+    long_need = bt._PRIME_BYTES * (len(sieve_primes(27_881).primes) - 15)
     assert assert_counted(need, lambda: f_threshold(n), match="k = 367").f == 371
 
     def read_long_series():
         for k, _ in bt._u_series(10**6):
-            if k == 26_178:
+            if k == 27_881:
                 break
 
     assert peak_bytes(read_long_series) <= long_need
     monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", bt._PRIME_BYTES - 1)
-    with pytest.raises(ResourceLimitError, match="k = 2"):
-        f_threshold(10**6)
+    assert f_threshold(10**6).f == 29
+    with pytest.raises(ResourceLimitError, match="k = 53"):
+        f_threshold(n)
+
+
+def test_u_profile_memory_budget():
+    """``u_profile`` counts its map of the primes to k, 1 KiB and
+    ``_MAP_BYTES`` per prime, after the list of those primes has counted
+    itself and before any valuation is stored. At k = 24,671 the map holds
+    2,731 primes, just past a resize at 2,730: the call's peak stays within
+    the two counts, and the map's, the larger, passes exactly and refuses
+    one byte less."""
+    k = 24_671
+    is_prime(2), pr._prime_list(k)  # cached sets and arrays count themselves, once
+    listed = 1024 + pr._INT_BYTES * pr._prime_count_bound(k)
+    need = 1024 + bt._MAP_BYTES * 2731
+    assert listed < need
+    prof = assert_counted(
+        need, lambda: u_profile(10**6 + 3, k), peak=listed + need, match="the valuations of the primes to 24671"
+    )
+    assert len(prof.valuations) == 2731 and max(prof.valuations) == k
+
+
+def test_witness_memory_budget():
+    """``lower_bound_witness`` counts its map of exponents as ``u_profile``
+    counts its valuations, after the list of the primes to K has counted
+    itself: at K = 24,671 the peak, M_K included, stays within the two
+    counts, and the map's passes exactly and refuses one byte less."""
+    K = 24_671
+    pr._prime_list(K)  # the cached array counts itself, once
+    listed = 1024 + pr._INT_BYTES * pr._prime_count_bound(K)
+    need = 1024 + bt._MAP_BYTES * 2731
+    w = assert_counted(
+        need, lambda: lower_bound_witness(K), peak=listed + need, match="the exponents of the primes to 24671"
+    )
+    assert len(w.exponents) == 2731 and w.exponents[2] == 15
 
 
 @pytest.mark.parametrize("n, c", [(10**6, 6.21), (10**18, 200.0)])

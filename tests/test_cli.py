@@ -315,6 +315,26 @@ def test_approx_refused_past_the_int_to_str_limit(capsys, fmt):
         )
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_scan_refused_past_the_int_to_str_limit(capsys, fmt):
+    """``equidist scan`` refuses, before rendering, a row whose exact
+    discrepancy has a denominator past the int-to-str limit. alpha =
+    0.1...17 has the 4,300-digit denominator 10^4299; over its first 10
+    primes the k = 7 window's discrepancy has a 4,300-digit denominator and
+    prints, and the k = 11 window's, 11 * 10^4299, is refused."""
+    alpha = "0." + "1" * 4298 + "7"
+    exact = equidistribution.well_distribution_statistic(alpha, 7, 10).max_discrepancy_exact
+    assert len(str(exact.denominator)) == 4300
+    tail = ["equidist", "scan", "--alpha", alpha, "--limit", "10"]
+    code, out = run_cli(capsys, "--format", fmt, *tail, "--k", "7")
+    assert code == EXIT_OK and f"/{exact.denominator}" in out
+    assert main(["--format", fmt, *tail, "--k", "11"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: max_discrepancy_exact's denominator has 4301 digits, past the 4300-digit int-to-str limit\n"
+    )
+
+
 @pytest.mark.parametrize("cmd", [["rigidity"], ["gaps", "--rule", "all-c-to-1"]])
 def test_stage_refused_past_the_int_to_str_limit(capsys, cmd):
     """Stage 6,151's row prints 10 * 5^6150, of 4,300 digits; stage 6,152's

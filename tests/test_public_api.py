@@ -296,8 +296,10 @@ BUDGET_TESTS = {
     "binomial_thresholds._residue_table": "test_binomial_thresholds::test_valuation_row_memory_budget",
     "binomial_thresholds._factorial_table": "test_binomial_thresholds::test_valuation_row_memory_budget",
     "binomial_thresholds.valuation_row": "test_binomial_thresholds::test_valuation_row_memory_budget",
+    "binomial_thresholds.u_profile": "test_binomial_thresholds::test_u_profile_memory_budget",
     "binomial_thresholds._u_series": "test_binomial_thresholds::test_u_series_memory_budget",
     "binomial_thresholds.certificate_average": "test_binomial_thresholds::test_certificate_memory_budget",
+    "binomial_thresholds.lower_bound_witness": "test_binomial_thresholds::test_witness_memory_budget",
     "basis_splits._count_intervals": "test_basis_splits::test_stage_intervals_and_elements_memory_budget",
     "basis_splits.enumerate_A": "test_basis_splits::test_stage_intervals_and_elements_memory_budget",
     "basis_splits._pair_sums": "test_basis_splits::test_sumset_memory_budget",
