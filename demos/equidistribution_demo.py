@@ -36,7 +36,7 @@ print("2. Window scans: irrational alphas look flat, but only on average")
 print("=" * 72)
 for label in ("sqrt:2", "golden"):
     alpha = parse_alpha(label)
-    res = well_distribution_statistic(alpha, k=50, scan_limit=2000, table=table)
+    res = well_distribution_statistic(alpha, k=50, scan_limit=2000)
     print(
         f"  alpha = {label:<7} max window discrepancy over n <= 2000: "
         f"{float(res.max_discrepancy_exact):.4f} at n = {res.argmax_start}"
@@ -65,7 +65,7 @@ for label, alpha in (
     ("1/7 + 1e-9", Fraction(1, 7) + Fraction(1, 10**9)),
 ):
     rep = cluster_verify(alpha, 0.2, 3, 10**7, table=table)
-    w = window_sample(alpha, rep.string.r, rep.m, table)
+    w = window_sample(alpha, rep.string.r, rep.m)
     print(f"  alpha = {label}")
     print(f"    primes {rep.string.primes} (all = {rep.string.a} mod {rep.string.q})")
     print(f"    fractional parts {[round(float(x), 4) for x in w]}")

@@ -204,9 +204,10 @@ def _refuse_unprintable(subject: str, log10_value: float) -> None:
 def _refuse_long(subject: str, value: int) -> None:
     """Refuse a positive integer, already built, before it is rendered, if
     it has more digits than Python's int-to-str limit allows: exactly when
-    it is at least 10^limit. Its float log10 only names the digit count."""
+    it is at least 10^limit, formed only past 3.32 limit bits (2^(3.32 limit)
+    < 10^limit). Its float log10 only names the digit count."""
     most = getattr(sys, "get_int_max_str_digits", int)()
-    if 0 < most and value >= 10**most:
+    if 0 < most and value.bit_length() > 3.32 * most and value >= 10**most:
         _refuse_unprintable(subject, max(math.log10(value), most))
 
 

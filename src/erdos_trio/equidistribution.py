@@ -14,11 +14,11 @@ clustering inequalities are re-checked in exact arithmetic before a
 witness is reported. Floats only pick which windows a scan scores exactly.
 
 A clustering witness is found by reading the primes in order, one sieve
-segment at a time, so a witness near the start costs a small sieve and a
-search holds no table. One exact fact also ends a search early: every run
-of m >= 2 consecutive primes in one class mod q >= 2 is of odd primes, so
-it is at least lcm(2, q)(m - 1) wide, and a diameter budget (or a limit)
-below that rules the class out.
+segment at a time, so a witness near the start costs a small sieve at any
+limit and a search holds no table. One exact fact also ends a search early:
+every run of m >= 2 consecutive primes in one class mod q >= 2 is of odd
+primes, so it is at least lcm(2, q)(m - 1) wide, and a diameter budget (or
+a limit) below that rules the class out.
 
 Interval discrepancy has a closed form (Kuipers & Niederreiter, Uniform
 Distribution of Sequences, 1974, Ch. 2, Thm 1.4): for sorted x_1..x_k in
@@ -26,8 +26,9 @@ Distribution of Sequences, 1974, Ch. 2, Thm 1.4): for sorted x_1..x_k in
 a float64 one along the last axis of a sorted array, which it consumes in
 place, scoring a scan's chunk of windows, and an exact one in integers over
 the points' common denominator, which scores every ``interval_discrepancy``
-input (a float point at its exact dyadic value) and a scan's re-checked
-windows, and gives a Fraction.
+input (a float point at its exact dyadic value) and, through the one
+window scorer ``_window_discrepancy``, a scan's re-checked windows and
+``cluster_verify``'s window, and gives a Fraction.
 
 A window scan is the one place where floats decide anything, and they
 decide only which windows to score exactly. Windows are scored in float64
@@ -77,8 +78,9 @@ _SCORE_ERR = 2.0**-49
 # prune's arrays are largest; 20.3 at 2e5 and 24.1 at 1e6 primes when every
 # part is recomputed exactly (alpha = 2^-100); 24.1 at 1e6 primes and
 # stride 1 when every window is in the band (alpha = 0), the worst case.
-# Past 2^24 the scan's own sieved table adds its share, within this count
-# and the sieve's: 28.2 and 33.2 at 4e6 primes, golden and alpha = 0. Per
+# Past 2^24 the primes the scan sieves for the call add their share, within
+# this count and the sieve's: 28.2 and 33.2 at 4e6 primes, golden and
+# alpha = 0. Per
 # float64 entry of one chunk of windows: the reused buffer and the gathered
 # rows copied into it, or the kernel's ramp (10.2-16.1 at k = 10, 50,
 # 1,000, 20,000 and 70,000). Per point of the one window re-scored exactly at a
@@ -161,20 +163,16 @@ def torus_distance(alpha: Fraction, delta: int) -> Fraction:
     return Fraction(min(r, den - r), den)
 
 
-def window_sample(
-    alpha: float | int | str | Fraction, n: int, k: int, table: PrimeTable
-) -> tuple[Fraction, ...]:
-    """Sorted fractional parts {alpha p_m} for n < m <= n + k, as exact rationals."""
+def window_sample(alpha: float | int | str | Fraction, n: int, k: int) -> tuple[Fraction, ...]:
+    """Sorted fractional parts {alpha p_m} for n < m <= n + k, as exact
+    rationals, from ``_prime_list`` up to ``_nth_prime_bound(n + k)``."""
     if k < 1:
         raise ValueError("window size k must be >= 1")
     if n < 0:
         raise ValueError("start index must be >= 0")
-    if n + k > len(table):
-        raise ValueError(
-            f"window needs prime index {n + k}; table holds {len(table)} primes"
-        )
     a = parse_alpha(alpha)
-    return tuple(Fraction(r, a.denominator) for r in _sorted_residues(a, table.primes[n : n + k].tolist()))
+    ps = _prime_list(_nth_prime_bound(n + k))[n : n + k].tolist()
+    return tuple(Fraction(r, a.denominator) for r in _sorted_residues(a, ps))
 
 
 def _sorted_residues(alpha: Fraction, primes: Sequence[int]) -> list[int]:
@@ -184,11 +182,10 @@ def _sorted_residues(alpha: Fraction, primes: Sequence[int]) -> list[int]:
     return sorted(num * p % den for p in primes)
 
 
-def _window_discrepancy(alpha: Fraction, n: int, k: int, table: PrimeTable) -> Fraction:
-    """The exact interval discrepancy of ``window_sample(alpha, n, k, table)``,
-    in integers."""
-    residues = _sorted_residues(alpha, table.primes[n : n + k].tolist())
-    return _exact_discrepancy(residues, alpha.denominator)
+def _window_discrepancy(alpha: Fraction, ps: Sequence[int]) -> Fraction:
+    """The exact interval discrepancy of {alpha p} over a window's primes
+    ``ps``, Python ints, in integers: a scan's band and a cluster's window."""
+    return _exact_discrepancy(_sorted_residues(alpha, ps), alpha.denominator)
 
 
 def _exact_discrepancy(residues: list[int], den: int) -> Fraction:
@@ -331,7 +328,6 @@ def well_distribution_statistic(
     k: int,
     scan_limit: int,
     stride: int = 1,
-    table: PrimeTable | None = None,
 ) -> WindowScanResult:
     """Scan windows of size k starting at n = 0, stride, ..., <= scan_limit.
 
@@ -380,14 +376,13 @@ def well_distribution_statistic(
     exact window. A re-scored window whose float score is more than E from
     its exact value raises VerificationError.
 
-    The scan needs scan_limit + k primes; a table that cannot supply them,
-    or a scanned prime >= 2^32, is a ValueError. With no table, the primes
-    up to the bound ``_nth_prime_bound(scan_limit + k)`` are read from the
-    prime cache while that bound is below 2^24, and sieved for this call
-    past it (``primes._prime_list``); the call itself holds nothing after
-    it returns. Its parts, one chunk of windows and one exact window are
-    counted through ``reserve`` before any prime is read; the cache and the
-    sieve count the primes.
+    The scan reads its scan_limit + k primes from ``primes._prime_list``
+    up to the bound ``_nth_prime_bound(scan_limit + k)``: a slice of the
+    prime cache while that bound is below 2^24, and a sieve for this call
+    past it; the call itself holds nothing after it returns. A scanned
+    prime >= 2^32 is a ValueError. Its parts, one chunk of windows and one
+    exact window are counted through ``reserve`` before any prime is read;
+    the cache and the sieve count the primes.
     """
     if k < 1 or stride < 1 or scan_limit < 0:
         raise ValueError("need k >= 1, stride >= 1, scan_limit >= 0")
@@ -401,12 +396,7 @@ def well_distribution_statistic(
         + k * (_POINT_BYTES + 24 * (a.denominator.bit_length() // 30)),
         f"a scan of {n_windows} windows of {k} primes",
     )
-    if table is None:
-        bound = _nth_prime_bound(needed)
-        table = PrimeTable(limit=bound, primes=_prime_list(bound))
-    if len(table) < needed:
-        raise ValueError(f"scan needs {needed} primes; table holds {len(table)}")
-    ps = table.primes[:needed]
+    ps = _prime_list(_nth_prime_bound(needed))[:needed]
     if ps[-1] >> 32:
         raise ValueError(f"scan needs primes below 2^32; prime {needed} is {int(ps[-1])}")
     windows = np.lib.stride_tricks.sliding_window_view(_fixed_point_parts(a, ps), k)[::stride]
@@ -435,7 +425,7 @@ def well_distribution_statistic(
     exact, best_n = Fraction(-1), 0
     for i in band:
         n, score = int(i) * stride, float(scores[i])
-        d = _window_discrepancy(a, n, k, table)
+        d = _window_discrepancy(a, ps[n : n + k].tolist())
         if abs(d - Fraction(score)) > _SCORE_ERR:
             raise VerificationError(
                 f"window at {n}: scan scored {score}, exact discrepancy is {float(d)}"
@@ -680,7 +670,7 @@ def cluster_verify(
         )
         if worst > d:
             raise VerificationError(f"pairwise clustering bound violated: {worst} > {d}")
-        disc = _exact_discrepancy(_sorted_residues(a, string.primes), a.denominator)
+        disc = _window_discrepancy(a, string.primes)
         if disc < 1 - d:
             raise VerificationError(f"window discrepancy {disc} below 1 - delta = {1 - d}")
     return ClusterReport(

@@ -9,10 +9,11 @@ cache, one array per power of two, and past it a sieve for the call;
 ``_prime_ints`` counts and serves them as a list of Python ints.
 
 There is one sieve, ``_segments``: the primes in ascending order, one
-segment at a time, marking odd integers. Spans double from ``_FIRST_SPAN``
-up to ``SEGMENT_SPAN``, so a reader that stops early sieves little.
-``sieve_primes`` and the cached arrays join the segments; prime-string
-searches and the averaging certificate read the stream and hold no table.
+segment at a time, marking odd integers with the base primes each segment
+reads. Spans double from ``_FIRST_SPAN`` up to ``SEGMENT_SPAN``, so a
+reader that stops early sieves little at any limit. ``sieve_primes`` and
+the cached arrays join the segments; prime-string searches and the
+averaging certificate read the stream and hold no table.
 """
 
 from __future__ import annotations
@@ -112,16 +113,14 @@ def _spans(limit: int) -> Iterator[tuple[int, int]]:
 def _segments(limit: int) -> Iterator[np.ndarray]:
     """The primes <= limit in ascending order, one int64 array per segment
     of ``_spans(limit)``. A segment marks the odd integers of [lo, hi) (lo
-    is even) with the base primes up to sqrt(hi - 1), a slice of
-    ``_prime_list`` read from the same sieve; its unmarked indices become
-    its primes in place, after its mask is dropped."""
+    is even) with the base primes up to sqrt(hi - 1), read for it alone
+    from ``_prime_list``; its unmarked indices become its primes in place,
+    after its mask is dropped."""
     if limit < 2:
         return
-    # the base primes but 2: segments hold odd numbers only
-    odd_base = _prime_list(math.isqrt(limit))[1:]
     for lo, hi in _spans(limit):
+        base = _prime_list(math.isqrt(hi - 1))[1:]  # but 2: segments hold odd numbers only
         mask = np.ones((hi - lo) // 2, dtype=bool)  # lo + 1, lo + 3, ...
-        base = odd_base[: np.searchsorted(odd_base, math.isqrt(hi - 1), side="right")]
         # the mask index of each base prime's first odd multiple past lo, from p^2 on
         starts = (np.maximum(base * base, ((lo // base + 1) | 1) * base) - lo) // 2
         for p, start in zip(base.tolist(), starts.tolist()):
@@ -159,9 +158,12 @@ def _prime_count_bound(x: int) -> int:
     """An upper bound on pi(x), the number of primes <= x: 1.3 x / ln x.
 
     pi(x) < 1.25506 x / ln x for every x > 1 (Rosser & Schoenfeld 1962,
-    (3.6)); below e the divisor is taken as 1. Every memory count that
-    scales with a number of primes uses this bound.
+    (3.6)); below e the divisor is taken as 1. From 2^1000 on, near float
+    range, it is the trivial bound x. Every memory count that scales with a
+    number of primes uses this bound.
     """
+    if x >= 1 << 1000:
+        return x
     return int(1.3 * x / max(math.log(x), 1.0)) if x >= 2 else 0
 
 
@@ -169,8 +171,11 @@ def _nth_prime_bound(n: int) -> int:
     """An upper bound on p_n, the n-th prime: n (ln n + ln ln n), at least 100.
 
     p_n < n (ln n + ln ln n) for every n >= 6 (Rosser & Schoenfeld 1962,
-    (3.13)); the floor of 100 covers p_1..p_5 = 2..11.
+    (3.13)); the floor of 100 covers p_1..p_5 = 2..11. From 2^1000 on it is
+    the trivial bound n^2.
     """
+    if n >= 1 << 1000:
+        return n * n
     return max(100, int(n * (math.log(n) + math.log(math.log(n))))) if n >= 6 else 100
 
 
@@ -218,7 +223,8 @@ def _prime_ints(limit: int) -> list[int]:
 def _primes_below_power_of_two(bits: int) -> np.ndarray:
     """The primes < 2**bits, bits <= ``_CACHE_BITS``: the package's one prime
     cache. A miss is ``sieve_primes``, whose ``reserve`` counts the array;
-    its base primes, up to isqrt(2**bits - 1) < 2**ceil(bits/2), come from
-    a smaller power of two for bits >= 2, so the recursion ends. A hit
-    pays nothing."""
+    each segment reads its base primes, up to isqrt(hi - 1) <
+    2**ceil(bits/2), from an array of fewer bits for bits >= 2, so the
+    recursion ends, and caches one array per bit length from 6 up (the
+    first segment has 2^12 integers). A hit pays nothing."""
     return sieve_primes((1 << bits) - 1).primes

@@ -322,9 +322,10 @@ def test_ledger_exponents_match_profiles():
 
 
 def _step_factors(n: int, k: int, primes: list[int]) -> tuple[int, int]:
-    """The factors that take u(n, k - 1) to u(n, k) through
-    C(n, k) = C(n, k - 1) * (n - k + 1) / k: the primes p < k of n - k + 1,
-    with p^{v_p(C(n, p))} when k = p is prime, over the primes p < k of k."""
+    """The multiplier and the divisor that take u(n, k - 1) to u(n, k)
+    through C(n, k) = C(n, k - 1) * (n - k + 1) / k: the powers of the
+    primes p < k in n - k + 1, times k^{v_k(C(n, k))} when k is prime, and
+    the powers of the primes p < k in k, which are all of a composite k."""
     num = 1
     den = 1
     for p in primes:
@@ -355,11 +356,12 @@ def test_ledger_replays_exact_u_with_exact_divisions():
 
 
 def test_ledger_early_exit_at_full_powers():
-    """Where q = p^t divides n + 1, every multiple of p up to q is both a
-    numerator and a denominator position of p, and p's first numerator
-    position past p is 2p. At n = p^t - 1 and M_K - 1 every low power
-    divides n + 1: ``_u_series`` still yields the big-integer u(n, k) at
-    every k <= 150, and f(n) still equals the definition's."""
+    """Where q = p^t divides n + 1, every base-p digit of n below q is
+    p - 1, so no k < q carries and p divides no C(n, k) (Kummer): each step's
+    multiplier n - k + 1 = (n + 1) - k and divisor k hold the same power of
+    p. At n = p^t - 1 and M_K - 1 every low power divides n + 1:
+    ``_u_series`` still yields the big-integer u(n, k) at every k <= 150,
+    and f(n) still equals the definition's."""
     primes = sieve_primes(400).primes.tolist()
     ns = [2**20 - 1, 2**64 - 1, 3**13 - 1, 5**9 - 1, 7**8 - 1, 31**4 - 1]
     ns += [lower_bound_witness(K).M_K - 1 for K in (5, 12, 20)]

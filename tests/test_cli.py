@@ -212,6 +212,8 @@ def test_equidist_cluster_bad_delta(capsys):
         ("--precision", "100000", "equidist", "approx", "--alpha", "sqrt:2", "--Q", "10"),
         # 1e12 f-scan rows at ~800 bytes each are refused before the first f(n)
         ("binomial", "f-scan", "--from", "1", "--to", "1000000000000"),
+        # past float range pi(K) <= K counts M_K's primes, and refuses them
+        ("binomial", "witness", "--K", "9" * 400),
     ],
 )
 def test_unservable_request_is_one_line_usage_error(capsys, argv):
@@ -240,15 +242,29 @@ def test_late_stage_rigidity_is_served(capsys, argv):
     assert (row["j_lo"], row["j_hi"]) == (9 * 5**999, 10 * 5**999 - 1)
 
 
-@pytest.mark.parametrize("limit", ["4000000000", "1000000000000"])
+@pytest.mark.parametrize(
+    "limit", ["4000000000", "1000000000000", "100000000000000000000", pytest.param("9" * 400, id="400-nines")]
+)
 def test_prime_string_search_past_the_sieve_budget_is_served(capsys, limit):
-    """A search holds one segment and its carry, not a table, so a limit
-    whose sieve the budget refuses is served; its first run is (13, 17)."""
+    """A search holds one segment and its carry, not a table, and each
+    segment reads only the base primes up to its own square root, so a
+    limit whose sieve the budget refuses is served, past float range too;
+    its first run is (13, 17)."""
     start = time.perf_counter()
     code, out = run_cli(capsys, "--format", "json", "equidist", "string", "--q", "4", "--a", "1",
                         "--m", "2", "--limit", limit)
     assert code == EXIT_OK and time.perf_counter() - start < 1.0
     assert json.loads(out)["rows"][0]["primes"] == "13 17"
+
+
+def test_cluster_past_the_sieve_budget_is_served(capsys):
+    """Each rung reads the primes segment by segment from 2, so a limit of
+    1e20, whose base primes to 1e10 would take ~9 GB, is served."""
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "--format", "json", "equidist", "cluster", "--alpha", "sqrt:2",
+                        "--delta", "0.2", "--m", "3", "--limit", "100000000000000000000")
+    assert code == EXIT_OK and time.perf_counter() - start < 1.0
+    assert json.loads(out)["rows"][0]["primes"] == "4397 4409 4421"
 
 
 def test_prime_string_modulus_past_int64(capsys):
@@ -452,7 +468,7 @@ def test_scan_exact_check_failure_exits_2(capsys, monkeypatch):
     bound of its score is a verification failure."""
     real = equidistribution._window_discrepancy
     monkeypatch.setattr(
-        equidistribution, "_window_discrepancy", lambda al, n, k, t: real(al, n + 1, k, t)
+        equidistribution, "_window_discrepancy", lambda al, ps: real(al, one_prime_later(ps))
     )
     code = main(["equidist", "scan", "--alpha", "golden", "--k", "20", "--limit", "200"])
     captured = capsys.readouterr()

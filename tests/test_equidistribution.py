@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -25,7 +26,7 @@ from erdos_trio import (
     well_distribution_statistic,
     window_sample,
 )
-from erdos_trio import PrimeString, PrimeTable, equidistribution, primes
+from erdos_trio import PrimeString, equidistribution, primes
 from erdos_trio.equidistribution import _SCORE_ERR, _discrepancy, _fixed_point_parts, _window_discrepancy
 
 from budget import assert_counted
@@ -71,15 +72,17 @@ def test_parse_alpha_forms():
 
 
 def test_window_sample_examples(table_1e5):
-    assert window_sample(0, 0, 3, table_1e5) == (Fraction(0), Fraction(0), Fraction(0))
+    assert window_sample(0, 0, 3) == (Fraction(0), Fraction(0), Fraction(0))
     # primes 2, 3, 5
-    assert window_sample(0.5, 0, 3, table_1e5) == (Fraction(0), Fraction(1, 2), Fraction(1, 2))
+    assert window_sample(0.5, 0, 3) == (Fraction(0), Fraction(1, 2), Fraction(1, 2))
     # primes 3, 5
-    assert window_sample(Fraction(1, 3), 1, 2, table_1e5) == (Fraction(0), Fraction(2, 3))
+    assert window_sample(Fraction(1, 3), 1, 2) == (Fraction(0), Fraction(2, 3))
+    # the first prime past 1e5, 100003, read from the cache
+    assert window_sample(Fraction(1, 4), len(table_1e5), 1) == (Fraction(3, 4),)
     with pytest.raises(ValueError):
-        window_sample(0.5, len(table_1e5), 5, table_1e5)
+        window_sample(0.5, -1, 5)
     with pytest.raises(ValueError):
-        window_sample(0.5, 0, 0, table_1e5)
+        window_sample(0.5, 0, 0)
 
 
 def test_fractional_part_is_exact():
@@ -227,23 +230,22 @@ def test_star_discrepancy_bracketing():
         assert d <= 2 * ds + 1e-12
 
 
-def test_scan_alpha_zero_is_one(table_1e5):
-    res = well_distribution_statistic(0, 5, 50, table=table_1e5)
+def test_scan_alpha_zero_is_one():
+    res = well_distribution_statistic(0, 5, 50)
     assert res.max_discrepancy_exact == 1
     assert res.argmax_start == 0  # ties resolve to the smallest start
 
 
-def test_scan_monotone_in_limit(table_1e5):
+def test_scan_monotone_in_limit():
     a = parse_alpha("golden", 128)
-    d1 = well_distribution_statistic(a, 20, 300, table=table_1e5).max_discrepancy_exact
-    d2 = well_distribution_statistic(a, 20, 1200, table=table_1e5).max_discrepancy_exact
+    d1 = well_distribution_statistic(a, 20, 300).max_discrepancy_exact
+    d2 = well_distribution_statistic(a, 20, 1200).max_discrepancy_exact
     assert d2 >= d1
 
 
 def test_scan_golden_regression_lock():
     """k = 50 windows over the first 1e4 starts; value frozen from the first run."""
-    table = sieve_primes(2 * 10**5)
-    res = well_distribution_statistic(parse_alpha("golden"), 50, 10**4, table=table)
+    res = well_distribution_statistic(parse_alpha("golden"), 50, 10**4)
     assert float(res.max_discrepancy_exact) == pytest.approx(0.27446853496761325, abs=1e-12)
     assert res.argmax_start == 8174
     assert res.windows == 10001
@@ -252,13 +254,12 @@ def test_scan_golden_regression_lock():
 def test_scan_float_scores_under_half_the_regression_lock_windows(monkeypatch):
     """The Lipschitz prune float-scores fewer than half of the regression
     lock's windows and leaves its result as it was."""
-    table = sieve_primes(2 * 10**5)
     rows = []
     real = equidistribution._discrepancy
     monkeypatch.setattr(
         equidistribution, "_discrepancy", lambda xs, *out: rows.append(len(xs)) or real(xs, *out)
     )
-    res = well_distribution_statistic(parse_alpha("golden"), 50, 10**4, table=table)
+    res = well_distribution_statistic(parse_alpha("golden"), 50, 10**4)
     assert (float(res.max_discrepancy_exact), res.argmax_start, res.windows) == (0.27446853496761325, 8174, 10001)
     assert sum(rows) < res.windows / 2
 
@@ -296,21 +297,21 @@ def test_bounded_windows_keeps_every_window_its_bound_reaches(stride):
                             assert i not in got, (stride, j, g, c, i)
 
 
-def test_scan_stride_subsets_full(table_1e5):
+def test_scan_stride_subsets_full():
     a = Fraction(1, 7)
-    full = well_distribution_statistic(a, 10, 200, stride=1, table=table_1e5)
-    strided = well_distribution_statistic(a, 10, 200, stride=10, table=table_1e5)
+    full = well_distribution_statistic(a, 10, 200, stride=1)
+    strided = well_distribution_statistic(a, 10, 200, stride=10)
     assert strided.max_discrepancy_exact <= full.max_discrepancy_exact
     assert strided.windows == 21
 
 
-def test_scan_matches_per_window_family(table_1e5):
+def test_scan_matches_per_window_family():
     a = parse_alpha("sqrt:3", 96)
-    res = well_distribution_statistic(a, 12, 80, table=table_1e5)
+    res = well_distribution_statistic(a, 12, 80)
     best = -1.0
     argmax = 0
     for n in range(81):
-        w = window_sample(a, n, 12, table_1e5)
+        w = window_sample(a, n, 12)
         d = interval_discrepancy(w)
         if d > best + 1e-15:
             best = d
@@ -319,18 +320,18 @@ def test_scan_matches_per_window_family(table_1e5):
     assert res.max_discrepancy_exact == best
 
 
-def test_scan_recheck_catches_a_wrong_window(table_1e5, monkeypatch):
+def test_scan_recheck_catches_a_wrong_window(monkeypatch):
     """The exact re-check must score the window the float scan picked."""
     a = parse_alpha("golden")
-    res = well_distribution_statistic(a, 20, 200, table=table_1e5)
-    after = interval_discrepancy(window_sample(a, res.argmax_start + 1, 20, table_1e5))
+    res = well_distribution_statistic(a, 20, 200)
+    after = interval_discrepancy(window_sample(a, res.argmax_start + 1, 20))
     assert abs(after - res.max_discrepancy_exact) > 1e-12
     real = equidistribution._window_discrepancy
     monkeypatch.setattr(
-        equidistribution, "_window_discrepancy", lambda al, n, k, t: real(al, n + 1, k, t)
+        equidistribution, "_window_discrepancy", lambda al, ps: real(al, one_prime_later(ps))
     )
     with pytest.raises(VerificationError):
-        well_distribution_statistic(a, 20, 200, table=table_1e5)
+        well_distribution_statistic(a, 20, 200)
 
 
 def test_integer_window_score_equals_fraction_oracle(table_1e5):
@@ -341,8 +342,8 @@ def test_integer_window_score_equals_fraction_oracle(table_1e5):
     for a in alphas:
         for k in (1, 2, 3, 10, 50, 200):
             for n in (0, 1, 997):
-                d = _window_discrepancy(a, n, k, table_1e5)
-                assert d == family_discrepancy(window_sample(a, n, k, table_1e5)), (a, n, k)
+                d = _window_discrepancy(a, table_1e5.primes[n : n + k].tolist())
+                assert d == family_discrepancy(window_sample(a, n, k)), (a, n, k)
 
 
 def test_all_band_scan_scores_every_window_exactly(table_1e5, monkeypatch):
@@ -354,16 +355,16 @@ def test_all_band_scan_scores_every_window_exactly(table_1e5, monkeypatch):
     k, limit, stride = 20, 600, 3
     best, argmax = Fraction(-1), None
     for n in range(0, limit + 1, stride):
-        d = interval_discrepancy(window_sample(a, n, k, table_1e5))
+        d = interval_discrepancy(window_sample(a, n, k))
         if d > best:
             best, argmax = d, n
     scored = []
     real = equidistribution._window_discrepancy
     monkeypatch.setattr(
-        equidistribution, "_window_discrepancy", lambda al, n, k, t: scored.append(n) or real(al, n, k, t)
+        equidistribution, "_window_discrepancy", lambda al, ps: scored.append(ps[0]) or real(al, ps)
     )
-    res = well_distribution_statistic(a, k, limit, stride, table=table_1e5)
-    assert scored == list(range(stride, limit + 1, stride))
+    res = well_distribution_statistic(a, k, limit, stride)
+    assert scored == table_1e5.primes[stride : limit + 1 : stride].tolist()
     assert (res.argmax_start, res.max_discrepancy_exact) == (argmax, best)
 
 
@@ -473,19 +474,22 @@ def test_scan_argmax_equals_exhaustive_exact_oracle(table_1e5, alpha, k, limit, 
         d = family_discrepancy([_exact_part(a, p) for p in table_1e5.primes[n : n + k].tolist()])
         if d > best:
             best, argmax = d, n
-    res = well_distribution_statistic(a, k, limit, stride, table=table_1e5)
+    res = well_distribution_statistic(a, k, limit, stride)
     assert res.argmax_start == argmax
     assert res.max_discrepancy_exact == best
 
 
-def test_scan_refuses_primes_from_2_to_the_32():
-    table = PrimeTable(limit=2**32 + 15, primes=np.array([4294967291, 4294967311]))
-    res = well_distribution_statistic("golden", 1, 0, table=table)
+def test_scan_refuses_primes_from_2_to_the_32(monkeypatch):
+    """A scan whose primes reach 2^32 is refused, here with a fake prime
+    list whose second prime is the first past 2^32."""
+    fake = np.array([4294967291, 4294967311])
+    monkeypatch.setattr(equidistribution, "_prime_list", lambda limit: fake)
+    res = well_distribution_statistic("golden", 1, 0)
     assert res.max_discrepancy_exact == 1
     with pytest.raises(ValueError, match=r"below 2\^32"):
-        well_distribution_statistic("golden", 2, 0, table=table)
+        well_distribution_statistic("golden", 2, 0)
     with pytest.raises(ValueError, match=r"below 2\^32"):
-        well_distribution_statistic("golden", 1, 1, table=table)
+        well_distribution_statistic("golden", 1, 1)
 
 
 def test_scan_memory_budget():
@@ -537,32 +541,38 @@ def _last_cached_need(bits: int) -> int:
 
 @pytest.mark.parametrize("bits", [17, 18, 19, 20, 24])
 def test_cached_scan_equals_scan_of_the_sieved_table(bits):
-    """With no table a scan reads its primes from the prime cache while the
-    bound on p_needed is below 2^24, and sieves them past it; on both sides
-    of the bound crossing 2^bits it equals, field for field, the scan given
-    ``sieve_primes`` of that bound."""
+    """A scan of ``needed`` primes reads ``_prime_list`` up to the bound on
+    p_needed: a slice of the prime cache while the bound is below 2^24, and
+    a sieve for the call past it. On both sides of the bound crossing
+    2^bits that list is ``sieve_primes`` of the bound, and holds the
+    primes the scan reads."""
     last = _last_cached_need(bits)
     assert primes._nth_prime_bound(last) < 1 << bits <= primes._nth_prime_bound(last + 1)
-    k = 10
     for needed in (last, last + 1):
-        table = sieve_primes(primes._nth_prime_bound(needed))
-        for alpha in ("golden", "sqrt:2"):
-            scan = well_distribution_statistic(alpha, k, needed - k)
-            assert scan == well_distribution_statistic(alpha, k, needed - k, table=table)
+        bound = primes._nth_prime_bound(needed)
+        listed = primes._prime_list(bound)
+        assert listed.size >= needed
+        assert np.array_equal(listed, sieve_primes(bound).primes), (bits, needed)
 
 
 def test_scan_past_the_cache_cap_holds_no_primes():
     """A scan whose bound on p_needed reaches 2^24 sieves its ~1e6 primes
-    (~8 MiB) for the call and drops them: after it returns, less than 16 KiB
-    is held, the base primes below 2^13 its sieve caches. Measured from a
-    cold cache."""
+    (~8 MiB) for the call and drops them. After it returns, what is held is
+    the base primes its sieve's segments cached, the 13 arrays of the
+    primes below 2^1 .. 2^13 (18,368 bytes of int64), within their
+    ``sys.getsizeof`` (data and header) and 4 KiB for the cache's dict and
+    numpy's small objects. Measured from a cold cache, code paths warm."""
     k, needed = 10, _last_cached_need(24) + 1
+    well_distribution_statistic("golden", k, 100)
     primes._primes_below_power_of_two.cache_clear()
     tracemalloc.start()
     scan = well_distribution_statistic("golden", k, needed - k, 1000)
     held = tracemalloc.get_traced_memory()[0]
     tracemalloc.stop()
-    assert scan.windows == 1020 and held < 16 * 1024
+    assert primes._primes_below_power_of_two.cache_info().currsize == 13
+    cached = [primes._primes_below_power_of_two(bits) for bits in range(1, 14)]
+    assert primes._primes_below_power_of_two.cache_info().currsize == 13  # each was a hit
+    assert scan.windows == 1020 and held < sum(map(sys.getsizeof, cached)) + 4096
 
 
 def _farthest_read(monkeypatch, search) -> int:

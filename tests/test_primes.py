@@ -27,6 +27,17 @@ def test_sieve_matches_trial_division():
     assert table.primes.tolist() == oracle
 
 
+def test_prime_bounds_past_float_range_are_trivial():
+    """From 2^1000 on the bounds are pi(x) <= x and p_n <= n^2, in integers;
+    below it they are the float formulas, unchanged."""
+    for x in (2**1000, 10**400, 10**5000):
+        assert primes._prime_count_bound(x) == x
+        assert primes._nth_prime_bound(x) == x * x
+    x = 2**1000 - 1
+    assert primes._prime_count_bound(x) == int(1.3 * x / math.log(x))
+    assert primes._nth_prime_bound(x) == int(x * (math.log(x) + math.log(math.log(x))))
+
+
 def test_nth_prime_bound_covers_every_prime_to_2e5():
     """n (ln n + ln ln n), floored at 100, is at least p_n for every n up to
     2e5, read from one sieve, so a scan's table always holds its primes."""
