@@ -142,7 +142,11 @@ def _render(rows: list[dict], meta: dict, verdict: str, fmt: str) -> str:
 
 
 def _alpha_cols(alpha: Fraction) -> dict:
-    return {"alpha": _fmt(alpha), "alpha_float": float(alpha)}
+    try:
+        as_float = float(alpha)
+    except OverflowError:
+        raise ValueError("alpha is outside float range for the alpha_float column") from None
+    return {"alpha": _fmt(alpha), "alpha_float": as_float}
 
 
 # --------------------------------------------------------------------------

@@ -23,20 +23,23 @@ a limit) below that rules the class out.
 Interval discrepancy has a closed form (Kuipers & Niederreiter, Uniform
 Distribution of Sequences, 1974, Ch. 2, Thm 1.4): for sorted x_1..x_k in
 [0, 1), D = 1/k + max_i(x_i - i/k) - min_i(x_i - i/k). It has two kernels:
-a float64 one along the last axis of a sorted array, which it consumes in
-place, scoring a scan's chunk of windows, and an exact one in integers over
-the points' common denominator, which scores every ``interval_discrepancy``
-input (a float point at its exact dyadic value) and, through the one
-window scorer ``_window_discrepancy``, a scan's re-checked windows and
-``cluster_verify``'s window, and gives a Fraction.
+a float one along the last axis of a sorted float32 or float64 array, which
+it consumes in place, scoring a scan's chunk of windows, and an exact one
+in integers over the points' common denominator, which scores every
+``interval_discrepancy`` input (a float point at its exact dyadic value)
+and, through the one window scorer ``_window_discrepancy``, a scan's
+re-checked windows and ``cluster_verify``'s window, and gives a Fraction.
 
 A window scan is the one place where floats decide anything, and they
-decide only which windows to score exactly. Windows are scored in float64
-from 96-bit fixed-point fractional parts, within a proven E = 2^-49 of
-their exact discrepancy, skipping those that a Lipschitz bound from
-scored neighbours certifies below the band; every window within 2E of the
-float maximum is then re-scored exactly, in integers over alpha's
-denominator, so the reported argmax window and its value are exact.
+decide only which windows to score exactly. Its fractional parts are 64-bit
+fixed-point numbers, each within 2^-64 of the exact part. Every window is
+screened in float32 from each part's top 24 bits, within a proven
+E32 = 2^-20 of its exact discrepancy, skipping those that a Lipschitz bound
+from scored neighbours certifies below the band; only the windows within
+2 E32 of the float32 maximum are re-scored in float64 from the top 53 bits,
+within E = 2^-49, and every window within 2E of the float64 maximum is
+then re-scored exactly, in integers over alpha's denominator, so the
+reported argmax window and its value are exact.
 """
 
 from __future__ import annotations
@@ -61,41 +64,58 @@ from .primes import (
     _spans,
 )
 
-# A scan's fractional parts are 96-bit fixed-point numbers, whose top 64
-# bits come from two limb-by-prime products in uint64.
+# A scan's fractional parts are the top 64 bits of 96-bit fixed-point
+# numbers, from two limb-by-prime products in uint64.
 _FRAC_BITS = 96
-# E: every float window score of a scan is within this of the window's
-# exact discrepancy (derived in ``well_distribution_statistic``).
+# E32 and E: every float32 and every float64 window score of a scan is
+# within this of the window's exact discrepancy (derived in
+# ``well_distribution_statistic``).
+_SCORE_ERR32 = 2.0**-20
 _SCORE_ERR = 2.0**-49
 
 # Peak bytes of a window scan, counted in three parts. Per scanned prime:
-# the two uint64 arrays of the fixed-point product, which give way to the
-# float64 parts, the window scores, the prune's grid and per-offset arrays
-# (O(windows / _GRID)) and the band. The primes themselves are counted by
-# the cache or the sieve that serves them. tracemalloc of the whole scan,
-# primes read from the cache, less its chunk and exact-window counts, at
-# k = 10: 16.8 at 1e6 primes and stride 1000; 19.1 at stride 1, where the
-# prune's arrays are largest; 20.3 at 2e5 and 24.1 at 1e6 primes when every
-# part is recomputed exactly (alpha = 2^-100); 24.1 at 1e6 primes and
-# stride 1 when every window is in the band (alpha = 0), the worst case.
-# Past 2^24 the primes the scan sieves for the call add their share, within
-# this count and the sieve's: 28.2 and 33.2 at 4e6 primes, golden and
-# alpha = 0. Per
-# float64 entry of one chunk of windows: the reused buffer and the gathered
-# rows copied into it, or the kernel's ramp (10.2-16.1 at k = 10, 50,
-# 1,000, 20,000 and 70,000). Per point of the one window re-scored exactly at a
-# time: _POINT_BYTES + 24 * (bits // 30), bits the bit length of alpha's
-# denominator. That covers the integer score of ``_window_discrepancy``,
-# whose primes, residues and scaled residues are Python ints (tracemalloc
-# per point at k = 10 / 50 / 2,000 / 200,000: 110 / 60 / 48 / 48 with a
-# 2-bit denominator, 150 / 93 / 81 / 84 with 31- and 55-bit ones, 198 /
-# 147 / 136 / 136 at 257 bits, 436 / 361 / 345 / 344 at 1,025 bits and
-# 2,731 / 2,350 / 2,258 / 2,256 at 8,193 bits).
+# the two uint64 arrays of the fixed-point product, then its uint64 parts
+# beside the uint32 and float32 ones of the float32 tier, the window scores,
+# the prune's grid and per-offset arrays (O(windows / _GRID)) and the band;
+# the float32 parts go before the band is formed. The primes themselves are
+# counted by the cache or the sieve that serves them. tracemalloc of the
+# whole scan, primes read from the cache, less its chunk and exact-window
+# counts, at k = 10: 15.8 at 1e6 primes and stride 1000; 22.7 at stride 1,
+# where the prune's arrays are largest, and when every window is in both
+# float bands (alpha = 0.33...3, 24 digits); 22.2 at 2e5 primes when every
+# part is recomputed exactly (alpha = 1 - 2^-100); 23.4 at 1e6 primes and
+# stride 1 when every window is in the float32 band (alpha = 0), the worst
+# case. Past 2^24 the primes the scan sieves for the call add their share,
+# within this count and the sieve's: 32.1 and 33.0 at 4e6 primes, golden and
+# alpha = 0. Per entry of one chunk of windows: the float32 tier's buffer and
+# the gathered rows scaled into it, or the kernel's float64 and float32
+# ramps, which are freed before the float64 band's chunk, its int64 rows
+# and float64 buffer, or its ramp (tracemalloc of the chunk scorer: float32
+# 8.1-8.9 with many rows and 16.0 with one; float64 16.1-18.6 at k = 10,
+# 50, 1,000, 20,000, 70,000 and 1e6). Per point of the one window re-scored
+# exactly at a time: _POINT_BYTES + 24 * (bits // 30), bits the bit length
+# of alpha's denominator. That covers the integer score of
+# ``_window_discrepancy``, whose primes, residues and scaled residues are
+# Python ints (tracemalloc per point at k = 10 / 50 / 2,000 / 200,000:
+# 110 / 60 / 48 / 48 with a 2-bit denominator, 150 / 93 / 81 / 84 with 31-
+# and 55-bit ones, 198 / 147 / 136 / 136 at 257 bits, 436 / 361 / 345 / 344
+# at 1,025 bits and 2,731 / 2,350 / 2,258 / 2,256 at 8,193 bits).
 _PART_BYTES = 28
 _ENTRY_BYTES = 24
 _POINT_BYTES = 128
-# Windows scored per chunk: chunks hold about 2^16 float64 entries (512 KiB),
-# which sort and score faster than chunks of 2^22 and need 1/64 the memory.
+# Peak bytes per point of ``window_sample``, with 16 more per 30 bits of
+# alpha's denominator: the point's prime and residue as Python ints, its
+# Fraction, whose numerator and denominator are ints of their own, and the
+# list and tuple slots. tracemalloc per point at k = 10 / 50 / 2,000 /
+# 20,000 / 200,000, at n = 0 and at n + k = 1e6, primes read from the cache:
+# 88-129 with a 2-bit denominator, 182-259 with 31- and 55-bit ones,
+# 268-355 at 257 bits, 580-688 at 1,025 bits and 3,448-3,747 at 8,193 bits
+# (to k = 20,000): 189 + 12 per 30 bits from k = 2,000 on, and more at
+# k = 10, where the big-int temporaries of one point weigh.
+_SAMPLE_BYTES = 256
+# Windows scored per chunk: chunks hold about 2^16 entries (256 KiB in
+# float32, 512 KiB in float64), which sort and score faster than chunks of
+# 2^22 and need 1/64 the memory.
 _CHUNK_ENTRIES = 1 << 16
 # A scan first scores every _GRID-th window and the last, and then only the
 # windows between them that a Lipschitz bound cannot rule out of the band
@@ -165,12 +185,15 @@ def torus_distance(alpha: Fraction, delta: int) -> Fraction:
 
 def window_sample(alpha: float | int | str | Fraction, n: int, k: int) -> tuple[Fraction, ...]:
     """Sorted fractional parts {alpha p_m} for n < m <= n + k, as exact
-    rationals, from ``_prime_list`` up to ``_nth_prime_bound(n + k)``."""
+    rationals, from ``_prime_list`` up to ``_nth_prime_bound(n + k)``. The
+    k primes, residues and Fractions are counted through ``reserve`` before
+    any prime is read; the cache or the sieve counts the primes it holds."""
     if k < 1:
         raise ValueError("window size k must be >= 1")
     if n < 0:
         raise ValueError("start index must be >= 0")
     a = parse_alpha(alpha)
+    reserve(k * (_SAMPLE_BYTES + 16 * (a.denominator.bit_length() // 30)), f"a sample of {k} points")
     ps = _prime_list(_nth_prime_bound(n + k))[n : n + k].tolist()
     return tuple(Fraction(r, a.denominator) for r in _sorted_residues(a, ps))
 
@@ -200,17 +223,25 @@ def _exact_discrepancy(residues: list[int], den: int) -> Fraction:
     return Fraction(min(k * den, den + max(ys) - min(ys)), k * den)
 
 
+def _ramp(k: int, dtype) -> np.ndarray:
+    """fl(i/k) for i = 1..k in ``dtype``: each i/k is formed in float64,
+    within 2^-53 of its value, and rounded once to ``dtype``. Every i is
+    exact, as it would not be in a float32 count past 2^24."""
+    ramp = np.arange(1.0, k + 1)
+    ramp /= k
+    return ramp.astype(dtype, copy=False)
+
+
 def _discrepancy(xs: np.ndarray, out: np.ndarray, low: np.ndarray) -> np.ndarray:
     """Closed-form interval discrepancy along the last axis of a sorted
-    float64 array, which it consumes: each x_i becomes x_i - fl(i/k) in
-    place. The row maxima and minima are reduced into the caller's ``out``
-    and ``low``, arrays of the input's shape less its last axis, and
+    float32 or float64 array, which it consumes: each x_i becomes
+    x_i - fl(i/k) in place, in the array's dtype (``_ramp``). The row
+    maxima and minima are reduced into the caller's ``out`` and ``low``,
+    arrays of that dtype and of the input's shape less its last axis, and
     ``out`` is returned. Rounding can overshoot 1 by an ulp; the cap
     removes it."""
     k = xs.shape[-1]
-    ramp = np.arange(1.0, k + 1)
-    ramp /= k
-    xs -= ramp
+    xs -= _ramp(k, xs.dtype)
     xs.max(axis=-1, out=out)
     xs.min(axis=-1, out=low)
     out -= low
@@ -258,8 +289,9 @@ class WindowScanResult:
 
 
 def _fixed_point_parts(alpha: Fraction, ps: np.ndarray) -> np.ndarray:
-    """{alpha p} in float64 for each prime p < 2^32 of ``ps``, within
-    2^-52 + 2^-64 of the exact value.
+    """{alpha p} 2^64 for each prime p < 2^32 of ``ps``, as uint64 within 1
+    of its exact value: a part m stands for m 2^-64, within 2^-64 of
+    {alpha p}.
 
     A = ceil({alpha} 2^96) mod 2^96 exceeds {alpha} 2^96 by less than 1,
     modulo 2^96, so Y = A p mod 2^96 is {alpha p} 2^96 raised by less than
@@ -268,11 +300,10 @@ def _fixed_point_parts(alpha: Fraction, ps: np.ndarray) -> np.ndarray:
     products, of which only A_hi p wraps in uint64, and A_lo p < 2^64. A
     raise that wraps past 2^96 leaves Y < p, so the top 64 bits of Y are
     zero; those parts (a superset of the wrapped ones) are recomputed
-    exactly. Every other part is Y's top 64 bits times 2^-64: the raise and
-    the dropped low 32 bits, each less than 2^32 units of 2^-96, leave it
-    within 2^-64 of {alpha p}, and the conversion to float64 adds at most
-    one ulp below 1, 2^-52. When A is exactly {alpha} 2^96 nothing is
-    raised, and no part is recomputed.
+    exactly, as floor({alpha p} 2^64). Every other part is Y's top 64 bits:
+    the raise and the dropped low 32 bits, each less than 2^32 units of
+    2^-96, leave it within 1 of {alpha p} 2^64. When A is exactly
+    {alpha} 2^96 nothing is raised, and no part is recomputed.
     """
     num, den = alpha.numerator, alpha.denominator
     lifted = (num % den) << _FRAC_BITS
@@ -284,17 +315,33 @@ def _fixed_point_parts(alpha: Fraction, ps: np.ndarray) -> np.ndarray:
     low >>= 32
     top += low  # mod 2^64: Y's top 64 bits
     del low
-    parts = top.astype(np.float64)
-    parts *= 2.0**-64
     if lifted % den:
         for i in np.flatnonzero(top == 0):
-            parts[i] = fractional_part(alpha, int(ps[i]))
-    return parts
+            part = fractional_part(alpha, int(ps[i]))
+            top[i] = (part.numerator << 64) // part.denominator
+    return top
+
+
+def _score_windows(windows: np.ndarray, js: np.ndarray, rows: np.ndarray, scores: np.ndarray) -> None:
+    """Score the windows ``windows[js]`` into ``scores[js]``, one chunk of
+    ``rows`` at a time, in the dtype of ``rows`` (float32 or float64, with
+    b = 24 or 53 bits of precision). A window is a row of integers m, held
+    exactly in float32 or int64, that stand for the parts m 2^-b; each
+    chunk is gathered into ``rows``, scaled there, sorted in place and
+    scored by ``_discrepancy``."""
+    scale = 2.0 ** -(np.finfo(rows.dtype).nmant + 1)
+    high, low = np.empty(len(rows), rows.dtype), np.empty(len(rows), rows.dtype)
+    for off in range(0, js.size, len(rows)):
+        at = js[off : off + len(rows)]
+        got = rows[: at.size]
+        np.multiply(windows[at], scale, out=got)
+        got.sort(axis=1)
+        scores[at] = _discrepancy(got, high[: at.size], low[: at.size])
 
 
 def _bounded_windows(scores: np.ndarray, r: int, stride: int, k: int, best: float) -> np.ndarray:
     """The windows j = r (mod G), G = ``_GRID`` and 0 < r < G, that a
-    scan's second pass scores, ascending.
+    scan's second pass scores in float32, ascending; E = E32 = 2^-20.
 
     Each such j lies between two scored neighbours g: the grid windows
     0, G, 2G, ... and the last window, n - 1. The windows g and j share all
@@ -302,15 +349,16 @@ def _bounded_windows(scores: np.ndarray, r: int, stride: int, k: int, best: floa
     ``well_distribution_statistic``) j's exact discrepancy is at most
     U(j) = min_g(score(g) + E + t / k). j is returned unless U(j) <
     best - 3E, tested as score(g) < best - 3.5E - E - t / k for a
-    neighbour g: the cut is rounded by less than 4u = E / 4, so a window
-    left out has U(j) < best - 3.5E + E / 4 < best - 3E.
+    neighbour g: the cut is formed and compared in float64, rounded by less
+    than 4 * 2^-53 < E / 4, so a window left out has
+    U(j) < best - 3.5E + E / 4 < best - 3E.
     """
     last = scores.size - 1
     cells = last // _GRID  # the full cells [cG, (c + 1)G]
-    floor = best - 3.5 * _SCORE_ERR
+    floor = best - 3.5 * _SCORE_ERR32
 
     def cut(d: int) -> float:
-        return floor - _SCORE_ERR - min(d * stride, k) / k
+        return floor - _SCORE_ERR32 - min(d * stride, k) / k
 
     keep = scores[: cells * _GRID : _GRID] >= cut(r)
     keep &= scores[_GRID : cells * _GRID + 1 : _GRID] >= cut(_GRID - r)
@@ -323,6 +371,16 @@ def _bounded_windows(scores: np.ndarray, r: int, stride: int, k: int, best: floa
     return js
 
 
+def _checked(exact: Fraction, score: float, err: float, n: int) -> Fraction:
+    """``exact``, the exact discrepancy of the window at ``n``, once its
+    float ``score`` is within ``err`` of it; VerificationError otherwise."""
+    if abs(exact - Fraction(score)) > err:
+        raise VerificationError(
+            f"window at {n}: scan scored {score}, exact discrepancy is {float(exact)}"
+        )
+    return exact
+
+
 def well_distribution_statistic(
     alpha: float | int | str | Fraction,
     k: int,
@@ -332,49 +390,64 @@ def well_distribution_statistic(
     """Scan windows of size k starting at n = 0, stride, ..., <= scan_limit.
 
     ``argmax_start`` is exact: the smallest scanned start whose window has
-    the largest exact discrepancy. Windows are scored in float64 from
-    fixed-point fractional parts (``_fixed_point_parts``) by ``_discrepancy``,
-    one chunk at a time, gathered into one reused buffer and sorted in
-    place. Every float score is within E = 2^-49 of the window's exact
-    discrepancy:
+    the largest exact discrepancy. Windows are scored in two float tiers,
+    float32 and then float64, from 64-bit fixed-point fractional parts
+    (``_fixed_point_parts``, each within 2^-64 of {alpha p}) by one
+    ``_discrepancy`` kernel, one chunk at a time, gathered into one buffer
+    and sorted in place (``_score_windows``). A tier of b = 24 or 53 bits of
+    precision reads each part's top b bits as an integer and scales it by
+    2^-b exactly, and every float score of the tier is within its E of the
+    window's exact discrepancy, E32 = 2^-20 and E = 2^-49:
 
-    * each part errs by eps < 2^-52 + 2^-64; sorting moves each order
-      statistic by at most eps, so the max and the min of x_(i) - i/k each
-      move by at most eps, and the discrepancy by at most 2 eps;
-    * with u = 2^-53, the ramp fl(i/k) is rounded by at most u and each
+    * the top b bits truncate each part by less than 2^-b, so it errs by
+      eps < 2^-b + 2^-64; sorting moves each order statistic by at most
+      eps, so the max and the min of x_(i) - i/k each move by at most eps,
+      and the discrepancy by at most 2 eps;
+    * with u = 2^-b, the ramp fl(i/k), formed in float64 and rounded once,
+      is rounded by at most u + 2^-53 (u in float64), and each
       x_i - fl(i/k), below 1 in size, by at most u, so the max and the min
-      of the y_i each err by at most 2u; their difference (below 2) is
-      rounded by at most 2u, fl(1/k) by at most u, and adding it (a sum
-      below 2) by at most 2u: 9u in all, and capping at 1 adds none;
-    * so |score - exact| <= 2 eps + 9u < 14u < E.
+      of the y_i each err by at most 2u + 2^-53; their difference (below
+      2) is rounded by at most 2u, fl(1/k) by at most u + 2^-53, and adding
+      it (a sum below 2) by at most 2u: 9u + 3 * 2^-53 in all, and capping
+      at 1 adds none;
+    * so |score - exact| <= 2 eps + 9u + 3 * 2^-53, under 12u < 16u = E32
+      at b = 24 and under 15u < 16u = E at b = 53.
 
-    Not every window is float-scored. Replacing t of a window's k points
-    moves any interval's count by at most t, so it moves the interval
-    discrepancy by at most t/k; two windows whose starts are d apart share
-    all but t = min(d, k) of their primes. A first pass scores every
-    ``_GRID``-th window and the last. A window j between two scored
+    Not every window is scored in float32. Replacing t of a window's k
+    points moves any interval's count by at most t, so it moves the
+    interval discrepancy by at most t/k; two windows whose starts are d
+    apart share all but t = min(d, k) of their primes. A first pass scores
+    every ``_GRID``-th window and the last. A window j between two scored
     neighbours g then has an exact discrepancy of at most U(j) =
-    min_g(score(g) + E + min(|j - g| stride, k) / k), and the second pass
-    scores only the windows whose U(j) reaches best - 3E, best the first
-    pass's maximum (``_bounded_windows``, which spends E/2 more on its own
-    rounding). A skipped window scores below U(j) + E < best - 2E in float,
-    and the final maximum is at least best, so it lies outside the band
-    below, whose windows and scores are those of a scan that scores every
-    window.
+    min_g(score(g) + E32 + min(|j - g| stride, k) / k), and the second pass
+    scores only the windows whose U(j) reaches best - 3 E32, best the first
+    pass's maximum (``_bounded_windows``, which spends E32/2 more on its
+    own rounding: it reads the float32 scores held exactly in float64, and
+    its cut is rounded by less than 4 * 2^-53, far under 4u = E32/4 with
+    u = 2^-24). A skipped window scores below U(j) + E32 < best - 2 E32 in
+    float32, and the final maximum is at least best, so it lies outside the
+    band below, whose windows and scores are those of a scan that scores
+    every window.
 
-    The band is every window whose score is within 2E of the maximum. The
-    exact maximum's windows all lie in that band, since each scores at least
-    exact max - E >= float max - 2E. The band is scored exactly in
-    integers (``_window_discrepancy``) in ascending start order, keeping
-    the first largest value. With q the denominator of alpha and
-    r_i = q {alpha p_i} the sorted residues, k q D = q + max(k r_i - i q) -
-    min(k r_i - i q) is an integer, so an exact discrepancy is a multiple
-    of 1/(k q), and none in the band exceeds min(1, float max + E). The
+    A tier's band is every window whose score is within 2E of the tier's
+    maximum. The exact maximum's windows all lie in it, since each scores at
+    least exact max - E >= float max - 2E. With q the denominator of alpha
+    and r_i = q {alpha p_i} the sorted residues, k q D = q + max(k r_i - i q)
+    - min(k r_i - i q) is an integer, so an exact discrepancy is a multiple
+    of 1/(k q), and none exceeds the ceiling min(1, float max + E). The
+    float32 band's first window is scored exactly in integers
+    (``_window_discrepancy``) when the next multiple above the most its
+    exact value can be, min(1, its score + E32), passes the float32
+    ceiling; if the next multiple above its exact value does, no window can
+    exceed it, and it is the argmax: at an exact 1, and whenever
+    k q < 2^18, so the many exact ties of a rational alpha cost one exact
+    window and no float64 one. Otherwise the
+    float32 band is re-scored in float64, and the float64 band is scored
+    exactly in ascending start order, keeping the first largest value; the
     re-scoring stops once the next multiple above the best value found
-    passes that ceiling: at an exact 1, and at the first window of the band
-    when k q < 2^47, so the many exact ties of a rational alpha cost one
-    exact window. A re-scored window whose float score is more than E from
-    its exact value raises VerificationError.
+    passes the float64 ceiling (at the first window when k q < 2^47). A
+    window whose exact value is more than its tier's E from its float score
+    raises VerificationError.
 
     The scan reads its scan_limit + k primes from ``primes._prime_list``
     up to the bound ``_nth_prime_bound(scan_limit + k)``: a slice of the
@@ -399,41 +472,53 @@ def well_distribution_statistic(
     ps = _prime_list(_nth_prime_bound(needed))[:needed]
     if ps[-1] >> 32:
         raise ValueError(f"scan needs primes below 2^32; prime {needed} is {int(ps[-1])}")
-    windows = np.lib.stride_tricks.sliding_window_view(_fixed_point_parts(a, ps), k)[::stride]
-    rows = np.empty((min(n_windows, chunk), k))
-    highs, lows = np.empty(len(rows)), np.empty(len(rows))
+    top = _fixed_point_parts(a, ps)
+    window_view = np.lib.stride_tricks.sliding_window_view
+    # float32: the parts' top 24 bits, integers that float32 holds exactly,
+    # converted through int32 (numpy's cast from uint64 is several times slower)
+    ints = np.right_shift(top, 40, out=np.empty(needed, np.uint32), casting="unsafe")
+    windows = window_view(ints.view(np.int32).astype(np.float32), k)[::stride]
+    del ints
+    rows = np.empty((min(n_windows, chunk), k), np.float32)
     scores = np.full(n_windows, -1.0)  # below every band; stays on skipped windows
-
-    def score_windows(js: np.ndarray) -> None:
-        for off in range(0, js.size, chunk):
-            at = js[off : off + chunk]
-            got = rows[: at.size]
-            got[...] = windows[at]
-            got.sort(axis=1)
-            scores[at] = _discrepancy(got, highs[: at.size], lows[: at.size])
-
-    score_windows(np.append(np.arange(0, n_windows - 1, _GRID), n_windows - 1))
+    _score_windows(windows, np.append(np.arange(0, n_windows - 1, _GRID), n_windows - 1), rows, scores)
     best = float(scores.max())
     for r in range(1, _GRID):
-        score_windows(_bounded_windows(scores, r, stride, k, best))
+        _score_windows(windows, _bounded_windows(scores, r, stride, k, best), rows, scores)
+    del windows, rows
     best = float(scores.max())
-    band = np.flatnonzero(scores >= best - 2 * _SCORE_ERR)
-    # no window's exact value exceeds the ceiling, and every exact value is a
-    # multiple of the step
-    ceiling = min(Fraction(1), Fraction(best) + Fraction(_SCORE_ERR))
+    band = np.flatnonzero(scores >= best - 2 * _SCORE_ERR32)
+    # no window's exact value exceeds a tier's ceiling, and every exact value
+    # is a multiple of the step
     step = Fraction(1, k * a.denominator)
-    exact, best_n = Fraction(-1), 0
-    for i in band:
-        n, score = int(i) * stride, float(scores[i])
-        d = _window_discrepancy(a, ps[n : n + k].tolist())
-        if abs(d - Fraction(score)) > _SCORE_ERR:
-            raise VerificationError(
-                f"window at {n}: scan scored {score}, exact discrepancy is {float(d)}"
-            )
-        if d > exact:
-            exact, best_n = d, n
-            if exact + step > ceiling:
-                break
+    ceiling = min(Fraction(1), Fraction(best) + Fraction(_SCORE_ERR32))
+    first, first_n, score = None, int(band[0]) * stride, float(scores[band[0]])
+    # the band's first window can end the scan only if the next multiple
+    # above the most its exact value can be passes the ceiling
+    if min(Fraction(1), Fraction(score) + Fraction(_SCORE_ERR32)) + step > ceiling:
+        window = ps[first_n : first_n + k].tolist()
+        first = _checked(_window_discrepancy(a, window), score, _SCORE_ERR32, first_n)
+    exact, best_n = first, first_n
+    if first is None or first + step <= ceiling:
+        # float64: the parts' top 53 bits, as int64, for the float32 band only
+        np.right_shift(top, 11, out=top)
+        _score_windows(
+            window_view(top.view(np.int64), k)[::stride], band, np.empty((min(band.size, chunk), k)), scores
+        )
+        del top
+        best = float(scores[band].max())
+        ceiling = min(Fraction(1), Fraction(best) + Fraction(_SCORE_ERR))
+        exact, best_n = Fraction(-1), 0
+        for i in band:
+            n, score = int(i) * stride, float(scores[i])
+            if score < best - 2 * _SCORE_ERR:
+                continue
+            known = n == first_n and first is not None
+            d = first if known else _window_discrepancy(a, ps[n : n + k].tolist())
+            if _checked(d, score, _SCORE_ERR, n) > exact:
+                exact, best_n = d, n
+                if exact + step > ceiling:
+                    break
     return WindowScanResult(
         alpha=a,
         k=k,

@@ -11,9 +11,12 @@ and nothing is timed.
 
 CHECKOUT, by default the checkout this file is in, supplies both
 ``perfbench/`` and the ``src/`` it imports, so the same command replays
-any commit's tree. The exit status is 1 if any request failed. This is not
-a pytest module: a replay of the 14,112 requests takes ~20 s on a 2-core
-x86 host.
+any commit's tree. Each hash is compared with the one committed for its
+workload in ``replay_hashes.json`` beside this file; a change that means
+to change an output updates that file. The exit status is 1 if any
+request failed or any hash differs from the committed one, and each
+mismatch is named on stderr. This is not a pytest module: a replay of the
+14,112 requests takes ~20 s on a 2-core x86 host.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from pathlib import Path
 
 SEEDS = (1, 11, 12)
 SECONDS = 18
+EXPECTED = Path(__file__).resolve().with_name("replay_hashes.json")
 
 
 def _worker(checkout: Path):
@@ -43,7 +47,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     worker = _worker(args.checkout.resolve())
     runner = worker.Runner(worker._import_package())
-    failed = 0
+    expected = json.loads(EXPECTED.read_text())
+    failed, mismatched = 0, []
     for workload in worker.workloads.WORKLOADS:
         digest, count = hashlib.sha256(), 0
         rounds = max(1, round(SECONDS / worker.ROUND_S[workload]))
@@ -57,9 +62,13 @@ def main(argv=None) -> int:
                     digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
                     count += 1
         print(f"{workload}: {count} requests, sha256 {digest.hexdigest()}", flush=True)
+        want = expected.get(workload)
+        if digest.hexdigest() != want:
+            mismatched.append(workload)
+            print(f"{workload}: sha256 differs from {EXPECTED.name}'s {want}", file=sys.stderr)
     if failed:
         print(f"{failed} requests failed", file=sys.stderr)
-    return 1 if failed else 0
+    return 1 if failed or mismatched else 0
 
 
 if __name__ == "__main__":

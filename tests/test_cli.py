@@ -214,6 +214,10 @@ def test_equidist_cluster_bad_delta(capsys):
         ("binomial", "f-scan", "--from", "1", "--to", "1000000000000"),
         # past float range pi(K) <= K counts M_K's primes, and refuses them
         ("binomial", "witness", "--K", "9" * 400),
+        # an alpha beyond float range cannot fill the alpha_float column of a
+        # scan or a cluster row either
+        ("equidist", "scan", "--alpha", "1e400", "--k", "5", "--limit", "10"),
+        ("equidist", "cluster", "--alpha", "1e400", "--delta", "0.2", "--m", "3", "--limit", "1000"),
     ],
 )
 def test_unservable_request_is_one_line_usage_error(capsys, argv):

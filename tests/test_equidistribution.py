@@ -27,7 +27,14 @@ from erdos_trio import (
     window_sample,
 )
 from erdos_trio import PrimeString, equidistribution, primes
-from erdos_trio.equidistribution import _SCORE_ERR, _discrepancy, _fixed_point_parts, _window_discrepancy
+from erdos_trio.equidistribution import (
+    _SCORE_ERR,
+    _SCORE_ERR32,
+    _discrepancy,
+    _fixed_point_parts,
+    _ramp,
+    _window_discrepancy,
+)
 
 from budget import assert_counted
 from oracles import (
@@ -83,6 +90,26 @@ def test_window_sample_examples(table_1e5):
         window_sample(0.5, -1, 5)
     with pytest.raises(ValueError):
         window_sample(0.5, 0, 0)
+
+
+def test_window_sample_memory_budget():
+    """A sample counts its k primes, residues and Fractions before it reads
+    a prime, covering what tracemalloc measures with its primes read from
+    the cache, for small and long denominators, small and large k, near 0
+    and near the cache's end. A sample of 1e7 points is refused up front."""
+    eq = equidistribution
+    for alpha, n, k in (("golden", 0, 10), (Fraction(1, 3), 0, 2000), (Fraction(1, 3), 10**6 - 10, 10),
+                        ("sqrt:2", 5000, 20000), (parse_alpha("sqrt:3", 8192), 10**6 - 50, 50),
+                        (Fraction(2**1024 + 1, 2**1025 - 1), 0, 2000)):
+        a = parse_alpha(alpha)
+        need = k * (eq._SAMPLE_BYTES + 16 * (a.denominator.bit_length() // 30))
+        sample = lambda: window_sample(a, n, k)  # noqa: E731
+        want = sample()  # fills the prime cache, whose misses count themselves
+        assert assert_counted(need, sample, match="a sample of") == want
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="a sample of 10000000 points"):
+        window_sample("golden", 0, 10**7)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_fractional_part_is_exact():
@@ -193,6 +220,58 @@ def test_float_batch_rows_within_E_of_exact_discrepancy():
             assert abs(exact - Fraction(d)) <= Fraction(_SCORE_ERR)
 
 
+def test_float32_batch_rows_within_E32_of_exact_discrepancy(table_1e5):
+    """The float32 twin: the batch kernel scores float32 rows within
+    E32 = 2^-20 of their exact discrepancy, among them rows with a repeated
+    point and rows with a point at 0, and so do a scan's float32 rows, the
+    top 24 bits of the fixed-point parts of primes' windows, against the
+    windows' exact values. The bound's derivation, 2 eps + 9u + 3 * 2^-53
+    with eps = 2^-24 + 2^-64 and u = 2^-24, fits under E32."""
+    u = Fraction(1, 2**24)
+    assert Fraction(float(np.finfo(np.float32).eps)) / 2 == u
+    assert 2 * (u + Fraction(1, 2**64)) + 9 * u + Fraction(3, 2**53) < Fraction(_SCORE_ERR32)
+    rng = np.random.RandomState(6)
+    for k in (1, 2, 3, 7, 50, 199):
+        batch = np.sort(rng.rand(40, k).astype(np.float32), axis=1)
+        if k > 3:
+            batch[::2, k // 2] = batch[::2, k // 2 - 1]  # force duplicates
+        batch[1::5, 0] = 0.0
+        out, low = np.empty(40, np.float32), np.empty(40, np.float32)
+        ds = _discrepancy(batch.copy(), out, low)
+        assert ds is out and ds.dtype == np.float32
+        for row, d in zip(batch, ds.tolist()):
+            exact = interval_discrepancy(row.tolist())
+            assert exact == family_discrepancy(row.tolist())
+            assert abs(exact - Fraction(d)) <= Fraction(_SCORE_ERR32)
+    ps = table_1e5.primes[:3000]
+    for alpha in (parse_alpha("golden"), parse_alpha("sqrt:2"), Fraction(355, 113), 1 - Fraction(1, 2**100)):
+        parts = (_fixed_point_parts(alpha, ps) >> 40).astype(np.float32) * np.float32(2**-24)
+        for k in (1, 5, 50, 1000):
+            starts = range(0, ps.size - k + 1, 97)
+            rows = np.sort(np.stack([parts[n : n + k] for n in starts]), axis=1)
+            out, low = np.empty(len(rows), np.float32), np.empty(len(rows), np.float32)
+            for n, d in zip(starts, _discrepancy(rows, out, low).tolist()):
+                exact = _window_discrepancy(alpha, ps[n : n + k].tolist())
+                assert abs(exact - Fraction(d)) <= Fraction(_SCORE_ERR32), (alpha, k, n)
+
+
+def test_ramp_is_rounded_once_past_2_to_the_24():
+    """At k = 2^24 + 1, past the integers float32 holds, every entry of the
+    float32 ramp is i/k correctly rounded, checked exactly in float64: the
+    product of a float32 entry and k has at most 49 bits, so
+    |ramp_i k - i| is exact and must be at most half the entry's ulp times
+    k. The float64 ramp is i/k in float64."""
+    k = 2**24 + 1
+    ramp = _ramp(k, np.float32)
+    assert ramp.dtype == np.float32 and ramp.size == k and ramp[-1] == 1
+    for lo in range(0, k, 1 << 22):
+        i = np.arange(lo + 1, min(lo + (1 << 22), k) + 1, dtype=np.float64)
+        r = ramp[lo : lo + i.size]
+        assert np.all(np.abs(r.astype(np.float64) * k - i) <= np.spacing(r).astype(np.float64) * k / 2)
+    del ramp
+    assert np.array_equal(_ramp(k, np.float64)[-3:], np.arange(k - 2.0, k + 1) / k)
+
+
 def test_float_points_are_scored_exactly():
     """Float-only points give the exact Fraction of their dyadic values,
     the family oracle's value, with repeated points and 0.0 among them."""
@@ -264,16 +343,67 @@ def test_scan_float_scores_under_half_the_regression_lock_windows(monkeypatch):
     assert sum(rows) < res.windows / 2
 
 
+def _tier_recorder(monkeypatch) -> dict:
+    """Count the rows each float tier scores and the windows scored exactly."""
+    seen = {np.float32: 0, np.float64: 0, "exact": 0}
+    kernel, exact = equidistribution._discrepancy, equidistribution._window_discrepancy
+
+    def record(xs, *out):
+        seen[xs.dtype.type] += len(xs)
+        return kernel(xs, *out)
+
+    def record_exact(alpha, ps):
+        seen["exact"] += 1
+        return exact(alpha, ps)
+
+    monkeypatch.setattr(equidistribution, "_discrepancy", record)
+    monkeypatch.setattr(equidistribution, "_window_discrepancy", record_exact)
+    return seen
+
+
+@pytest.mark.parametrize("alpha, k, limit", [(Fraction(0), 2000, 20000), (Fraction(1, 3), 500, 10**5)])
+def test_small_denominator_scans_score_one_window_exactly_and_none_in_float64(monkeypatch, alpha, k, limit):
+    """At alpha = 0 every window is 1, and at alpha = 1/3 the exact values
+    are multiples of 1/(3k), far apart at float32's E32: the float32 band's
+    first window, scored exactly, ends either scan, with no float64 row."""
+    seen = _tier_recorder(monkeypatch)
+    res = well_distribution_statistic(alpha, k, limit)
+    assert (seen[np.float64], seen["exact"]) == (0, 1)
+    assert seen[np.float32] > 0
+    # at 1/3 the windows at 0 and 1 hold 3 (part 0) and score below 2/3;
+    # every later window holds only 1/3s and 2/3s and scores 2/3
+    want = (Fraction(1), 0) if alpha == 0 else (interval_discrepancy(window_sample(alpha, 2, k)), 2)
+    assert (res.max_discrepancy_exact, res.argmax_start) == want
+
+
+def test_float64_tier_narrows_the_float32_band(table_1e5, monkeypatch):
+    """At alpha = 1/2 + 10^-7 and k = 6 the exact values are multiples of
+    1/(6 * 10^7), under E32 apart: 470 windows lie in the float32 band and
+    are re-scored in float64, and one window, the exhaustive exact argmax,
+    is scored exactly."""
+    a, k, limit = Fraction(1, 2) + Fraction(1, 10**7), 6, 2000
+    best, argmax = Fraction(-1), None
+    for n in range(limit + 1):
+        d = family_discrepancy([_exact_part(a, p) for p in table_1e5.primes[n : n + k].tolist()])
+        if d > best:
+            best, argmax = d, n
+    seen = _tier_recorder(monkeypatch)
+    res = well_distribution_statistic(a, k, limit)
+    assert (res.argmax_start, res.max_discrepancy_exact) == (argmax, best)
+    assert (seen[np.float64], seen["exact"]) == (470, 1)
+
+
 @pytest.mark.parametrize("stride", [1, 3, 20])
 def test_bounded_windows_keeps_every_window_its_bound_reaches(stride):
     """``_bounded_windows`` returns every window j whose Lipschitz bound
     U(j) = min_g(score(g) + E + min(|j - g| stride, k) / k), taken exactly
     over its scored neighbours g, reaches best - 3E, and none whose bound is
-    below best - 4E. Each case puts one neighbour c E from where it makes
-    one window's bound cross best - 3E, in the full cells and in the short
-    last one; at stride 20 >= k every t saturates at k."""
+    below best - 4E, with the float32 tier's E = E32. Each case puts one
+    neighbour c E from where it makes one window's bound cross best - 3E, in
+    the full cells and in the short last one; at stride 20 >= k every t
+    saturates at k."""
     eq = equidistribution
-    E, G = Fraction(eq._SCORE_ERR), eq._GRID
+    E, G = Fraction(eq._SCORE_ERR32), eq._GRID
     k, best, n = 10, 1.0, 2 * G + 3  # scored: 0, G, 2G and the last, 2G + 2
     for j in (j for j in range(1, n - 1) if j % G):
         left = j - j % G
@@ -369,8 +499,8 @@ def test_all_band_scan_scores_every_window_exactly(table_1e5, monkeypatch):
 
 
 # The proven error of a fixed-point part: under 2^-64 from the raise and the
-# dropped low bits, plus one float64 ulp below 1.
-_PART_ERR = Fraction(1, 2**52) + Fraction(1, 2**64)
+# dropped low bits.
+_PART_ERR = Fraction(1, 2**64)
 
 
 def _exact_part(alpha: Fraction, p: int) -> Fraction:
@@ -403,15 +533,15 @@ def test_fixed_point_parts_within_proven_bound(table_1e5, alpha):
     # the first 2,000 primes and the three largest primes below 2^32
     ps = np.concatenate([table_1e5.primes[:2000], [4294967231, 4294967279, 4294967291]])
     parts = _fixed_point_parts(alpha, ps)
+    assert parts.dtype == np.uint64
     for p, part in zip(ps.tolist(), parts.tolist()):
-        assert 0 <= part <= 1
-        assert abs(Fraction(part) - _exact_part(alpha, p)) <= _PART_ERR, (alpha, p)
+        assert abs(Fraction(part, 2**64) - _exact_part(alpha, p)) < _PART_ERR, (alpha, p)
 
 
 def test_fixed_point_parts_are_the_96_bit_products_bits(table_1e5):
     """Every part whose 96-bit product has nonzero top 64 bits is, bit for
-    bit, those bits times 2^-64, from A = ceil({alpha} 2^96) mod 2^96 and
-    A p in Python ints; every other part is the exact part's float."""
+    bit, those bits, from A = ceil({alpha} 2^96) mod 2^96 and A p in Python
+    ints; every other part is floor({alpha p} 2^64)."""
     rng = random.Random(0x96B)
     alphas = [1 - Fraction(1, 2**100), Fraction(-22, 7), parse_alpha("sqrt:3", 8192)]
     for bits in (31, 32, 33, 63, 64, 65, 96, 97, 200, 1000):
@@ -422,23 +552,23 @@ def test_fixed_point_parts_are_the_96_bit_products_bits(table_1e5):
     ps = table_1e5.primes[:2000].tolist() + [4294967231, 4294967279, 4294967291]
     for alpha in alphas:
         a = -(-(alpha.numerator % alpha.denominator << 96) // alpha.denominator) % 2**96
-        got = _fixed_point_parts(alpha, np.array(ps)).view(np.uint64).tolist()
-        for p, part_bits in zip(ps, got):
+        got = _fixed_point_parts(alpha, np.array(ps)).tolist()
+        for p, part in zip(ps, got):
             top = (a * p) % 2**96 >> 32
-            want = float(top) * 2**-64 if top else float(_exact_part(alpha, p))
-            assert part_bits == np.float64(want).view(np.uint64), (alpha, p)
+            assert part == (top or math.floor(_exact_part(alpha, p) * 2**64)), (alpha, p)
 
 
 def test_wrap_recompute_makes_parts_exact():
     ps = np.array([2, 3, 5, 7, 11, 13])
     # A = ceil(2^96 / 7) raises 7 A past 2^96, to 7 A mod 2^96 = 6
     assert -(-(2**96) // 7) * 7 % 2**96 == 6
-    assert _fixed_point_parts(Fraction(1, 7), ps)[3] == 0.0
+    assert _fixed_point_parts(Fraction(1, 7), ps)[3] == 0
     # 1 - 2^-100 lifts to A = 2^96, so every product wraps to 0 and is recomputed
     b = 1 - Fraction(1, 2**100)
-    assert _fixed_point_parts(b, ps).tolist() == [float(_exact_part(b, p)) for p in ps.tolist()]
+    assert _fixed_point_parts(b, ps).tolist() == [math.floor(_exact_part(b, p) * 2**64) for p in ps.tolist()]
     # a dyadic alpha is exact in 96 bits: nothing is raised
-    assert _fixed_point_parts(Fraction(3, 4), ps).tolist() == [0.5, 0.25, 0.75, 0.25, 0.25, 0.75]
+    got = _fixed_point_parts(Fraction(3, 4), ps).tolist()
+    assert got == [x * 2**62 for x in (2, 1, 3, 1, 1, 3)]
 
 
 @pytest.mark.parametrize(
@@ -495,11 +625,14 @@ def test_scan_refuses_primes_from_2_to_the_32(monkeypatch):
 def test_scan_memory_budget():
     """A scan counts its parts, one chunk of windows and the exact re-check
     before it reads a prime, covering what tracemalloc measures with its
-    primes read from the cache. Past 2^24 its primes are sieved for the
-    call, and the whole peak is within its count and the sieve's."""
+    primes read from the cache, among them a scan whose every window is in
+    both float bands, so that the float64 tier scores full chunks. Past 2^24
+    its primes are sieved for the call, and the whole peak is within its
+    count and the sieve's."""
     eq = equidistribution
     for alpha, k, limit, stride in (("golden", 10, 20000, 1), ("sqrt:2", 10, 10**5, 100),
-                                    (Fraction(1, 7), 300, 2000, 1), ("golden", 2000, 0, 1)):
+                                    (Fraction(1, 7), 300, 2000, 1), ("golden", 2000, 0, 1),
+                                    ("0.333333333333333333333333", 300, 1000, 1)):
         a = parse_alpha(alpha)
         windows = limit // stride + 1
         need = (

@@ -262,9 +262,7 @@ FIRING_TESTS = {
     ],
     "binomial_thresholds.lower_bound_witness": ["test_binomial_thresholds::test_witness_check_fires"],
     "cli._cmd_binomial_certificate": ["test_cli::test_certificate_confirmation_failure_exits_2"],
-    "equidistribution.well_distribution_statistic": [
-        "test_equidistribution::test_scan_recheck_catches_a_wrong_window",
-    ],
+    "equidistribution._checked": ["test_equidistribution::test_scan_recheck_catches_a_wrong_window"],
     "equidistribution.dirichlet_approx": ["test_equidistribution::test_dirichlet_bound_check_fires"],
     "equidistribution.cluster_verify": [
         "test_equidistribution::test_cluster_pairwise_check_fires",
@@ -305,6 +303,7 @@ BUDGET_TESTS = {
     "basis_splits._pair_sums": "test_basis_splits::test_sumset_memory_budget",
     "equidistribution.well_distribution_statistic": "test_equidistribution::test_scan_memory_budget",
     "equidistribution.find_prime_string": "test_equidistribution::test_prime_string_memory_budget",
+    "equidistribution.window_sample": "test_equidistribution::test_window_sample_memory_budget",
     "cli._cmd_binomial_f_scan": "test_cli::test_f_scan_counts_its_rows",
     "cli._cmd_basis_reps": "test_cli::test_basis_reps_counts_rendered_rows",
 }

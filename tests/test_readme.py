@@ -89,7 +89,11 @@ REFUSALS = [
     ("`binomial f-scan` (`--from 1 --to 1000000000000`", "binomial f-scan --from 1 --to 1000000000000",
      "an f-scan of 1000000000000 rows needs ~"),
     ("(`equidist approx --alpha 1e400`)", "equidist approx --alpha 1e400 --Q 10",
-     "integer division result too large for a float"),
+     "alpha is outside float range for the alpha_float column"),
+    ("`equidist scan --alpha 1e400`", "equidist scan --alpha 1e400 --k 5 --limit 10",
+     "alpha is outside float range for the alpha_float column"),
+    ("`equidist cluster --alpha 1e400`", "equidist cluster --alpha 1e400 --delta 0.2 --m 3 --limit 1000",
+     "alpha is outside float range for the alpha_float column"),
     ("`equidist approx --alpha 1234567/<4000 sevens> --Q <4000 threes>`",
      f"equidist approx --alpha 1234567/{'7' * 4000} --Q {'3' * 4000}",
      "err's denominator has 8000 digits, past the 4300-digit int-to-str limit"),
