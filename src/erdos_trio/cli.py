@@ -16,8 +16,9 @@ as an integer but changes nothing.
 
 Exit codes: 0 verified/ok, 1 bad arguments (including a request whose
 memory, counted before it is built, exceeds the budget, an ``--output`` path
-that cannot be written, a value too large to print as a float or too long to
-print as digits, and a ``--precision`` out of range), 2
+that cannot be written, a value too large to print as a float, a cell too
+long to print as digits, named by its column as ``_render``, the one place
+row values become text, renders it, and a ``--precision`` out of range), 2
 mathematical verification failure (never expected: it would contradict a
 proved statement), 3 search horizon exhausted (soft failure: raise the limit
 and retry). Every failure prints one line to stderr, never a traceback.
@@ -40,7 +41,7 @@ from . import __version__
 from . import basis_splits as bs
 from . import binomial_thresholds as bt
 from . import equidistribution as eq
-from .errors import ResourceLimitError, VerificationError, reserve
+from .errors import ResourceLimitError, VerificationError, _digits, reserve
 from .primes import _prime_ints
 
 EXIT_OK = 0
@@ -134,11 +135,22 @@ def _render(rows: list[dict], meta: dict, verdict: str, fmt: str) -> str:
     # table
     cells = [[_fmt(row[c]) for c in columns] for row in rows]
     widths = [max(len(col), *(len(r[i]) for r in cells)) for i, col in enumerate(columns)]
-    lines = ["  ".join(col.ljust(w) for col, w in zip(columns, widths)).rstrip()]
-    for r in cells:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
+    lines = ["  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() for r in [columns, *cells]]
     lines.append(f"verdict: {verdict}")
     return "\n".join(lines) + "\n"
+
+
+def _refuse_unprintable_cell(rows: list[dict]) -> None:
+    """The cold path of a render that raised ValueError: refuse the first
+    int or Fraction part too long to print, in row and column order, naming
+    its column and its exact digit count; return if no cell is at fault."""
+    for row in rows:
+        for column, value in row.items():
+            parts = [("", value)] if isinstance(value, int) else []
+            if isinstance(value, Fraction):
+                parts = [("'s numerator", value.numerator), ("'s denominator", value.denominator)]
+            for part, number in parts:
+                _refuse_unprintable(column + part, _digits(number) - 1)
 
 
 def _alpha_cols(alpha: Fraction) -> dict:
@@ -146,7 +158,7 @@ def _alpha_cols(alpha: Fraction) -> dict:
         as_float = float(alpha)
     except OverflowError:
         raise ValueError("alpha is outside float range for the alpha_float column") from None
-    return {"alpha": _fmt(alpha), "alpha_float": as_float}
+    return {"alpha": alpha, "alpha_float": as_float}
 
 
 # --------------------------------------------------------------------------
@@ -197,22 +209,12 @@ def _cmd_binomial_certificate(args) -> tuple[list[dict], dict, str]:
 
 
 def _refuse_unprintable(subject: str, log10_value: float) -> None:
-    """Refuse, before it is built, an integer whose log10 is ``log10_value``
-    if it has more digits than Python's int-to-str limit allows (0, or no
-    such limit: none); ``subject`` names it in the error line."""
+    """Refuse an integer, built or not, whose log10 is ``log10_value`` if it
+    has more digits than Python's int-to-str limit allows (0, or no such
+    limit: none); ``subject`` names it in the error line."""
     most, digits = getattr(sys, "get_int_max_str_digits", int)(), int(log10_value) + 1
     if 0 < most < digits:
         raise ValueError(f"{subject} has {digits} digits, past the {most}-digit int-to-str limit")
-
-
-def _refuse_long(subject: str, value: int) -> None:
-    """Refuse a positive integer, already built, before it is rendered, if
-    it has more digits than Python's int-to-str limit allows: exactly when
-    it is at least 10^limit, formed only past 3.32 limit bits (2^(3.32 limit)
-    < 10^limit). Its float log10 only names the digit count."""
-    most = getattr(sys, "get_int_max_str_digits", int)()
-    if 0 < most and value.bit_length() > 3.32 * most and value >= 10**most:
-        _refuse_unprintable(subject, max(math.log10(value), most))
 
 
 def _cmd_binomial_witness(args) -> tuple[list[dict], dict, str]:
@@ -243,11 +245,13 @@ def _refuse_unprintable_stage(k: int, scale: int, exponent: int) -> None:
     are counted from the exponent in float64. From 2^32 on, 5^exponent has
     over 2^31 digits, past the highest limit Python accepts (2^31 - 1), and
     no float of the exponent is formed."""
+    if exponent < 0:  # no stage's: the library refuses k < 1
+        return
     subject = f"stage {k}'s {scale} * 5^{exponent}"
     most = getattr(sys, "get_int_max_str_digits", int)()
     if most and exponent >= 1 << 32:
         raise ValueError(f"{subject} has over 2^31 digits, past the {most}-digit int-to-str limit")
-    if 0 <= exponent < 1 << 32:
+    if exponent < 1 << 32:
         _refuse_unprintable(subject, math.log10(scale) + exponent * math.log10(5))
 
 
@@ -320,9 +324,6 @@ def _cmd_equidist_scan(args) -> tuple[list[dict], dict, str]:
     res = eq.well_distribution_statistic(
         eq.parse_alpha(args.alpha, args.precision), args.k, args.limit, args.stride
     )
-    # the longest integer the row prints: the exact discrepancy is at most
-    # 1, and its denominator divides k times alpha's
-    _refuse_long("max_discrepancy_exact's denominator", res.max_discrepancy_exact.denominator)
     rows = [
         {
             **_alpha_cols(res.alpha),
@@ -345,10 +346,6 @@ def _cmd_equidist_scan(args) -> tuple[list[dict], dict, str]:
 def _cmd_equidist_approx(args) -> tuple[list[dict], dict, str]:
     alpha = eq.parse_alpha(args.alpha, args.precision)
     apx = eq.dirichlet_approx(alpha, args.Q)
-    # the longest integers the row prints: err's numerator is below its
-    # denominator, at most q times alpha's, and the bound's is qQ
-    _refuse_long("err's denominator", apx.err.denominator)
-    _refuse_long("qQ", apx.q * apx.Q)
     rows = [
         {
             **_alpha_cols(alpha),
@@ -504,9 +501,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         rows, meta, verdict = args.handler(args)
         command = f"{args.group} {args.cmd}"
         meta = {"command": command, "version": __version__, "params": _param_echo(args), **meta}
-        # inside the try: an int or Fraction past Python's int-to-str digit
-        # limit raises ValueError as it is rendered
-        text = _render(rows, meta, verdict, args.format)
+        try:
+            text = _render(rows, meta, verdict, args.format)
+        except ValueError:
+            _refuse_unprintable_cell(rows)
+            raise
     except (ValueError, TypeError, ResourceLimitError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -46,6 +46,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -54,7 +56,7 @@ from typing import Sequence
 import numpy as np
 
 from . import primes
-from .errors import VerificationError, reserve
+from .errors import VerificationError, _count, reserve
 from .primes import (
     PrimeTable,
     _nth_prime_bound,
@@ -73,7 +75,7 @@ _FRAC_BITS = 96
 _SCORE_ERR32 = 2.0**-20
 _SCORE_ERR = 2.0**-49
 
-# Peak bytes of a window scan, counted in three parts. Per scanned prime:
+# Peak bytes of a window scan, counted in four parts. Per scanned prime:
 # the two uint64 arrays of the fixed-point product, then its uint64 parts
 # beside the uint32 and float32 ones of the float32 tier, the window scores,
 # the prune's grid and per-offset arrays (O(windows / _GRID)) and the band;
@@ -88,20 +90,24 @@ _SCORE_ERR = 2.0**-49
 # case. Past 2^24 the primes the scan sieves for the call add their share,
 # within this count and the sieve's: 32.1 and 33.0 at 4e6 primes, golden and
 # alpha = 0. Per entry of one chunk of windows: the float32 tier's buffer and
-# the gathered rows scaled into it, or the kernel's float64 and float32
-# ramps, which are freed before the float64 band's chunk, its int64 rows
-# and float64 buffer, or its ramp (tracemalloc of the chunk scorer: float32
-# 8.1-8.9 with many rows and 16.0 with one; float64 16.1-18.6 at k = 10,
-# 50, 1,000, 20,000, 70,000 and 1e6). Per point of the one window re-scored
-# exactly at a time: _POINT_BYTES + 24 * (bits // 30), bits the bit length
-# of alpha's denominator. That covers the integer score of
-# ``_window_discrepancy``, whose primes, residues and scaled residues are
-# Python ints (tracemalloc per point at k = 10 / 50 / 2,000 / 200,000:
-# 110 / 60 / 48 / 48 with a 2-bit denominator, 150 / 93 / 81 / 84 with 31-
-# and 55-bit ones, 198 / 147 / 136 / 136 at 257 bits, 436 / 361 / 345 / 344
-# at 1,025 bits and 2,731 / 2,350 / 2,258 / 2,256 at 8,193 bits).
+# the gathered rows scaled into it, or the float64 band's chunk, its int64
+# rows and float64 buffer. Per point of a window: the ramp that the chunk
+# scorer builds once per call, float64 i/k and its float32 copy (12.0 at
+# k >= 1,000), or the float64 ramp alone (8.0). tracemalloc of the chunk
+# scorer per entry, its ramp included, at k = 10, 50, 1,000, 20,000,
+# 70,000 and 1e6: float32 8.1-9.4 with many rows and 16.0 with one, float64
+# 17.2-19.8 and 24.1-25.0 with one, within the two counts. Per point of
+# the one window re-scored exactly at a time: _POINT_BYTES + 24 * (bits //
+# 30), bits the bit length of alpha's denominator. That covers the integer
+# score of ``_window_discrepancy``, whose primes, residues and scaled
+# residues are Python ints (tracemalloc per point at k = 10 / 50 / 2,000 /
+# 200,000: 110 / 60 / 48 / 48 with a 2-bit denominator, 150 / 93 / 81 /
+# 84 with 31- and 55-bit ones, 198 / 147 / 136 / 136 at 257 bits, 436 /
+# 361 / 345 / 344 at 1,025 bits and 2,731 / 2,350 / 2,258 / 2,256 at 8,193
+# bits).
 _PART_BYTES = 28
 _ENTRY_BYTES = 24
+_RAMP_BYTES = 12
 _POINT_BYTES = 128
 # Peak bytes per point of ``window_sample``, with 16 more per 30 bits of
 # alpha's denominator: the point's prime and residue as Python ints, its
@@ -143,7 +149,9 @@ def parse_alpha(value: float | int | str | Fraction, precision_bits: int = DEFAU
     Accepted forms: Fraction/int (taken as-is), float (its exact dyadic
     value), decimal or 'a/b' strings (exact), 'sqrt:N' and 'golden'
     (rounded down to ``precision_bits`` fractional bits). ``precision_bits``
-    outside [1, 8192] is a ValueError, whatever the form.
+    outside [1, 8192] is a ValueError, whatever the form, as is a string
+    with a run of more digits than Python's int-to-str limit lets ``int``
+    read.
     """
     if not 1 <= precision_bits <= _MAX_ALPHA_BITS:
         raise ValueError(f"precision must be between 1 and {_MAX_ALPHA_BITS} bits")
@@ -158,15 +166,23 @@ def parse_alpha(value: float | int | str | Fraction, precision_bits: int = DEFAU
         if text == "golden":
             root5 = isqrt(5 << (2 * precision_bits))
             return Fraction((1 << precision_bits) + root5, 1 << (precision_bits + 1))
-        if text.startswith("sqrt:"):
-            n = int(text.split(":", 1)[1])
-            if n < 0:
-                raise ValueError("sqrt requires a nonnegative integer")
-            return Fraction(isqrt(n << (2 * precision_bits)), 1 << precision_bits)
         try:
+            if text.startswith("sqrt:"):
+                n = int(text.split(":", 1)[1])
+                if n < 0:
+                    raise ValueError("sqrt requires a nonnegative integer")
+                return Fraction(isqrt(n << (2 * precision_bits)), 1 << precision_bits)
             return Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"alpha {text!r} has a zero denominator") from None
+        except ValueError:
+            most = getattr(sys, "get_int_max_str_digits", int)()
+            run = max(map(len, re.findall(r"\d+", text)), default=0)
+            if 0 < most < run:
+                raise ValueError(
+                    f"alpha has a run of {run} digits, past the {most}-digit int-to-str limit"
+                ) from None
+            raise
     raise TypeError(f"cannot parse alpha from {type(value).__name__}")
 
 
@@ -232,16 +248,16 @@ def _ramp(k: int, dtype) -> np.ndarray:
     return ramp.astype(dtype, copy=False)
 
 
-def _discrepancy(xs: np.ndarray, out: np.ndarray, low: np.ndarray) -> np.ndarray:
+def _discrepancy(xs: np.ndarray, ramp: np.ndarray, out: np.ndarray, low: np.ndarray) -> np.ndarray:
     """Closed-form interval discrepancy along the last axis of a sorted
     float32 or float64 array, which it consumes: each x_i becomes
-    x_i - fl(i/k) in place, in the array's dtype (``_ramp``). The row
-    maxima and minima are reduced into the caller's ``out`` and ``low``,
-    arrays of that dtype and of the input's shape less its last axis, and
-    ``out`` is returned. Rounding can overshoot 1 by an ulp; the cap
-    removes it."""
+    x_i - fl(i/k) in place, read from ``ramp``, ``_ramp(k, dtype)`` in the
+    array's dtype. The row maxima and minima are reduced into the caller's
+    ``out`` and ``low``, arrays of that dtype and of the input's shape less
+    its last axis, and ``out`` is returned. Rounding can overshoot 1 by an
+    ulp; the cap removes it."""
     k = xs.shape[-1]
-    xs -= _ramp(k, xs.dtype)
+    xs -= ramp
     xs.max(axis=-1, out=out)
     xs.min(axis=-1, out=low)
     out -= low
@@ -328,15 +344,16 @@ def _score_windows(windows: np.ndarray, js: np.ndarray, rows: np.ndarray, scores
     b = 24 or 53 bits of precision). A window is a row of integers m, held
     exactly in float32 or int64, that stand for the parts m 2^-b; each
     chunk is gathered into ``rows``, scaled there, sorted in place and
-    scored by ``_discrepancy``."""
+    scored by ``_discrepancy`` against one ramp built for the call."""
     scale = 2.0 ** -(np.finfo(rows.dtype).nmant + 1)
+    ramp = _ramp(rows.shape[1], rows.dtype)
     high, low = np.empty(len(rows), rows.dtype), np.empty(len(rows), rows.dtype)
     for off in range(0, js.size, len(rows)):
         at = js[off : off + len(rows)]
         got = rows[: at.size]
         np.multiply(windows[at], scale, out=got)
         got.sort(axis=1)
-        scores[at] = _discrepancy(got, high[: at.size], low[: at.size])
+        scores[at] = _discrepancy(got, ramp, high[: at.size], low[: at.size])
 
 
 def _bounded_windows(scores: np.ndarray, r: int, stride: int, k: int, best: float) -> np.ndarray:
@@ -453,9 +470,10 @@ def well_distribution_statistic(
     up to the bound ``_nth_prime_bound(scan_limit + k)``: a slice of the
     prime cache while that bound is below 2^24, and a sieve for this call
     past it; the call itself holds nothing after it returns. A scanned
-    prime >= 2^32 is a ValueError. Its parts, one chunk of windows and one
-    exact window are counted through ``reserve`` before any prime is read;
-    the cache and the sieve count the primes.
+    prime >= 2^32 is a ValueError. Its parts, one chunk of windows, the
+    chunk scorer's ramp and one exact window are counted through
+    ``reserve`` before any prime is read; the cache and the sieve count the
+    primes.
     """
     if k < 1 or stride < 1 or scan_limit < 0:
         raise ValueError("need k >= 1, stride >= 1, scan_limit >= 0")
@@ -466,8 +484,9 @@ def well_distribution_statistic(
     reserve(
         _PART_BYTES * needed
         + _ENTRY_BYTES * k * min(n_windows, chunk)
+        + _RAMP_BYTES * k
         + k * (_POINT_BYTES + 24 * (a.denominator.bit_length() // 30)),
-        f"a scan of {n_windows} windows of {k} primes",
+        f"a scan of {_count(n_windows)} windows of {k} primes",
     )
     ps = _prime_list(_nth_prime_bound(needed))[:needed]
     if ps[-1] >> 32:

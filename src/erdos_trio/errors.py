@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the one memory guard."""
 
+import math
+
 # Bytes any one request-sized structure may take. ``reserve`` reads this
 # binding at call time, so rebinding it here changes every guarded site.
 DEFAULT_MEMORY_BUDGET = 2 * 1024**3
@@ -31,9 +33,29 @@ def reserve(need_bytes: int, what: str) -> None:
     included. It must fit in ``DEFAULT_MEMORY_BUDGET`` bytes, which is read
     at call time. A need of exactly the budget fits; one byte more raises
     ResourceLimitError with the message "<what> needs ~<need> bytes; budget
-    is <budget>".
+    is <budget>", or, for a need too long for Python to print, "<what>
+    needs ~a <d>-digit number of bytes; budget is <budget>".
     """
     if need_bytes > DEFAULT_MEMORY_BUDGET:
         raise ResourceLimitError(
-            f"{what} needs ~{need_bytes} bytes; budget is {DEFAULT_MEMORY_BUDGET}"
+            f"{what} needs ~{_count(need_bytes)} bytes; budget is {DEFAULT_MEMORY_BUDGET}"
         )
+
+
+def _count(n: int) -> str:
+    """``n`` in digits, or "a <d>-digit number of" if it has more digits
+    than Python's int-to-str limit allows; either reads before a plural."""
+    try:
+        return f"{n}"
+    except ValueError:
+        return f"a {_digits(n)}-digit number of"
+
+
+def _digits(value: int) -> int:
+    """The exact number of decimal digits of an int (0 for 0), counted
+    without ``str``, which Python refuses past its int-to-str limit."""
+    value = abs(value)
+    digits = int((value.bit_length() - 1) * math.log10(2))  # at most the count
+    while value >= 10**digits:
+        digits += 1
+    return digits

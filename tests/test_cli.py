@@ -218,6 +218,12 @@ def test_equidist_cluster_bad_delta(capsys):
         # scan or a cluster row either
         ("equidist", "scan", "--alpha", "1e400", "--k", "5", "--limit", "10"),
         ("equidist", "cluster", "--alpha", "1e400", "--delta", "0.2", "--m", "3", "--limit", "1000"),
+        # the representations of a 4,300-digit n need a 4,301-digit number
+        # of bytes, stated by its digit count
+        ("basis", "reps", "--n", "1" + "0" * 4299),
+        # alpha's denominator, 10^4300, has 4,301 digits: refused as the row
+        # renders, naming the alpha column
+        ("equidist", "cluster", "--alpha", "1e-4300", "--delta", "0.2", "--m", "3", "--limit", "1000"),
     ],
 )
 def test_unservable_request_is_one_line_usage_error(capsys, argv):
@@ -307,12 +313,13 @@ def test_witness_refused_past_the_int_to_str_limit(capsys, monkeypatch):
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_approx_refused_past_the_int_to_str_limit(capsys, fmt):
-    """``equidist approx`` refuses, before rendering, a row whose err or
-    1/(qQ) has a denominator past the int-to-str limit. For golden at 8,192
-    bits, Q one below the first convergent denominator whose err's
-    denominator has 4,301 digits keeps the last convergent, whose err's has
-    4,299, and prints; that Q is refused. For 1/7, qQ = 7Q has 4,300 digits
-    up to Q = ceil(10^4300 / 7) - 1 and 4,301 from there."""
+    """``equidist approx`` refuses, as the row renders, a row whose err or
+    bound_1_over_qQ has a denominator past the int-to-str limit, naming its
+    column. For golden at 8,192 bits, Q one below the first convergent
+    denominator whose err's denominator has 4,301 digits keeps the last
+    convergent, whose err's has 4,299, and prints; that Q is refused. For
+    1/7, qQ = 7Q has 4,300 digits up to Q = ceil(10^4300 / 7) - 1 and 4,301
+    from there."""
     alpha = equidistribution.parse_alpha("golden", 8192)
     q = next(
         q
@@ -329,7 +336,7 @@ def test_approx_refused_past_the_int_to_str_limit(capsys, fmt):
         assert code == EXIT_OK and out
         assert main(["--format", fmt, *tail, "--Q", str(refused)]) == EXIT_USAGE
         captured = capsys.readouterr()
-        subject = "err's denominator" if tail[-1] == "golden" else "qQ"
+        subject = "err's denominator" if tail[-1] == "golden" else "bound_1_over_qQ's denominator"
         assert captured.out == "" and captured.err == (
             f"error: {subject} has 4301 digits, past the 4300-digit int-to-str limit\n"
         )
@@ -337,7 +344,7 @@ def test_approx_refused_past_the_int_to_str_limit(capsys, fmt):
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 def test_scan_refused_past_the_int_to_str_limit(capsys, fmt):
-    """``equidist scan`` refuses, before rendering, a row whose exact
+    """``equidist scan`` refuses, as the row renders, a row whose exact
     discrepancy has a denominator past the int-to-str limit. alpha =
     0.1...17 has the 4,300-digit denominator 10^4299; over its first 10
     primes the k = 7 window's discrepancy has a 4,300-digit denominator and

@@ -6,11 +6,18 @@ malformed values, and junk tokens dropped in anywhere. Whatever the input,
 ``main`` must return 0, 1, 2 or 3 (argparse's own ``--help`` exit counts as
 0) and must not let an exception escape, which the console script would
 print as a traceback.
+
+A second property runs every subcommand with values at Python's 4,300-digit
+int-to-str limit and past float range, and a sweep runs each such flag at
+its edges: every run exits 0 or 3, or exits 1 with one ``error:`` line in
+the package's own words.
 """
 
 import contextlib
 import io
+import math
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -96,3 +103,117 @@ def test_cli_argv_fuzz(tmp_path_factory, argv):
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, code, stderr.getvalue())
     assert "Traceback" not in stderr.getvalue(), argv
+
+
+# Values at Python's 4,300-digit int-to-str limit: alphas a/b whose b has
+# 4,000 to 4,300 digits, decimals of 4,290 to 4,310 places, 1e-4300 (whose
+# denominator has 4,301 digits) and +-1e400, past float range; and ints of
+# 4,300 digits, the longest argparse reads, of either sign.
+LONG = {
+    "alpha": st.one_of(
+        st.builds("{}/{}".format, st.integers(-(10**6), 10**6), st.integers(10**3999, 10**4300 - 1)),
+        st.builds(
+            lambda head, places, digit: head + digit * (places - 1) + "7",
+            st.sampled_from(["0.", "-0.", "1.", "-12.", "."]),
+            st.sampled_from(range(4290, 4311)),
+            st.sampled_from("0123456789"),
+        ),
+        st.sampled_from(["1e-4300", "1e400", "-1e400"]),
+    ),
+    "int": st.one_of(
+        st.integers(10**4299, 10**4300 - 1), st.sampled_from([10**4300 - 1, 10**4299])
+    ).flatmap(lambda v: st.sampled_from([str(v), f"-{v}"])),
+}
+# The flags that take a long value: every alpha, and the ints whose cost
+# does not grow with their value (an f(n) or certificate n, a
+# representations n, an f-scan's first n and the limit of a search that may
+# find nothing do grow, and stay small).
+LONG_FLAGS = {
+    ("binomial", "f-scan"): ["--to", "--stride"],
+    ("binomial", "witness"): ["--K"],
+    ("basis", "cover"): ["--k"],
+    ("basis", "rigidity"): ["--k"],
+    ("basis", "gaps"): ["--k"],
+    ("equidist", "scan"): ["--alpha", "--k", "--limit", "--stride"],
+    ("equidist", "approx"): ["--alpha", "--Q"],
+    ("equidist", "string"): ["--q", "--a", "--m"],
+    ("equidist", "cluster"): ["--alpha", "--m"],
+}
+# every command, with each of its long flags or, if it has none, alone
+SITES = [(command, flag) for command in sorted(COMMANDS) for flag in LONG_FLAGS.get(command, [None])]
+PYTHON_WORDINGS = (
+    "Exceeds the limit", "integer string conversion", "too large for a float", "int too large to convert"
+)
+
+
+@st.composite
+def long_argvs(draw):
+    """One command with one long flag, each of its other long flags long
+    one time in four, and small values elsewhere."""
+    (group, cmd), chosen = draw(st.sampled_from(SITES))
+    argv = ["--format", draw(st.sampled_from(["table", "csv", "json"])), group, cmd]
+    for flag, kind in COMMANDS[group, cmd].items():
+        long = flag == chosen or (flag in LONG_FLAGS.get((group, cmd), []) and not draw(st.integers(0, 3)))
+        argv.append(f"{flag}={draw(LONG[kind] if long else VALUES[kind])}")  # "=": a value may start with -
+    return argv
+
+
+def _ends_in_the_package_words(argv: list[str]) -> None:
+    """The run exits 0 or 3, or exits 1 with one ``error:`` line, and
+    Python's own wording of the int-to-str limit or of a float overflow
+    never reaches the user."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    err = stderr.getvalue()
+    assert code in (0, 1, 3), (argv, code, err)
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not [w for w in PYTHON_WORDINGS if w in err], err[:300]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=long_argvs())
+def test_values_at_the_int_to_str_limit_end_in_the_package_words(argv):
+    """Whatever value is too long to print or too large for a float, every
+    subcommand ends in a documented exit and the package's own words."""
+    _ends_in_the_package_words(argv)
+
+
+# a small valid value for each flag, and the edges of each long kind
+SMALL = {
+    "--n": "10", "--from": "2", "--to": "5", "--stride": "1", "--C": "6.21", "--K": "5", "--k": "3",
+    "--rule": "alternating", "--alpha": "golden", "--Q": "10", "--q": "4", "--a": "1", "--m": "2",
+    "--limit": "1000", "--delta": "0.2",
+}
+EDGES = {
+    "int": [str(10**4300 - 1), str(1 - 10**4300), str(10**4299)],
+    "alpha": ["1e-4300", "1e400", "-1e400", "0." + "3" * 4300, "0." + "3" * 4301, "1/" + "9" * 4300,
+              "-7/" + "3" * 4000],
+}
+
+
+@pytest.mark.parametrize("site", SITES, ids=lambda site: " ".join([*site[0], site[1] or ""]).strip())
+def test_each_long_flag_at_its_edges_ends_in_the_package_words(site):
+    """Each long flag of each command, at each edge of its kind, the other
+    flags small and valid, ends as the property above says."""
+    (group, cmd), chosen = site
+    for value in EDGES[COMMANDS[group, cmd][chosen]] if chosen else [None]:
+        _ends_in_the_package_words(
+            [group, cmd, *(f"{flag}={value if flag == chosen else SMALL[flag]}" for flag in COMMANDS[group, cmd])]
+        )
+
+
+def test_digit_count_is_exact_past_the_limit(capsys):
+    """An alpha of 10^4301 - 1 over 10^4301, written with no run of digits
+    past the limit, parses; its numerator has 4,301 digits, though its float
+    log10 is 4301.0, and the refusal counts them exactly. The same value
+    written as 0.9...9 has a run of 4,301 digits, and is refused as it is
+    parsed."""
+    assert math.log10(10**4301 - 1) == 4301.0
+    for alpha, subject in (
+        ("9" * 2200 + "." + "9" * 2101 + "e-2200", "alpha's numerator has 4301 digits"),
+        ("0." + "9" * 4301, "alpha has a run of 4301 digits"),
+    ):
+        assert main(["equidist", "approx", "--alpha", alpha, "--Q", "10"]) == 1
+        assert capsys.readouterr().err == f"error: {subject}, past the 4300-digit int-to-str limit\n"

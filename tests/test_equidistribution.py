@@ -26,7 +26,7 @@ from erdos_trio import (
     well_distribution_statistic,
     window_sample,
 )
-from erdos_trio import PrimeString, equidistribution, primes
+from erdos_trio import PrimeString, equidistribution, errors, primes
 from erdos_trio.equidistribution import (
     _SCORE_ERR,
     _SCORE_ERR32,
@@ -212,7 +212,7 @@ def test_float_batch_rows_within_E_of_exact_discrepancy():
             batch[::2, k // 2] = batch[::2, k // 2 - 1]  # force duplicates
         batch[1::5, 0] = 0.0
         out, low = np.empty(40), np.empty(40)
-        ds = _discrepancy(batch.copy(), out, low)
+        ds = _discrepancy(batch.copy(), _ramp(k, np.float64), out, low)
         assert ds is out and ds.shape == (40,)
         for row, d in zip(batch, ds.tolist()):
             exact = interval_discrepancy(list(row))
@@ -237,7 +237,7 @@ def test_float32_batch_rows_within_E32_of_exact_discrepancy(table_1e5):
             batch[::2, k // 2] = batch[::2, k // 2 - 1]  # force duplicates
         batch[1::5, 0] = 0.0
         out, low = np.empty(40, np.float32), np.empty(40, np.float32)
-        ds = _discrepancy(batch.copy(), out, low)
+        ds = _discrepancy(batch.copy(), _ramp(k, np.float32), out, low)
         assert ds is out and ds.dtype == np.float32
         for row, d in zip(batch, ds.tolist()):
             exact = interval_discrepancy(row.tolist())
@@ -250,7 +250,7 @@ def test_float32_batch_rows_within_E32_of_exact_discrepancy(table_1e5):
             starts = range(0, ps.size - k + 1, 97)
             rows = np.sort(np.stack([parts[n : n + k] for n in starts]), axis=1)
             out, low = np.empty(len(rows), np.float32), np.empty(len(rows), np.float32)
-            for n, d in zip(starts, _discrepancy(rows, out, low).tolist()):
+            for n, d in zip(starts, _discrepancy(rows, _ramp(k, np.float32), out, low).tolist()):
                 exact = _window_discrepancy(alpha, ps[n : n + k].tolist())
                 assert abs(exact - Fraction(d)) <= Fraction(_SCORE_ERR32), (alpha, k, n)
 
@@ -623,12 +623,12 @@ def test_scan_refuses_primes_from_2_to_the_32(monkeypatch):
 
 
 def test_scan_memory_budget():
-    """A scan counts its parts, one chunk of windows and the exact re-check
-    before it reads a prime, covering what tracemalloc measures with its
-    primes read from the cache, among them a scan whose every window is in
-    both float bands, so that the float64 tier scores full chunks. Past 2^24
-    its primes are sieved for the call, and the whole peak is within its
-    count and the sieve's."""
+    """A scan counts its parts, one chunk of windows, the chunk scorer's
+    ramp and the exact re-check before it reads a prime, covering what
+    tracemalloc measures with its primes read from the cache, among them a
+    scan whose every window is in both float bands, so that the float64
+    tier scores full chunks. Past 2^24 its primes are sieved for the call,
+    and the whole peak is within its count and the sieve's."""
     eq = equidistribution
     for alpha, k, limit, stride in (("golden", 10, 20000, 1), ("sqrt:2", 10, 10**5, 100),
                                     (Fraction(1, 7), 300, 2000, 1), ("golden", 2000, 0, 1),
@@ -638,6 +638,7 @@ def test_scan_memory_budget():
         need = (
             eq._PART_BYTES * (limit + k)
             + eq._ENTRY_BYTES * k * min(windows, eq._CHUNK_ENTRIES // k)
+            + eq._RAMP_BYTES * k
             + k * (eq._POINT_BYTES + 24 * (a.denominator.bit_length() // 30))
         )
         scan = lambda: well_distribution_statistic(a, k, limit, stride)  # noqa: E731
@@ -650,6 +651,7 @@ def test_scan_memory_budget():
     need = (
         eq._PART_BYTES * (limit + k)
         + eq._ENTRY_BYTES * k * (eq._CHUNK_ENTRIES // k)
+        + eq._RAMP_BYTES * k
         + k * (eq._POINT_BYTES + 24 * (bits // 30))
     )
     assert bound >= 1 << 24 and sieved <= need  # the sieve runs under a budget of the scan's count
@@ -763,6 +765,29 @@ def test_prime_string_memory_budget(monkeypatch):
     with pytest.raises(ResourceLimitError):
         find_prime_string(4, 1, 10**9, 10**12)
     assert time.perf_counter() - start < 1.0
+
+
+def test_prime_string_refusal_past_the_int_to_str_limit():
+    """A carry of 10^4299 - 1 primes needs more bytes than Python prints:
+    the refusal keeps its start and its end and states the need by its
+    exact digit count."""
+    limit = 10**4299
+    need = primes.SEGMENT_SPAN // 2 + equidistribution._RUN_BYTES * (
+        primes._prime_count_bound(primes.SEGMENT_SPAN) + limit - 1
+    )
+    most = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        digits = len(str(need))
+    finally:
+        sys.set_int_max_str_digits(most)
+    assert digits > most
+    with pytest.raises(ResourceLimitError) as refused:
+        find_prime_string(4, 1, limit, limit)
+    assert str(refused.value) == (
+        f"a prime-string search to {limit} needs ~a {digits}-digit number of bytes; "
+        f"budget is {errors.DEFAULT_MEMORY_BUDGET}"
+    )
 
 
 def test_dirichlet_examples():

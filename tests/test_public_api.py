@@ -21,7 +21,8 @@ Within each package module, every top-level import must be read as a
 one refusal: only ``errors.reserve`` raises ``ResourceLimitError``. Every
 ``raise VerificationError`` is registered with a test that makes it fire,
 and every ``reserve`` call with a test that checks its count. Every flag
-of the command line parser is read by ``cli.py``. The oracles in
+of the command line parser is read by ``cli.py``, and only the rendering
+gate of ``cli.py`` formats a row cell. The oracles in
 ``tests/oracles.py`` import nothing from the package.
 """
 
@@ -182,6 +183,20 @@ def test_every_cli_flag_is_read():
     assert dests
     assert sorted(dests - read - UNREAD_FLAGS) == [], f"flags never read as args.<dest>: {sorted(dests - read)}"
     assert UNREAD_FLAGS <= dests
+
+
+# The one gate where row values become text: the renderer, the JSON hook
+# it hands Fractions to, and the cold path that names an unprintable cell.
+FORMATTERS = {"cli._render", "cli._json_default", "cli._refuse_unprintable_cell"}
+
+
+def test_row_values_become_text_in_one_gate():
+    """``cli._fmt`` is read only by the functions of FORMATTERS, so no
+    command handler formats a cell itself, past the gate that refuses a
+    cell too long to print."""
+    readers = set(_sites(lambda node: isinstance(node, ast.Name) and node.id == "_fmt"))
+    assert "cli._render" in readers
+    assert readers <= FORMATTERS, f"_fmt read outside the gate: {sorted(readers - FORMATTERS)}"
 
 
 def test_oracles_import_nothing_from_the_package():

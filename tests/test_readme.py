@@ -86,6 +86,7 @@ REFUSALS = [
     ("`basis reps` (`--n 1000000000`", "basis reps --n 1000000000",
      "rendering 37109378 representations needs ~"),
     ("or a 1,001-digit `--n`", "basis reps --n 1" + "0" * 1000, "rendering "),
+    ("a 4,300-digit `--n`", "basis reps --n 1" + "0" * 4299, "rendering "),
     ("`binomial f-scan` (`--from 1 --to 1000000000000`", "binomial f-scan --from 1 --to 1000000000000",
      "an f-scan of 1000000000000 rows needs ~"),
     ("(`equidist approx --alpha 1e400`)", "equidist approx --alpha 1e400 --Q 10",
@@ -103,6 +104,18 @@ REFUSALS = [
     ("`--alpha 0.1...17` of 4,299 decimals, `--k 11` and `--limit 10`",
      f"equidist scan --alpha 0.{'1' * 4298}7 --k 11 --limit 10",
      "max_discrepancy_exact's denominator has 4301 digits, past the 4300-digit int-to-str limit"),
+    ("`equidist cluster --alpha 1e-4300 --delta 0.2 --m 3 --limit 1000`", None,
+     "alpha's denominator has 4301 digits, past the 4300-digit int-to-str limit\n"),
+    ("an `--alpha` of 4,300 decimal places",
+     f"equidist cluster --alpha 0.{'3' * 4300} --delta 0.2 --m 3 --limit 1000",
+     "alpha's denominator has 4301 digits, past the 4300-digit int-to-str limit\n"),
+    ("refused as it is parsed, `alpha has a run of <d> digits`",
+     f"equidist approx --alpha 0.{'3' * 4301} --Q 10",
+     "alpha has a run of 4301 digits, past the 4300-digit int-to-str limit\n"),
+    ("`equidist scan --alpha golden --k 5 --limit <4300 nines>`",
+     f"equidist scan --alpha golden --k 5 --limit {'9' * 4300}",
+     "a scan of a 4301-digit number of windows of 5 primes needs ~a 4302-digit number of bytes; "
+     "budget is 2147483648\n"),
     ("`binomial witness` refuses such a `--K`, from 4,999 up", "binomial witness --K 4999",
      "M_4999 has 4304 digits, past the 4300-digit int-to-str limit"),
     ("so `--K 1000000` ends at once", "binomial witness --K 1000000",
