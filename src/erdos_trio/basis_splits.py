@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Literal, Sequence
 
-from .errors import VerificationError, reserve
+from .errors import VerificationError, _count, _number, reserve
 
 Kind = Literal["core", "c", "B", "F", "none"]
 
@@ -152,7 +152,7 @@ def enumerate_A(limit: int) -> list[int]:
     """
     intervals = stage_intervals(limit)
     count = sum(hi - lo + 1 for lo, hi in intervals)
-    reserve(_ELEMENT_BYTES * count, f"the list of {count} elements of A up to {limit}")
+    reserve(_ELEMENT_BYTES * count, f"the list of {_count(count)} elements of A up to {_number(limit)}")
     out: list[int] = []
     for lo, hi in intervals:
         out.extend(range(lo, hi + 1))

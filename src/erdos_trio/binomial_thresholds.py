@@ -28,7 +28,7 @@ from typing import Literal
 import numpy as np
 
 from . import primes
-from .errors import VerificationError, reserve
+from .errors import VerificationError, _number, reserve
 from .primes import _prime_count_bound, _prime_ints, _segments, is_prime
 
 # Default certificate constant: 24/(pi^2 - 6) + 0.01, slightly above the
@@ -218,7 +218,7 @@ def valuation_row(
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    reserve(_ROW_BYTES * (n + 1), f"valuation_row(n={n})")
+    reserve(_ROW_BYTES * (n + 1), f"valuation_row(n={_number(n)})")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     bits = int(n).bit_length()

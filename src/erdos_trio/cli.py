@@ -320,10 +320,17 @@ def _cmd_basis_reps(args) -> tuple[list[dict], dict, str]:
 # --------------------------------------------------------------------------
 # equidist group
 
+def _alpha(args) -> Fraction:
+    """``--alpha`` parsed at ``--precision`` bits; a text of none of the
+    accepted forms is refused naming the flag."""
+    try:
+        return eq.parse_alpha(args.alpha, args.precision)
+    except eq._MalformedAlpha as exc:
+        raise ValueError(f"--{exc}") from None
+
+
 def _cmd_equidist_scan(args) -> tuple[list[dict], dict, str]:
-    res = eq.well_distribution_statistic(
-        eq.parse_alpha(args.alpha, args.precision), args.k, args.limit, args.stride
-    )
+    res = eq.well_distribution_statistic(_alpha(args), args.k, args.limit, args.stride)
     rows = [
         {
             **_alpha_cols(res.alpha),
@@ -344,7 +351,7 @@ def _cmd_equidist_scan(args) -> tuple[list[dict], dict, str]:
 
 
 def _cmd_equidist_approx(args) -> tuple[list[dict], dict, str]:
-    alpha = eq.parse_alpha(args.alpha, args.precision)
+    alpha = _alpha(args)
     apx = eq.dirichlet_approx(alpha, args.Q)
     rows = [
         {
@@ -373,7 +380,7 @@ def _cmd_equidist_string(args) -> tuple[list[dict], dict, str]:
 
 
 def _cmd_equidist_cluster(args) -> tuple[list[dict], dict, str]:
-    alpha = eq.parse_alpha(args.alpha, args.precision)
+    alpha = _alpha(args)
     rep = eq.cluster_verify(alpha, args.delta, args.m, args.limit)
     row = {
         **_alpha_cols(alpha),

@@ -13,12 +13,15 @@ number of bits), {alpha p} is an exact rational reduced mod 1, and the
 clustering inequalities are re-checked in exact arithmetic before a
 witness is reported. Floats only pick which windows a scan scores exactly.
 
-A clustering witness is found by reading the primes in order, one sieve
-segment at a time, so a witness near the start costs a small sieve at any
-limit and a search holds no table. One exact fact also ends a search early:
+A clustering witness is found by reading the stream of primes in order,
+one span at a time: below 2^24 slices of the package's prime cache, past it
+sieve segments. A witness near the start costs one small span at any limit,
+and a search holds no table. One exact count also ends a search early:
 every run of m >= 2 consecutive primes in one class mod q >= 2 is of odd
-primes, so it is at least lcm(2, q)(m - 1) wide, and a diameter budget (or
-a limit) below that rules the class out.
+primes, so it is at least lcm(2, q)(m - 1) wide; for q >= 3 with 3 not
+dividing q its primes also miss the multiples of 3, which makes it at least
+lcm(2, q)(3 ((m - 1) // 2) + (m - 1) % 2) wide. A diameter budget (or a
+limit) below that rules the class out.
 
 Interval discrepancy has a closed form (Kuipers & Niederreiter, Uniform
 Distribution of Sequences, 1974, Ch. 2, Thm 1.4): for sorted x_1..x_k in
@@ -56,14 +59,14 @@ from typing import Sequence
 import numpy as np
 
 from . import primes
-from .errors import VerificationError, _count, reserve
+from .errors import VerificationError, _count, _number, reserve
 from .primes import (
     PrimeTable,
     _nth_prime_bound,
     _prime_count_bound,
     _prime_list,
-    _segments,
     _spans,
+    _stream,
 )
 
 # A scan's fractional parts are the top 64 bits of 96-bit fixed-point
@@ -143,15 +146,20 @@ DEFAULT_ALPHA_BITS = 256
 _MAX_ALPHA_BITS = 8192
 
 
+class _MalformedAlpha(ValueError):
+    """An alpha string of none of the forms ``parse_alpha`` accepts."""
+
+
 def parse_alpha(value: float | int | str | Fraction, precision_bits: int = DEFAULT_ALPHA_BITS) -> Fraction:
     """Parse alpha into an exact Fraction.
 
     Accepted forms: Fraction/int (taken as-is), float (its exact dyadic
-    value), decimal or 'a/b' strings (exact), 'sqrt:N' and 'golden'
-    (rounded down to ``precision_bits`` fractional bits). ``precision_bits``
-    outside [1, 8192] is a ValueError, whatever the form, as is a string
-    with a run of more digits than Python's int-to-str limit lets ``int``
-    read.
+    value), decimal or 'a/b' strings (exact), 'sqrt:N' with N >= 0 and
+    'golden' (rounded down to ``precision_bits`` fractional bits).
+    ``precision_bits`` outside [1, 8192] is a ValueError, whatever the form,
+    as is a string with a run of more digits than Python's int-to-str limit
+    lets ``int`` read, and a string of none of the forms, which raises
+    ``_MalformedAlpha``, naming them.
     """
     if not 1 <= precision_bits <= _MAX_ALPHA_BITS:
         raise ValueError(f"precision must be between 1 and {_MAX_ALPHA_BITS} bits")
@@ -167,12 +175,11 @@ def parse_alpha(value: float | int | str | Fraction, precision_bits: int = DEFAU
             root5 = isqrt(5 << (2 * precision_bits))
             return Fraction((1 << precision_bits) + root5, 1 << (precision_bits + 1))
         try:
-            if text.startswith("sqrt:"):
-                n = int(text.split(":", 1)[1])
-                if n < 0:
-                    raise ValueError("sqrt requires a nonnegative integer")
+            if not text.startswith("sqrt:"):
+                return Fraction(text)
+            n = int(text.split(":", 1)[1])
+            if n >= 0:
                 return Fraction(isqrt(n << (2 * precision_bits)), 1 << precision_bits)
-            return Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"alpha {text!r} has a zero denominator") from None
         except ValueError:
@@ -182,7 +189,7 @@ def parse_alpha(value: float | int | str | Fraction, precision_bits: int = DEFAU
                 raise ValueError(
                     f"alpha has a run of {run} digits, past the {most}-digit int-to-str limit"
                 ) from None
-            raise
+        raise _MalformedAlpha(f"alpha {text!r} is not a decimal, a/b, sqrt:N with N >= 0 or golden")
     raise TypeError(f"cannot parse alpha from {type(value).__name__}")
 
 
@@ -209,7 +216,7 @@ def window_sample(alpha: float | int | str | Fraction, n: int, k: int) -> tuple[
     if n < 0:
         raise ValueError("start index must be >= 0")
     a = parse_alpha(alpha)
-    reserve(k * (_SAMPLE_BYTES + 16 * (a.denominator.bit_length() // 30)), f"a sample of {k} points")
+    reserve(k * (_SAMPLE_BYTES + 16 * (a.denominator.bit_length() // 30)), f"a sample of {_count(k)} points")
     ps = _prime_list(_nth_prime_bound(n + k))[n : n + k].tolist()
     return tuple(Fraction(r, a.denominator) for r in _sorted_residues(a, ps))
 
@@ -625,16 +632,16 @@ def find_prime_string(
     the package's one prime-string search: each rung of ``cluster_verify``
     is a call, whose convergent a/q passes the argument checks.
 
-    The search reads the primes in ascending order, one segment of
-    ``primes._spans(limit)`` at a time, sieved, or sliced from ``table`` at
+    The search reads the primes in ascending order, one span of
+    ``primes._spans(limit)`` at a time, from ``primes._stream`` (slices of
+    the prime cache below 2^24, sieved past it), or sliced from ``table`` at
     the same bounds, and carries the last m - 1 primes across each
-    boundary, so the first run found is the first overall. Every run but
-    (2, 3, ..., p_m) is of odd primes in one class mod q, so its consecutive
-    primes differ by at least lcm(2, q); a ``max_diameter`` or a limit below
-    lcm(2, q)(m - 1) ends the search once p_m is read. One whole segment
-    and the carry are counted through ``reserve``, whatever the limit, so a
-    search is bounded by time, not memory: it reads the primes to 1e9 in
-    ~4.1 s on a 2-core x86 host.
+    boundary, so the first run found is the first overall. A
+    ``max_diameter`` or a limit below ``_narrowest_run(q, m)``, the width
+    of every run but (2, 3, ..., p_m) at least, ends the search once p_m is
+    read. One whole segment and the carry are counted through ``reserve``,
+    whatever the limit, so a search is bounded by time, not memory: it
+    reads the primes to 1e9 in ~4.8 s on a 2-core x86 host.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -644,18 +651,16 @@ def find_prime_string(
         raise ValueError("m must be >= 1")
     carried = min(m - 1, _prime_count_bound(limit))
     need = primes.SEGMENT_SPAN // 2 + _RUN_BYTES * (_prime_count_bound(primes.SEGMENT_SPAN) + carried)
-    reserve(need, f"a prime-string search to {limit}")
+    reserve(need, f"a prime-string search to {_number(limit)}")
     if table is None:
-        segments = _segments(limit)
+        segments = _stream(limit)
     elif table.limit < limit:
-        raise ValueError(f"table limit {table.limit} is below search limit {limit}")
+        raise ValueError(f"table limit {table.limit} is below search limit {_number(limit)}")
     else:
         segments = (table.primes[slice(*np.searchsorted(table.primes, span))] for span in _spans(limit))
     a %= q
-    # every run but (2, 3, ..., p_m) is of odd primes in one class mod q, so
-    # it is at least lcm(2, q)(m - 1) wide; a run below the limit is narrower
     widest = limit if max_diameter is None else min(max_diameter, limit)
-    too_tight = widest < math.lcm(2, q) * (m - 1)
+    too_tight = widest < _narrowest_run(q, m)
     carry, r = np.empty(0, dtype=np.int64), 0  # r: the index of carry[0] among the primes
     for segment in segments:
         ps = np.concatenate((carry, segment))
@@ -679,6 +684,25 @@ def find_prime_string(
         r += ps.size - keep
         del ps  # before the next segment is sieved
     return None
+
+
+def _narrowest_run(q: int, m: int) -> int:
+    """A lower bound on the width of every run of m consecutive primes in
+    one class mod q but (2, 3, ..., p_m).
+
+    Such a run is of odd primes, so its primes are p + c_i lcm(2, q) with
+    0 = c_1 < ... < c_m. For q >= 3 it also misses 3: 2, 3 and 5 are
+    consecutive primes, and neither 3 - 2 nor 5 - 3 is a multiple of q. If
+    moreover 3 does not divide q, lcm(2, q) is a unit mod 3 and no prime of
+    the run is 0 mod 3, so the c_i miss the class of -p / lcm(2, q), which
+    is not the class of c_1 = 0: at most two of any three consecutive
+    integers are c_i, and c_m >= 3 ((m - 1) // 2) + (m - 1) % 2, which
+    (89, 97, 101) mod 4 attains. Otherwise c_m >= m - 1, which (47, 53, 59)
+    mod 3 attains. This is the admissibility of prime k-tuples (Hardy &
+    Littlewood, Acta Math. 44, 1923) at the prime 3.
+    """
+    steps = 3 * ((m - 1) // 2) + (m - 1) % 2 if q >= 3 and q % 3 else m - 1
+    return math.lcm(2, q) * steps
 
 
 @dataclass(frozen=True)
@@ -728,11 +752,13 @@ def cluster_verify(
     VerificationError. A ladder with no run is a soft failure.
 
     Each rung is one ``find_prime_string`` call with the rung's a, q and
-    diameter budget; it streams the primes from 2 (or slices ``table``) and
-    stops at its run, and a rung whose diameter budget is below
-    lcm(2, q)(m - 1) stops once it has read p_m. The window check scores
-    the run's own primes, which are the window, so no table is held between
-    rungs. Each rung counts its search through ``reserve`` before it sieves.
+    diameter budget; it reads the primes from 2, from the prime cache below
+    2^24 and sieved past it (or slices ``table``), and stops at its run,
+    and a rung whose diameter budget is below the narrowest run it could
+    hold (``_narrowest_run``) stops once it has read p_m. The window check
+    scores the run's own primes, which are the window, so no table is held
+    between rungs. Each rung counts its search through ``reserve`` before
+    it reads.
     """
     a = parse_alpha(alpha)
     d = Fraction(delta)

@@ -42,13 +42,19 @@ def reserve(need_bytes: int, what: str) -> None:
         )
 
 
-def _count(n: int) -> str:
-    """``n`` in digits, or "a <d>-digit number of" if it has more digits
-    than Python's int-to-str limit allows; either reads before a plural."""
+def _number(n: int) -> str:
+    """``n`` in digits, or "a <d>-digit number" if it has more digits than
+    Python's int-to-str limit allows."""
     try:
         return f"{n}"
     except ValueError:
-        return f"a {_digits(n)}-digit number of"
+        return f"a {_digits(n)}-digit number"
+
+
+def _count(n: int) -> str:
+    """``_number(n)`` before a plural: "a <d>-digit number of" past the limit."""
+    text = _number(n)
+    return text if text[-1].isdigit() else f"{text} of"
 
 
 def _digits(value: int) -> int:

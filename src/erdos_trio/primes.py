@@ -8,12 +8,16 @@ read-only int64 array: below 2^24 a prefix of the package's one prime
 cache, one array per power of two, and past it a sieve for the call;
 ``_prime_ints`` counts and serves them as a list of Python ints.
 
-There is one sieve, ``_segments``: the primes in ascending order, one
-segment at a time, marking odd integers with the base primes each segment
-reads. Spans double from ``_FIRST_SPAN`` up to ``SEGMENT_SPAN``, so a
-reader that stops early sieves little at any limit. ``sieve_primes`` and
-the cached arrays join the segments; prime-string searches and the
-averaging certificate read the stream and hold no table.
+There is one sieve, ``_segments``: the primes in ascending order from 0
+or from a later even start, one segment at a time, marking odd integers
+with the base primes each segment reads. Spans double from ``_FIRST_SPAN``
+up to ``SEGMENT_SPAN``, so a reader that stops early sieves little at any
+limit. ``sieve_primes`` joins the segments from 0, and each cached array
+joins the one below it with the segments from the power of two it starts
+at, so no cached prime is sieved again. ``_stream`` serves the primes one
+span at a time: below 2^24 as slices of the cache, and past it from the
+sieve. Prime-string searches read the stream, and the averaging
+certificate the sieve's segments; neither holds a table.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import reserve
+from .errors import _number, reserve
 
 # Integers covered by one sieve segment (even+odd): 2**23 odds, 8 MiB of mask.
 SEGMENT_SPAN = 1 << 24
@@ -46,7 +50,12 @@ _CACHE_BITS = 24
 # 18.0 per prime of the bound at 1e3, 14.6 at 1e4, 13.4 at 1e6, 13.2 at 1e7
 # and 2^24 and 13.1 at 3e7, 5e7 and 1e8, 0.59-0.76 of the count from 1e6
 # on. Below 1e3 array headers show; at limits 0 and 1 the whole peak is
-# 465-481 bytes.
+# 465-481 bytes. A cache miss is counted the same way: joining the array
+# below 2^(bits-1) with the segments to 2^bits peaks at 9.7-11.3 bytes per
+# prime of the bound from 2^12 to 2^24 (0.43-0.54 of the count; 0.82 at
+# 2^8). A miss from a cold cache first builds every smaller array, each
+# under its own count, and peaks at 0.76-0.98 of the last count from 2^14
+# to 2^24; below that array headers show (1.10 at 2^12, 1.93 at 2^8).
 _SIEVE_BYTES = 16
 
 # Peak bytes of ``_prime_ints`` per prime of ``_prime_count_bound``, beside
@@ -110,21 +119,25 @@ def _spans(limit: int) -> Iterator[tuple[int, int]]:
         lo, span = hi, min(2 * span, SEGMENT_SPAN)
 
 
-def _segments(limit: int) -> Iterator[np.ndarray]:
-    """The primes <= limit in ascending order, one int64 array per segment
-    of ``_spans(limit)``. A segment marks the odd integers of [lo, hi) (lo
-    is even) with the base primes up to sqrt(hi - 1), read for it alone
-    from ``_prime_list``; its unmarked indices become its primes in place,
-    after its mask is dropped."""
+def _segments(limit: int, start: int = 0) -> Iterator[np.ndarray]:
+    """The primes in [start, limit] in ascending order, one int64 array per
+    segment: the spans of ``_spans(limit)`` that end past start, the first
+    cut to begin at it (start is 0, or even and past 2). A segment marks the
+    odd integers of [lo, hi) with the base primes up to sqrt(hi - 1), read
+    for it alone from ``_prime_list``; its unmarked indices become its
+    primes in place, after its mask is dropped."""
     if limit < 2:
         return
     for lo, hi in _spans(limit):
+        if hi <= start:
+            continue
+        lo = max(lo, start)
         base = _prime_list(math.isqrt(hi - 1))[1:]  # but 2: segments hold odd numbers only
         mask = np.ones((hi - lo) // 2, dtype=bool)  # lo + 1, lo + 3, ...
         # the mask index of each base prime's first odd multiple past lo, from p^2 on
         starts = (np.maximum(base * base, ((lo // base + 1) | 1) * base) - lo) // 2
-        for p, start in zip(base.tolist(), starts.tolist()):
-            mask[start::p] = False
+        for p, first in zip(base.tolist(), starts.tolist()):
+            mask[first::p] = False
         odd = np.flatnonzero(mask).astype(np.int64, copy=False)
         del mask
         odd *= 2
@@ -135,9 +148,29 @@ def _segments(limit: int) -> Iterator[np.ndarray]:
         del odd  # before the next segment's mask is built
 
 
+def _stream(limit: int) -> Iterator[np.ndarray]:
+    """The primes <= limit in ascending order, one int64 array per span
+    [lo, hi) of ``_spans(limit)``. While hi - 1 < 2^``_CACHE_BITS`` a
+    span's array is a slice of ``_prime_list(hi - 1)``, the prime cache;
+    from the span that crosses it on, the stream is ``_segments(limit,
+    lo)``, which sieves nothing below lo."""
+    for lo, hi in _spans(limit):
+        if (hi - 1) >> _CACHE_BITS:
+            yield from _segments(limit, lo)
+            return
+        cached = _prime_list(hi - 1)
+        yield cached[np.searchsorted(cached, lo) :]
+
+
 def _sieve(limit: int) -> np.ndarray:
     """All primes <= limit: the segments of ``_segments(limit)`` joined."""
     return np.concatenate([np.empty(0, dtype=np.int64), *_segments(limit)])
+
+
+def _sieve_bytes(limit: int) -> int:
+    """The count of a sieve to limit: one segment's mask, 1 KiB and
+    ``_SIEVE_BYTES`` per prime of ``_prime_count_bound(limit)``."""
+    return min(limit, SEGMENT_SPAN) // 2 + 1024 + _SIEVE_BYTES * _prime_count_bound(limit)
 
 
 @dataclass(frozen=True)
@@ -189,8 +222,7 @@ def sieve_primes(limit: int) -> PrimeTable:
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    mask_bytes = min(limit, SEGMENT_SPAN) // 2 + 1024
-    reserve(mask_bytes + _SIEVE_BYTES * _prime_count_bound(limit), f"sieving to {limit}")
+    reserve(_sieve_bytes(limit), f"sieving to {_number(limit)}")
     primes = _sieve(limit)
     primes.setflags(write=False)
     return PrimeTable(limit=limit, primes=primes)
@@ -215,16 +247,25 @@ def _prime_ints(limit: int) -> list[int]:
     """The primes <= limit as a list of Python ints, for arithmetic past
     int64. The list is counted through ``reserve``, at ``_INT_BYTES`` per
     prime of the bound and 1 KiB, before its primes are read or sieved."""
-    reserve(1024 + _INT_BYTES * _prime_count_bound(limit), f"a list of the primes to {limit}")
+    reserve(1024 + _INT_BYTES * _prime_count_bound(limit), f"a list of the primes to {_number(limit)}")
     return _prime_list(limit).tolist()
 
 
 @cache
 def _primes_below_power_of_two(bits: int) -> np.ndarray:
     """The primes < 2**bits, bits <= ``_CACHE_BITS``: the package's one prime
-    cache. A miss is ``sieve_primes``, whose ``reserve`` counts the array;
-    each segment reads its base primes, up to isqrt(hi - 1) <
-    2**ceil(bits/2), from an array of fewer bits for bits >= 2, so the
-    recursion ends, and caches one array per bit length from 6 up (the
-    first segment has 2^12 integers). A hit pays nothing."""
-    return sieve_primes((1 << bits) - 1).primes
+    cache. A miss is counted as ``sieve_primes`` counts the same limit,
+    through ``reserve``, before anything is built. From bits 3 on it joins
+    the array for bits - 1 with ``_segments(2**bits - 1, 2**(bits - 1))``,
+    so no prime that is cached is sieved again; each segment reads its base
+    primes, up to isqrt(hi - 1) < 2**ceil(bits/2), from an array of fewer
+    bits, so the recursion ends. A hit pays nothing."""
+    limit = (1 << bits) - 1
+    reserve(_sieve_bytes(limit), f"the primes below 2^{bits}")
+    if bits > 2:
+        below, start = _primes_below_power_of_two(bits - 1), 1 << (bits - 1)
+    else:
+        below, start = np.empty(0, dtype=np.int64), 0
+    primes = np.concatenate([below, *_segments(limit, start)])
+    primes.setflags(write=False)
+    return primes

@@ -224,6 +224,9 @@ def test_equidist_cluster_bad_delta(capsys):
         # alpha's denominator, 10^4300, has 4,301 digits: refused as the row
         # renders, naming the alpha column
         ("equidist", "cluster", "--alpha", "1e-4300", "--delta", "0.2", "--m", "3", "--limit", "1000"),
+        # an --alpha of none of the accepted forms is refused naming the flag
+        ("equidist", "approx", "--alpha", "abc", "--Q", "3"),
+        ("equidist", "approx", "--alpha", "sqrt:x", "--Q", "3"),
     ],
 )
 def test_unservable_request_is_one_line_usage_error(capsys, argv):

@@ -17,16 +17,18 @@ from erdos_trio import (
     VerificationError,
     cluster_verify,
     dirichlet_approx,
+    enumerate_A,
     find_prime_string,
     fractional_part,
     interval_discrepancy,
     parse_alpha,
     sieve_primes,
     torus_distance,
+    valuation_row,
     well_distribution_statistic,
     window_sample,
 )
-from erdos_trio import PrimeString, equidistribution, errors, primes
+from erdos_trio import PrimeString, basis_splits, binomial_thresholds, equidistribution, errors, primes
 from erdos_trio.equidistribution import (
     _SCORE_ERR,
     _SCORE_ERR32,
@@ -711,16 +713,16 @@ def test_scan_past_the_cache_cap_holds_no_primes():
 
 
 def _farthest_read(monkeypatch, search) -> int:
-    """The largest prime ``search`` reads from the sieve's stream."""
+    """The largest prime ``search`` reads from the stream of primes."""
     read = [0]
-    real = equidistribution._segments
+    real = equidistribution._stream
 
-    def segments(limit):
+    def stream(limit):
         for segment in real(limit):
             read.extend(segment[-1:].tolist())
             yield segment
 
-    monkeypatch.setattr(equidistribution, "_segments", segments)
+    monkeypatch.setattr(equidistribution, "_stream", stream)
     search()
     monkeypatch.undo()
     return max(read)
@@ -767,6 +769,73 @@ def test_prime_string_memory_budget(monkeypatch):
     assert time.perf_counter() - start < 1.0
 
 
+def test_warm_ladder_below_2_to_the_24_sieves_nothing(monkeypatch):
+    """Below 2^24 a search reads the prime cache. From a cold cache a ladder
+    whose failing rungs read to 1e7 sieves each cached array once, from the
+    power of two below it (from 0 for the primes below 2^1 and 2^2); once
+    the cache is warm, the same ladder and a search to 1e7 call
+    ``primes._segments`` 0 times."""
+    ladder = lambda: cluster_verify("sqrt:3", 0.1, 4, 10**7)  # noqa: E731
+    calls = []
+    real = primes._segments
+    monkeypatch.setattr(primes, "_segments", lambda *args: calls.append(args) or real(*args))
+    primes._primes_below_power_of_two.cache_clear()
+    cold = ladder()
+    assert not cold.found and len(cold.rounds) == 21
+    assert sorted(calls) == [((1 << b) - 1, 1 << (b - 1) if b > 2 else 0) for b in range(1, 25)]
+    calls.clear()
+    assert ladder() == cold and find_prime_string(4, 1, 100, 10**7) is None
+    assert calls == []
+
+
+def _digits(n: int) -> int:
+    """The decimal digits of n, read with Python's int-to-str limit lifted."""
+    most = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        return len(str(n))
+    finally:
+        sys.set_int_max_str_digits(most)
+
+
+def test_long_arguments_are_refused_by_their_digit_count():
+    """A library caller's argument past the int-to-str limit, of any module,
+    is named by its exact digit count in the refusal, as is the need; a
+    prime-string search to such a limit that fits is served."""
+    huge = 10**4301
+    assert find_prime_string(4, 1, 2, huge).primes == (13, 17)
+    bits = parse_alpha("golden").denominator.bit_length()
+    for call, what, need in (
+        (
+            lambda: find_prime_string(4, 1, huge, huge),
+            "a prime-string search to a 4302-digit number",
+            primes.SEGMENT_SPAN // 2
+            + equidistribution._RUN_BYTES * (primes._prime_count_bound(primes.SEGMENT_SPAN) + huge - 1),
+        ),
+        (
+            lambda: window_sample("golden", 0, huge),
+            "a sample of a 4302-digit number of points",
+            huge * (equidistribution._SAMPLE_BYTES + 16 * (bits // 30)),
+        ),
+        (lambda: sieve_primes(huge), "sieving to a 4302-digit number", primes._sieve_bytes(huge)),
+        (
+            lambda: valuation_row(huge, 2),
+            "valuation_row(n=a 4302-digit number)",
+            binomial_thresholds._ROW_BYTES * (huge + 1),
+        ),
+        (
+            lambda: enumerate_A(huge),
+            "the list of a 4301-digit number of elements of A up to a 4302-digit number",
+            basis_splits._ELEMENT_BYTES * sum(hi - lo + 1 for lo, hi in basis_splits.stage_intervals(huge)),
+        ),
+    ):
+        with pytest.raises(ResourceLimitError) as refused:
+            call()
+        assert str(refused.value) == (
+            f"{what} needs ~a {_digits(need)}-digit number of bytes; budget is {errors.DEFAULT_MEMORY_BUDGET}"
+        )
+
+
 def test_prime_string_refusal_past_the_int_to_str_limit():
     """A carry of 10^4299 - 1 primes needs more bytes than Python prints:
     the refusal keeps its start and its end and states the need by its
@@ -775,13 +844,8 @@ def test_prime_string_refusal_past_the_int_to_str_limit():
     need = primes.SEGMENT_SPAN // 2 + equidistribution._RUN_BYTES * (
         primes._prime_count_bound(primes.SEGMENT_SPAN) + limit - 1
     )
-    most = sys.get_int_max_str_digits()
-    try:
-        sys.set_int_max_str_digits(0)
-        digits = len(str(need))
-    finally:
-        sys.set_int_max_str_digits(most)
-    assert digits > most
+    digits = _digits(need)
+    assert digits > sys.get_int_max_str_digits()
     with pytest.raises(ResourceLimitError) as refused:
         find_prime_string(4, 1, limit, limit)
     assert str(refused.value) == (
@@ -966,6 +1030,65 @@ def test_prime_string_modulus_past_int64():
     start = time.perf_counter()
     assert find_prime_string(q, 1, 2, 10**12) is None  # no run can fit below the limit
     assert time.perf_counter() - start < 1.0
+
+
+def test_narrowest_run_is_a_lower_bound(table_1e6):
+    """No run of m = 3..6 consecutive primes in one class mod q <= 60 below
+    1e6 but (2, 3, ..., p_m) is narrower than ``_narrowest_run(q, m)``, read
+    from the whole table. At budgets one below the bound, at the bound and
+    at the narrowest run's width, the search finds the whole table's first
+    run of the narrowest run's class within the budget."""
+    ps = table_1e6.primes
+    tight = 0
+    for q in range(1, 61):
+        same = ps[1:] % q == ps[:-1] % q
+        for m in range(3, 7):
+            heads = ps[: ps.size - m + 1]
+            runs = np.ones(heads.size, dtype=bool)  # ps[i], ..., ps[i + m - 1] share a class
+            for j in range(m - 1):
+                runs &= same[j : j + heads.size]
+            widths = ps[m - 1 :] - heads
+            others = runs.copy()
+            others[0] = False  # every run but (2, 3, ..., p_m)
+            if not others.any():
+                continue  # no such run below 1e6
+            bound = equidistribution._narrowest_run(q, m)
+            narrowest = int(widths[others].min())
+            assert narrowest >= bound, (q, m)
+            tight += narrowest == bound
+            a = int(heads[others & (widths == narrowest)][0]) % q
+            for budget in (bound - 1, bound, narrowest):
+                first = np.flatnonzero(runs & (heads % q == a) & (widths <= budget))
+                expect = None
+                if first.size:
+                    run = tuple(ps[first[0] : first[0] + m].tolist())
+                    expect = PrimeString(q=q, a=a, m=m, r=int(first[0]), primes=run, diameter=run[-1] - run[0])
+                assert find_prime_string(q, a, m, 10**6, max_diameter=budget) == expect, (q, m, budget)
+    assert tight > 0
+
+
+def test_narrowest_run_is_attained(monkeypatch):
+    """(89, 97, 101), the first run of three consecutive primes = 1 (mod 4),
+    is exactly 3 lcm(2, 4) wide, the mod-3 bound; a budget one below it
+    ends the search in the stream's first span. (47, 53, 59), three
+    consecutive primes = 2 (mod 3), is 2 lcm(2, 3) wide: for 3 | q the
+    offsets may meet every class mod 3, and the bound is lcm(2, q)(m - 1)."""
+    narrowest = equidistribution._narrowest_run
+    assert narrowest(4, 3) == 3 * math.lcm(2, 4) == 101 - 89
+    assert find_prime_string(4, 1, 3, 1000, max_diameter=12).primes == (89, 97, 101)
+    assert narrowest(3, 3) == 2 * math.lcm(2, 3) == 59 - 47
+    assert find_prime_string(3, 2, 3, 1000, max_diameter=12).primes == (47, 53, 59)
+    spans = []
+    real = equidistribution._stream
+
+    def stream(limit):
+        for segment in real(limit):
+            spans.append(segment.size)
+            yield segment
+
+    monkeypatch.setattr(equidistribution, "_stream", stream)
+    assert find_prime_string(4, 1, 3, 10**7, max_diameter=11) is None
+    assert len(spans) == 1
 
 
 def _seeded_cluster_inputs() -> list[tuple]:

@@ -50,10 +50,13 @@ def test_nth_prime_bound_covers_every_prime_to_2e5():
 def test_segmented_sieve_matches_simple(monkeypatch):
     """The one sieve against simple trial division, with spans small enough
     that a run crosses many segment boundaries: 2^8 integers first, doubling
-    to 2^12. Each segment holds the primes of its span of ``_spans``."""
+    to 2^12. Each segment holds the primes of its span of ``_spans``, from 0
+    or from a later start. So does each array of the stream, with the cache
+    capped at 2^12 so that the stream crosses it at the span [3840, 7936)."""
     span = 1 << 12
     monkeypatch.setattr(primes, "_FIRST_SPAN", 1 << 8)
     monkeypatch.setattr(primes, "SEGMENT_SPAN", span)
+    monkeypatch.setattr(primes, "_CACHE_BITS", 12)
     oracle = trial_division_primes(123456)
     for limit in (0, 1, 2, 3, 10, 255, 256, 257, span - 1, span, span + 1, 2 * span + 1, 65537, 123456):
         table = sieve_primes(limit)
@@ -66,6 +69,44 @@ def test_segmented_sieve_matches_simple(monkeypatch):
         assert len(segments) == (len(spans) if limit >= 2 else 0)
         for (lo, hi), segment in zip(spans, segments):
             assert segment.tolist() == [p for p in oracle if lo <= p < hi], (limit, lo)
+        # from an even start past 2, the spans that end past it, the first cut
+        for start in (4, 256, 1000, 3840, span, 65536):
+            later = [(max(lo, start), hi) for lo, hi in spans if hi > start]
+            segments = list(primes._segments(limit, start))
+            assert len(segments) == (len(later) if limit >= 2 else 0)
+            for (lo, hi), segment in zip(later, segments):
+                assert segment.tolist() == [p for p in oracle if lo <= p < hi], (limit, start, lo)
+        streamed = list(primes._stream(limit))
+        assert len(streamed) == len(spans)
+        for (lo, hi), segment in zip(spans, streamed):
+            assert segment.tolist() == [p for p in oracle if lo <= p < hi], (limit, lo)
+
+
+def test_stream_reads_the_cache_below_2_to_the_24(monkeypatch):
+    """The stream gives the primes of ``_sieve(limit)``, one array per span
+    of ``_spans(limit)``, on both sides of 2^24 and across the span that
+    crosses it, [2^24 - 2^12, 2^25 - 2^12). Spans below 2^24 are slices of
+    the warm cache; from the crossing span on the stream is one
+    ``_segments`` call from that span's start, so nothing below it is
+    sieved again."""
+    cap = 1 << primes._CACHE_BITS
+    crossing = next((lo, hi) for lo, hi in primes._spans(2 * cap) if hi > cap)
+    assert crossing == (cap - primes._FIRST_SPAN, 2 * cap - primes._FIRST_SPAN)
+    whole = primes._sieve(crossing[1])
+    primes._prime_list(cap - 1)
+    calls = []
+    real = primes._segments
+    monkeypatch.setattr(primes, "_segments", lambda *args: calls.append(args) or real(*args))
+    limits = (cap - 1, cap, cap + 1, cap + 10**6, crossing[1] - 1, crossing[1])
+    for limit in limits:
+        streamed = list(primes._stream(limit))
+        spans = list(primes._spans(limit))
+        assert len(streamed) == len(spans)
+        for (lo, hi), segment in zip(spans, streamed):
+            assert np.all((lo <= segment) & (segment < hi)), (limit, lo)
+        expect = whole[: np.searchsorted(whole, limit, side="right")]
+        assert np.array_equal(np.concatenate(streamed), expect), limit
+    assert calls == [(limit, crossing[0]) for limit in limits[1:]]
 
 
 def test_memory_budget_enforced(monkeypatch):
@@ -78,15 +119,32 @@ def test_memory_budget_enforced(monkeypatch):
 
 
 def test_prime_list_counted_on_a_cache_miss(monkeypatch):
-    """A miss of the prime cache is ``sieve_primes``, counted by the sieve's
-    own ``reserve`` before it runs (base primes included, from a cold
-    cache); a hit pays nothing. Past 2^24 the primes are sieved per call,
-    under the same count, and not cached."""
+    """A miss of the prime cache is counted as a sieve to the same limit,
+    by the cache's own ``reserve``, before anything is built. From a cold
+    cache it builds each smaller array first, each counted alike, and the
+    peak holds them all: 0.85 of the count at 2^18 - 1. With the array
+    below 2^17 cached, the miss joins it with one ``_segments`` call from
+    2^17, so no cached prime is sieved again: 0.48 of the count. A hit pays
+    nothing. Past 2^24 the primes are sieved per call, under the same
+    count, and not cached."""
     limit = (1 << 18) - 1
     need = min(limit, primes.SEGMENT_SPAN) // 2 + 1024 + primes._SIEVE_BYTES * primes._prime_count_bound(limit)
     miss = primes._primes_below_power_of_two.cache_clear
     listed = assert_counted(need, lambda: primes._prime_list(limit), before=miss)
     assert len(listed) == 23000 and listed.dtype == np.int64
+
+    def below_2_to_the_17():
+        miss()
+        primes._prime_list((1 << 17) - 1)
+
+    grown = assert_counted(need, lambda: primes._prime_list(limit), before=below_2_to_the_17)
+    assert np.array_equal(grown, listed)
+    below_2_to_the_17()
+    calls = []
+    real = primes._segments
+    monkeypatch.setattr(primes, "_segments", lambda *args: calls.append(args) or real(*args))
+    assert np.array_equal(primes._prime_list(limit), listed) and calls == [(limit, 1 << 17)]
+    monkeypatch.undo()
     primes._prime_list(limit)
     monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", 0)
     assert len(primes._prime_list(limit)) == 23000  # a hit

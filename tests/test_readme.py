@@ -131,6 +131,10 @@ REFUSALS = [
      "stage 10000000's 10 * 5^9999999 has 6989701 digits, past the 4300-digit int-to-str limit"),
     ("so `--k 10000000` or a 401-digit `--k` ends at once", "basis cover --k 1" + "0" * 400,
      f"stage 1{'0' * 400}'s 6 * 5^1{'0' * 400} has over 2^31 digits"),
+    ("`equidist approx --alpha abc --Q 3`", None,
+     "--alpha 'abc' is not a decimal, a/b, sqrt:N with N >= 0 or golden\n"),
+    ("`--alpha sqrt:x`", "equidist approx --alpha sqrt:x --Q 3",
+     "--alpha 'sqrt:x' is not a decimal, a/b, sqrt:N with N >= 0 or golden\n"),
     ("a `--precision` outside 1 to 8192 bits", "--precision 0 equidist approx --alpha sqrt:2 --Q 10",
      "precision must be between 1 and 8192 bits"),
     ("a `--precision` outside 1 to 8192 bits", "--precision 8193 equidist approx --alpha sqrt:2 --Q 10",
