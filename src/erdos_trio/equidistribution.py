@@ -132,11 +132,12 @@ _CHUNK_ENTRIES = 1 << 16
 _GRID = 4
 
 # Peak bytes of a prime-string search per prime of a whole segment and of
-# its carry, beside the mask: the primes, their join with the carry, the run
-# test and a found run as Python ints. tracemalloc, base primes cached, per
-# unit of the bound at SEGMENT_SPAN plus min(m - 1, the bound at the limit):
-# 18.4 at limit 1e8, m = 100 (every segment read), 19.5 and 22.6 at m = 1e6
-# and 5e6 (long carries), 33.8 at m = 3e6, q = 1 (a run of 3e6 primes).
+# its carry, beside the mask: the primes, their join with the carry, the
+# indices of the class's primes and a found run as Python ints. tracemalloc,
+# base primes cached, per unit of the bound at SEGMENT_SPAN plus
+# min(m - 1, the bound at the limit), at limit 1e8: 12.4 at q = 4, m = 100
+# (every segment read), 14.4 and 15.3 at m = 1e6 and 5e6 (long carries),
+# 38.8 at m = 3e6, q = 1 (a run of 3e6 primes).
 _RUN_BYTES = 40
 
 DEFAULT_ALPHA_BITS = 256
@@ -665,16 +666,9 @@ def find_prime_string(
     for segment in segments:
         ps = np.concatenate((carry, segment))
         del carry, segment
-        if ps.size >= m:  # the first run in ps: m primes = a (mod q), tight enough
-            cums = np.zeros(ps.size + 1, dtype=np.int64)
-            # a prime below q is its own residue, and q may be past int64
-            np.cumsum((ps if q > ps[-1] else ps % q) == a, out=cums[1:])
-            runs = cums[m:] - cums[:-m] == m
-            del cums
-            if max_diameter is not None:
-                runs &= ps[m - 1 :] - ps[: ps.size - m + 1] <= max_diameter
-            i = int(runs.argmax())
-            if runs[i]:
+        if ps.size >= m:
+            i = _first_run(ps, q, a, m, max_diameter)
+            if i >= 0:
                 run = tuple(ps[i : i + m].tolist())
                 return PrimeString(q=q, a=a, m=m, r=r + i, primes=run, diameter=run[-1] - run[0])
             if too_tight:  # p_m is read
@@ -684,6 +678,23 @@ def find_prime_string(
         r += ps.size - keep
         del ps  # before the next segment is sieved
     return None
+
+
+def _first_run(ps: np.ndarray, q: int, a: int, m: int, max_diameter: int | None) -> int:
+    """The index in ps of the first run of m consecutive primes = a (mod q),
+    at most max_diameter wide when it is set, or -1. It reads the indices of
+    the class's primes: a run starts at at[j] when at[j + m - 1] is m - 1
+    past it. Its arrays are dropped on return, before a run is listed."""
+    # a prime below q is its own residue, and q may be past int64
+    at = np.flatnonzero((ps if q > ps[-1] else ps % q) == a)
+    first, last = at[: max(at.size - m + 1, 0)], at[m - 1 :]
+    runs = first[last - first == m - 1]
+    del at, first, last
+    if max_diameter is not None:
+        wide = ps[runs + m - 1]
+        wide -= ps[runs]
+        runs = runs[wide <= max_diameter]
+    return int(runs[0]) if runs.size else -1
 
 
 def _narrowest_run(q: int, m: int) -> int:

@@ -4,20 +4,20 @@
 prime up to a limit; ``is_prime``, the package's one primality check,
 looks n below 2^16 up in a cached set of primes and tests larger n by
 Miller-Rabin; ``_prime_list`` serves the primes up to a limit as a
-read-only int64 array: below 2^24 a prefix of the package's one prime
-cache, one array per power of two, and past it a sieve for the call;
-``_prime_ints`` counts and serves them as a list of Python ints.
+read-only int64 array: below 2^24 a prefix of ``_cache``, the package's
+one prime cache, and past it a sieve for the call; ``_prime_ints`` counts
+and serves them as a list of Python ints.
 
 There is one sieve, ``_segments``: the primes in ascending order from 0
 or from a later even start, one segment at a time, marking odd integers
 with the base primes each segment reads. Spans double from ``_FIRST_SPAN``
 up to ``SEGMENT_SPAN``, so a reader that stops early sieves little at any
-limit. ``sieve_primes`` joins the segments from 0, and each cached array
-joins the one below it with the segments from the power of two it starts
-at, so no cached prime is sieved again. ``_stream`` serves the primes one
-span at a time: below 2^24 as slices of the cache, and past it from the
-sieve. Prime-string searches read the stream, and the averaging
-certificate the sieve's segments; neither holds a table.
+limit. ``sieve_primes`` joins the segments from 0, and the cache grows one
+power of two at a time, joining its array with the segments from the
+power of two it reached, so no cached prime is sieved again. ``_stream``
+serves the primes one span at a time: below 2^24 as slices of the cache,
+and past it from the sieve. Prime-string searches read the stream, and
+the averaging certificate the sieve's segments; neither holds a table.
 """
 
 from __future__ import annotations
@@ -37,10 +37,12 @@ SEGMENT_SPAN = 1 << 24
 # cluster rung that stops at p_m sieves 2^12 integers, not a whole span.
 _FIRST_SPAN = 1 << 12
 
-# The prime cache keeps the primes below 2^bits for bits <= _CACHE_BITS:
-# below 2^24 that is 1,077,871 primes, 8.2 MiB of int64, and all 25 arrays
-# together hold 17.3 MiB. A longer request is sieved per call.
+# The prime cache holds the primes below 2^bits for one bits <= _CACHE_BITS:
+# below 2^24 that is 1,077,871 primes, 8.2 MiB of int64. A longer request
+# is sieved per call.
 _CACHE_BITS = 24
+# (bits, the primes below 2^bits): ``_prime_list`` grows it and serves its prefixes.
+_cache = (0, np.empty(0, dtype=np.int64))
 
 # Peak bytes of ``sieve_primes`` per prime of ``_prime_count_bound``, beside
 # one segment's mask and 1 KiB that does not grow. Each segment turns its
@@ -50,12 +52,13 @@ _CACHE_BITS = 24
 # 18.0 per prime of the bound at 1e3, 14.6 at 1e4, 13.4 at 1e6, 13.2 at 1e7
 # and 2^24 and 13.1 at 3e7, 5e7 and 1e8, 0.59-0.76 of the count from 1e6
 # on. Below 1e3 array headers show; at limits 0 and 1 the whole peak is
-# 465-481 bytes. A cache miss is counted the same way: joining the array
-# below 2^(bits-1) with the segments to 2^bits peaks at 9.7-11.3 bytes per
-# prime of the bound from 2^12 to 2^24 (0.43-0.54 of the count; 0.82 at
-# 2^8). A miss from a cold cache first builds every smaller array, each
-# under its own count, and peaks at 0.76-0.98 of the last count from 2^14
-# to 2^24; below that array headers show (1.10 at 2^12, 1.93 at 2^8).
+# 465-481 bytes. A step of the cache is counted the same way: joining the
+# cached primes below 2^(b-1) with the segments to 2^b peaks at 9.7-11.2
+# bytes per prime of the bound beside the cached array from 2^12 to 2^24
+# (0.43-0.54 of the count; 0.81 at 2^8). A cold cache grows one step at a
+# time, each under its own count, and holds only the array it last built:
+# the whole peak, that array included, is 0.59-0.73 of the last count from
+# 2^12 to 2^24, and 0.97 at 2^8.
 _SIEVE_BYTES = 16
 
 # Peak bytes of ``_prime_ints`` per prime of ``_prime_count_bound``, beside
@@ -231,15 +234,29 @@ def sieve_primes(limit: int) -> PrimeTable:
 def _prime_list(limit: int) -> np.ndarray:
     """The primes <= limit, a read-only ascending int64 array.
 
-    Below 2^``_CACHE_BITS`` it is a prefix of the cached array of the primes
-    below the next power of two, so the scans over many limits up to L
-    sieve only about log2(L) times in a process. Past it the primes are
-    sieved to the limit for this call and kept by nobody.
+    Below 2^``_CACHE_BITS`` it is a prefix of ``_cache``, the package's one
+    prime cache, first grown to ``limit.bit_length()`` bits if it is short,
+    so the scans over many limits up to L sieve only about log2(L) times in
+    a process. Each step to 2^b is counted as ``sieve_primes`` counts the
+    same limit, through ``reserve``, before anything is built. It joins the
+    cached array with ``_segments(2**b - 1, 2**(b - 1))`` (from 0 while
+    b <= 2, when the cache is empty), so no cached prime is sieved again,
+    and its segments read their base primes, below 2^ceil(b/2), from the
+    cache as it stands. The grown array replaces the old one. Past the
+    bound the primes are sieved to the limit for this call and kept by
+    nobody.
     """
+    global _cache
     limit = max(limit, 0)
     if limit >> _CACHE_BITS:
         return sieve_primes(limit).primes
-    primes = _primes_below_power_of_two(limit.bit_length())
+    bits, primes = _cache
+    while bits < limit.bit_length():
+        bits += 1
+        reserve(_sieve_bytes((1 << bits) - 1), f"the primes below 2^{bits}")
+        primes = np.concatenate([primes, *_segments((1 << bits) - 1, 1 << (bits - 1) if bits > 2 else 0)])
+        primes.setflags(write=False)
+        _cache = bits, primes
     return primes[: np.searchsorted(primes, limit, side="right")]
 
 
@@ -249,23 +266,3 @@ def _prime_ints(limit: int) -> list[int]:
     prime of the bound and 1 KiB, before its primes are read or sieved."""
     reserve(1024 + _INT_BYTES * _prime_count_bound(limit), f"a list of the primes to {_number(limit)}")
     return _prime_list(limit).tolist()
-
-
-@cache
-def _primes_below_power_of_two(bits: int) -> np.ndarray:
-    """The primes < 2**bits, bits <= ``_CACHE_BITS``: the package's one prime
-    cache. A miss is counted as ``sieve_primes`` counts the same limit,
-    through ``reserve``, before anything is built. From bits 3 on it joins
-    the array for bits - 1 with ``_segments(2**bits - 1, 2**(bits - 1))``,
-    so no prime that is cached is sieved again; each segment reads its base
-    primes, up to isqrt(hi - 1) < 2**ceil(bits/2), from an array of fewer
-    bits, so the recursion ends. A hit pays nothing."""
-    limit = (1 << bits) - 1
-    reserve(_sieve_bytes(limit), f"the primes below 2^{bits}")
-    if bits > 2:
-        below, start = _primes_below_power_of_two(bits - 1), 1 << (bits - 1)
-    else:
-        below, start = np.empty(0, dtype=np.int64), 0
-    primes = np.concatenate([below, *_segments(limit, start)])
-    primes.setflags(write=False)
-    return primes

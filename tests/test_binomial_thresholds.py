@@ -519,7 +519,7 @@ def test_certificate_holds_no_prime_list():
     ~29,000 primes <= Y = 343,562 are read from the stream and dropped,
     where a cached list of them held ~1.4 MB; only the base primes below
     2^10 stay cached. Measured from a cold cache."""
-    pr._primes_below_power_of_two.cache_clear()
+    pr._cache = (0, np.empty(0, dtype=np.int64))
     tracemalloc.start()
     rep = certificate_average(10**18, 200.0)
     held = tracemalloc.get_traced_memory()[0]

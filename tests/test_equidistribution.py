@@ -695,21 +695,20 @@ def test_cached_scan_equals_scan_of_the_sieved_table(bits):
 def test_scan_past_the_cache_cap_holds_no_primes():
     """A scan whose bound on p_needed reaches 2^24 sieves its ~1e6 primes
     (~8 MiB) for the call and drops them. After it returns, what is held is
-    the base primes its sieve's segments cached, the 13 arrays of the
-    primes below 2^1 .. 2^13 (18,368 bytes of int64), within their
-    ``sys.getsizeof`` (data and header) and 4 KiB for the cache's dict and
-    numpy's small objects. Measured from a cold cache, code paths warm."""
+    the base primes its sieve's segments cached, the one array of the 1,028
+    primes below 2^13 (8,224 bytes of int64), within its ``sys.getsizeof``
+    (data and header) and 4 KiB for numpy's small objects. Measured from a
+    cold cache, code paths warm."""
     k, needed = 10, _last_cached_need(24) + 1
     well_distribution_statistic("golden", k, 100)
-    primes._primes_below_power_of_two.cache_clear()
+    primes._cache = (0, np.empty(0, dtype=np.int64))
     tracemalloc.start()
     scan = well_distribution_statistic("golden", k, needed - k, 1000)
     held = tracemalloc.get_traced_memory()[0]
     tracemalloc.stop()
-    assert primes._primes_below_power_of_two.cache_info().currsize == 13
-    cached = [primes._primes_below_power_of_two(bits) for bits in range(1, 14)]
-    assert primes._primes_below_power_of_two.cache_info().currsize == 13  # each was a hit
-    assert scan.windows == 1020 and held < sum(map(sys.getsizeof, cached)) + 4096
+    bits, cached = primes._cache
+    assert bits == 13 and cached.nbytes == 8224
+    assert scan.windows == 1020 and held < sys.getsizeof(cached) + 4096
 
 
 def _farthest_read(monkeypatch, search) -> int:
@@ -771,7 +770,7 @@ def test_prime_string_memory_budget(monkeypatch):
 
 def test_warm_ladder_below_2_to_the_24_sieves_nothing(monkeypatch):
     """Below 2^24 a search reads the prime cache. From a cold cache a ladder
-    whose failing rungs read to 1e7 sieves each cached array once, from the
+    whose failing rungs read to 1e7 sieves each power of two once, from the
     power of two below it (from 0 for the primes below 2^1 and 2^2); once
     the cache is warm, the same ladder and a search to 1e7 call
     ``primes._segments`` 0 times."""
@@ -779,7 +778,7 @@ def test_warm_ladder_below_2_to_the_24_sieves_nothing(monkeypatch):
     calls = []
     real = primes._segments
     monkeypatch.setattr(primes, "_segments", lambda *args: calls.append(args) or real(*args))
-    primes._primes_below_power_of_two.cache_clear()
+    primes._cache = (0, np.empty(0, dtype=np.int64))
     cold = ladder()
     assert not cold.found and len(cold.rounds) == 21
     assert sorted(calls) == [((1 << b) - 1, 1 << (b - 1) if b > 2 else 0) for b in range(1, 25)]

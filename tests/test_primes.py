@@ -1,7 +1,9 @@
 """Sieve, prime counting and primality against naive oracles."""
 
 import math
+import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,23 +120,26 @@ def test_memory_budget_enforced(monkeypatch):
     assert len(sieve_primes(10**4)) == 1229
 
 
+def _cold_cache():
+    primes._cache = (0, np.empty(0, dtype=np.int64))
+
+
 def test_prime_list_counted_on_a_cache_miss(monkeypatch):
     """A miss of the prime cache is counted as a sieve to the same limit,
     by the cache's own ``reserve``, before anything is built. From a cold
-    cache it builds each smaller array first, each counted alike, and the
-    peak holds them all: 0.85 of the count at 2^18 - 1. With the array
-    below 2^17 cached, the miss joins it with one ``_segments`` call from
-    2^17, so no cached prime is sieved again: 0.48 of the count. A hit pays
-    nothing. Past 2^24 the primes are sieved per call, under the same
-    count, and not cached."""
+    cache it grows one power of two at a time, each step counted alike, and
+    the peak holds only the last array and its join: 0.65 of the count at
+    2^18 - 1. With the primes below 2^17 cached, the miss joins them with
+    one ``_segments`` call from 2^17, so no cached prime is sieved again:
+    0.48 of the count. A hit pays nothing. Past 2^24 the primes are sieved
+    per call, under the same count, and not cached."""
     limit = (1 << 18) - 1
     need = min(limit, primes.SEGMENT_SPAN) // 2 + 1024 + primes._SIEVE_BYTES * primes._prime_count_bound(limit)
-    miss = primes._primes_below_power_of_two.cache_clear
-    listed = assert_counted(need, lambda: primes._prime_list(limit), before=miss)
+    listed = assert_counted(need, lambda: primes._prime_list(limit), before=_cold_cache)
     assert len(listed) == 23000 and listed.dtype == np.int64
 
     def below_2_to_the_17():
-        miss()
+        _cold_cache()
         primes._prime_list((1 << 17) - 1)
 
     grown = assert_counted(need, lambda: primes._prime_list(limit), before=below_2_to_the_17)
@@ -152,6 +157,24 @@ def test_prime_list_counted_on_a_cache_miss(monkeypatch):
     assert np.shares_memory(primes._prime_list(limit), primes._prime_list(limit))  # one cached array
     past = primes._prime_list(1 << 24)
     assert len(past) == 1077871 and not np.shares_memory(past, primes._prime_list(1 << 24))
+
+
+def test_cache_holds_one_array():
+    """From a cold cache, the primes below 2^20 leave one array held, within
+    its ``sys.getsizeof`` (data and header) and 4 KiB for numpy's small
+    objects: each step drops the array it grew from. Every smaller request
+    is a prefix of that array."""
+    _cold_cache()
+    primes._prime_list(1 << 12)  # code paths warm
+    _cold_cache()
+    tracemalloc.start()
+    listed = primes._prime_list((1 << 20) - 1)
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    cached = primes._cache[1]
+    assert len(listed) == len(cached) == 82025
+    assert held <= sys.getsizeof(cached) + 4096
+    assert np.shares_memory(primes._prime_list(1000), listed)
 
 
 @pytest.mark.parametrize("limit", [(1 << 18) - 1, 1 << 24])
@@ -176,9 +199,9 @@ def test_prime_ints_refused_before_any_sieve():
 
 
 def test_cached_primes_refuse_writes():
-    """The cached arrays, and every prefix ``_prime_list`` serves from them,
-    are read-only: a caller cannot corrupt the primes other callers read."""
-    for served in (primes._primes_below_power_of_two(12), primes._prime_list(1000), primes._prime_list(1 << 24)):
+    """The cached array, and every prefix ``_prime_list`` serves from it, is
+    read-only: a caller cannot corrupt the primes other callers read."""
+    for served in (primes._prime_list(1000), primes._cache[1], primes._prime_list(1 << 24)):
         assert not served.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             served[0] = 4

@@ -306,7 +306,7 @@ def test_every_verification_check_has_a_firing_test():
 BUDGET_TESTS = {
     "primes.sieve_primes": "test_primes::test_sieve_counted_before_it_runs",
     "primes._prime_ints": "test_primes::test_prime_ints_counted_before_they_are_read",
-    "primes._primes_below_power_of_two": "test_primes::test_prime_list_counted_on_a_cache_miss",
+    "primes._prime_list": "test_primes::test_prime_list_counted_on_a_cache_miss",
     "binomial_thresholds._residue_table": "test_binomial_thresholds::test_valuation_row_memory_budget",
     "binomial_thresholds._factorial_table": "test_binomial_thresholds::test_valuation_row_memory_budget",
     "binomial_thresholds.valuation_row": "test_binomial_thresholds::test_valuation_row_memory_budget",
