@@ -27,9 +27,8 @@ from typing import Literal
 
 import numpy as np
 
-from . import primes
 from .errors import VerificationError, _number, reserve
-from .primes import _prime_count_bound, _prime_ints, _segments, is_prime
+from .primes import _prime_ints, _stream, _stream_bytes, is_prime
 
 # Default certificate constant: 24/(pi^2 - 6) + 0.01, slightly above the
 # smallest constant for which the averaging argument closes.
@@ -57,11 +56,14 @@ _RESIDUE_BYTES = 4
 # and 2^16 (12.5 at 2^10), p = 2, 3 and 997.
 _FACTORIAL_BYTES = 12
 
-# Peak bytes per prime of one segment of the certificate's stream, beside its
-# mask and 4 KiB that does not grow (at most 2,583 B below Y = 3e3): its int64
-# primes and their Python ints. tracemalloc of the certificate, per prime of
-# the bound at min(Y, SEGMENT_SPAN): 43.3 at Y = 1e3, 20.8 at 1e4, 10.3 at
-# 1e5, 7.8 at 3e6 (short segments) and 29.8 at 34,356,299 (n = 1e18, c = 2e4).
+# Peak bytes per prime of one span of the certificate's stream, beside its
+# mask and 4 KiB that does not grow: its int64 primes and their Python ints.
+# Below 2^24 a span is a slice of the prime cache and builds no mask, and
+# past it a sieve segment does. tracemalloc of the certificate, the cache
+# warm, the whole peak per prime of the bound at Y, or at a whole segment's
+# span when Y is longer: 35.5 at Y = 1e3, 20.0 at 1e4, 12.2 at 1e5, 11.3 at
+# 3e6 (cache slices) and 36.1 at 34,356,299 (n = 1e18, c = 2e4; segments
+# past 2^24), 0.21-0.66 of the count.
 _STREAM_BYTES = 48
 
 # Peak bytes per prime the u(n, k) series behind f_threshold schedules, each
@@ -404,9 +406,11 @@ def certificate_average(n: int, c: float = DEFAULT_CERTIFICATE_C) -> Certificate
     Requires Y >= 1 and Y <= n (the mean is over defined u values only).
     The sum is sum_{p<=Y} N_p log p, each N_p from ``_carries`` in O(log_p n)
     floor divisions, added by ``math.fsum``. The primes <= Y are read once,
-    in ascending order, from the sieve's stream, and no prime list is held;
-    one segment of the stream is counted through ``reserve`` before it is
-    sieved.
+    in ascending order, from ``primes._stream(Y)``, one span at a time:
+    slices of the prime cache below 2^24, sieve segments past it. The
+    certificate holds no prime list of its own; one span of the stream
+    (``primes._stream_bytes`` at ``_STREAM_BYTES`` per prime) and 4 KiB are
+    counted through ``reserve`` before a prime is read.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
@@ -418,11 +422,8 @@ def certificate_average(n: int, c: float = DEFAULT_CERTIFICATE_C) -> Certificate
         raise ValueError(f"Y = floor(c (log n)^2) = {y} < 1")
     if y > n:
         raise ValueError(f"Y = {y} exceeds n = {n}; u(n, k) is undefined past n")
-    span = min(y, primes.SEGMENT_SPAN)
-    reserve(span // 2 + 4096 + _STREAM_BYTES * _prime_count_bound(span), f"a segment of the primes to {y}")
-    average = math.fsum(
-        _carries(n, y, p) * math.log(p) for segment in _segments(y) for p in segment.tolist()
-    ) / y
+    reserve(_stream_bytes(_STREAM_BYTES, y) + 4096, f"a segment of the primes to {y}")
+    average = math.fsum(_carries(n, y, p) * math.log(p) for ps in _stream(y) for p in ps.tolist()) / y
     return CertificateReport(
         n=n,
         c=c,

@@ -41,7 +41,7 @@ from . import __version__
 from . import basis_splits as bs
 from . import binomial_thresholds as bt
 from . import equidistribution as eq
-from .errors import ResourceLimitError, VerificationError, _digits, reserve
+from .errors import ResourceLimitError, VerificationError, _digits, _str_digits_limit, reserve
 from .primes import _prime_ints
 
 EXIT_OK = 0
@@ -150,7 +150,7 @@ def _refuse_unprintable_cell(rows: list[dict]) -> None:
             if isinstance(value, Fraction):
                 parts = [("'s numerator", value.numerator), ("'s denominator", value.denominator)]
             for part, number in parts:
-                _refuse_unprintable(column + part, _digits(number) - 1)
+                _refuse_unprintable(column + part, _digits(number))
 
 
 def _alpha_cols(alpha: Fraction) -> dict:
@@ -208,11 +208,11 @@ def _cmd_binomial_certificate(args) -> tuple[list[dict], dict, str]:
     return [row], meta, "verified"
 
 
-def _refuse_unprintable(subject: str, log10_value: float) -> None:
-    """Refuse an integer, built or not, whose log10 is ``log10_value`` if it
-    has more digits than Python's int-to-str limit allows (0, or no such
-    limit: none); ``subject`` names it in the error line."""
-    most, digits = getattr(sys, "get_int_max_str_digits", int)(), int(log10_value) + 1
+def _refuse_unprintable(subject: str, digits: int) -> None:
+    """Refuse an integer, built or not, of ``digits`` decimal digits if that
+    is more than Python's int-to-str limit allows (0, or no such limit:
+    none); ``subject`` names it in the error line."""
+    most = _str_digits_limit()
     if 0 < most < digits:
         raise ValueError(f"{subject} has {digits} digits, past the {most}-digit int-to-str limit")
 
@@ -220,7 +220,7 @@ def _refuse_unprintable(subject: str, log10_value: float) -> None:
 def _cmd_binomial_witness(args) -> tuple[list[dict], dict, str]:
     # M_K is printed in full
     log10_m = math.fsum(bt._witness_exponent(p, args.K) * math.log10(p) for p in _prime_ints(args.K))
-    _refuse_unprintable(f"M_{args.K}", log10_m)
+    _refuse_unprintable(f"M_{args.K}", int(log10_m) + 1)
     w = bt.lower_bound_witness(args.K)
     factorization = "*".join(f"{p}^{e}" for p, e in sorted(w.exponents.items()))
     rows = [
@@ -248,11 +248,11 @@ def _refuse_unprintable_stage(k: int, scale: int, exponent: int) -> None:
     if exponent < 0:  # no stage's: the library refuses k < 1
         return
     subject = f"stage {k}'s {scale} * 5^{exponent}"
-    most = getattr(sys, "get_int_max_str_digits", int)()
+    most = _str_digits_limit()
     if most and exponent >= 1 << 32:
         raise ValueError(f"{subject} has over 2^31 digits, past the {most}-digit int-to-str limit")
     if exponent < 1 << 32:
-        _refuse_unprintable(subject, math.log10(scale) + exponent * math.log10(5))
+        _refuse_unprintable(subject, int(math.log10(scale) + exponent * math.log10(5)) + 1)
 
 
 def _cmd_basis_cover(args) -> tuple[list[dict], dict, str]:

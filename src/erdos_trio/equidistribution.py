@@ -50,7 +50,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -58,16 +57,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import primes
-from .errors import VerificationError, _count, _number, reserve
-from .primes import (
-    PrimeTable,
-    _nth_prime_bound,
-    _prime_count_bound,
-    _prime_list,
-    _spans,
-    _stream,
-)
+from .errors import VerificationError, _count, _number, _str_digits_limit, reserve
+from .primes import PrimeTable, _nth_prime_bound, _prime_count_bound, _prime_list, _stream, _stream_bytes
 
 # A scan's fractional parts are the top 64 bits of 96-bit fixed-point
 # numbers, from two limb-by-prime products in uint64.
@@ -122,6 +113,19 @@ _POINT_BYTES = 128
 # (to k = 20,000): 189 + 12 per 30 bits from k = 2,000 on, and more at
 # k = 10, where the big-int temporaries of one point weigh.
 _SAMPLE_BYTES = 256
+# Peak bytes per point of ``interval_discrepancy``, in two counts: its copy
+# as a Fraction (a float's numerator and denominator are ints of their own,
+# the denominator up to 1,075 bits), and its numerator scaled to the common
+# denominator with the closed form's term of it, two Python ints of the
+# denominator's bits and their list slots, at 8 more per 30 bits.
+# tracemalloc per point, less those 8 per 30 bits, at k = 1,000 and
+# 100,000: 104-107 for zeros, 131-135 over one 65- or 257-bit denominator,
+# 203 for random floats, 166-180 for floats over 1,075 bits and 147-148
+# over the k denominators 3, 5, ..., p_(k+1) (k = 2,000 and 20,000, where
+# the ints alone take 8 per 30 bits). At k = 10 fixed costs weigh: 0.45-0.95
+# of the two counts.
+_FRACTION_BYTES = 256
+_SCALED_BYTES = 96
 # Windows scored per chunk: chunks hold about 2^16 entries (256 KiB in
 # float32, 512 KiB in float64), which sort and score faster than chunks of
 # 2^22 and need 1/64 the memory.
@@ -131,14 +135,18 @@ _CHUNK_ENTRIES = 1 << 16
 # (``_bounded_windows``); 4 scored the benchmark's scans faster than 2, 8 or 16.
 _GRID = 4
 
-# Peak bytes of a prime-string search per prime of a whole segment and of
-# its carry, beside the mask: the primes, their join with the carry, the
-# indices of the class's primes and a found run as Python ints. tracemalloc,
-# base primes cached, per unit of the bound at SEGMENT_SPAN plus
-# min(m - 1, the bound at the limit), at limit 1e8: 12.4 at q = 4, m = 100
-# (every segment read), 14.4 and 15.3 at m = 1e6 and 5e6 (long carries),
-# 38.8 at m = 3e6, q = 1 (a run of 3e6 primes).
+# Peak bytes of a prime-string search per prime of a whole segment, beside
+# its mask: the primes, their join with the carry and the indices of the
+# class's primes. Per prime of its carry of min(m - 1, the bound at the
+# limit): the carry and its join, and a found run listed as a tuple of
+# Python ints, 52 B per prime (a 28 B int, a list and a tuple pointer, and
+# the int64 prime). tracemalloc, the cache warm to 2^24, at limit 1e8: 12.4
+# per prime of the segment's bound at q = 4, m = 100 (every segment read);
+# beyond 40 per prime of the segment, 8.8 per carried prime at q = 4,
+# m = 5e6 (no run), and 29.8, 38.3 and 46.5 when (2, 3, ..., p_m) is found
+# at m = 2e6 (limit 5e7), 3e6 and 5e6, q = 1: 0.64, 0.70 and 0.77 of the count.
 _RUN_BYTES = 40
+_CARRY_BYTES = 64
 
 DEFAULT_ALPHA_BITS = 256
 
@@ -184,7 +192,7 @@ def parse_alpha(value: float | int | str | Fraction, precision_bits: int = DEFAU
         except ZeroDivisionError:
             raise ValueError(f"alpha {text!r} has a zero denominator") from None
         except ValueError:
-            most = getattr(sys, "get_int_max_str_digits", int)()
+            most = _str_digits_limit()
             run = max(map(len, re.findall(r"\d+", text)), default=0)
             if 0 < most < run:
                 raise ValueError(
@@ -281,15 +289,34 @@ def interval_discrepancy(points: Sequence[Fraction | float]) -> Fraction:
     in integers over the points' common denominator, so the result is the
     exact Fraction; a float point counts at its exact dyadic value. A point
     outside [0, 1), infinities and NaN included, raises ValueError.
+
+    The points' copies as Fractions are counted through ``reserve`` before
+    they are made, at ``_FRACTION_BYTES`` per point, and the numerators
+    scaled to the common denominator before they are formed, at
+    ``_SCALED_BYTES`` per point and 8 more per 30 bits of the denominator,
+    which makes the cost quadratic when the denominators differ. The common
+    denominator is the lcm of the distinct ones, joined pairwise level by
+    level; each level's widest is a lower bound on its bit length, and
+    raises the count, so a request that cannot fit is refused early.
     """
-    pts = list(points)
-    if not pts:
+    k = len(points)
+    if not k:
         raise ValueError("discrepancy needs at least one point")
-    outside = [x for x in pts if not 0 <= x < 1]
+    outside = [x for x in points if not 0 <= x < 1]
     if outside:
         raise ValueError(f"points must lie in [0, 1); got {outside[0]}")
-    xs = sorted(map(Fraction, pts))
-    den = math.lcm(*(x.denominator for x in xs))
+    reserve(_FRACTION_BYTES * k, f"the discrepancy of {k} points")
+    xs = list(map(Fraction, points))
+    dens = list({x.denominator for x in xs})
+    while True:
+        bits = max(d.bit_length() for d in dens)
+        need = k * (_SCALED_BYTES + 8 * (bits // 30))
+        reserve(need, f"the numerators of {k} points over a denominator of at least {bits} bits")
+        if len(dens) == 1:
+            break
+        dens = [math.lcm(*dens[i : i + 2]) for i in range(0, len(dens), 2)]
+    den = dens[0]
+    xs.sort()
     return _exact_discrepancy([x.numerator * (den // x.denominator) for x in xs], den)
 
 
@@ -633,14 +660,15 @@ def find_prime_string(
     the package's one prime-string search: each rung of ``cluster_verify``
     is a call, whose convergent a/q passes the argument checks.
 
-    The search reads the primes in ascending order, one span of
-    ``primes._spans(limit)`` at a time, from ``primes._stream`` (slices of
-    the prime cache below 2^24, sieved past it), or sliced from ``table`` at
-    the same bounds, and carries the last m - 1 primes across each
-    boundary, so the first run found is the first overall. A
-    ``max_diameter`` or a limit below ``_narrowest_run(q, m)``, the width
-    of every run but (2, 3, ..., p_m) at least, ends the search once p_m is
-    read. One whole segment and the carry are counted through ``reserve``,
+    The search reads the primes in ascending order, one span at a time,
+    from ``primes._stream(limit, table)`` (slices of the prime cache below
+    2^24 and sieved past it, or slices of ``table``), and carries the last
+    m - 1 primes across each boundary, so the first run found is the first
+    overall. A ``max_diameter`` or a limit below ``_narrowest_run(q, m)``,
+    the width of every run but (2, 3, ..., p_m) at least, ends the search
+    once p_m is read. One whole segment of the stream
+    (``primes._stream_bytes``, at ``_RUN_BYTES`` per prime) and the carry,
+    at ``_CARRY_BYTES`` per prime, are counted through ``reserve``,
     whatever the limit, so a search is bounded by time, not memory: it
     reads the primes to 1e9 in ~4.8 s on a 2-core x86 host.
     """
@@ -651,19 +679,14 @@ def find_prime_string(
     if m < 1:
         raise ValueError("m must be >= 1")
     carried = min(m - 1, _prime_count_bound(limit))
-    need = primes.SEGMENT_SPAN // 2 + _RUN_BYTES * (_prime_count_bound(primes.SEGMENT_SPAN) + carried)
-    reserve(need, f"a prime-string search to {_number(limit)}")
-    if table is None:
-        segments = _stream(limit)
-    elif table.limit < limit:
+    reserve(_stream_bytes(_RUN_BYTES) + _CARRY_BYTES * carried, f"a prime-string search to {_number(limit)}")
+    if table is not None and table.limit < limit:
         raise ValueError(f"table limit {table.limit} is below search limit {_number(limit)}")
-    else:
-        segments = (table.primes[slice(*np.searchsorted(table.primes, span))] for span in _spans(limit))
     a %= q
     widest = limit if max_diameter is None else min(max_diameter, limit)
     too_tight = widest < _narrowest_run(q, m)
     carry, r = np.empty(0, dtype=np.int64), 0  # r: the index of carry[0] among the primes
-    for segment in segments:
+    for segment in _stream(limit, table):
         ps = np.concatenate((carry, segment))
         del carry, segment
         if ps.size >= m:

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the one memory guard."""
 
 import math
+import sys
 
 # Bytes any one request-sized structure may take. ``reserve`` reads this
 # binding at call time, so rebinding it here changes every guarded site.
@@ -65,3 +66,9 @@ def _digits(value: int) -> int:
     while value >= 10**digits:
         digits += 1
     return digits
+
+
+def _str_digits_limit() -> int:
+    """The most decimal digits Python's int-to-str conversion allows, read
+    at call time: 0 when there is no limit, as before Python 3.11."""
+    return getattr(sys, "get_int_max_str_digits", int)()

@@ -16,8 +16,11 @@ limit. ``sieve_primes`` joins the segments from 0, and the cache grows one
 power of two at a time, joining its array with the segments from the
 power of two it reached, so no cached prime is sieved again. ``_stream``
 serves the primes one span at a time: below 2^24 as slices of the cache,
-and past it from the sieve. Prime-string searches read the stream, and
-the averaging certificate the sieve's segments; neither holds a table.
+past it from the sieve, or sliced from a given table. Prime-string
+searches and the averaging certificate read the stream, and neither holds
+a table; ``_stream_bytes`` states what one span of it holds, its mask and
+a reader's bytes per prime. No other module reads how the primes are cut
+into spans and segments.
 """
 
 from __future__ import annotations
@@ -151,29 +154,34 @@ def _segments(limit: int, start: int = 0) -> Iterator[np.ndarray]:
         del odd  # before the next segment's mask is built
 
 
-def _stream(limit: int) -> Iterator[np.ndarray]:
+def _stream(limit: int, table: PrimeTable | None = None) -> Iterator[np.ndarray]:
     """The primes <= limit in ascending order, one int64 array per span
-    [lo, hi) of ``_spans(limit)``. While hi - 1 < 2^``_CACHE_BITS`` a
-    span's array is a slice of ``_prime_list(hi - 1)``, the prime cache;
-    from the span that crosses it on, the stream is ``_segments(limit,
-    lo)``, which sieves nothing below lo."""
+    [lo, hi) of ``_spans(limit)``: slices of ``table`` when one is given.
+    Otherwise, while hi - 1 < 2^``_CACHE_BITS``, a span's array is a slice
+    of ``_prime_list(hi - 1)``, the prime cache; from the span that crosses
+    it on, the stream is ``_segments(limit, lo)``, which sieves nothing
+    below lo."""
     for lo, hi in _spans(limit):
-        if (hi - 1) >> _CACHE_BITS:
+        if table is None and (hi - 1) >> _CACHE_BITS:
             yield from _segments(limit, lo)
             return
-        cached = _prime_list(hi - 1)
-        yield cached[np.searchsorted(cached, lo) :]
+        source = _prime_list(hi - 1) if table is None else table.primes
+        yield source[slice(*np.searchsorted(source, (lo, hi)))]
 
 
-def _sieve(limit: int) -> np.ndarray:
-    """All primes <= limit: the segments of ``_segments(limit)`` joined."""
-    return np.concatenate([np.empty(0, dtype=np.int64), *_segments(limit)])
+def _stream_bytes(per_prime: int, limit: int | None = None) -> int:
+    """The bytes of one span of the stream of the primes to limit (a whole
+    segment when no limit is given): the mask of the segment that sieves
+    it, and ``per_prime`` bytes per prime of ``_prime_count_bound`` of its
+    integers. The span is read from ``SEGMENT_SPAN`` at call time."""
+    span = SEGMENT_SPAN if limit is None else min(limit, SEGMENT_SPAN)
+    return span // 2 + per_prime * _prime_count_bound(span)
 
 
 def _sieve_bytes(limit: int) -> int:
     """The count of a sieve to limit: one segment's mask, 1 KiB and
     ``_SIEVE_BYTES`` per prime of ``_prime_count_bound(limit)``."""
-    return min(limit, SEGMENT_SPAN) // 2 + 1024 + _SIEVE_BYTES * _prime_count_bound(limit)
+    return _stream_bytes(0, limit) + 1024 + _SIEVE_BYTES * _prime_count_bound(limit)
 
 
 @dataclass(frozen=True)
@@ -226,7 +234,7 @@ def sieve_primes(limit: int) -> PrimeTable:
     if limit < 0:
         raise ValueError("limit must be >= 0")
     reserve(_sieve_bytes(limit), f"sieving to {_number(limit)}")
-    primes = _sieve(limit)
+    primes = np.concatenate([np.empty(0, dtype=np.int64), *_segments(limit)])
     primes.setflags(write=False)
     return PrimeTable(limit=limit, primes=primes)
 

@@ -6,6 +6,7 @@ derived from big-integer factorization oracles in ``oracles.py``.
 
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
@@ -515,16 +516,22 @@ def test_certificate_counts_the_span_read_at_call_time(monkeypatch):
 
 
 def test_certificate_holds_no_prime_list():
-    """After the certificate returns it holds nothing that grows with Y. The
-    ~29,000 primes <= Y = 343,562 are read from the stream and dropped,
-    where a cached list of them held ~1.4 MB; only the base primes below
-    2^10 stay cached. Measured from a cold cache."""
+    """After the certificate returns it holds nothing but the one prime
+    cache array. The ~29,000 primes <= Y = 343,562 are read from the stream,
+    slices of the cache grown to the primes below 2^19, and their Python
+    ints are dropped span by span, where a list of them held ~1.4 MB. What
+    is held is that array, within its ``sys.getsizeof`` (data and header)
+    and 4 KiB for numpy's small objects. Measured from a cold cache, code
+    paths warm."""
+    certificate_average(10**6, 6.21)
     pr._cache = (0, np.empty(0, dtype=np.int64))
     tracemalloc.start()
     rep = certificate_average(10**18, 200.0)
     held = tracemalloc.get_traced_memory()[0]
     tracemalloc.stop()
-    assert rep.y == 343562 and held < 16 * 1024
+    bits, cached = pr._cache
+    assert bits == 19 and len(cached) == 43390
+    assert rep.y == 343562 and held < sys.getsizeof(cached) + 4096
 
 
 def test_f_threshold_of_witness_predecessor():

@@ -122,6 +122,41 @@ def test_fractional_part_is_exact():
     assert (a * p - fp).denominator == 1
 
 
+def test_interval_discrepancy_memory_budget():
+    """The points' copies as Fractions are counted before they are made, and
+    their numerators scaled to the common denominator before they are
+    formed, at its bit length, read here from one lcm of the denominators:
+    each count covers what tracemalloc measures, passes exactly and refuses
+    one byte less. With 1,000 random floats the copies bind; with the 2,000
+    denominators 3, 5, ..., p_2001 the scaled numerators, quadratic in k,
+    do. 40,000 such points, ~3 GB by the count, are refused in under 1 s."""
+    eq = equidistribution
+    rng = random.Random(35)
+    odd = primes._prime_ints(10**6)[1:]
+
+    def counts(points):
+        k, bits = len(points), math.lcm(*(Fraction(x).denominator for x in points)).bit_length()
+        return eq._FRACTION_BYTES * k, k * (eq._SCALED_BYTES + 8 * (bits // 30))
+
+    floats = [rng.random() for _ in range(1000)]
+    copies, scaled = counts(floats)
+    want = interval_discrepancy(floats)
+    assert scaled < copies
+    assert assert_counted(copies, lambda: interval_discrepancy(floats), peak=copies + scaled) == want
+    fractions = [Fraction(1, p) for p in odd[:2000]]
+    copies, scaled = counts(fractions)
+    want = interval_discrepancy(fractions)
+    assert copies < scaled and scaled == 2000 * (eq._SCALED_BYTES + 8 * (24869 // 30))
+    call = lambda: interval_discrepancy(fractions)  # noqa: E731
+    match = "the numerators of 2000 points over a denominator of at least 24869 bits"
+    assert assert_counted(scaled, call, peak=copies + scaled, match=match) == want
+    fractions = [Fraction(1, p) for p in odd[:40000]]
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="the numerators of 40000 points"):
+        interval_discrepancy(fractions)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_discrepancy_single_point_is_one():
     for x in (0.0, 0.3, 0.999):
         assert interval_discrepancy([x]) == 1.0
@@ -716,8 +751,8 @@ def _farthest_read(monkeypatch, search) -> int:
     read = [0]
     real = equidistribution._stream
 
-    def stream(limit):
-        for segment in real(limit):
+    def stream(limit, table=None):
+        for segment in real(limit, table):
             read.extend(segment[-1:].tolist())
             yield segment
 
@@ -731,7 +766,8 @@ def test_prime_string_memory_budget(monkeypatch):
     """A prime-string search, and each rung of the cluster search built on
     it, counts one whole segment and its carry of min(m - 1, 1.3 x / ln x)
     primes before it sieves: the same bytes at limits 1e6, 1e8 and 4e9,
-    whether it stops in the first segment or reads up to the limit. A
+    whether it stops in the first segment or reads up to the limit. A run
+    of 5e6 primes, listed as Python ints, stays within its carry's count. A
     search past the sieve's own budget is served: it holds no table."""
     for limit in (10**6, 10**8, 4 * 10**9):
         primes._prime_list(math.isqrt(limit))  # the base primes count their own list
@@ -739,7 +775,8 @@ def test_prime_string_memory_budget(monkeypatch):
 
     def need(m, limit):
         carry = min(m - 1, primes._prime_count_bound(limit))
-        return primes.SEGMENT_SPAN // 2 + eq._RUN_BYTES * (primes._prime_count_bound(primes.SEGMENT_SPAN) + carry)
+        segment = primes.SEGMENT_SPAN // 2 + eq._RUN_BYTES * primes._prime_count_bound(primes.SEGMENT_SPAN)
+        return segment + eq._CARRY_BYTES * carry
 
     assert need(2, 10**6) == need(2, 10**8) == need(2, 4 * 10**9)
     for search, m, limit, farthest in (
@@ -747,6 +784,7 @@ def test_prime_string_memory_budget(monkeypatch):
         (lambda: find_prime_string(4, 1, 100, 10**6), 100, 10**6, 999983),
         (lambda: find_prime_string(4, 1, 100, 10**8), 100, 10**8, 99999989),
         (lambda: find_prime_string(1, 0, 10**5, 10**8), 10**5, 10**8, 2093041),
+        (lambda: find_prime_string(1, 0, 5 * 10**6, 10**8), 5 * 10**6, 10**8, 99999989),  # (2, 3, ..., p_m)
         (lambda: cluster_verify("sqrt:2", 0.2, 2, 10**6), 2, 10**6, 4093),
         # every round fails, and some read up to the limit
         (lambda: cluster_verify("sqrt:3", 0.1, 4, 10**6), 4, 10**6, 999983),
@@ -772,8 +810,8 @@ def test_warm_ladder_below_2_to_the_24_sieves_nothing(monkeypatch):
     """Below 2^24 a search reads the prime cache. From a cold cache a ladder
     whose failing rungs read to 1e7 sieves each power of two once, from the
     power of two below it (from 0 for the primes below 2^1 and 2^2); once
-    the cache is warm, the same ladder and a search to 1e7 call
-    ``primes._segments`` 0 times."""
+    the cache is warm, the same ladder, a search to 1e7 and a certificate
+    whose Y = 343,562 call ``primes._segments`` 0 times."""
     ladder = lambda: cluster_verify("sqrt:3", 0.1, 4, 10**7)  # noqa: E731
     calls = []
     real = primes._segments
@@ -784,6 +822,7 @@ def test_warm_ladder_below_2_to_the_24_sieves_nothing(monkeypatch):
     assert sorted(calls) == [((1 << b) - 1, 1 << (b - 1) if b > 2 else 0) for b in range(1, 25)]
     calls.clear()
     assert ladder() == cold and find_prime_string(4, 1, 100, 10**7) is None
+    assert binomial_thresholds.certificate_average(10**18, 200.0).y == 343562
     assert calls == []
 
 
@@ -809,7 +848,8 @@ def test_long_arguments_are_refused_by_their_digit_count():
             lambda: find_prime_string(4, 1, huge, huge),
             "a prime-string search to a 4302-digit number",
             primes.SEGMENT_SPAN // 2
-            + equidistribution._RUN_BYTES * (primes._prime_count_bound(primes.SEGMENT_SPAN) + huge - 1),
+            + equidistribution._RUN_BYTES * primes._prime_count_bound(primes.SEGMENT_SPAN)
+            + equidistribution._CARRY_BYTES * (huge - 1),
         ),
         (
             lambda: window_sample("golden", 0, huge),
@@ -840,8 +880,10 @@ def test_prime_string_refusal_past_the_int_to_str_limit():
     the refusal keeps its start and its end and states the need by its
     exact digit count."""
     limit = 10**4299
-    need = primes.SEGMENT_SPAN // 2 + equidistribution._RUN_BYTES * (
-        primes._prime_count_bound(primes.SEGMENT_SPAN) + limit - 1
+    need = (
+        primes.SEGMENT_SPAN // 2
+        + equidistribution._RUN_BYTES * primes._prime_count_bound(primes.SEGMENT_SPAN)
+        + equidistribution._CARRY_BYTES * (limit - 1)
     )
     digits = _digits(need)
     assert digits > sys.get_int_max_str_digits()
@@ -1080,8 +1122,8 @@ def test_narrowest_run_is_attained(monkeypatch):
     spans = []
     real = equidistribution._stream
 
-    def stream(limit):
-        for segment in real(limit):
+    def stream(limit, table=None):
+        for segment in real(limit, table):
             spans.append(segment.size)
             yield segment
 

@@ -85,16 +85,18 @@ def test_segmented_sieve_matches_simple(monkeypatch):
 
 
 def test_stream_reads_the_cache_below_2_to_the_24(monkeypatch):
-    """The stream gives the primes of ``_sieve(limit)``, one array per span
-    of ``_spans(limit)``, on both sides of 2^24 and across the span that
-    crosses it, [2^24 - 2^12, 2^25 - 2^12). Spans below 2^24 are slices of
-    the warm cache; from the crossing span on the stream is one
+    """The stream gives the primes of ``sieve_primes(limit)``, one array per
+    span of ``_spans(limit)``, on both sides of 2^24 and across the span
+    that crosses it, [2^24 - 2^12, 2^25 - 2^12). Spans below 2^24 are slices
+    of the warm cache; from the crossing span on the stream is one
     ``_segments`` call from that span's start, so nothing below it is
-    sieved again."""
+    sieved again. Given a table, the stream is sliced from it at the same
+    spans, and equals the cache's stream span for span."""
     cap = 1 << primes._CACHE_BITS
     crossing = next((lo, hi) for lo, hi in primes._spans(2 * cap) if hi > cap)
     assert crossing == (cap - primes._FIRST_SPAN, 2 * cap - primes._FIRST_SPAN)
-    whole = primes._sieve(crossing[1])
+    table = sieve_primes(crossing[1])
+    whole = table.primes
     primes._prime_list(cap - 1)
     calls = []
     real = primes._segments
@@ -108,6 +110,8 @@ def test_stream_reads_the_cache_below_2_to_the_24(monkeypatch):
             assert np.all((lo <= segment) & (segment < hi)), (limit, lo)
         expect = whole[: np.searchsorted(whole, limit, side="right")]
         assert np.array_equal(np.concatenate(streamed), expect), limit
+        sliced = list(primes._stream(limit, table))
+        assert len(sliced) == len(streamed) and all(map(np.array_equal, sliced, streamed)), limit
     assert calls == [(limit, crossing[0]) for limit in limits[1:]]
 
 

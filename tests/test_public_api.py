@@ -227,6 +227,30 @@ def _sites(is_site) -> list[str]:
     return sites
 
 
+# How the primes are cut into spans and segments, and how far the cache
+# reaches: ``primes`` alone reads these, so a change of the sieve's layout
+# is a change to ``primes`` alone.
+PRIME_LAYOUT = {"_segments", "_spans", "SEGMENT_SPAN", "_FIRST_SPAN", "_CACHE_BITS"}
+
+
+def test_prime_layout_is_read_in_primes_alone():
+    """No site outside ``primes`` names a name of PRIME_LAYOUT, as a name,
+    an attribute or an import: every other reader takes the primes from
+    ``primes._stream`` or ``primes._prime_list``, and counts a span through
+    ``primes._stream_bytes``."""
+
+    def names_layout(node) -> bool:
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, ast.alias):
+            name = node.name
+        return isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and name in PRIME_LAYOUT
+
+    sites = _sites(names_layout)
+    assert any(site.startswith("primes.") for site in sites)
+    outside = sorted({site for site in sites if not site.startswith("primes.")})
+    assert outside == [], f"the sieve's layout read outside primes: {outside}"
+
+
 def _raise_sites(exception: str) -> list[str]:
     """The sites of each ``raise <exception>`` in the package."""
 
@@ -320,6 +344,7 @@ BUDGET_TESTS = {
     "equidistribution.well_distribution_statistic": "test_equidistribution::test_scan_memory_budget",
     "equidistribution.find_prime_string": "test_equidistribution::test_prime_string_memory_budget",
     "equidistribution.window_sample": "test_equidistribution::test_window_sample_memory_budget",
+    "equidistribution.interval_discrepancy": "test_equidistribution::test_interval_discrepancy_memory_budget",
     "cli._cmd_binomial_f_scan": "test_cli::test_f_scan_counts_its_rows",
     "cli._cmd_basis_reps": "test_cli::test_basis_reps_counts_rendered_rows",
 }
