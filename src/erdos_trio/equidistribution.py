@@ -11,7 +11,7 @@ alpha, is exact. alpha is held as a Fraction (a float input contributes its
 exact dyadic value; "sqrt:N" and "golden" are synthesized to a configurable
 number of bits), {alpha p} is an exact rational reduced mod 1, and the
 clustering inequalities are re-checked in exact arithmetic before a
-witness is reported. Floats only pick which windows a scan scores exactly.
+witness is reported. No float decides anything.
 
 A clustering witness is found by reading the stream of primes in order,
 one span at a time: below 2^24 slices of the package's prime cache, past it
@@ -25,24 +25,25 @@ limit) below that rules the class out.
 
 Interval discrepancy has a closed form (Kuipers & Niederreiter, Uniform
 Distribution of Sequences, 1974, Ch. 2, Thm 1.4): for sorted x_1..x_k in
-[0, 1), D = 1/k + max_i(x_i - i/k) - min_i(x_i - i/k). It has two kernels:
-a float one along the last axis of a sorted float32 or float64 array, which
-it consumes in place, scoring a scan's chunk of windows, and an exact one
-in integers over the points' common denominator, which scores every
-``interval_discrepancy`` input (a float point at its exact dyadic value)
-and, through the one window scorer ``_window_discrepancy``, a scan's
-re-checked windows and ``cluster_verify``'s window, and gives a Fraction.
+[0, 1), D = 1/k + max_i(x_i - i/k) - min_i(x_i - i/k). Every kernel of it
+is exact and in integers: ``interval_discrepancy`` compares the terms of
+points with any denominators by cross-multiplication, a float point at its
+exact dyadic value; the one window scorer ``_window_discrepancy`` scores a
+window's points over alpha's denominator, for a scan's re-checked windows
+and ``cluster_verify``'s window; and a scan's chunk scorer scores rows of
+truncated parts over 2^b, for each row at once.
 
-A window scan is the one place where floats decide anything, and they
-decide only which windows to score exactly. Its fractional parts are 64-bit
+A window scan decides nothing in floats. Its fractional parts are 64-bit
 fixed-point numbers, each within 2^-64 of the exact part. Every window is
-screened in float32 from each part's top 24 bits, within a proven
-E32 = 2^-20 of its exact discrepancy, skipping those that a Lipschitz bound
-from scored neighbours certifies below the band; only the windows within
-2 E32 of the float32 maximum are re-scored in float64 from the top 53 bits,
-within E = 2^-49, and every window within 2E of the float64 maximum is
-then re-scored exactly, in integers over alpha's denominator, so the
-reported argmax window and its value are exact.
+screened from each part's top b1 = min(16, 31 - bitlen(k)) bits as uint16,
+scored exactly for those truncated points in int32, which puts it within
+E = 2k + 1 units of 1/(k 2^b1) of its exact discrepancy, skipping those
+that a Lipschitz bound from scored neighbours certifies below the band;
+only the windows within 2E of the screen's maximum are re-scored from the
+top b2 = 63 - bitlen(k) bits in int64, again within E units of
+1/(k 2^b2), and every window within 2E of that maximum is then re-scored
+exactly, in integers over alpha's denominator, so the reported argmax
+window and its value are exact.
 """
 
 from __future__ import annotations
@@ -63,40 +64,34 @@ from .primes import PrimeTable, _nth_prime_bound, _prime_count_bound, _prime_lis
 # A scan's fractional parts are the top 64 bits of 96-bit fixed-point
 # numbers, from two limb-by-prime products in uint64.
 _FRAC_BITS = 96
-# E32 and E: every float32 and every float64 window score of a scan is
-# within this of the window's exact discrepancy (derived in
-# ``well_distribution_statistic``).
-_SCORE_ERR32 = 2.0**-20
-_SCORE_ERR = 2.0**-49
 
 # Peak bytes of a window scan, counted in four parts. Per scanned prime:
 # the two uint64 arrays of the fixed-point product, then its uint64 parts
-# beside the uint32 and float32 ones of the float32 tier, the window scores,
-# the prune's grid and per-offset arrays (O(windows / _GRID)) and the band;
-# the float32 parts go before the band is formed. The primes themselves are
-# counted by the cache or the sieve that serves them. tracemalloc of the
-# whole scan, primes read from the cache, less its chunk and exact-window
-# counts, at k = 10: 15.8 at 1e6 primes and stride 1000; 22.7 at stride 1,
-# where the prune's arrays are largest, and when every window is in both
-# float bands (alpha = 0.33...3, 24 digits); 22.2 at 2e5 primes when every
-# part is recomputed exactly (alpha = 1 - 2^-100); 23.4 at 1e6 primes and
-# stride 1 when every window is in the float32 band (alpha = 0), the worst
-# case. Past 2^24 the primes the scan sieves for the call add their share,
-# within this count and the sieve's: 32.1 and 33.0 at 4e6 primes, golden and
-# alpha = 0. Per entry of one chunk of windows: the float32 tier's buffer and
-# the gathered rows scaled into it, or the float64 band's chunk, its int64
-# rows and float64 buffer. Per point of a window: the ramp that the chunk
-# scorer builds once per call, float64 i/k and its float32 copy (12.0 at
-# k >= 1,000), or the float64 ramp alone (8.0). tracemalloc of the chunk
-# scorer per entry, its ramp included, at k = 10, 50, 1,000, 20,000,
-# 70,000 and 1e6: float32 8.1-9.4 with many rows and 16.0 with one, float64
-# 17.2-19.8 and 24.1-25.0 with one, within the two counts. Per point of
-# the one window re-scored exactly at a time: _POINT_BYTES + 24 * (bits //
-# 30), bits the bit length of alpha's denominator. That covers the integer
-# score of ``_window_discrepancy``, whose primes, residues and scaled
-# residues are Python ints (tracemalloc per point at k = 10 / 50 / 2,000 /
-# 200,000: 110 / 60 / 48 / 48 with a 2-bit denominator, 150 / 93 / 81 /
-# 84 with 31- and 55-bit ones, 198 / 147 / 136 / 136 at 257 bits, 436 /
+# beside the uint16 ones of the screen, the window scores, the prune's grid
+# and per-offset arrays (O(windows / _GRID)) and the band; the uint16 parts
+# go before the band is formed. The primes themselves are counted by the
+# cache or the sieve that serves them. tracemalloc of the whole scan, primes
+# read from the cache, less its chunk and exact-window counts, at k = 10:
+# 15.8 at 1e6 primes and stride 1000; 20.7 at stride 1, where the prune's
+# arrays are largest, and when every window is in both bands (alpha =
+# 0.33...3, 24 digits); 21.9 at 2e5 primes when every part is recomputed
+# exactly (alpha = 1 - 2^-100); 23.4 at 1e6 primes and stride 1 when every
+# window is in the screen's band (alpha = 0), the worst case. Past 2^24 the
+# primes the scan sieves for the call add their share, within this count
+# and the sieve's: 30.1 and 33.0 at 4e6 primes, golden and alpha = 0. Per
+# entry of one chunk of windows: the screen's int32 rows and the uint16
+# parts gathered for them, or the re-score's int64 rows and gathered parts.
+# Per point of a window: the ramp i 2^b that the chunk scorer builds once
+# per call, int32 or int64. tracemalloc of the chunk scorer per entry, its
+# rows and ramp included, at k = 10, 50, 1,000, 20,000, 70,000 and 1e6: the
+# screen 6.6-7.9 with many rows and 10.0-10.5 with one (k >= 70,000), the
+# re-score 16.2-18.7 and 24.0-24.1 with one, within the two counts. Per
+# point of the one window re-scored exactly at a time: _POINT_BYTES + 24 *
+# (bits // 30), bits the bit length of alpha's denominator. That covers the
+# integer score of ``_window_discrepancy``, whose primes, residues and
+# scaled residues are Python ints (tracemalloc per point at k = 10 / 50 /
+# 2,000 / 200,000: 110 / 60 / 48 / 48 with a 2-bit denominator, 150 / 93 /
+# 81 / 84 with 31- and 55-bit ones, 198 / 147 / 136 / 136 at 257 bits, 436 /
 # 361 / 345 / 344 at 1,025 bits and 2,731 / 2,350 / 2,258 / 2,256 at 8,193
 # bits).
 _PART_BYTES = 28
@@ -113,22 +108,19 @@ _POINT_BYTES = 128
 # (to k = 20,000): 189 + 12 per 30 bits from k = 2,000 on, and more at
 # k = 10, where the big-int temporaries of one point weigh.
 _SAMPLE_BYTES = 256
-# Peak bytes per point of ``interval_discrepancy``, in two counts: its copy
-# as a Fraction (a float's numerator and denominator are ints of their own,
-# the denominator up to 1,075 bits), and its numerator scaled to the common
-# denominator with the closed form's term of it, two Python ints of the
-# denominator's bits and their list slots, at 8 more per 30 bits.
-# tracemalloc per point, less those 8 per 30 bits, at k = 1,000 and
-# 100,000: 104-107 for zeros, 131-135 over one 65- or 257-bit denominator,
-# 203 for random floats, 166-180 for floats over 1,075 bits and 147-148
-# over the k denominators 3, 5, ..., p_(k+1) (k = 2,000 and 20,000, where
-# the ints alone take 8 per 30 bits). At k = 10 fixed costs weigh: 0.45-0.95
-# of the two counts.
-_FRACTION_BYTES = 256
-_SCALED_BYTES = 96
-# Windows scored per chunk: chunks hold about 2^16 entries (256 KiB in
-# float32, 512 KiB in float64), which sort and score faster than chunks of
-# 2^22 and need 1/64 the memory.
+# Peak bytes per point of ``interval_discrepancy``: its sorted copy as a
+# Fraction (a float's numerator and denominator are ints of their own, the
+# denominator up to 1,075 bits) and its list slot; the closed form's running
+# max and min hold a few numbers two denominators wide, not one per point.
+# tracemalloc per point at k = 100 / 1,000 / 20,000 / 100,000: 283 / 265 /
+# 265 / 264 for subnormal floats (denominators up to 2^1074), 129 / 129 /
+# 129 / 128 for random floats, 59 / 57 / 57 / 56 for zeros, 60 / 57 / 57 /
+# 44 over the k denominators 3, 5, ..., p_(k+1) and 65 / 61 / 61 / 60 over
+# 257-bit ones. At k = 10 fixed costs weigh: 574 for subnormal floats.
+_FRACTION_BYTES = 288
+# Windows scored per chunk: chunks hold about 2^16 entries (256 KiB of
+# int32 rows in the screen, 512 KiB of int64 in the re-score), which sort
+# and score faster than chunks of 2^22 and need 1/64 the memory.
 _CHUNK_ENTRIES = 1 << 16
 # A scan first scores every _GRID-th window and the last, and then only the
 # windows between them that a Lipschitz bound cannot rule out of the band
@@ -255,49 +247,20 @@ def _exact_discrepancy(residues: list[int], den: int) -> Fraction:
     return Fraction(min(k * den, den + max(ys) - min(ys)), k * den)
 
 
-def _ramp(k: int, dtype) -> np.ndarray:
-    """fl(i/k) for i = 1..k in ``dtype``: each i/k is formed in float64,
-    within 2^-53 of its value, and rounded once to ``dtype``. Every i is
-    exact, as it would not be in a float32 count past 2^24."""
-    ramp = np.arange(1.0, k + 1)
-    ramp /= k
-    return ramp.astype(dtype, copy=False)
-
-
-def _discrepancy(xs: np.ndarray, ramp: np.ndarray, out: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """Closed-form interval discrepancy along the last axis of a sorted
-    float32 or float64 array, which it consumes: each x_i becomes
-    x_i - fl(i/k) in place, read from ``ramp``, ``_ramp(k, dtype)`` in the
-    array's dtype. The row maxima and minima are reduced into the caller's
-    ``out`` and ``low``, arrays of that dtype and of the input's shape less
-    its last axis, and ``out`` is returned. Rounding can overshoot 1 by an
-    ulp; the cap removes it."""
-    k = xs.shape[-1]
-    xs -= ramp
-    xs.max(axis=-1, out=out)
-    xs.min(axis=-1, out=low)
-    out -= low
-    out += 1 / k
-    return np.minimum(out, 1, out=out)
-
-
 def interval_discrepancy(points: Sequence[Fraction | float]) -> Fraction:
     """Sup over intervals [a, b] of |count/k - (b - a)| for points in [0, 1).
 
-    Uses the closed form D = 1/k + max_i(x_i - i/k) - min_i(x_i - i/k) over
-    the sorted points (Kuipers & Niederreiter 1974, Ch. 2, Thm 1.4), scored
-    in integers over the points' common denominator, so the result is the
-    exact Fraction; a float point counts at its exact dyadic value. A point
-    outside [0, 1), infinities and NaN included, raises ValueError.
+    Uses the closed form D = 1/k + max_i y_i - min_i y_i, y_i = x_i - i/k,
+    over the sorted points (Kuipers & Niederreiter 1974, Ch. 2, Thm 1.4),
+    exactly and with no common denominator: with x_i = n_i / d_i, each
+    k y_i is kept as the pair (k n_i - i d_i, d_i), and a running max and
+    min compare two pairs by cross-multiplication, numbers two denominators
+    wide, so the result is the exact Fraction in O(k) comparisons past the
+    sort; a float point counts at its exact dyadic value. A point outside
+    [0, 1), infinities and NaN included, raises ValueError.
 
-    The points' copies as Fractions are counted through ``reserve`` before
-    they are made, at ``_FRACTION_BYTES`` per point, and the numerators
-    scaled to the common denominator before they are formed, at
-    ``_SCALED_BYTES`` per point and 8 more per 30 bits of the denominator,
-    which makes the cost quadratic when the denominators differ. The common
-    denominator is the lcm of the distinct ones, joined pairwise level by
-    level; each level's widest is a lower bound on its bit length, and
-    raises the count, so a request that cannot fit is refused early.
+    The points' sorted copies as Fractions are counted through ``reserve``
+    before they are made, at ``_FRACTION_BYTES`` per point.
     """
     k = len(points)
     if not k:
@@ -306,18 +269,15 @@ def interval_discrepancy(points: Sequence[Fraction | float]) -> Fraction:
     if outside:
         raise ValueError(f"points must lie in [0, 1); got {outside[0]}")
     reserve(_FRACTION_BYTES * k, f"the discrepancy of {k} points")
-    xs = list(map(Fraction, points))
-    dens = list({x.denominator for x in xs})
-    while True:
-        bits = max(d.bit_length() for d in dens)
-        need = k * (_SCALED_BYTES + 8 * (bits // 30))
-        reserve(need, f"the numerators of {k} points over a denominator of at least {bits} bits")
-        if len(dens) == 1:
-            break
-        dens = [math.lcm(*dens[i : i + 2]) for i in range(0, len(dens), 2)]
-    den = dens[0]
-    xs.sort()
-    return _exact_discrepancy([x.numerator * (den // x.denominator) for x in xs], den)
+    xs = sorted(map(Fraction, points))
+    high_y, high_d = low_y, low_d = k * xs[0].numerator, xs[0].denominator
+    for i, x in enumerate(xs):
+        y, d = k * x.numerator - i * x.denominator, x.denominator
+        if y * high_d > high_y * d:
+            high_y, high_d = y, d
+        elif y * low_d < low_y * d:
+            low_y, low_d = y, d
+    return min(Fraction(1), Fraction(high_d * low_d + high_y * low_d - low_y * high_d, k * high_d * low_d))
 
 
 @dataclass(frozen=True)
@@ -373,44 +333,54 @@ def _fixed_point_parts(alpha: Fraction, ps: np.ndarray) -> np.ndarray:
     return top
 
 
-def _score_windows(windows: np.ndarray, js: np.ndarray, rows: np.ndarray, scores: np.ndarray) -> None:
+def _score_windows(windows: np.ndarray, js: np.ndarray, rows: np.ndarray, scores: np.ndarray, bits: int) -> None:
     """Score the windows ``windows[js]`` into ``scores[js]``, one chunk of
-    ``rows`` at a time, in the dtype of ``rows`` (float32 or float64, with
-    b = 24 or 53 bits of precision). A window is a row of integers m, held
-    exactly in float32 or int64, that stand for the parts m 2^-b; each
-    chunk is gathered into ``rows``, scaled there, sorted in place and
-    scored by ``_discrepancy`` against one ramp built for the call."""
-    scale = 2.0 ** -(np.finfo(rows.dtype).nmant + 1)
-    ramp = _ramp(rows.shape[1], rows.dtype)
+    ``rows`` at a time, exactly. A window is a row of k integers m, a part's
+    top b = ``bits`` bits, that stand for the points m 2^-b, and its score is
+    k 2^b times their closed-form discrepancy, the formula of
+    ``_exact_discrepancy`` over the denominator 2^b, as an int64:
+    min(k 2^b, 2^b + max_i y_i - min_i y_i), y_i = k m_(i) - i 2^b over the
+    sorted m_(i), i = 0..k-1. Each chunk is gathered with ``windows[at]``
+    (``np.take`` with ``out=`` on a sliding view is 10-20x slower), sorted in
+    place, and its y_i are formed in ``rows``, whose integer type holds
+    k 2^b."""
+    k = rows.shape[1]
+    ramp = np.arange(k, dtype=rows.dtype)
+    ramp <<= bits
     high, low = np.empty(len(rows), rows.dtype), np.empty(len(rows), rows.dtype)
     for off in range(0, js.size, len(rows)):
         at = js[off : off + len(rows)]
-        got = rows[: at.size]
-        np.multiply(windows[at], scale, out=got)
+        got = windows[at]
         got.sort(axis=1)
-        scores[at] = _discrepancy(got, ramp, high[: at.size], low[: at.size])
+        ys = rows[: at.size]
+        np.multiply(got, k, out=ys, dtype=rows.dtype)
+        del got  # before the next chunk is gathered
+        ys -= ramp
+        width = ys.max(axis=1, out=high[: at.size])
+        width -= ys.min(axis=1, out=low[: at.size])
+        width += 1 << bits
+        scores[at] = np.minimum(width, k << bits, out=width)
 
 
-def _bounded_windows(scores: np.ndarray, r: int, stride: int, k: int, best: float) -> np.ndarray:
+def _bounded_windows(scores: np.ndarray, r: int, stride: int, k: int, bits: int, floor: int) -> np.ndarray:
     """The windows j = r (mod G), G = ``_GRID`` and 0 < r < G, that a
-    scan's second pass scores in float32, ascending; E = E32 = 2^-20.
+    scan's second pass scores, ascending. Scores are in units of
+    1/(k 2^b), b = ``bits``, each within E = 2k + 1 of its window's exact
+    discrepancy, and ``floor`` is best - 4E.
 
     Each such j lies between two scored neighbours g: the grid windows
     0, G, 2G, ... and the last window, n - 1. The windows g and j share all
     but t = min(|j - g| stride, k) of their k primes, so (see
     ``well_distribution_statistic``) j's exact discrepancy is at most
-    U(j) = min_g(score(g) + E + t / k). j is returned unless U(j) <
-    best - 3E, tested as score(g) < best - 3.5E - E - t / k for a
-    neighbour g: the cut is formed and compared in float64, rounded by less
-    than 4 * 2^-53 < E / 4, so a window left out has
-    U(j) < best - 3.5E + E / 4 < best - 3E.
+    U(j) = min_g(score(g) + E + t 2^b). j is returned exactly when U(j) >=
+    best - 3E, tested in integers as score(g) >= floor - t 2^b for both
+    neighbours g.
     """
     last = scores.size - 1
     cells = last // _GRID  # the full cells [cG, (c + 1)G]
-    floor = best - 3.5 * _SCORE_ERR32
 
-    def cut(d: int) -> float:
-        return floor - _SCORE_ERR32 - min(d * stride, k) / k
+    def cut(d: int) -> int:
+        return floor - (min(d * stride, k) << bits)
 
     keep = scores[: cells * _GRID : _GRID] >= cut(r)
     keep &= scores[_GRID : cells * _GRID + 1 : _GRID] >= cut(_GRID - r)
@@ -423,12 +393,13 @@ def _bounded_windows(scores: np.ndarray, r: int, stride: int, k: int, best: floa
     return js
 
 
-def _checked(exact: Fraction, score: float, err: float, n: int) -> Fraction:
+def _checked(exact: Fraction, score: int, unit: int, err: int, n: int) -> Fraction:
     """``exact``, the exact discrepancy of the window at ``n``, once its
-    float ``score`` is within ``err`` of it; VerificationError otherwise."""
-    if abs(exact - Fraction(score)) > err:
+    ``score`` over ``unit`` is within ``err / unit`` of it;
+    VerificationError otherwise."""
+    if abs(exact * unit - score) > err:
         raise VerificationError(
-            f"window at {n}: scan scored {score}, exact discrepancy is {float(exact)}"
+            f"window at {n}: scan scored {score / unit}, exact discrepancy is {float(exact)}"
         )
     return exact
 
@@ -442,64 +413,54 @@ def well_distribution_statistic(
     """Scan windows of size k starting at n = 0, stride, ..., <= scan_limit.
 
     ``argmax_start`` is exact: the smallest scanned start whose window has
-    the largest exact discrepancy. Windows are scored in two float tiers,
-    float32 and then float64, from 64-bit fixed-point fractional parts
-    (``_fixed_point_parts``, each within 2^-64 of {alpha p}) by one
-    ``_discrepancy`` kernel, one chunk at a time, gathered into one buffer
-    and sorted in place (``_score_windows``). A tier of b = 24 or 53 bits of
-    precision reads each part's top b bits as an integer and scales it by
-    2^-b exactly, and every float score of the tier is within its E of the
-    window's exact discrepancy, E32 = 2^-20 and E = 2^-49:
+    the largest exact discrepancy. Windows are scored in two tiers of one
+    integer kernel (``_score_windows``), one chunk at a time, from 64-bit
+    fixed-point fractional parts (``_fixed_point_parts``, each within 2^-64
+    of {alpha p}). A tier of b bits reads each part's top b bits as an
+    integer m, and scores a window exactly for the points m 2^-b, as an
+    integer in units of 1/(k 2^b); the screen reads b1 = min(16,
+    31 - bitlen(k)) bits as uint16 and forms its y_i in int32, and the
+    re-score reads b2 = 63 - bitlen(k) bits, with int64 rows, so that
+    k 2^b < 2^31 and k 2^b < 2^63: no y_i, and no score, overflows. A k
+    with no bit left, k >= 2^30, is a ValueError. Every score of a tier is
+    within E = 2k + 1 units of the window's exact discrepancy: the top b
+    bits truncate each part by less than 2^-b, so it errs by
+    eps < 2^-b + 2^-64; sorting moves each order statistic by at most eps,
+    so the max and the min of x_(i) - i/k each move by at most eps, and the
+    discrepancy by at most 2 eps, which is 2k + k 2^(b - 63) <= 2k + 1
+    units. Nothing is rounded.
 
-    * the top b bits truncate each part by less than 2^-b, so it errs by
-      eps < 2^-b + 2^-64; sorting moves each order statistic by at most
-      eps, so the max and the min of x_(i) - i/k each move by at most eps,
-      and the discrepancy by at most 2 eps;
-    * with u = 2^-b, the ramp fl(i/k), formed in float64 and rounded once,
-      is rounded by at most u + 2^-53 (u in float64), and each
-      x_i - fl(i/k), below 1 in size, by at most u, so the max and the min
-      of the y_i each err by at most 2u + 2^-53; their difference (below
-      2) is rounded by at most 2u, fl(1/k) by at most u + 2^-53, and adding
-      it (a sum below 2) by at most 2u: 9u + 3 * 2^-53 in all, and capping
-      at 1 adds none;
-    * so |score - exact| <= 2 eps + 9u + 3 * 2^-53, under 12u < 16u = E32
-      at b = 24 and under 15u < 16u = E at b = 53.
-
-    Not every window is scored in float32. Replacing t of a window's k
-    points moves any interval's count by at most t, so it moves the
-    interval discrepancy by at most t/k; two windows whose starts are d
-    apart share all but t = min(d, k) of their primes. A first pass scores
-    every ``_GRID``-th window and the last. A window j between two scored
+    Not every window is screened. Replacing t of a window's k points moves
+    any interval's count by at most t, so it moves the interval discrepancy
+    by at most t/k, t 2^b units; two windows whose starts are d apart share
+    all but t = min(d, k) of their primes. A first pass scores every
+    ``_GRID``-th window and the last. A window j between two scored
     neighbours g then has an exact discrepancy of at most U(j) =
-    min_g(score(g) + E32 + min(|j - g| stride, k) / k), and the second pass
-    scores only the windows whose U(j) reaches best - 3 E32, best the first
-    pass's maximum (``_bounded_windows``, which spends E32/2 more on its
-    own rounding: it reads the float32 scores held exactly in float64, and
-    its cut is rounded by less than 4 * 2^-53, far under 4u = E32/4 with
-    u = 2^-24). A skipped window scores below U(j) + E32 < best - 2 E32 in
-    float32, and the final maximum is at least best, so it lies outside the
-    band below, whose windows and scores are those of a scan that scores
-    every window.
+    min_g(score(g) + E + min(|j - g| stride, k) 2^b), and the second pass
+    scores exactly the windows whose U(j) reaches best - 3E, best the first
+    pass's maximum (``_bounded_windows``). A skipped window would score below
+    U(j) + E < best - 2E, and the final maximum is at least best, so it lies
+    outside the band below, whose windows and scores are those of a scan
+    that scores every window.
 
     A tier's band is every window whose score is within 2E of the tier's
     maximum. The exact maximum's windows all lie in it, since each scores at
-    least exact max - E >= float max - 2E. With q the denominator of alpha
+    least exact max - E >= max score - 2E. With q the denominator of alpha
     and r_i = q {alpha p_i} the sorted residues, k q D = q + max(k r_i - i q)
     - min(k r_i - i q) is an integer, so an exact discrepancy is a multiple
-    of 1/(k q), and none exceeds the ceiling min(1, float max + E). The
-    float32 band's first window is scored exactly in integers
+    of 1/(k q), and none exceeds the ceiling min(1, (max score + E) / (k 2^b)).
+    The screen's band's first window is scored exactly in integers
     (``_window_discrepancy``) when the next multiple above the most its
-    exact value can be, min(1, its score + E32), passes the float32
-    ceiling; if the next multiple above its exact value does, no window can
-    exceed it, and it is the argmax: at an exact 1, and whenever
-    k q < 2^18, so the many exact ties of a rational alpha cost one exact
-    window and no float64 one. Otherwise the
-    float32 band is re-scored in float64, and the float64 band is scored
-    exactly in ascending start order, keeping the first largest value; the
-    re-scoring stops once the next multiple above the best value found
-    passes the float64 ceiling (at the first window when k q < 2^47). A
-    window whose exact value is more than its tier's E from its float score
-    raises VerificationError.
+    exact value can be, min(1, (its score + E) / (k 2^b1)), passes the
+    screen's ceiling; if the next multiple above its exact value does, no
+    window can exceed it, and it is the argmax: at an exact 1, and whenever
+    q (2k + 1) < 2^(b1 - 2), so the many exact ties of a rational alpha cost
+    one exact window and no re-scored one. Otherwise the screen's band is
+    re-scored at b2 bits, and that band is scored exactly in ascending start
+    order, keeping the first largest value; the re-scoring stops once the
+    next multiple above the best value found passes the re-score's ceiling
+    (at the first window when q (2k + 1) < 2^(b2 - 2)). A window whose exact
+    value is more than E units from its score raises VerificationError.
 
     The scan reads its scan_limit + k primes from ``primes._prime_list``
     up to the bound ``_nth_prime_bound(scan_limit + k)``: a slice of the
@@ -523,53 +484,56 @@ def well_distribution_statistic(
         + k * (_POINT_BYTES + 24 * (a.denominator.bit_length() // 30)),
         f"a scan of {_count(n_windows)} windows of {k} primes",
     )
+    bits = min(16, 31 - k.bit_length())
+    if bits < 1:
+        raise ValueError(f"a scan needs k below 2^30; got {k}")
     ps = _prime_list(_nth_prime_bound(needed))[:needed]
     if ps[-1] >> 32:
         raise ValueError(f"scan needs primes below 2^32; prime {needed} is {int(ps[-1])}")
     top = _fixed_point_parts(a, ps)
+    err = 2 * k + 1  # E: each score's bound, in units of 1/(k 2^b), at either width
     window_view = np.lib.stride_tricks.sliding_window_view
-    # float32: the parts' top 24 bits, integers that float32 holds exactly,
-    # converted through int32 (numpy's cast from uint64 is several times slower)
-    ints = np.right_shift(top, 40, out=np.empty(needed, np.uint32), casting="unsafe")
-    windows = window_view(ints.view(np.int32).astype(np.float32), k)[::stride]
-    del ints
-    rows = np.empty((min(n_windows, chunk), k), np.float32)
-    scores = np.full(n_windows, -1.0)  # below every band; stays on skipped windows
-    _score_windows(windows, np.append(np.arange(0, n_windows - 1, _GRID), n_windows - 1), rows, scores)
-    best = float(scores.max())
+    # the screen: the parts' top b1 bits as uint16, scored in int32
+    ints = np.right_shift(top, 64 - bits, out=np.empty(needed, np.uint16), casting="unsafe")
+    windows = window_view(ints, k)[::stride]
+    rows = np.empty((min(n_windows, chunk), k), np.int32)
+    scores = np.full(n_windows, np.iinfo(np.int64).min)  # below every band; stays on skipped windows
+    _score_windows(windows, np.append(np.arange(0, n_windows - 1, _GRID), n_windows - 1), rows, scores, bits)
+    best = int(scores.max())
     for r in range(1, _GRID):
-        _score_windows(windows, _bounded_windows(scores, r, stride, k, best), rows, scores)
-    del windows, rows
-    best = float(scores.max())
-    band = np.flatnonzero(scores >= best - 2 * _SCORE_ERR32)
+        _score_windows(windows, _bounded_windows(scores, r, stride, k, bits, best - 4 * err), rows, scores, bits)
+    del windows, rows, ints
+    best = int(scores.max())
+    band = np.flatnonzero(scores >= best - 2 * err)
     # no window's exact value exceeds a tier's ceiling, and every exact value
     # is a multiple of the step
-    step = Fraction(1, k * a.denominator)
-    ceiling = min(Fraction(1), Fraction(best) + Fraction(_SCORE_ERR32))
-    first, first_n, score = None, int(band[0]) * stride, float(scores[band[0]])
+    step, unit = Fraction(1, k * a.denominator), k << bits
+    ceiling = min(Fraction(1), Fraction(best + err, unit))
+    first, first_n, score = None, int(band[0]) * stride, int(scores[band[0]])
     # the band's first window can end the scan only if the next multiple
     # above the most its exact value can be passes the ceiling
-    if min(Fraction(1), Fraction(score) + Fraction(_SCORE_ERR32)) + step > ceiling:
+    if min(Fraction(1), Fraction(score + err, unit)) + step > ceiling:
         window = ps[first_n : first_n + k].tolist()
-        first = _checked(_window_discrepancy(a, window), score, _SCORE_ERR32, first_n)
+        first = _checked(_window_discrepancy(a, window), score, unit, err, first_n)
     exact, best_n = first, first_n
     if first is None or first + step <= ceiling:
-        # float64: the parts' top 53 bits, as int64, for the float32 band only
-        np.right_shift(top, 11, out=top)
-        _score_windows(
-            window_view(top.view(np.int64), k)[::stride], band, np.empty((min(band.size, chunk), k)), scores
-        )
-        del top
-        best = float(scores[band].max())
-        ceiling = min(Fraction(1), Fraction(best) + Fraction(_SCORE_ERR))
+        # the re-score: the parts' top b2 bits, as int64, for the screen's band only
+        bits = 63 - k.bit_length()
+        unit = k << bits
+        np.right_shift(top, 64 - bits, out=top)
+        rows = np.empty((min(band.size, chunk), k), np.int64)
+        _score_windows(window_view(top.view(np.int64), k)[::stride], band, rows, scores, bits)
+        del top, rows
+        best = int(scores[band].max())
+        ceiling = min(Fraction(1), Fraction(best + err, unit))
         exact, best_n = Fraction(-1), 0
         for i in band:
-            n, score = int(i) * stride, float(scores[i])
-            if score < best - 2 * _SCORE_ERR:
+            n, score = int(i) * stride, int(scores[i])
+            if score < best - 2 * err:
                 continue
             known = n == first_n and first is not None
             d = first if known else _window_discrepancy(a, ps[n : n + k].tolist())
-            if _checked(d, score, _SCORE_ERR, n) > exact:
+            if _checked(d, score, unit, err, n) > exact:
                 exact, best_n = d, n
                 if exact + step > ceiling:
                     break

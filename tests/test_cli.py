@@ -478,8 +478,8 @@ def test_f_scan_counts_its_rows(capsys):
 
 
 def test_scan_exact_check_failure_exits_2(capsys, monkeypatch):
-    """A scanned window whose exact discrepancy is not within the float error
-    bound of its score is a verification failure."""
+    """A scanned window whose exact discrepancy is not within the error
+    bound E of its score is a verification failure."""
     real = equidistribution._window_discrepancy
     monkeypatch.setattr(
         equidistribution, "_window_discrepancy", lambda al, ps: real(al, one_prime_later(ps))

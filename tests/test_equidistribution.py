@@ -29,14 +29,7 @@ from erdos_trio import (
     window_sample,
 )
 from erdos_trio import PrimeString, basis_splits, binomial_thresholds, equidistribution, errors, primes
-from erdos_trio.equidistribution import (
-    _SCORE_ERR,
-    _SCORE_ERR32,
-    _discrepancy,
-    _fixed_point_parts,
-    _ramp,
-    _window_discrepancy,
-)
+from erdos_trio.equidistribution import _fixed_point_parts, _score_windows, _window_discrepancy
 
 from budget import assert_counted
 from oracles import (
@@ -123,37 +116,28 @@ def test_fractional_part_is_exact():
 
 
 def test_interval_discrepancy_memory_budget():
-    """The points' copies as Fractions are counted before they are made, and
-    their numerators scaled to the common denominator before they are
-    formed, at its bit length, read here from one lcm of the denominators:
-    each count covers what tracemalloc measures, passes exactly and refuses
-    one byte less. With 1,000 random floats the copies bind; with the 2,000
-    denominators 3, 5, ..., p_2001 the scaled numerators, quadratic in k,
-    do. 40,000 such points, ~3 GB by the count, are refused in under 1 s."""
+    """The points' sorted copies as Fractions are counted before they are
+    made, and the count covers what tracemalloc measures, passes exactly and
+    refuses one byte less: 1,000 random floats, 1,000 subnormal floats,
+    whose denominators reach 2^1074, and 40,000 points over the distinct
+    denominators 3, 5, ..., p_40001, which no common denominator joins (its
+    lcm has ~670,000 bits). 7.5e6 zeros, ~2.16 GB by the count, are refused
+    in under 1 s."""
     eq = equidistribution
     rng = random.Random(35)
     odd = primes._prime_ints(10**6)[1:]
-
-    def counts(points):
-        k, bits = len(points), math.lcm(*(Fraction(x).denominator for x in points)).bit_length()
-        return eq._FRACTION_BYTES * k, k * (eq._SCALED_BYTES + 8 * (bits // 30))
-
-    floats = [rng.random() for _ in range(1000)]
-    copies, scaled = counts(floats)
-    want = interval_discrepancy(floats)
-    assert scaled < copies
-    assert assert_counted(copies, lambda: interval_discrepancy(floats), peak=copies + scaled) == want
-    fractions = [Fraction(1, p) for p in odd[:2000]]
-    copies, scaled = counts(fractions)
-    want = interval_discrepancy(fractions)
-    assert copies < scaled and scaled == 2000 * (eq._SCALED_BYTES + 8 * (24869 // 30))
-    call = lambda: interval_discrepancy(fractions)  # noqa: E731
-    match = "the numerators of 2000 points over a denominator of at least 24869 bits"
-    assert assert_counted(scaled, call, peak=copies + scaled, match=match) == want
-    fractions = [Fraction(1, p) for p in odd[:40000]]
+    for points in (
+        [rng.random() for _ in range(1000)],
+        [2.0**-1074 * rng.randrange(1, 2**52) for _ in range(1000)],
+        [Fraction(1, p) for p in odd[:40000]],
+    ):
+        want = interval_discrepancy(points)
+        call = lambda: interval_discrepancy(points)  # noqa: E731
+        match = f"the discrepancy of {len(points)} points"
+        assert assert_counted(eq._FRACTION_BYTES * len(points), call, match=match) == want
     start = time.perf_counter()
-    with pytest.raises(ResourceLimitError, match="the numerators of 40000 points"):
-        interval_discrepancy(fractions)
+    with pytest.raises(ResourceLimitError, match="the discrepancy of 7500000 points"):
+        interval_discrepancy([0] * 7_500_000)
     assert time.perf_counter() - start < 1.0
 
 
@@ -236,77 +220,101 @@ def test_grid_oracle_equals_its_pairwise_form():
     assert differs >= 10
 
 
-def test_float_batch_rows_within_E_of_exact_discrepancy():
-    """The batch kernel scores every row within E = 2^-49 of its exact
-    discrepancy, which the closed form and the family oracle agree on,
-    among them rows with a repeated point and rows with a point at 0. The
-    kernel consumes its input, so it scores a copy into the caller's
-    arrays."""
-    rng = np.random.RandomState(6)
-    for k in (1, 2, 3, 7, 50, 199):
-        batch = np.sort(rng.rand(40, k), axis=1)
-        if k > 3:
-            batch[::2, k // 2] = batch[::2, k // 2 - 1]  # force duplicates
-        batch[1::5, 0] = 0.0
-        out, low = np.empty(40), np.empty(40)
-        ds = _discrepancy(batch.copy(), _ramp(k, np.float64), out, low)
-        assert ds is out and ds.shape == (40,)
-        for row, d in zip(batch, ds.tolist()):
-            exact = interval_discrepancy(list(row))
-            assert exact == family_discrepancy(row.tolist())
-            assert abs(exact - Fraction(d)) <= Fraction(_SCORE_ERR)
+# The scan's two widths: (bits, part dtype, row dtype) of the screen and of
+# the re-score for a window of k points.
+def _widths(k: int):
+    return ((min(16, 31 - k.bit_length()), np.uint16, np.int32), (63 - k.bit_length(), np.int64, np.int64))
 
 
-def test_float32_batch_rows_within_E32_of_exact_discrepancy(table_1e5):
-    """The float32 twin: the batch kernel scores float32 rows within
-    E32 = 2^-20 of their exact discrepancy, among them rows with a repeated
-    point and rows with a point at 0, and so do a scan's float32 rows, the
-    top 24 bits of the fixed-point parts of primes' windows, against the
-    windows' exact values. The bound's derivation, 2 eps + 9u + 3 * 2^-53
-    with eps = 2^-24 + 2^-64 and u = 2^-24, fits under E32."""
-    u = Fraction(1, 2**24)
-    assert Fraction(float(np.finfo(np.float32).eps)) / 2 == u
-    assert 2 * (u + Fraction(1, 2**64)) + 9 * u + Fraction(3, 2**53) < Fraction(_SCORE_ERR32)
+def test_integer_kernel_scores_truncated_points_exactly():
+    """At both widths the kernel scores each row of parts m, in units of
+    1/(k 2^b), as exactly k 2^b times the family oracle's discrepancy of the
+    points m 2^-b, among them rows with a repeated point, rows with a point
+    at 0 and rows with the largest part, 2^b - 1, over several chunks."""
     rng = np.random.RandomState(6)
     for k in (1, 2, 3, 7, 50, 199):
-        batch = np.sort(rng.rand(40, k).astype(np.float32), axis=1)
-        if k > 3:
-            batch[::2, k // 2] = batch[::2, k // 2 - 1]  # force duplicates
-        batch[1::5, 0] = 0.0
-        out, low = np.empty(40, np.float32), np.empty(40, np.float32)
-        ds = _discrepancy(batch.copy(), _ramp(k, np.float32), out, low)
-        assert ds is out and ds.dtype == np.float32
-        for row, d in zip(batch, ds.tolist()):
-            exact = interval_discrepancy(row.tolist())
-            assert exact == family_discrepancy(row.tolist())
-            assert abs(exact - Fraction(d)) <= Fraction(_SCORE_ERR32)
+        for bits, part, row in _widths(k):
+            ms = rng.randint(0, 2**bits, size=(40, k), dtype=np.int64)
+            if k > 3:
+                ms[::2, k // 2] = ms[::2, k // 2 - 1]  # force duplicates
+            ms[1::5, 0] = 0
+            ms[2::5, -1] = 2**bits - 1
+            scores = np.zeros(40, np.int64)
+            _score_windows(ms.astype(part), np.arange(40), np.empty((16, k), row), scores, bits)
+            for m, score in zip(ms.tolist(), scores.tolist()):
+                assert Fraction(score, k << bits) == family_discrepancy([Fraction(x, 2**bits) for x in m]), (k, bits)
+
+
+def test_scan_rows_score_within_E_of_exact(table_1e5):
+    """A scan's rows at both widths, the top b bits of the fixed-point parts
+    of primes' windows, score within E = 2k + 1 units of 1/(k 2^b) of the
+    windows' exact discrepancy: each part errs by eps < 2^-b + 2^-64, and
+    2 eps k 2^b <= 2k + 1 since k 2^b <= 2^63."""
     ps = table_1e5.primes[:3000]
     for alpha in (parse_alpha("golden"), parse_alpha("sqrt:2"), Fraction(355, 113), 1 - Fraction(1, 2**100)):
-        parts = (_fixed_point_parts(alpha, ps) >> 40).astype(np.float32) * np.float32(2**-24)
+        top = _fixed_point_parts(alpha, ps)
         for k in (1, 5, 50, 1000):
-            starts = range(0, ps.size - k + 1, 97)
-            rows = np.sort(np.stack([parts[n : n + k] for n in starts]), axis=1)
-            out, low = np.empty(len(rows), np.float32), np.empty(len(rows), np.float32)
-            for n, d in zip(starts, _discrepancy(rows, _ramp(k, np.float32), out, low).tolist()):
-                exact = _window_discrepancy(alpha, ps[n : n + k].tolist())
-                assert abs(exact - Fraction(d)) <= Fraction(_SCORE_ERR32), (alpha, k, n)
+            starts = np.arange(0, ps.size - k + 1, 97)
+            exact = [_window_discrepancy(alpha, ps[n : n + k].tolist()) for n in starts.tolist()]
+            for bits, part, row in _widths(k):
+                assert 2 * (Fraction(1, 2**bits) + Fraction(1, 2**64)) * (k << bits) <= 2 * k + 1
+                windows = np.lib.stride_tricks.sliding_window_view((top >> np.uint64(64 - bits)).astype(part), k)
+                scores = np.zeros(len(windows), np.int64)
+                _score_windows(windows, starts, np.empty((8, k), row), scores, bits)
+                for n, d in zip(starts.tolist(), exact):
+                    assert abs(d * (k << bits) - int(scores[n])) <= 2 * k + 1, (alpha, k, bits, n)
 
 
-def test_ramp_is_rounded_once_past_2_to_the_24():
-    """At k = 2^24 + 1, past the integers float32 holds, every entry of the
-    float32 ramp is i/k correctly rounded, checked exactly in float64: the
-    product of a float32 entry and k has at most 49 bits, so
-    |ramp_i k - i| is exact and must be at most half the entry's ulp times
-    k. The float64 ramp is i/k in float64."""
-    k = 2**24 + 1
-    ramp = _ramp(k, np.float32)
-    assert ramp.dtype == np.float32 and ramp.size == k and ramp[-1] == 1
-    for lo in range(0, k, 1 << 22):
-        i = np.arange(lo + 1, min(lo + (1 << 22), k) + 1, dtype=np.float64)
-        r = ramp[lo : lo + i.size]
-        assert np.all(np.abs(r.astype(np.float64) * k - i) <= np.spacing(r).astype(np.float64) * k / 2)
-    del ramp
-    assert np.array_equal(_ramp(k, np.float64)[-3:], np.arange(k - 2.0, k + 1) / k)
+def _scored_rows(monkeypatch) -> list:
+    """Record, for each call of the chunk scorer, its bits, its rows' dtype,
+    the windows it scored and their scores."""
+    seen, real = [], equidistribution._score_windows
+
+    def record(windows, js, rows, scores, bits):
+        real(windows, js, rows, scores, bits)
+        seen.append((bits, rows.dtype.type, js.copy(), scores[js].copy()))
+
+    monkeypatch.setattr(equidistribution, "_score_windows", record)
+    return seen
+
+
+def test_screen_keeps_its_rows_in_int32_past_k_2_to_the_15(monkeypatch):
+    """At k = 2^15 + 1 the screen reads b1 = 15 bits, so that k 2^b1 stays
+    below 2^31 and every y_i fits its int32 row: every window a scan scores,
+    in the screen and in the re-score (b2 = 47), is within E = 2k + 1 units
+    of its exact discrepancy. alpha = 1 - 2^-100 puts every part near 1, so
+    at 16 bits the first y_i, k (2^16 - 1), would pass 2^31."""
+    k = 2**15 + 1
+    ps = primes._prime_list(10**6)[: k + 12].tolist()
+    for alpha in (parse_alpha("golden"), 1 - Fraction(1, 2**100), Fraction(1, 2) + Fraction(1, 10**7)):
+        seen = _scored_rows(monkeypatch)
+        res = well_distribution_statistic(alpha, k, 12)
+        monkeypatch.undo()
+        assert {(bits, dtype) for bits, dtype, _, _ in seen} <= {(15, np.int32), (47, np.int64)}
+        assert seen[0][:2] == (15, np.int32)
+        exact = {}
+        for bits, _, js, scores in seen:
+            for n, score in zip(js.tolist(), scores.tolist()):
+                d = exact.setdefault(n, _window_discrepancy(alpha, ps[n : n + k]))
+                assert abs(d * (k << bits) - score) <= 2 * k + 1, (alpha, bits, n)
+        assert res.max_discrepancy_exact == max(exact.values())
+
+
+def test_scan_refuses_k_with_no_bit_left(monkeypatch):
+    """A k from 2^30 on leaves the screen no bit, since k 2^b1 must stay
+    below 2^31: under a budget that admits it, the scan raises ValueError
+    before it reads a prime, and k = 2^30 - 1, with b1 = 1, goes on to read
+    its primes."""
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", 1 << 60)
+
+    def read(bound):
+        raise LookupError("primes read")
+
+    monkeypatch.setattr(equidistribution, "_prime_list", read)
+    with pytest.raises(ValueError, match=r"k below 2\^30"):
+        well_distribution_statistic("golden", 2**30, 0)
+    with pytest.raises(LookupError, match="primes read"):
+        well_distribution_statistic("golden", 2**30 - 1, 0)
 
 
 def test_float_points_are_scored_exactly():
@@ -368,56 +376,53 @@ def test_scan_golden_regression_lock():
 
 
 def test_scan_float_scores_under_half_the_regression_lock_windows(monkeypatch):
-    """The Lipschitz prune float-scores fewer than half of the regression
-    lock's windows and leaves its result as it was."""
-    rows = []
-    real = equidistribution._discrepancy
-    monkeypatch.setattr(
-        equidistribution, "_discrepancy", lambda xs, *out: rows.append(len(xs)) or real(xs, *out)
-    )
+    """The Lipschitz prune screens fewer than half of the regression lock's
+    windows and leaves its result as it was."""
+    seen = _scored_rows(monkeypatch)
     res = well_distribution_statistic(parse_alpha("golden"), 50, 10**4)
     assert (float(res.max_discrepancy_exact), res.argmax_start, res.windows) == (0.27446853496761325, 8174, 10001)
-    assert sum(rows) < res.windows / 2
+    assert sum(js.size for _, dtype, js, _ in seen if dtype == np.int32) < res.windows / 2
 
 
 def _tier_recorder(monkeypatch) -> dict:
-    """Count the rows each float tier scores and the windows scored exactly."""
-    seen = {np.float32: 0, np.float64: 0, "exact": 0}
-    kernel, exact = equidistribution._discrepancy, equidistribution._window_discrepancy
+    """Count the rows each tier scores and the windows scored exactly."""
+    seen = {"screen": 0, "re-score": 0, "exact": 0}
+    kernel, exact = equidistribution._score_windows, equidistribution._window_discrepancy
 
-    def record(xs, *out):
-        seen[xs.dtype.type] += len(xs)
-        return kernel(xs, *out)
+    def record(windows, js, rows, scores, bits):
+        seen["screen" if rows.dtype == np.int32 else "re-score"] += js.size
+        return kernel(windows, js, rows, scores, bits)
 
     def record_exact(alpha, ps):
         seen["exact"] += 1
         return exact(alpha, ps)
 
-    monkeypatch.setattr(equidistribution, "_discrepancy", record)
+    monkeypatch.setattr(equidistribution, "_score_windows", record)
     monkeypatch.setattr(equidistribution, "_window_discrepancy", record_exact)
     return seen
 
 
 @pytest.mark.parametrize("alpha, k, limit", [(Fraction(0), 2000, 20000), (Fraction(1, 3), 500, 10**5)])
-def test_small_denominator_scans_score_one_window_exactly_and_none_in_float64(monkeypatch, alpha, k, limit):
+def test_small_denominator_scans_score_one_window(monkeypatch, alpha, k, limit):
     """At alpha = 0 every window is 1, and at alpha = 1/3 the exact values
-    are multiples of 1/(3k), far apart at float32's E32: the float32 band's
-    first window, scored exactly, ends either scan, with no float64 row."""
+    are multiples of 1/(3k), far apart at the screen's E, q (2k + 1) < 2^14:
+    the screen's band's first window, scored exactly, ends either scan, with
+    no re-scored row."""
     seen = _tier_recorder(monkeypatch)
     res = well_distribution_statistic(alpha, k, limit)
-    assert (seen[np.float64], seen["exact"]) == (0, 1)
-    assert seen[np.float32] > 0
+    assert (seen["re-score"], seen["exact"]) == (0, 1)
+    assert seen["screen"] > 0
     # at 1/3 the windows at 0 and 1 hold 3 (part 0) and score below 2/3;
     # every later window holds only 1/3s and 2/3s and scores 2/3
     want = (Fraction(1), 0) if alpha == 0 else (interval_discrepancy(window_sample(alpha, 2, k)), 2)
     assert (res.max_discrepancy_exact, res.argmax_start) == want
 
 
-def test_float64_tier_narrows_the_float32_band(table_1e5, monkeypatch):
+def test_re_score_narrows_the_screen_band(table_1e5, monkeypatch):
     """At alpha = 1/2 + 10^-7 and k = 6 the exact values are multiples of
-    1/(6 * 10^7), under E32 apart: 470 windows lie in the float32 band and
-    are re-scored in float64, and one window, the exhaustive exact argmax,
-    is scored exactly."""
+    1/(6 * 10^7), under the screen's E apart: 2,000 windows lie in the
+    screen's band and are re-scored in int64, and one window, the exhaustive
+    exact argmax, is scored exactly."""
     a, k, limit = Fraction(1, 2) + Fraction(1, 10**7), 6, 2000
     best, argmax = Fraction(-1), None
     for n in range(limit + 1):
@@ -427,41 +432,39 @@ def test_float64_tier_narrows_the_float32_band(table_1e5, monkeypatch):
     seen = _tier_recorder(monkeypatch)
     res = well_distribution_statistic(a, k, limit)
     assert (res.argmax_start, res.max_discrepancy_exact) == (argmax, best)
-    assert (seen[np.float64], seen["exact"]) == (470, 1)
+    assert (seen["re-score"], seen["exact"]) == (2000, 1)
 
 
 @pytest.mark.parametrize("stride", [1, 3, 20])
 def test_bounded_windows_keeps_every_window_its_bound_reaches(stride):
-    """``_bounded_windows`` returns every window j whose Lipschitz bound
-    U(j) = min_g(score(g) + E + min(|j - g| stride, k) / k), taken exactly
-    over its scored neighbours g, reaches best - 3E, and none whose bound is
-    below best - 4E, with the float32 tier's E = E32. Each case puts one
-    neighbour c E from where it makes one window's bound cross best - 3E, in
-    the full cells and in the short last one; at stride 20 >= k every t
-    saturates at k."""
+    """``_bounded_windows`` returns exactly the windows j whose Lipschitz
+    bound U(j) = min_g(score(g) + E + min(|j - g| stride, k) 2^b), taken over
+    its scored neighbours g in units of 1/(k 2^b) with E = 2k + 1, reaches
+    best - 3E. Each case puts one neighbour c units from where it makes one
+    window's bound equal best - 3E, in the full cells and in the short last
+    one: the window is kept at c = 0 and dropped at c = -1. At stride
+    20 >= k every t saturates at k."""
     eq = equidistribution
-    E, G = Fraction(eq._SCORE_ERR32), eq._GRID
-    k, best, n = 10, 1.0, 2 * G + 3  # scored: 0, G, 2G and the last, 2G + 2
+    G, k, bits = eq._GRID, 10, 12
+    E, best, n = 2 * k + 1, 10 << 12, 2 * G + 3  # scored: 0, G, 2G and the last, 2G + 2
     for j in (j for j in range(1, n - 1) if j % G):
         left = j - j % G
         for g in (left, min(left + G, n - 1)):
-            for c in (1, 2, 3, 3.75, 4.25, 5.25, 6):
+            for c in (-E, -2, -1, 0, 1, E):
                 scores = np.full(n, best)
-                t = Fraction(min(abs(j - g) * stride, k), k)
-                scores[g] = float(best - t - Fraction(c) * E)  # j's bound: best - (c - 1)E
+                scores[g] = best - 4 * E - (min(abs(j - g) * stride, k) << bits) + c  # U(j) = best - 3E + c
                 for r in range(1, G):
-                    got = eq._bounded_windows(scores, r, stride, k, best).tolist()
+                    got = eq._bounded_windows(scores, r, stride, k, bits, best - 4 * E).tolist()
                     assert got == sorted(got)
                     for i in range(r, n - 1, G):
                         lo = i - i % G
                         bound = min(
-                            Fraction(scores[h]) + E + Fraction(min(abs(i - h) * stride, k), k)
+                            int(scores[h]) + E + (min(abs(i - h) * stride, k) << bits)
                             for h in (lo, min(lo + G, n - 1))
                         )
-                        if bound >= best - 3 * E:
-                            assert i in got, (stride, j, g, c, i)
-                        if bound < best - 4 * E:
-                            assert i not in got, (stride, j, g, c, i)
+                        assert (i in got) == (bound >= best - 3 * E), (stride, j, g, c, i)
+                        if i == j:
+                            assert (i in got) == (c >= 0)
 
 
 def test_scan_stride_subsets_full():
@@ -488,7 +491,7 @@ def test_scan_matches_per_window_family():
 
 
 def test_scan_recheck_catches_a_wrong_window(monkeypatch):
-    """The exact re-check must score the window the float scan picked."""
+    """The exact re-check must score the window the scan picked."""
     a = parse_alpha("golden")
     res = well_distribution_statistic(a, 20, 200)
     after = interval_discrepancy(window_sample(a, res.argmax_start + 1, 20))
@@ -515,8 +518,8 @@ def test_integer_window_score_equals_fraction_oracle(table_1e5):
 
 def test_all_band_scan_scores_every_window_exactly(table_1e5, monkeypatch):
     """Every window of alpha = 0.33...3 (24 digits) but the first, which
-    holds the prime 3, scores 2/3 within ~1e-19, far inside the float
-    error, so each is re-scored exactly; the argmax still equals the
+    holds the prime 3, scores 2/3 within ~1e-19, far inside either tier's
+    E, so each is re-scored exactly; the argmax still equals the
     exhaustive exact one."""
     a = parse_alpha("0.333333333333333333333333")
     k, limit, stride = 20, 600, 3
@@ -611,7 +614,7 @@ def test_wrap_recompute_makes_parts_exact():
 @pytest.mark.parametrize(
     "alpha, k, limit, stride",
     [
-        # the first float maximum is a later window than the first exact one
+        # the first maximum score is a later window than the first exact one
         ("sqrt:2", 5, 300, 1),
         ("sqrt:5", 12, 600, 3),
         (Fraction(1, 7), 5, 600, 3),
@@ -663,8 +666,8 @@ def test_scan_memory_budget():
     """A scan counts its parts, one chunk of windows, the chunk scorer's
     ramp and the exact re-check before it reads a prime, covering what
     tracemalloc measures with its primes read from the cache, among them a
-    scan whose every window is in both float bands, so that the float64
-    tier scores full chunks. Past 2^24 its primes are sieved for the call,
+    scan whose every window is in both bands, so that the re-score scores
+    full chunks. Past 2^24 its primes are sieved for the call,
     and the whole peak is within its count and the sieve's."""
     eq = equidistribution
     for alpha, k, limit, stride in (("golden", 10, 20000, 1), ("sqrt:2", 10, 10**5, 100),
@@ -767,8 +770,9 @@ def test_prime_string_memory_budget(monkeypatch):
     it, counts one whole segment and its carry of min(m - 1, 1.3 x / ln x)
     primes before it sieves: the same bytes at limits 1e6, 1e8 and 4e9,
     whether it stops in the first segment or reads up to the limit. A run
-    of 5e6 primes, listed as Python ints, stays within its carry's count. A
-    search past the sieve's own budget is served: it holds no table."""
+    of 2e5 primes, listed as Python ints from spans of 2^18, where the carry
+    outweighs the segment, stays within its carry's count. A search past
+    the sieve's own budget is served: it holds no table."""
     for limit in (10**6, 10**8, 4 * 10**9):
         primes._prime_list(math.isqrt(limit))  # the base primes count their own list
     eq = equidistribution
@@ -784,7 +788,6 @@ def test_prime_string_memory_budget(monkeypatch):
         (lambda: find_prime_string(4, 1, 100, 10**6), 100, 10**6, 999983),
         (lambda: find_prime_string(4, 1, 100, 10**8), 100, 10**8, 99999989),
         (lambda: find_prime_string(1, 0, 10**5, 10**8), 10**5, 10**8, 2093041),
-        (lambda: find_prime_string(1, 0, 5 * 10**6, 10**8), 5 * 10**6, 10**8, 99999989),  # (2, 3, ..., p_m)
         (lambda: cluster_verify("sqrt:2", 0.2, 2, 10**6), 2, 10**6, 4093),
         # every round fails, and some read up to the limit
         (lambda: cluster_verify("sqrt:3", 0.1, 4, 10**6), 4, 10**6, 999983),
@@ -799,6 +802,11 @@ def test_prime_string_memory_budget(monkeypatch):
     monkeypatch.setattr(primes, "SEGMENT_SPAN", 1 << 12)
     assert need(100, 10**6) < 40_000
     assert assert_counted(need(100, 10**6), lambda: find_prime_string(4, 1, 100, 10**6)) is None
+    # (2, 3, ..., p_m) at m = 2e5 in spans of 2^18: at 40 B per carried
+    # prime the peak was 1.22 of the count; it is 0.80 of this one
+    monkeypatch.setattr(primes, "SEGMENT_SPAN", 1 << 18)
+    run = assert_counted(need(2 * 10**5, 10**7), lambda: find_prime_string(1, 0, 2 * 10**5, 10**7))
+    assert len(run.primes) == 2 * 10**5 and run.primes[:3] == (2, 3, 5) and run.primes[-1] == 2750159
     # a carry of 1e9 primes is refused before anything is sieved
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError):
