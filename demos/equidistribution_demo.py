@@ -6,6 +6,8 @@ windowed scan statistic. Then the construction: Dirichlet approximant
 a/q, a run of consecutive primes in one class mod q, and the resulting
 window whose fractional parts crowd into a width-delta interval, pushing
 the window discrepancy up to 1 - delta no matter how far out it sits.
+Last, why that interval is checked as an arc of the circle, and not as a
+bound on the pairwise distances.
 """
 
 from fractions import Fraction
@@ -14,9 +16,11 @@ from erdos_trio import (
     cluster_verify,
     dirichlet_approx,
     find_prime_string,
+    fractional_part,
     interval_discrepancy,
     parse_alpha,
     sieve_primes,
+    torus_distance,
     well_distribution_statistic,
     window_sample,
 )
@@ -70,9 +74,24 @@ for label, alpha in (
     print(f"    primes {rep.string.primes} (all = {rep.string.a} mod {rep.string.q})")
     print(f"    fractional parts {[round(float(x), 4) for x in w]}")
     print(
-        f"    max pairwise ||alpha (p - p')|| = {float(rep.max_pair_distance):.4f} <= 0.2"
+        f"    shortest arc holding every part = max pairwise ||alpha (p - p')|| = "
+        f"{float(rep.max_pair_distance):.4f} <= 0.2"
     )
     print(
         f"    window discrepancy = {float(rep.window_discrepancy):.4f} >= 0.8"
         "  (verified in exact rational arithmetic)"
     )
+
+print()
+print("=" * 72)
+print("5. Why a cluster is certified by its arc, not by pairwise distances")
+print("=" * 72)
+alpha, ps = Fraction(2, 5), (2, 5, 11)
+parts = [fractional_part(alpha, p) for p in ps]
+pairwise = max(torus_distance(alpha, pj - pi) for i, pi in enumerate(ps) for pj in ps[i + 1 :])
+print(f"  alpha = 2/5, primes {ps}: fractional parts {', '.join(map(str, parts))}")
+print(f"    max pairwise ||alpha (p - p')|| = {pairwise}, but no arc shorter than 3/5 holds all three")
+print(
+    f"    window discrepancy = {interval_discrepancy(parts)} < 1 - 2/5: "
+    "pairwise distances within delta force nothing"
+)

@@ -28,10 +28,21 @@ Distribution of Sequences, 1974, Ch. 2, Thm 1.4): for sorted x_1..x_k in
 [0, 1), D = 1/k + max_i(x_i - i/k) - min_i(x_i - i/k). Every kernel of it
 is exact and in integers: ``interval_discrepancy`` compares the terms of
 points with any denominators by cross-multiplication, a float point at its
-exact dyadic value; the one window scorer ``_window_discrepancy`` scores a
-window's points over alpha's denominator, for a scan's re-checked windows
-and ``cluster_verify``'s window; and a scan's chunk scorer scores rows of
-truncated parts over 2^b, for each row at once.
+exact dyadic value; the one window scorer ``_exact_discrepancy`` scores a
+window's sorted residues over alpha's denominator, for a scan's re-checked
+windows (``_window_discrepancy``) and ``cluster_verify``'s window; and a
+scan's chunk scorer scores rows of truncated parts over 2^b, for each row
+at once.
+
+A found cluster is certified by its arc. ``cluster_verify`` sorts the
+run's residues num p mod den once; the shortest arc of the circle that
+holds them leaves out the widest gap between neighbours, the wrap gap from
+the last to the first included, and it must be at most delta long. m points
+in one arc of length L force a discrepancy of at least 1 - L, which the
+window check confirms exactly from the same sorted list. At L <= 1/2 the
+arc's length is the largest pairwise distance ||alpha (p - p')||, but the
+arc is the stronger check: 0, 2/5 and 4/5 are pairwise within 2/5 and lie
+in no arc shorter than 3/5.
 
 A window scan decides nothing in floats. Its fractional parts are 64-bit
 fixed-point numbers, each within 2^-64 of the exact part. Every window is
@@ -93,7 +104,10 @@ _FRAC_BITS = 96
 # 2,000 / 200,000: 110 / 60 / 48 / 48 with a 2-bit denominator, 150 / 93 /
 # 81 / 84 with 31- and 55-bit ones, 198 / 147 / 136 / 136 at 257 bits, 436 /
 # 361 / 345 / 344 at 1,025 bits and 2,731 / 2,350 / 2,258 / 2,256 at 8,193
-# bits).
+# bits), and ``cluster_verify``'s check of a run of m primes, its arc and
+# its window read from one sorted list of residues (tracemalloc per point at
+# m = 2,000 / 20,000 / 100,000, the run given: 80 / 81 / 80 with a 40-bit
+# denominator, 145 / 145 / 145 at 284 bits and 350 / 350 / 348 at 1,052).
 _PART_BYTES = 28
 _ENTRY_BYTES = 24
 _RAMP_BYTES = 12
@@ -118,6 +132,17 @@ _SAMPLE_BYTES = 256
 # 44 over the k denominators 3, 5, ..., p_(k+1) and 65 / 61 / 61 / 60 over
 # 257-bit ones. At k = 10 fixed costs weigh: 574 for subnormal floats.
 _FRACTION_BYTES = 288
+# Beside the points, the closed form's few numbers two denominators wide,
+# which weigh at small k: its running max and min, their cross-products and
+# the result's numerator, denominator and gcd. They are counted at
+# _WIDE_BYTES per byte of the widest denominator, plus 24, the bytes of an
+# int's header. tracemalloc of the whole call less the points' count, per
+# byte of the widest denominator (its bits // 8): 13.5 for the one point
+# 1/3^20000, 14.2-14.9 for two points over 3^n, 12.3-13.3 over 3^n and 5^n,
+# 14.0-14.3 for ten over the n-th powers of 3, 5, ..., 31 and 13.2-17.0 for
+# ten random numerators over 3^n, n = 5,000 to 100,000; 17.4 for one
+# subnormal float.
+_WIDE_BYTES = 20
 # Windows scored per chunk: chunks hold about 2^16 entries (256 KiB of
 # int32 rows in the screen, 512 KiB of int64 in the re-score), which sort
 # and score faster than chunks of 2^22 and need 1/64 the memory.
@@ -231,8 +256,14 @@ def _sorted_residues(alpha: Fraction, primes: Sequence[int]) -> list[int]:
 
 def _window_discrepancy(alpha: Fraction, ps: Sequence[int]) -> Fraction:
     """The exact interval discrepancy of {alpha p} over a window's primes
-    ``ps``, Python ints, in integers: a scan's band and a cluster's window."""
+    ``ps``, Python ints, in integers: a window of a scan's band."""
     return _exact_discrepancy(_sorted_residues(alpha, ps), alpha.denominator)
+
+
+def _exact_point_bytes(alpha: Fraction) -> int:
+    """The count per point of a window scored exactly over alpha's
+    denominator (see ``_POINT_BYTES``)."""
+    return _POINT_BYTES + 24 * (alpha.denominator.bit_length() // 30)
 
 
 def _exact_discrepancy(residues: list[int], den: int) -> Fraction:
@@ -260,7 +291,9 @@ def interval_discrepancy(points: Sequence[Fraction | float]) -> Fraction:
     [0, 1), infinities and NaN included, raises ValueError.
 
     The points' sorted copies as Fractions are counted through ``reserve``
-    before they are made, at ``_FRACTION_BYTES`` per point.
+    before they are made, at ``_FRACTION_BYTES`` per point, and then again
+    with the closed form's numbers two denominators wide, at ``_WIDE_BYTES``
+    per byte of the widest denominator, which takes one more pass.
     """
     k = len(points)
     if not k:
@@ -268,7 +301,11 @@ def interval_discrepancy(points: Sequence[Fraction | float]) -> Fraction:
     outside = [x for x in points if not 0 <= x < 1]
     if outside:
         raise ValueError(f"points must lie in [0, 1); got {outside[0]}")
-    reserve(_FRACTION_BYTES * k, f"the discrepancy of {k} points")
+    what = f"the discrepancy of {k} points"
+    reserve(_FRACTION_BYTES * k, what)  # the copies alone: refused before another pass
+    # a rational's denominator, or a float's from its exact ratio
+    widest = max(getattr(x, "denominator", None) or x.as_integer_ratio()[1] for x in points).bit_length()
+    reserve(_FRACTION_BYTES * k + _WIDE_BYTES * (24 + widest // 8), what)
     xs = sorted(map(Fraction, points))
     high_y, high_d = low_y, low_d = k * xs[0].numerator, xs[0].denominator
     for i, x in enumerate(xs):
@@ -481,7 +518,7 @@ def well_distribution_statistic(
         _PART_BYTES * needed
         + _ENTRY_BYTES * k * min(n_windows, chunk)
         + _RAMP_BYTES * k
-        + k * (_POINT_BYTES + 24 * (a.denominator.bit_length() // 30)),
+        + k * _exact_point_bytes(a),
         f"a scan of {_count(n_windows)} windows of {k} primes",
     )
     bits = min(16, 31 - k.bit_length())
@@ -708,9 +745,11 @@ class ClusterReport:
     """Outcome of the end-to-end clustering verification.
 
     When ``found``, the report carries the approximant, the prime string,
-    the exact maximum pairwise distance of alpha * (p - p') to the integers
-    (verified <= delta), and the window discrepancy (verified >= 1 - delta).
-    When not found, the search horizon was exhausted (soft failure).
+    ``max_pair_distance``, the exact length of the shortest arc of the
+    circle that holds every {alpha p} of the string (verified <= delta, so
+    it equals the largest distance of alpha * (p - p') to the integers),
+    and the window discrepancy (verified >= 1 - delta). When not found, the
+    search horizon was exhausted (soft failure).
     """
 
     found: bool
@@ -743,20 +782,25 @@ def cluster_verify(
     taken with Q = q: a Dirichlet approximant with a far smaller error and a
     rarer residue class (a run of m primes in one class mod q is at least
     q (m - 1) wide). A run of m consecutive primes = a (mod q) with diameter
-    d satisfies every pairwise bound ||alpha (p - p')|| <= err * d (q
-    divides each difference), so each rung accepts only runs with
-    err * d <= delta. The found run's pairwise bound and window discrepancy
-    are then re-checked in exact rational arithmetic, and a violation raises
-    VerificationError. A ladder with no run is a soft failure.
+    d has its points {alpha p} in one arc of length at most err * d: q
+    divides each difference p - p', so {a p / q} is one point for the whole
+    run, and each {alpha p} is that point shifted by (alpha - a/q) p. Each
+    rung accepts only runs with err * d <= delta. The found run is then
+    re-checked exactly, from one sorted list of its residues num p mod den:
+    the shortest arc of the circle that holds its points is at most delta
+    long, and its window's discrepancy, read from the same list, is at least
+    1 - delta. A violation raises VerificationError. A ladder with no run is
+    a soft failure.
 
     Each rung is one ``find_prime_string`` call with the rung's a, q and
     diameter budget; it reads the primes from 2, from the prime cache below
     2^24 and sieved past it (or slices ``table``), and stops at its run,
     and a rung whose diameter budget is below the narrowest run it could
-    hold (``_narrowest_run``) stops once it has read p_m. The window check
-    scores the run's own primes, which are the window, so no table is held
-    between rungs. Each rung counts its search through ``reserve`` before
-    it reads.
+    hold (``_narrowest_run``) stops once it has read p_m. The checks read
+    the run's own primes, which are the window, so no table is held between
+    rungs. The check's m residues and scaled residues are counted through
+    ``reserve`` before any rung searches, at a scan's exact count per point,
+    and each rung counts its search before it reads.
     """
     a = parse_alpha(alpha)
     d = Fraction(delta)
@@ -764,6 +808,7 @@ def cluster_verify(
         raise ValueError("delta must lie strictly between 0 and 1/2")
     if m < 2:
         raise ValueError("m must be >= 2")
+    reserve(m * _exact_point_bytes(a), f"a cluster check of {_count(m)} points")
     first = dirichlet_approx(a, math.ceil(1 / d))
     later = (
         Approximant(a=h, q=q, Q=q, err=abs(a - Fraction(h, q)))
@@ -791,14 +836,16 @@ def cluster_verify(
             break
     worst = disc = None
     if string is not None:
-        worst = max(
-            torus_distance(a, pj - pi)
-            for i, pi in enumerate(string.primes)
-            for pj in string.primes[i + 1 :]
-        )
+        den = a.denominator
+        residues = _sorted_residues(a, string.primes)
+        # the shortest arc that holds every point leaves out the widest gap
+        # between neighbours on the circle, the wrap gap from the last
+        # residue round to the first included
+        gap = max(hi - lo for lo, hi in itertools.pairwise(residues))
+        worst = Fraction(den - max(gap, den - residues[-1] + residues[0]), den)
         if worst > d:
-            raise VerificationError(f"pairwise clustering bound violated: {worst} > {d}")
-        disc = _window_discrepancy(a, string.primes)
+            raise VerificationError(f"cluster arc bound violated: {worst} > {d}")
+        disc = _exact_discrepancy(residues, den)
         if disc < 1 - d:
             raise VerificationError(f"window discrepancy {disc} below 1 - delta = {1 - d}")
     return ClusterReport(

@@ -3,9 +3,10 @@
 Everything here is deliberately naive: trial division, direct big-integer
 factorization, floor sums written out from the definition, a grid scan of
 the discrepancy, the exact two-family discrepancy scan, a prime-by-prime
-search for a prime string over a whole table, and element-level sumsets of
-the basis. None of it shares code with the package, and it imports nothing
-from it; the basis gap check only calls the coloring it is handed.
+search for a prime string over a whole table, every pairwise distance of a
+cluster, and element-level sumsets of the basis. None of it shares code
+with the package, and it imports nothing from it; the basis gap check only
+calls the coloring it is handed.
 """
 
 from __future__ import annotations
@@ -174,6 +175,16 @@ def whole_table_prime_string(
             if max_diameter is None or p - primes[r] <= max_diameter:
                 return r, tuple(primes[r : i + 1])
     return None
+
+
+def max_pair_distance(alpha: Fraction, primes: tuple[int, ...]) -> Fraction:
+    """The largest distance of alpha (p_j - p_i) to the nearest integer over
+    every pair i < j of the primes, one pair at a time."""
+
+    def to_integers(x: Fraction) -> Fraction:
+        return min(x - math.floor(x), math.ceil(x) - x)
+
+    return max(to_integers(alpha * (pj - pi)) for i, pi in enumerate(primes) for pj in primes[i + 1 :])
 
 
 def one_prime_later(primes: tuple[int, ...]) -> list[int]:

@@ -498,12 +498,12 @@ def test_scan_exact_check_failure_exits_2(capsys, monkeypatch):
         # a loose string: the search ignores its diameter bound
         ("find_prime_string",
          lambda real: lambda q, a, m, limit, table=None, *, max_diameter=None: real(q, a, m, limit, table),
-         "pairwise clustering bound violated: "),
-        # a shifted window: the window one prime later is scored
-        ("_sorted_residues", lambda real: lambda al, ps: real(al, one_prime_later(ps)),
+         "cluster arc bound violated: "),
+        # a short window score: the closed form's 1/k term is dropped
+        ("_exact_discrepancy", lambda real: lambda rs, den: real(rs, den) - Fraction(1, len(rs)),
          "window discrepancy "),
     ],
-    ids=["loose-string", "shifted-window"],
+    ids=["loose-string", "short-window-score"],
 )
 def test_cluster_check_failure_exits_2(capsys, monkeypatch, seam, fault, message):
     monkeypatch.setattr(equidistribution, seam, fault(getattr(equidistribution, seam)))

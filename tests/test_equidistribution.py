@@ -36,6 +36,7 @@ from oracles import (
     family_discrepancy,
     grid_discrepancy,
     is_prime_oracle,
+    max_pair_distance,
     one_prime_later,
     star_discrepancy,
     whole_table_prime_string,
@@ -116,13 +117,15 @@ def test_fractional_part_is_exact():
 
 
 def test_interval_discrepancy_memory_budget():
-    """The points' sorted copies as Fractions are counted before they are
-    made, and the count covers what tracemalloc measures, passes exactly and
-    refuses one byte less: 1,000 random floats, 1,000 subnormal floats,
-    whose denominators reach 2^1074, and 40,000 points over the distinct
-    denominators 3, 5, ..., p_40001, which no common denominator joins (its
-    lcm has ~670,000 bits). 7.5e6 zeros, ~2.16 GB by the count, are refused
-    in under 1 s."""
+    """The points' sorted copies as Fractions, and the closed form's numbers
+    two denominators wide, are counted before they are made, and the count
+    covers what tracemalloc measures, passes exactly and refuses one byte
+    less: 1,000 random floats, 1,000 subnormal floats, whose denominators
+    reach 2^1074, 40,000 points over the distinct denominators 3, 5, ...,
+    p_40001, which no common denominator joins (its lcm has ~670,000 bits),
+    and the small cases where the wide numbers weigh most: the one point
+    1/3^20000 and 10 subnormal floats. 7.5e6 zeros, ~2.16 GB by the count,
+    are refused in under 1 s."""
     eq = equidistribution
     rng = random.Random(35)
     odd = primes._prime_ints(10**6)[1:]
@@ -130,11 +133,15 @@ def test_interval_discrepancy_memory_budget():
         [rng.random() for _ in range(1000)],
         [2.0**-1074 * rng.randrange(1, 2**52) for _ in range(1000)],
         [Fraction(1, p) for p in odd[:40000]],
+        [Fraction(1, 3**20000)],
+        [2.0**-1074 * rng.randrange(1, 2**52) for _ in range(10)],
     ):
         want = interval_discrepancy(points)
         call = lambda: interval_discrepancy(points)  # noqa: E731
+        widest = max(Fraction(x).denominator for x in points).bit_length()
+        need = eq._FRACTION_BYTES * len(points) + eq._WIDE_BYTES * (24 + widest // 8)
         match = f"the discrepancy of {len(points)} points"
-        assert assert_counted(eq._FRACTION_BYTES * len(points), call, match=match) == want
+        assert assert_counted(need, call, match=match) == want
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError, match="the discrepancy of 7500000 points"):
         interval_discrepancy([0] * 7_500_000)
@@ -1222,16 +1229,68 @@ def test_cluster_climbs_one_ladder(table_1e6):
     assert exact >= 2 and exhausted >= 2
 
 
-def test_cluster_pairwise_check_fires(monkeypatch):
-    """A loose string, searched with no diameter bound, breaks the pairwise bound."""
+def test_cluster_arc_check_fires(monkeypatch):
+    """A loose string, searched with no diameter bound, lies in no arc of
+    length delta."""
     real = equidistribution.find_prime_string
     monkeypatch.setattr(
         equidistribution,
         "find_prime_string",
         lambda q, a, m, limit, table=None, *, max_diameter=None: real(q, a, m, limit, table),
     )
-    with pytest.raises(VerificationError, match="pairwise clustering bound violated: .* > "):
+    with pytest.raises(VerificationError, match="cluster arc bound violated: .* > "):
         cluster_verify("sqrt:2", 0.2, 3, 10**5)
+
+
+def test_cluster_arc_is_stronger_than_the_pairwise_bound(monkeypatch):
+    """{2p/5} for p = 2, 5, 11 is 4/5, 0 and 2/5: every pair is within 2/5
+    on the circle, but the shortest arc that holds all three is 3/5 long, so
+    a string of these primes, patched in, fails at delta = 2/5."""
+    alpha, delta, ps = Fraction(2, 5), Fraction(2, 5), (2, 5, 11)
+    assert max_pair_distance(alpha, ps) == delta
+    string = PrimeString(q=2, a=1, m=3, r=0, primes=ps, diameter=9)
+    monkeypatch.setattr(equidistribution, "find_prime_string", lambda *args, **kwargs: string)
+    with pytest.raises(VerificationError, match="cluster arc bound violated: 3/5 > 2/5"):
+        cluster_verify(alpha, delta, 3, 100)
+
+
+def test_cluster_arc_equals_the_pairwise_oracle():
+    """A found cluster's arc, at most delta < 1/2, is its largest pairwise
+    distance, over a seeded sample of sqrt:N for non-square N < 60, with
+    runs that straddle 0 among them: sqrt:2 at delta 2/5 and m = 3 finds
+    (3, 5, 7), whose parts 0.243, 0.071 and 0.899 wrap through 0."""
+    rng = random.Random(38)
+    sweep = [
+        (f"sqrt:{n}", delta, m)
+        for n in range(2, 60)
+        if math.isqrt(n) ** 2 != n
+        for delta in (Fraction(1, 10), Fraction(1, 5), Fraction(1, 3), Fraction(2, 5))
+        for m in range(2, 6)
+    ]
+    found = straddles = 0
+    for alpha, delta, m in [("sqrt:2", Fraction(2, 5), 3), *rng.sample(sweep, 80)]:
+        rep = cluster_verify(alpha, delta, m, 10**6)
+        if rep.found:
+            ps = rep.string.primes
+            assert rep.max_pair_distance == max_pair_distance(rep.alpha, ps) <= delta, (alpha, delta, m)
+            parts = sorted(fractional_part(rep.alpha, p) for p in ps)
+            found += 1
+            straddles += parts[-1] - parts[0] > rep.max_pair_distance
+            if (alpha, delta, m) == ("sqrt:2", Fraction(2, 5), 3):
+                assert ps == (3, 5, 7) and parts[-1] - parts[0] > delta
+    assert found >= 40 and straddles >= 5
+
+
+def test_cluster_check_is_linear_in_m():
+    """The run (2, 3, ..., p_m) of alpha = 1/10^12 is verified at m = 1e5 in
+    under 1 s: the check sorts m residues once, where a pairwise check
+    would take ~5e9 distances."""
+    alpha, delta = Fraction(1, 10**12), Fraction(2, 5)
+    primes._prime_list(2 * 10**6)  # the prime cache, which fills at its own cost
+    start = time.perf_counter()
+    rep = cluster_verify(alpha, delta, 10**5, 10**7)
+    assert time.perf_counter() - start < 1.0
+    assert rep.string.primes[-1] == 1299709 and rep.max_pair_distance == Fraction(1299707, 10**12)
 
 
 def test_cluster_rungs_are_find_prime_string_calls(monkeypatch):
@@ -1254,11 +1313,35 @@ def test_cluster_rungs_are_find_prime_string_calls(monkeypatch):
 
 
 def test_cluster_window_check_fires(monkeypatch):
-    """The window one prime past the string is not clustered."""
-    real = equidistribution._sorted_residues
-    monkeypatch.setattr(equidistribution, "_sorted_residues", lambda al, ps: real(al, one_prime_later(ps)))
+    """A window score that drops the closed form's 1/k term falls below
+    1 - delta. The fault is past the sort, which the arc check reads too."""
+    real = equidistribution._exact_discrepancy
+    monkeypatch.setattr(
+        equidistribution, "_exact_discrepancy", lambda rs, den: real(rs, den) - Fraction(1, len(rs))
+    )
     with pytest.raises(VerificationError, match=r"window discrepancy \S+ below 1 - delta = "):
         cluster_verify("sqrt:2", 0.2, 3, 10**5)
+
+
+def test_cluster_memory_budget(monkeypatch):
+    """The check's m residues and scaled residues are counted before any
+    rung searches, at a scan's exact count per point, at m = 20,000 with
+    40- and 284-bit denominators: the check peaks at ~81 and ~145 B per
+    point against 152 and 344. Each rung counts its own search, so the
+    whole peak is within the two counts; the spans are cut to 2^16 so that
+    the search's count is the smaller."""
+    eq = equidistribution
+    monkeypatch.setattr(primes, "SEGMENT_SPAN", 1 << 16)
+    m, limit, delta = 20_000, 10**7, Fraction(2, 5)
+    search = primes._stream_bytes(eq._RUN_BYTES) + eq._CARRY_BYTES * (m - 1)
+    for alpha in (Fraction(1, 10**12), Fraction(1, 10**12) + Fraction(1, 2**256)):
+        need = m * (eq._POINT_BYTES + 24 * (alpha.denominator.bit_length() // 30))
+        assert search < need
+        check = lambda: cluster_verify(alpha, delta, m, limit)  # noqa: E731
+        rep = check()  # fills the prime cache, whose misses count themselves
+        assert rep.string.primes[-1] == 224737
+        match = "a cluster check of 20000 points"
+        assert assert_counted(need, check, peak=need + search, match=match) == rep
 
 
 def test_cluster_example_one_seventh_plus_epsilon():

@@ -304,7 +304,7 @@ FIRING_TESTS = {
     "equidistribution._checked": ["test_equidistribution::test_scan_recheck_catches_a_wrong_window"],
     "equidistribution.dirichlet_approx": ["test_equidistribution::test_dirichlet_bound_check_fires"],
     "equidistribution.cluster_verify": [
-        "test_equidistribution::test_cluster_pairwise_check_fires",
+        "test_equidistribution::test_cluster_arc_check_fires",
         "test_equidistribution::test_cluster_window_check_fires",
     ],
 }
@@ -345,6 +345,7 @@ BUDGET_TESTS = {
     "equidistribution.find_prime_string": "test_equidistribution::test_prime_string_memory_budget",
     "equidistribution.window_sample": "test_equidistribution::test_window_sample_memory_budget",
     "equidistribution.interval_discrepancy": "test_equidistribution::test_interval_discrepancy_memory_budget",
+    "equidistribution.cluster_verify": "test_equidistribution::test_cluster_memory_budget",
     "cli._cmd_binomial_f_scan": "test_cli::test_f_scan_counts_its_rows",
     "cli._cmd_basis_reps": "test_cli::test_basis_reps_counts_rendered_rows",
 }
