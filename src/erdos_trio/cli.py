@@ -5,6 +5,14 @@ averaging certificate, composite witness), ``basis`` (coverage, rigidity,
 gap witnesses, representations) and ``equidist`` (window scans, Dirichlet
 approximants, prime strings, cluster verification).
 
+Argv is read from one command table, which maps each ``(group, command)``
+to its handler and flags, each flag with a dest, a type and a default or
+none (required); the global flags form the same kind of table and come
+before the group. A flag's value is the next argument, which may be a
+negative number, or follows ``=``; a unique prefix names a flag, and a
+flag given twice keeps its last value. ``-h`` or ``--help`` prints the
+table's groups, commands and flags to stdout and exits 0.
+
 Output is a flat row list in one of three formats (``table``, ``csv``,
 ``json``); JSON wraps the rows with a ``meta`` object (echoed parameters
 plus the mathematical claim each check certifies) and a ``verdict``. The
@@ -26,15 +34,15 @@ and retry). Every failure prints one line to stderr, never a traceback.
 
 from __future__ import annotations
 
-import argparse
 import csv
-import functools
 import io
 import json
 import math
+import re
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Sequence
 
 from . import __version__
@@ -67,13 +75,6 @@ _F_ROW_BYTES = 800
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad flags; the contract wants 1."""
-
-    def error(self, message: str):  # noqa: D102 (argparse override)
-        raise _UsageError(message)
 
 
 def _fmt(value) -> str:
@@ -414,81 +415,163 @@ def _cmd_equidist_cluster(args) -> tuple[list[dict], dict, str]:
 
 # --------------------------------------------------------------------------
 
-@functools.cache
-def build_parser() -> _Parser:
-    """The one parser of the process; ``_Parser.error`` raises, so it is reused."""
-    parser = _Parser(prog="erdos-trio", description=__doc__.splitlines()[0])
-    parser.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    parser.add_argument("--output", default=None, help="write output to this path")
-    parser.add_argument(
-        "--precision", type=int, default=eq.DEFAULT_ALPHA_BITS,
-        help="bits used when synthesizing sqrt:/golden alphas",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="accepted for compatibility; scans run serially and this changes nothing",
-    )
-    groups = parser.add_subparsers(dest="group", required=True)
-
-    binom = groups.add_parser("binomial").add_subparsers(dest="cmd", required=True)
-    p = binom.add_parser("f")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_binomial_f)
-    p = binom.add_parser("f-scan")
-    p.add_argument("--from", dest="from_n", type=int, required=True)
-    p.add_argument("--to", type=int, required=True)
-    p.add_argument("--stride", type=int, default=1)
-    p.set_defaults(handler=_cmd_binomial_f_scan)
-    p = binom.add_parser("certificate")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--C", type=float, default=bt.DEFAULT_CERTIFICATE_C)
-    p.set_defaults(handler=_cmd_binomial_certificate)
-    p = binom.add_parser("witness")
-    p.add_argument("--K", type=int, required=True)
-    p.set_defaults(handler=_cmd_binomial_witness)
-
-    basis = groups.add_parser("basis").add_subparsers(dest="cmd", required=True)
-    p = basis.add_parser("cover")
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_basis_cover)
-    p = basis.add_parser("rigidity")
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_basis_rigidity)
-    p = basis.add_parser("gaps")
-    p.add_argument("--rule", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_basis_gaps)
-    p = basis.add_parser("reps")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_basis_reps)
-
-    equi = groups.add_parser("equidist").add_subparsers(dest="cmd", required=True)
-    p = equi.add_parser("scan")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--stride", type=int, default=1)
-    p.set_defaults(handler=_cmd_equidist_scan)
-    p = equi.add_parser("approx")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--Q", type=int, required=True)
-    p.set_defaults(handler=_cmd_equidist_approx)
-    p = equi.add_parser("string")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--limit", type=int, required=True)
-    p.set_defaults(handler=_cmd_equidist_string)
-    p = equi.add_parser("cluster")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--limit", type=int, required=True)
-    p.set_defaults(handler=_cmd_equidist_cluster)
-    return parser
+# The command table. A flag maps to (dest, type, default): the type is int,
+# float, str or a tuple of the accepted strings, and a _REQUIRED flag must
+# be given. The global flags come before the group.
+_REQUIRED = object()
+_GLOBAL_FLAGS = {
+    "--format": ("format", ("table", "csv", "json"), "table"),
+    "--output": ("output", str, None),
+    "--precision": ("precision", int, eq.DEFAULT_ALPHA_BITS),
+    "--threads": ("threads", int, 1),
+}
+_COMMANDS = {
+    ("binomial", "f"): (_cmd_binomial_f, {"--n": ("n", int, _REQUIRED)}),
+    ("binomial", "f-scan"): (_cmd_binomial_f_scan, {
+        "--from": ("from_n", int, _REQUIRED), "--to": ("to", int, _REQUIRED),
+        "--stride": ("stride", int, 1)}),
+    ("binomial", "certificate"): (_cmd_binomial_certificate, {
+        "--n": ("n", int, _REQUIRED), "--C": ("C", float, bt.DEFAULT_CERTIFICATE_C)}),
+    ("binomial", "witness"): (_cmd_binomial_witness, {"--K": ("K", int, _REQUIRED)}),
+    ("basis", "cover"): (_cmd_basis_cover, {"--k": ("k", int, _REQUIRED)}),
+    ("basis", "rigidity"): (_cmd_basis_rigidity, {"--k": ("k", int, _REQUIRED)}),
+    ("basis", "gaps"): (_cmd_basis_gaps, {
+        "--rule": ("rule", str, _REQUIRED), "--k": ("k", int, _REQUIRED)}),
+    ("basis", "reps"): (_cmd_basis_reps, {"--n": ("n", int, _REQUIRED)}),
+    ("equidist", "scan"): (_cmd_equidist_scan, {
+        "--alpha": ("alpha", str, _REQUIRED), "--k": ("k", int, _REQUIRED),
+        "--limit": ("limit", int, _REQUIRED), "--stride": ("stride", int, 1)}),
+    ("equidist", "approx"): (_cmd_equidist_approx, {
+        "--alpha": ("alpha", str, _REQUIRED), "--Q": ("Q", int, _REQUIRED)}),
+    ("equidist", "string"): (_cmd_equidist_string, {
+        "--q": ("q", int, _REQUIRED), "--a": ("a", int, _REQUIRED),
+        "--m": ("m", int, _REQUIRED), "--limit": ("limit", int, _REQUIRED)}),
+    ("equidist", "cluster"): (_cmd_equidist_cluster, {
+        "--alpha": ("alpha", str, _REQUIRED), "--delta": ("delta", float, _REQUIRED),
+        "--m": ("m", int, _REQUIRED), "--limit": ("limit", int, _REQUIRED)}),
+}
+_GROUPS = {group for group, _ in _COMMANDS}
+_HELP = ("-h", "--help")
+# a negative number, which is read as a value and not as a flag
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def _param_echo(args: argparse.Namespace) -> dict:
+class _HelpAsked(Exception):
+    pass
+
+
+def _flag(token: str, flags: dict) -> tuple[str, str | None] | None:
+    """The flag ``token`` names at a level with ``flags`` (and help), with
+    its value after ``=`` or None; None if the token is a value. A long
+    flag may be a unique prefix. A value does not start with ``-``, or is
+    ``-``, a negative number or has a space; any other token is returned
+    as it is, an unknown flag."""
+    if token in flags or token in _HELP:
+        return token, None
+    if token[:1] != "-" or token == "-":
+        return None
+    if token == "--":
+        raise _UsageError("'--' is not accepted")
+    name, equals, value = token.partition("=")
+    value = value if equals else None
+    if name in flags or name in _HELP:
+        return name, value
+    if token[1] == "-":
+        hits = [flag for flag in (*flags, "--help") if flag.startswith(name)]
+        if len(hits) > 1:
+            raise _UsageError(f"ambiguous flag {token}: {', '.join(hits)}")
+        if hits:
+            return hits[0], value
+    if _NEGATIVE.match(token) or " " in token:
+        return None
+    return token, None
+
+
+def _read_flags(argv: Sequence[str], at: int, flags: dict, into: dict) -> int:
+    """Read the flags of ``flags`` from ``argv[at:]`` into ``into`` by dest,
+    each with its value converted, up to the first value token; return its
+    index (``len(argv)`` if none)."""
+    while at < len(argv):
+        hit = _flag(argv[at], flags)
+        if hit is None:
+            return at
+        name, value = hit
+        if name in _HELP:
+            if value is not None:
+                raise _UsageError(f"{name} takes no value")
+            raise _HelpAsked
+        if name not in flags:
+            raise _UsageError(f"unknown flag {name}")
+        if value is None:
+            at += 1
+            if at == len(argv) or _flag(argv[at], flags) is not None:
+                raise _UsageError(f"{name} needs a value")
+            value = argv[at]
+        dest, kind, _ = flags[name]
+        if isinstance(kind, tuple):
+            if value not in kind:
+                raise _UsageError(f"{name} must be one of {', '.join(kind)}, not {value!r}")
+        else:
+            try:
+                value = kind(value)
+            except ValueError:
+                raise _UsageError(f"{name} takes {kind.__name__} values, not {value!r}") from None
+        into[dest] = value
+        at += 1
+    return at
+
+
+def _parse_argv(argv: Sequence[str]) -> SimpleNamespace:
+    """``[global flags] GROUP CMD [flags]`` as a namespace of ``group``,
+    ``cmd``, ``handler`` and every flag's dest, its default where it is not
+    given. Raises ``_HelpAsked`` on ``-h`` or ``--help`` and ``_UsageError``
+    on anything the table does not accept."""
+    args = {dest: default for dest, _, default in _GLOBAL_FLAGS.values()}
+    at = _read_flags(argv, 0, _GLOBAL_FLAGS, args)
+    if at == len(argv) or argv[at] not in _GROUPS:
+        raise _UsageError(f"expected a group, one of {', '.join(sorted(_GROUPS))}")
+    group = argv[at]
+    at = _read_flags(argv, at + 1, {}, args)
+    if at == len(argv) or (group, argv[at]) not in _COMMANDS:
+        cmds = ", ".join(cmd for g, cmd in _COMMANDS if g == group)
+        raise _UsageError(f"expected a {group} command, one of {cmds}")
+    cmd = argv[at]
+    handler, flags = _COMMANDS[group, cmd]
+    given = {dest: default for dest, _, default in flags.values()}
+    at = _read_flags(argv, at + 1, flags, given)
+    if at < len(argv):
+        raise _UsageError(f"unexpected argument {argv[at]!r}")
+    missing = [flag for flag, (dest, _, _) in flags.items() if given[dest] is _REQUIRED]
+    if missing:
+        raise _UsageError(f"{group} {cmd} needs {', '.join(missing)}")
+    return SimpleNamespace(**args, group=group, cmd=cmd, **given, handler=handler)
+
+
+def _usage() -> str:
+    """The help text: every group, command and flag of the table."""
+
+    def spelled(flags: dict) -> str:
+        words = []
+        for flag, (_, kind, default) in flags.items():
+            value = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else kind.__name__.upper()
+            words.append(f"{flag} {value}" if default is _REQUIRED else f"[{flag} {value}]")
+        return " ".join(words)
+
+    lines = [
+        f"usage: erdos-trio {spelled(_GLOBAL_FLAGS)} GROUP COMMAND [flags]",
+        "",
+        __doc__.splitlines()[0],
+        "",
+        "commands:",
+        *(f"  {group} {cmd} {spelled(flags)}" for (group, cmd), (_, flags) in _COMMANDS.items()),
+        "",
+        "A flag's value follows it or its '='; a unique prefix names a flag;",
+        "-h or --help prints this text.",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _param_echo(args: SimpleNamespace) -> dict:
     skip = {"handler", "group", "cmd", "format", "output", "threads"}
     return {
         k.replace("from_n", "from"): v
@@ -499,7 +582,10 @@ def _param_echo(args: argparse.Namespace) -> dict:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_argv(sys.argv[1:] if argv is None else argv)
+    except _HelpAsked:
+        sys.stdout.write(_usage())
+        return EXIT_OK
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

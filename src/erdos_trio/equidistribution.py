@@ -143,6 +143,12 @@ _FRACTION_BYTES = 288
 # ten random numerators over 3^n, n = 5,000 to 100,000; 17.4 for one
 # subnormal float.
 _WIDE_BYTES = 20
+# The first call in a process also fills the isinstance caches of
+# ``numbers.Rational`` (``abc``) for the points' types, once per type.
+# tracemalloc of a first call in a fresh interpreter, less the two counts
+# above: 307 for [Fraction(1, 3)], 993 for [0.0], 1,009 for [0.3], 1,058 for
+# [numpy.int64(0)], 771 for [False] and 720 for [0, 0.5, Fraction(1, 3)].
+_FIRST_CALL_BYTES = 2048
 # Windows scored per chunk: chunks hold about 2^16 entries (256 KiB of
 # int32 rows in the screen, 512 KiB of int64 in the re-score), which sort
 # and score faster than chunks of 2^22 and need 1/64 the memory.
@@ -293,7 +299,8 @@ def interval_discrepancy(points: Sequence[Fraction | float]) -> Fraction:
     The points' sorted copies as Fractions are counted through ``reserve``
     before they are made, at ``_FRACTION_BYTES`` per point, and then again
     with the closed form's numbers two denominators wide, at ``_WIDE_BYTES``
-    per byte of the widest denominator, which takes one more pass.
+    per byte of the widest denominator, which takes one more pass, and the
+    type caches a first call fills, ``_FIRST_CALL_BYTES``.
     """
     k = len(points)
     if not k:
@@ -305,7 +312,7 @@ def interval_discrepancy(points: Sequence[Fraction | float]) -> Fraction:
     reserve(_FRACTION_BYTES * k, what)  # the copies alone: refused before another pass
     # a rational's denominator, or a float's from its exact ratio
     widest = max(getattr(x, "denominator", None) or x.as_integer_ratio()[1] for x in points).bit_length()
-    reserve(_FRACTION_BYTES * k + _WIDE_BYTES * (24 + widest // 8), what)
+    reserve(_FRACTION_BYTES * k + _WIDE_BYTES * (24 + widest // 8) + _FIRST_CALL_BYTES, what)
     xs = sorted(map(Fraction, points))
     high_y, high_d = low_y, low_d = k * xs[0].numerator, xs[0].denominator
     for i, x in enumerate(xs):

@@ -4,13 +4,14 @@ Everything here is deliberately naive: trial division, direct big-integer
 factorization, floor sums written out from the definition, a grid scan of
 the discrepancy, the exact two-family discrepancy scan, a prime-by-prime
 search for a prime string over a whole table, every pairwise distance of a
-cluster, and element-level sumsets of the basis. None of it shares code
-with the package, and it imports nothing from it; the basis gap check only
-calls the coloring it is handed.
+cluster, element-level sumsets of the basis, and the command line read by
+argparse. None of it shares code with the package, and it imports nothing
+from it; the basis gap check only calls the coloring it is handed.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import math
 from fractions import Fraction
@@ -303,3 +304,72 @@ def witness_holds(n: int, K: int) -> bool:
         if small_prime_part(n, k, primes) != 1:
             return False
     return True
+
+
+class ArgparseRefusal(Exception):
+    pass
+
+
+class _RaisingParser(argparse.ArgumentParser):
+    """argparse with its error exit turned into ``ArgparseRefusal``; help
+    still ends in ``SystemExit(0)``."""
+
+    def error(self, message: str):  # noqa: D102 (argparse override)
+        raise ArgparseRefusal(message)
+
+
+def argparse_cli_parser() -> argparse.ArgumentParser:
+    """The ``erdos-trio`` command line as three nested argparse parsers:
+    the global flags, one subparser per group and one per command. Its
+    ``parse_args`` raises ``ArgparseRefusal`` on bad arguments and
+    ``SystemExit(0)`` on help; ``handler`` is the ``(group, cmd)`` pair."""
+    parser = _RaisingParser(prog="erdos-trio")
+    parser.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    parser.add_argument("--output", default=None)
+    parser.add_argument("--precision", type=int, default=256)
+    parser.add_argument("--threads", type=int, default=1)
+    groups = parser.add_subparsers(dest="group", required=True)
+
+    def command(group, cmd):
+        p = subparsers[group].add_parser(cmd)
+        p.set_defaults(handler=(group, cmd))
+        return p
+
+    subparsers = {
+        group: groups.add_parser(group).add_subparsers(dest="cmd", required=True)
+        for group in ("binomial", "basis", "equidist")
+    }
+    command("binomial", "f").add_argument("--n", type=int, required=True)
+    p = command("binomial", "f-scan")
+    p.add_argument("--from", dest="from_n", type=int, required=True)
+    p.add_argument("--to", type=int, required=True)
+    p.add_argument("--stride", type=int, default=1)
+    p = command("binomial", "certificate")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--C", type=float, default=24.0 / (math.pi**2 - 6.0) + 0.01)
+    command("binomial", "witness").add_argument("--K", type=int, required=True)
+
+    command("basis", "cover").add_argument("--k", type=int, required=True)
+    command("basis", "rigidity").add_argument("--k", type=int, required=True)
+    p = command("basis", "gaps")
+    p.add_argument("--rule", required=True)
+    p.add_argument("--k", type=int, required=True)
+    command("basis", "reps").add_argument("--n", type=int, required=True)
+
+    p = command("equidist", "scan")
+    p.add_argument("--alpha", required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--stride", type=int, default=1)
+    p = command("equidist", "approx")
+    p.add_argument("--alpha", required=True)
+    p.add_argument("--Q", type=int, required=True)
+    p = command("equidist", "string")
+    for flag in ("--q", "--a", "--m", "--limit"):
+        p.add_argument(flag, type=int, required=True)
+    p = command("equidist", "cluster")
+    p.add_argument("--alpha", required=True)
+    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--limit", type=int, required=True)
+    return parser

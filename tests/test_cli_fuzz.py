@@ -1,11 +1,18 @@
 """Fuzz over command-line argv: every run ends in a documented exit code.
 
-Argv is built from the real subcommands and flags, with values drawn from
-small integers (so every run finishes in well under a second), a few
-malformed values, and junk tokens dropped in anywhere. Whatever the input,
-``main`` must return 0, 1, 2 or 3 (argparse's own ``--help`` exit counts as
-0) and must not let an exception escape, which the console script would
-print as a traceback.
+Argv is built from the real subcommands and flags, each flag spelled in
+full or by a unique prefix, its value the next token or after ``=``, now
+and then given twice; values are drawn from small integers (so every run
+finishes in well under a second) and a few malformed values, and junk
+tokens are dropped in anywhere. Whatever the input, ``main`` must return
+0, 1, 2 or 3 and must not let an exception escape, ``SystemExit``
+included, which the console script would print as a traceback.
+
+The same argv are read by the command table and by the argparse parser of
+``tests/oracles.py``: whatever the table accepts, argparse accepts with the
+same namespace, and whatever argparse accepts the table accepts too, but
+for argv holding ``--``, which the table refuses. ``-h`` and ``--help``
+print every command and flag and exit 0.
 
 A second property runs every subcommand with values at Python's 4,300-digit
 int-to-str limit and past float range, and a sweep runs each such flag at
@@ -21,7 +28,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from erdos_trio import cli
 from erdos_trio.cli import main
+
+from oracles import ArgparseRefusal, argparse_cli_parser
 
 INT = st.integers(-3, 60).map(str)
 VALUES = {
@@ -31,7 +41,7 @@ VALUES = {
     ),
     "alpha": st.sampled_from(
         ["golden", "sqrt:2", "sqrt:4", "sqrt:-3", "sqrt:x", "1/3", "-2/7", "1/0",
-         "0.5", "0", "3.14159", "1e400", "1e-400", "abc", ""]
+         "0.5", "-0.5", "0", "3.14159", "1e400", "1e-400", "abc", "", "-golden"]
     ),
     "rule": st.sampled_from(
         ["all-c-to-1", "all-c-to-2", "alternating", "random", "random:3",
@@ -61,25 +71,47 @@ COMMANDS = {
     ("equidist", "string"): {"--q": "int", "--a": "int", "--m": "int", "--limit": "int"},
     ("equidist", "cluster"): {"--alpha": "alpha", "--delta": "float", "--m": "int", "--limit": "int"},
 }
+# A unique prefix of each flag wherever the flag occurs: `--a` is `--alpha`
+# on `scan`, `approx` and `cluster` (on `string`, `--a` is a flag of its own).
+PREFIXES = {
+    "--format": "--form", "--output": "--o", "--precision": "--prec", "--threads": "--t",
+    "--from": "--fr", "--stride": "--str", "--rule": "--r", "--alpha": "--a", "--limit": "--lim",
+    "--delta": "--d",
+}
 JUNK = st.sampled_from(
-    ["", "-", "--", "x", "--wat", "-h", "--n", "--format", "binomial", "reps",
-     "1.5", "-1", "0x10", "é", "--threads=2", "--k=3"]
+    [[""], ["-"], ["--"], ["x"], ["--wat"], ["-h"], ["--he"], ["--n"], ["--format"], ["--form"],
+     ["binomial"], ["reps"], ["1.5"], ["-1"], ["0x10"], ["é"], ["--threads=2"], ["--k=3"],
+     ["--k", "-5"], ["--output", "-x"], ["--alpha", "-golden"], ["--a", "0.5"]]
 )
+
+
+def _given(draw, flag: str, kind: str) -> list[str]:
+    """A flag with a value drawn for its kind: the flag spelled in full or
+    by its prefix, the value the next token or after ``=``."""
+    spelled = draw(st.sampled_from([flag, PREFIXES.get(flag, flag)]))
+    value = draw(VALUES[kind])
+    return [f"{spelled}={value}"] if draw(st.booleans()) else [spelled, value]
 
 
 @st.composite
 def argvs(draw):
     argv = []
     for flag in draw(st.lists(st.sampled_from(sorted(GLOBAL_FLAGS)), max_size=3, unique=True)):
-        argv += [flag, draw(VALUES[GLOBAL_FLAGS[flag]])]
+        argv += _given(draw, flag, GLOBAL_FLAGS[flag])
     group, cmd = draw(st.sampled_from(sorted(COMMANDS)))
-    argv += [group, cmd]
+    # the global flags before the group, and one time in ten each after the
+    # group or after the command, where they are refused
+    at = draw(st.sampled_from([0] * 8 + [1, 2]))
+    argv = [group, cmd][:at] + argv + [group, cmd][at:]
     for flag, kind in COMMANDS[group, cmd].items():
         if draw(st.integers(0, 9)):  # keep each flag nine times in ten
-            argv += [flag, draw(VALUES[kind])]
+            argv += _given(draw, flag, kind)
+        if not draw(st.integers(0, 9)):  # and give it again one time in ten
+            argv += _given(draw, flag, kind)
     if not draw(st.integers(0, 3)):  # junk in one argv in four
-        for token in draw(st.lists(JUNK, min_size=1, max_size=2)):
-            argv.insert(draw(st.integers(0, len(argv))), token)
+        for tokens in draw(st.lists(JUNK, min_size=1, max_size=2)):
+            at = draw(st.integers(0, len(argv)))
+            argv[at:at] = tokens
     return argv
 
 
@@ -92,15 +124,12 @@ def argvs(draw):
 @given(argv=argvs())
 def test_cli_argv_fuzz(tmp_path_factory, argv):
     out_dir = tmp_path_factory.getbasetemp()
-    argv = [
-        {"@file": str(out_dir / "out.txt"), "@dir": str(out_dir)}.get(a, a) for a in argv
-    ]
+    # "@file" and "@dir" stand for paths under the test's directory, also
+    # after "="
+    argv = [a.replace("@file", str(out_dir / "out.txt")).replace("@dir", str(out_dir)) for a in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's --help
-            code = exc.code
+        code = main(argv)
     assert code in (0, 1, 2, 3), (argv, code, stderr.getvalue())
     assert "Traceback" not in stderr.getvalue(), argv
 
@@ -217,3 +246,65 @@ def test_digit_count_is_exact_past_the_limit(capsys):
     ):
         assert main(["equidist", "approx", "--alpha", alpha, "--Q", "10"]) == 1
         assert capsys.readouterr().err == f"error: {subject}, past the 4300-digit int-to-str limit\n"
+
+
+ARGPARSE = argparse_cli_parser()
+
+
+def _reprs(args: dict) -> dict:
+    """Each value by its repr, so that two nan (or 0.0 and -0.0) compare as
+    the same value (or two)."""
+    return {key: repr(value) for key, value in args.items()}
+
+
+def _read_by_argparse(argv: list[str]):
+    """The namespace's vars, ``"help"`` or ``"refused"``."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return _reprs(vars(ARGPARSE.parse_args(argv)))
+        except SystemExit as exc:
+            assert exc.code == 0, argv
+            return "help"
+        except ArgparseRefusal:
+            return "refused"
+
+
+def _read_by_the_table(argv: list[str]):
+    """The namespace's vars, with its handler, ``cli._cmd_<group>_<cmd>``,
+    as the pair ``(group, cmd)``; ``"help"`` or ``"refused"``."""
+    try:
+        args = vars(cli._parse_argv(argv))
+    except cli._HelpAsked:
+        return "help"
+    except cli._UsageError:
+        return "refused"
+    group, cmd = args["group"], args["cmd"]
+    assert args["handler"] is getattr(cli, f"_cmd_{group}_{cmd.replace('-', '_')}"), argv
+    return _reprs({**args, "handler": (group, cmd)})
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=argvs())
+def test_table_reads_argv_as_argparse_does(argv):
+    """Both directions: what the table accepts, argparse accepts with equal
+    vars, and what argparse accepts, the table accepts, but for ``--``, which
+    the table refuses. Where the table prints help, so does argparse."""
+    ours, theirs = _read_by_the_table(argv), _read_by_argparse(argv)
+    if isinstance(ours, dict) or ours == "help":
+        assert ours == theirs, argv
+    if isinstance(theirs, dict) and "--" not in argv:
+        assert ours == theirs, argv
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["basis", "cover", "-h"]])
+def test_help_names_every_command_and_flag(capsys, argv):
+    """Help exits 0, with no ``SystemExit``, and prints every group,
+    command and flag."""
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = [line.replace("[", " ").split() for line in out.splitlines()]
+    for (group, cmd), flags in COMMANDS.items():
+        line = next(words for words in lines if words[:2] == [group, cmd])
+        assert set(flags) <= set(line), (group, cmd)
+    assert set(GLOBAL_FLAGS) <= set(lines[0])

@@ -1,11 +1,14 @@
 """Fractional parts, exact discrepancy, approximants, prime strings, clustering."""
 
 import math
+import os
 import random
+import subprocess
 import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +44,8 @@ from oracles import (
     star_discrepancy,
     whole_table_prime_string,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -139,13 +144,46 @@ def test_interval_discrepancy_memory_budget():
         want = interval_discrepancy(points)
         call = lambda: interval_discrepancy(points)  # noqa: E731
         widest = max(Fraction(x).denominator for x in points).bit_length()
-        need = eq._FRACTION_BYTES * len(points) + eq._WIDE_BYTES * (24 + widest // 8)
+        need = eq._FRACTION_BYTES * len(points) + eq._WIDE_BYTES * (24 + widest // 8) + eq._FIRST_CALL_BYTES
         match = f"the discrepancy of {len(points)} points"
         assert assert_counted(need, call, match=match) == want
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError, match="the discrepancy of 7500000 points"):
         interval_discrepancy([0] * 7_500_000)
     assert time.perf_counter() - start < 1.0
+
+
+# One first call of ``interval_discrepancy`` in a fresh interpreter: it
+# prints the call's tracemalloc peak and the most it counted.
+_FIRST_CALL = """
+import sys, tracemalloc
+from fractions import Fraction
+from erdos_trio import equidistribution as eq
+counted = [0]
+reserve = eq.reserve
+def counting(need, what):
+    counted[0] = max(counted[0], need)
+    reserve(need, what)
+eq.reserve = counting
+points = eval(sys.argv[1])
+tracemalloc.start()
+eq.interval_discrepancy(points)
+print(tracemalloc.get_traced_memory()[1], counted[0])
+"""
+
+
+@pytest.mark.parametrize("points", ["[Fraction(1, 3)]", "[0.0]", "[0.3]"])
+def test_interval_discrepancy_first_call_within_its_count(points):
+    """The first call in a process fills the type caches that later calls
+    reuse; its tracemalloc peak is within its count all the same."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FIRST_CALL, points], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak, counted = map(int, proc.stdout.split())
+    assert peak <= counted, (peak, counted)
 
 
 def test_discrepancy_single_point_is_one():

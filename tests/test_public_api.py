@@ -35,6 +35,7 @@ from collections import Counter, defaultdict
 from pathlib import Path
 
 import erdos_trio
+from erdos_trio import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -163,18 +164,12 @@ UNREAD_FLAGS = {"threads"}
 
 
 def test_every_cli_flag_is_read():
-    """Each ``add_argument`` destination in ``cli.build_parser`` is read as
+    """Each flag's dest in the command table of ``cli.py`` is read as
     ``args.<dest>`` somewhere in ``cli.py``: a flag that no handler reads is
     a second spelling or dead weight."""
     tree = ast.parse((ROOT / "src" / "erdos_trio" / "cli.py").read_text())
-    build = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "build_parser")
-    dests = set()
-    for node in ast.walk(build):
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
-            dest = next((kw.value.value for kw in node.keywords if kw.arg == "dest"), None)
-            names = [a.value for a in node.args if isinstance(a, ast.Constant)]
-            long = next((n for n in names if n.startswith("--")), names[0])
-            dests.add(dest or long.lstrip("-").replace("-", "_"))
+    tables = [cli._GLOBAL_FLAGS, *(flags for _, flags in cli._COMMANDS.values())]
+    dests = {dest for flags in tables for dest, _, _ in flags.values()}
     read = {
         node.attr
         for node in ast.walk(tree)
