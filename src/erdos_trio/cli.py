@@ -345,8 +345,10 @@ def _cmd_equidist_scan(args) -> tuple[list[dict], dict, str]:
         }
     ]
     claim = (
-        "max over scanned starts of each window's interval discrepancy, scored "
-        "in float64; max_discrepancy_exact is the argmax window's exact value"
+        "max over scanned starts of each window's interval discrepancy: every window "
+        "is scored in integers within a proven bound, and each that can attain the max "
+        "is scored exactly; max_discrepancy_exact is that max, first attained at "
+        "argmax_start, and max_discrepancy its float"
     )
     return rows, {"claim": claim}, "verified"
 

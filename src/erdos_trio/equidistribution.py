@@ -596,7 +596,9 @@ def well_distribution_statistic(
 class Approximant:
     """Reduced fraction a/q with q <= Q and |alpha - a/q| <= 1/(qQ).
 
-    ``err`` is the exact value of |alpha - a/q| (the tightest bound).
+    ``err`` is the exact value of |alpha - a/q| (the tightest bound). The
+    bound is re-checked in exact arithmetic for every approximant built,
+    by ``dirichlet_approx`` and on every rung of ``cluster_verify``.
     """
 
     a: int
@@ -618,25 +620,40 @@ def _convergents(alpha: Fraction):
         yield h, k
 
 
-def dirichlet_approx(alpha: float | int | str | Fraction, Q: int) -> Approximant:
-    """Best rational a/q with q <= Q in the Dirichlet sense.
+def _approximants(x: Fraction, Q: int):
+    """Yield the Dirichlet approximant of x for Q, then each later
+    convergent a/q of x as the approximant for Q = q, from one walk of the
+    convergents.
 
-    Takes the last continued-fraction convergent a/q with q <= Q. The next
-    convergent's denominator q' exceeds Q, so |alpha - a/q| < 1/(q q') <
-    1/(qQ) (or alpha = a/q exactly). The bound is re-checked in exact
-    arithmetic; a violation raises VerificationError.
+    The first is the last convergent a/q with q <= Q: the next convergent's
+    denominator q' exceeds Q, so |x - a/q| < 1/(q q') < 1/(qQ) (or x = a/q
+    exactly). Each later convergent a/q is within 1/(q q') < 1/q^2 of x in
+    the same way, q' the next convergent's denominator (or equals x, if it
+    is the last). Each bound is re-checked in exact arithmetic before its
+    approximant is yielded; a violation raises VerificationError.
+    """
+    walk = _convergents(x)
+    a, q = next(walk)  # the first convergent has q = 1 <= Q
+    while q is not None:
+        h, k = next(walk, (None, None))
+        if k is None or k > Q:
+            err = abs(x - Fraction(a, q))
+            if err * q * Q > 1:
+                raise VerificationError(f"convergent {a}/{q} of {x} misses the Dirichlet bound for Q={Q}")
+            yield Approximant(a=a, q=q, Q=Q, err=err)
+            Q = k  # each later rung is its own Q
+        a, q = h, k
+
+
+def dirichlet_approx(alpha: float | int | str | Fraction, Q: int) -> Approximant:
+    """Best rational a/q with q <= Q in the Dirichlet sense: the last
+    continued-fraction convergent a/q with q <= Q, whose bound
+    |alpha - a/q| <= 1/(qQ) is re-checked in exact arithmetic; a violation
+    raises VerificationError.
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
-    x = parse_alpha(alpha)
-    for h, k in _convergents(x):  # the first convergent has k = 1 <= Q
-        if k > Q:
-            break
-        a, q = h, k
-    err = abs(x - Fraction(a, q))
-    if err * q * Q > 1:
-        raise VerificationError(f"convergent {a}/{q} of {x} misses the Dirichlet bound for Q={Q}")
-    return Approximant(a=a, q=q, Q=Q, err=err)
+    return next(_approximants(parse_alpha(alpha), Q))
 
 
 @dataclass(frozen=True)
@@ -788,11 +805,13 @@ def cluster_verify(
     continued-fraction convergent a/q with first q < q <= limit // (m - 1),
     taken with Q = q: a Dirichlet approximant with a far smaller error and a
     rarer residue class (a run of m primes in one class mod q is at least
-    q (m - 1) wide). A run of m consecutive primes = a (mod q) with diameter
-    d has its points {alpha p} in one arc of length at most err * d: q
-    divides each difference p - p', so {a p / q} is one point for the whole
-    run, and each {alpha p} is that point shifted by (alpha - a/q) p. Each
-    rung accepts only runs with err * d <= delta. The found run is then
+    q (m - 1) wide). Every rung comes from one walk of the convergents, and
+    its bound |alpha - a/q| <= 1/(qQ) is re-checked in exact arithmetic
+    before the rung searches. A run of m consecutive primes = a (mod q)
+    with diameter d has its points {alpha p} in one arc of length at most
+    err * d: q divides each difference p - p', so {a p / q} is one point for
+    the whole run, and each {alpha p} is that point shifted by
+    (alpha - a/q) p. Each rung accepts only runs with err * d <= delta. The found run is then
     re-checked exactly, from one sorted list of its residues num p mod den:
     the shortest arc of the circle that holds its points is at most delta
     long, and its window's discrepancy, read from the same list, is at least
@@ -816,16 +835,9 @@ def cluster_verify(
     if m < 2:
         raise ValueError("m must be >= 2")
     reserve(m * _exact_point_bytes(a), f"a cluster check of {_count(m)} points")
-    first = dirichlet_approx(a, math.ceil(1 / d))
-    later = (
-        Approximant(a=h, q=q, Q=q, err=abs(a - Fraction(h, q)))
-        for h, q in _convergents(a)
-        if q > first.q
-    )
-    q_cap = max(first.q, limit // (m - 1))  # the first rung always runs
     rounds: list[dict] = []
-    for apx in itertools.chain([first], later):
-        if apx.q > q_cap:
+    for apx in _approximants(a, math.ceil(1 / d)):
+        if rounds and apx.q > limit // (m - 1):  # the first rung always runs
             break
         bound = None if apx.err == 0 else int(d / apx.err)
         string = find_prime_string(apx.q, apx.a, m, limit, table, max_diameter=bound)

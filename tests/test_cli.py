@@ -439,12 +439,15 @@ def _served(argv):
 def test_basis_reps_counts_rendered_rows(capsys):
     """``basis reps`` counts its rendered rows, at the size per pair of its
     costliest format for every format, before it builds them; the count
-    covers the command's tracemalloc peak."""
-    need = 32878 * cli._REP_ROW_BYTES  # 32,878 representations of 251,500
+    covers the command's tracemalloc peak. n = 189,200 has 9,532
+    representations of six-digit pairs, and its table peaks at 638.7 bytes
+    per row, so a count of 638 bytes per row falls below its peak, as it
+    did at n = 251,500 (32,878 rows, 638.9)."""
+    need = 9532 * cli._REP_ROW_BYTES  # 9,532 representations of 189,200
     for fmt in ("json", "csv", "table"):
-        assert_counted(need, _served(["--format", fmt, "basis", "reps", "--n", "251500"]))
+        assert_counted(need, _served(["--format", fmt, "basis", "reps", "--n", "189200"]))
     err = capsys.readouterr().err
-    assert err.count("error: rendering 32878 representations needs ~") == 3
+    assert err.count("error: rendering 9532 representations needs ~") == 3
 
 
 def test_basis_reps_refused_before_any_row(capsys, monkeypatch):
@@ -642,7 +645,7 @@ GOLDEN = {
     "equidist scan --alpha golden --k 20 --limit 200": (0, {
         "table": "5423d18f8c6c6e48c7a63a7c435229e71142bc444a3aa8ae09eaa2c897c70996",
         "csv": "73cf3849f88cb7931876b009d11a011a23fde3aaa971bcce3ba2e50e86010ca4",
-        "json": "e215b798d898687bed61143bd4a13d5aa7cdf45f489ae07b55ffd08065f42516",
+        "json": "50c1d1e3bb1d3ff4121b72cb0c5890312cc653139b210910589166a25dd95af9",
     }),
     "--precision 64 equidist approx --alpha sqrt:2 --Q 100": (0, {
         "table": "c43928d163bdc610435b7695b60d244c36cd7c9ca210adb480b91c44ebfcb3fe",

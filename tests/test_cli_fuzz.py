@@ -4,15 +4,15 @@ Argv is built from the real subcommands and flags, each flag spelled in
 full or by a unique prefix, its value the next token or after ``=``, now
 and then given twice; values are drawn from small integers (so every run
 finishes in well under a second) and a few malformed values, and junk
-tokens are dropped in anywhere. Whatever the input, ``main`` must return
-0, 1, 2 or 3 and must not let an exception escape, ``SystemExit``
-included, which the console script would print as a traceback.
-
-The same argv are read by the command table and by the argparse parser of
-``tests/oracles.py``: whatever the table accepts, argparse accepts with the
-same namespace, and whatever argparse accepts the table accepts too, but
-for argv holding ``--``, which the table refuses. ``-h`` and ``--help``
-print every command and flag and exit 0.
+tokens are dropped in anywhere. One property reads each argv twice and
+then runs it. The command table and the argparse parser of
+``tests/oracles.py`` read it alike: whatever the table accepts, argparse
+accepts with the same namespace, and whatever argparse accepts the table
+accepts too, but for argv holding ``--``, which the table refuses; where
+the table prints help, so does argparse. ``main`` then runs it and must
+return 0, 1, 2 or 3 without letting an exception escape, ``SystemExit``
+included, which the console script would print as a traceback. ``-h`` and
+``--help`` print every command and flag and exit 0.
 
 A second property runs every subcommand with values at Python's 4,300-digit
 int-to-str limit and past float range, and a sweep runs each such flag at
@@ -115,18 +115,58 @@ def argvs(draw):
     return argv
 
 
-@settings(
-    max_examples=1000,
-    derandomize=True,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+ARGPARSE = argparse_cli_parser()
+
+
+def _reprs(args: dict) -> dict:
+    """Each value by its repr, so that two nan (or 0.0 and -0.0) compare as
+    the same value (or two)."""
+    return {key: repr(value) for key, value in args.items()}
+
+
+def _read_by_argparse(argv: list[str]):
+    """The namespace's vars, ``"help"`` or ``"refused"``."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return _reprs(vars(ARGPARSE.parse_args(argv)))
+        except SystemExit as exc:
+            assert exc.code == 0, argv
+            return "help"
+        except ArgparseRefusal:
+            return "refused"
+
+
+def _read_by_the_table(argv: list[str]):
+    """The namespace's vars, with its handler, ``cli._cmd_<group>_<cmd>``,
+    as the pair ``(group, cmd)``; ``"help"`` or ``"refused"``."""
+    try:
+        args = vars(cli._parse_argv(argv))
+    except cli._HelpAsked:
+        return "help"
+    except cli._UsageError:
+        return "refused"
+    group, cmd = args["group"], args["cmd"]
+    assert args["handler"] is getattr(cli, f"_cmd_{group}_{cmd.replace('-', '_')}"), argv
+    return _reprs({**args, "handler": (group, cmd)})
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(argv=argvs())
 def test_cli_argv_fuzz(tmp_path_factory, argv):
+    """Each argv is read by the table and by argparse, in both directions:
+    what the table accepts, argparse accepts with equal vars, and what
+    argparse accepts, the table accepts, but for ``--``, which the table
+    refuses; where the table prints help, so does argparse. Then ``main``
+    runs it and returns a documented exit code with no traceback."""
     out_dir = tmp_path_factory.getbasetemp()
     # "@file" and "@dir" stand for paths under the test's directory, also
     # after "="
     argv = [a.replace("@file", str(out_dir / "out.txt")).replace("@dir", str(out_dir)) for a in argv]
+    ours, theirs = _read_by_the_table(argv), _read_by_argparse(argv)
+    if isinstance(ours, dict) or ours == "help":
+        assert ours == theirs, argv
+    if isinstance(theirs, dict) and "--" not in argv:
+        assert ours == theirs, argv
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
@@ -246,54 +286,6 @@ def test_digit_count_is_exact_past_the_limit(capsys):
     ):
         assert main(["equidist", "approx", "--alpha", alpha, "--Q", "10"]) == 1
         assert capsys.readouterr().err == f"error: {subject}, past the 4300-digit int-to-str limit\n"
-
-
-ARGPARSE = argparse_cli_parser()
-
-
-def _reprs(args: dict) -> dict:
-    """Each value by its repr, so that two nan (or 0.0 and -0.0) compare as
-    the same value (or two)."""
-    return {key: repr(value) for key, value in args.items()}
-
-
-def _read_by_argparse(argv: list[str]):
-    """The namespace's vars, ``"help"`` or ``"refused"``."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return _reprs(vars(ARGPARSE.parse_args(argv)))
-        except SystemExit as exc:
-            assert exc.code == 0, argv
-            return "help"
-        except ArgparseRefusal:
-            return "refused"
-
-
-def _read_by_the_table(argv: list[str]):
-    """The namespace's vars, with its handler, ``cli._cmd_<group>_<cmd>``,
-    as the pair ``(group, cmd)``; ``"help"`` or ``"refused"``."""
-    try:
-        args = vars(cli._parse_argv(argv))
-    except cli._HelpAsked:
-        return "help"
-    except cli._UsageError:
-        return "refused"
-    group, cmd = args["group"], args["cmd"]
-    assert args["handler"] is getattr(cli, f"_cmd_{group}_{cmd.replace('-', '_')}"), argv
-    return _reprs({**args, "handler": (group, cmd)})
-
-
-@settings(max_examples=1000, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(argv=argvs())
-def test_table_reads_argv_as_argparse_does(argv):
-    """Both directions: what the table accepts, argparse accepts with equal
-    vars, and what argparse accepts, the table accepts, but for ``--``, which
-    the table refuses. Where the table prints help, so does argparse."""
-    ours, theirs = _read_by_the_table(argv), _read_by_argparse(argv)
-    if isinstance(ours, dict) or ours == "help":
-        assert ours == theirs, argv
-    if isinstance(theirs, dict) and "--" not in argv:
-        assert ours == theirs, argv
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["basis", "cover", "-h"]])

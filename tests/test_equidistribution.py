@@ -126,18 +126,20 @@ def test_interval_discrepancy_memory_budget():
     two denominators wide, are counted before they are made, and the count
     covers what tracemalloc measures, passes exactly and refuses one byte
     less: 1,000 random floats, 1,000 subnormal floats, whose denominators
-    reach 2^1074, 40,000 points over the distinct denominators 3, 5, ...,
-    p_40001, which no common denominator joins (its lcm has ~670,000 bits),
+    reach 2^1074, 23,000 points over the distinct denominators 3, 5, ...,
+    p_23001, which no common denominator joins (its lcm has 377,210 bits),
     and the small cases where the wide numbers weigh most: the one point
-    1/3^20000 and 10 subnormal floats. 7.5e6 zeros, ~2.16 GB by the count,
-    are refused in under 1 s."""
+    1/3^20000 and 10 subnormal floats. The lcm kernel this one replaced
+    refused those 23,000 points (~2.3 GB of scaled numerators by its count)
+    and served 22,000, so 23,000 pins that change as 40,000 did. 7.5e6
+    zeros, ~2.16 GB by the count, are refused in under 1 s."""
     eq = equidistribution
     rng = random.Random(35)
     odd = primes._prime_ints(10**6)[1:]
     for points in (
         [rng.random() for _ in range(1000)],
         [2.0**-1074 * rng.randrange(1, 2**52) for _ in range(1000)],
-        [Fraction(1, p) for p in odd[:40000]],
+        [Fraction(1, p) for p in odd[:23000]],
         [Fraction(1, 3**20000)],
         [2.0**-1074 * rng.randrange(1, 2**52) for _ in range(10)],
     ):
@@ -275,9 +277,12 @@ def test_integer_kernel_scores_truncated_points_exactly():
     """At both widths the kernel scores each row of parts m, in units of
     1/(k 2^b), as exactly k 2^b times the family oracle's discrepancy of the
     points m 2^-b, among them rows with a repeated point, rows with a point
-    at 0 and rows with the largest part, 2^b - 1, over several chunks."""
+    at 0 and rows with the largest part, 2^b - 1, over several chunks. k
+    runs to 50: the O(k^2) oracle spent nine tenths of the test on a k of
+    199 that reaches no width or chunk edge the others miss, and a kernel
+    that drops the 2^b of its width fails at every k."""
     rng = np.random.RandomState(6)
-    for k in (1, 2, 3, 7, 50, 199):
+    for k in (1, 2, 3, 7, 50):
         for bits, part, row in _widths(k):
             ms = rng.randint(0, 2**bits, size=(40, k), dtype=np.int64)
             if k > 3:
@@ -328,12 +333,14 @@ def test_screen_keeps_its_rows_in_int32_past_k_2_to_the_15(monkeypatch):
     below 2^31 and every y_i fits its int32 row: every window a scan scores,
     in the screen and in the re-score (b2 = 47), is within E = 2k + 1 units
     of its exact discrepancy. alpha = 1 - 2^-100 puts every part near 1, so
-    at 16 bits the first y_i, k (2^16 - 1), would pass 2^31."""
+    at 16 bits the first y_i, k (2^16 - 1), would pass 2^31. Five windows
+    (limit 4) hold one grid cell of the screen's second pass, and a screen
+    at 16 bits fails on window 0, as it did over 13."""
     k = 2**15 + 1
-    ps = primes._prime_list(10**6)[: k + 12].tolist()
+    ps = primes._prime_list(10**6)[: k + 4].tolist()
     for alpha in (parse_alpha("golden"), 1 - Fraction(1, 2**100), Fraction(1, 2) + Fraction(1, 10**7)):
         seen = _scored_rows(monkeypatch)
-        res = well_distribution_statistic(alpha, k, 12)
+        res = well_distribution_statistic(alpha, k, 4)
         monkeypatch.undo()
         assert {(bits, dtype) for bits, dtype, _, _ in seen} <= {(15, np.int32), (47, np.int64)}
         assert seen[0][:2] == (15, np.int32)
@@ -712,12 +719,16 @@ def test_scan_memory_budget():
     ramp and the exact re-check before it reads a prime, covering what
     tracemalloc measures with its primes read from the cache, among them a
     scan whose every window is in both bands, so that the re-score scores
-    full chunks. Past 2^24 its primes are sieved for the call,
-    and the whole peak is within its count and the sieve's."""
+    full chunks: alpha = 0.33...3 (24 digits) at k = 300, whose chunk holds
+    _CHUNK_ENTRIES // 300 = 218 windows, over 241 windows (limit 240), one
+    full chunk and part of a second; at an _ENTRY_BYTES of 15 or less its
+    count falls below its peak, as it did at limit 1,000. Past 2^24 its primes are
+    sieved for the call, and the whole peak is within its count and the
+    sieve's."""
     eq = equidistribution
     for alpha, k, limit, stride in (("golden", 10, 20000, 1), ("sqrt:2", 10, 10**5, 100),
                                     (Fraction(1, 7), 300, 2000, 1), ("golden", 2000, 0, 1),
-                                    ("0.333333333333333333333333", 300, 1000, 1)):
+                                    ("0.333333333333333333333333", 300, 240, 1)):
         a = parse_alpha(alpha)
         windows = limit // stride + 1
         need = (
@@ -814,7 +825,10 @@ def test_prime_string_memory_budget(monkeypatch):
     """A prime-string search, and each rung of the cluster search built on
     it, counts one whole segment and its carry of min(m - 1, 1.3 x / ln x)
     primes before it sieves: the same bytes at limits 1e6, 1e8 and 4e9,
-    whether it stops in the first segment or reads up to the limit. A run
+    whether it stops in the first segment or reads up to the limit. The
+    search that reads to its limit past 2^24 goes to 5e7, through two
+    segments sieved past the cache: the growing prefix tables the stream
+    replaced peaked there at 1.23 of this count (2.37 at 1e8). A run
     of 2e5 primes, listed as Python ints from spans of 2^18, where the carry
     outweighs the segment, stays within its carry's count. A search past
     the sieve's own budget is served: it holds no table."""
@@ -831,7 +845,7 @@ def test_prime_string_memory_budget(monkeypatch):
     for search, m, limit, farthest in (
         (lambda: find_prime_string(4, 1, 2, 10**6), 2, 10**6, 4093),
         (lambda: find_prime_string(4, 1, 100, 10**6), 100, 10**6, 999983),
-        (lambda: find_prime_string(4, 1, 100, 10**8), 100, 10**8, 99999989),
+        (lambda: find_prime_string(4, 1, 100, 5 * 10**7), 100, 5 * 10**7, 49999991),
         (lambda: find_prime_string(1, 0, 10**5, 10**8), 10**5, 10**8, 2093041),
         (lambda: cluster_verify("sqrt:2", 0.2, 2, 10**6), 2, 10**6, 4093),
         # every round fails, and some read up to the limit
@@ -980,6 +994,21 @@ def test_dirichlet_bound_check_fires(monkeypatch):
     monkeypatch.setattr(equidistribution, "_convergents", lambda x: ((h + 1, k) for h, k in real(x)))
     with pytest.raises(VerificationError, match="convergent 14/8 of .* misses the Dirichlet bound for Q=10"):
         dirichlet_approx("golden", 10)
+
+
+def test_cluster_rung_bound_check_fires(monkeypatch):
+    """A later rung's convergent whose numerator is off by one, 20/11 for
+    sqrt(3)'s 19/11, misses its bound 1/q^2, and the ladder raises before
+    that rung searches: only the first rung, 7/4 for Q = 10, has run."""
+    real, search = equidistribution._convergents, equidistribution.find_prime_string
+    monkeypatch.setattr(equidistribution, "_convergents", lambda x: ((h + (k > 10), k) for h, k in real(x)))
+    searched = []
+    monkeypatch.setattr(
+        equidistribution, "find_prime_string", lambda q, *args, **kw: searched.append(q) or search(q, *args, **kw)
+    )
+    with pytest.raises(VerificationError, match="convergent 20/11 of .* misses the Dirichlet bound for Q=11"):
+        cluster_verify("sqrt:3", 0.1, 4, 10**6)
+    assert searched == [4]
 
 
 def test_dirichlet_rejects_bad_q():

@@ -297,7 +297,7 @@ FIRING_TESTS = {
     "binomial_thresholds.lower_bound_witness": ["test_binomial_thresholds::test_witness_check_fires"],
     "cli._cmd_binomial_certificate": ["test_cli::test_certificate_confirmation_failure_exits_2"],
     "equidistribution._checked": ["test_equidistribution::test_scan_recheck_catches_a_wrong_window"],
-    "equidistribution.dirichlet_approx": ["test_equidistribution::test_dirichlet_bound_check_fires"],
+    "equidistribution._approximants": ["test_equidistribution::test_dirichlet_bound_check_fires"],
     "equidistribution.cluster_verify": [
         "test_equidistribution::test_cluster_arc_check_fires",
         "test_equidistribution::test_cluster_window_check_fires",
