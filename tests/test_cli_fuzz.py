@@ -150,6 +150,19 @@ def _read_by_the_table(argv: list[str]):
     return _reprs({**args, "handler": (group, cmd)})
 
 
+def _read_alike(argv: list[str]):
+    """The table's reading of ``argv``, checked against argparse's in both
+    directions: what the table accepts, argparse accepts with equal vars,
+    and what argparse accepts, the table accepts, but for ``--``, which the
+    table refuses; where the table prints help, so does argparse."""
+    ours, theirs = _read_by_the_table(argv), _read_by_argparse(argv)
+    if isinstance(ours, dict) or ours == "help":
+        assert ours == theirs, argv
+    if isinstance(theirs, dict) and "--" not in argv:
+        assert ours == theirs, argv
+    return ours
+
+
 @settings(max_examples=1000, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(argv=argvs())
 def test_cli_argv_fuzz(tmp_path_factory, argv):
@@ -162,16 +175,47 @@ def test_cli_argv_fuzz(tmp_path_factory, argv):
     # "@file" and "@dir" stand for paths under the test's directory, also
     # after "="
     argv = [a.replace("@file", str(out_dir / "out.txt")).replace("@dir", str(out_dir)) for a in argv]
-    ours, theirs = _read_by_the_table(argv), _read_by_argparse(argv)
-    if isinstance(ours, dict) or ours == "help":
-        assert ours == theirs, argv
-    if isinstance(theirs, dict) and "--" not in argv:
-        assert ours == theirs, argv
+    _read_alike(argv)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
     assert code in (0, 1, 2, 3), (argv, code, stderr.getvalue())
     assert "Traceback" not in stderr.getvalue(), argv
+
+
+# One argv for each reading rule, with the table's reading: "help",
+# "refused", or values its namespace holds.
+READINGS = [
+    (["equidist", "scan", "--a", "golden", "--k", "5", "--lim", "50"], {"alpha": "'golden'", "limit": "50"}),
+    (["equidist", "string", "--a", "1", "--q", "5", "--m", "2", "--l", "9"], {"a": "1", "limit": "9"}),
+    (["--threads=2", "--o", "out", "basis", "reps", "--n=4"], {"threads": "2", "output": "'out'", "n": "4"}),
+    (["basis", "cover", "--k", "-5"], {"k": "-5"}),
+    (["binomial", "f", "--n", "3", "--n", "5"], {"n": "5"}),
+    (["binomial", "--format", "csv", "f", "--n", "3"], "refused"),
+    (["binomial", "f", "--n", "3", "--format", "csv"], "refused"),
+    (["binomial", "f", "--", "--n", "3"], "refused"),
+    (["binomial", "f", "--n", "3", "x"], "refused"),
+    (["--format", "xml", "binomial", "f", "--n", "3"], "refused"),
+    (["binomial", "f", "--n"], "refused"),
+    (["binomial", "f"], "refused"),
+    (["--help"], "help"),
+    (["--he"], "help"),
+    (["basis", "cover", "-h"], "help"),
+]
+
+
+def test_table_reads_argv_as_argparse_does():
+    """Each rule of the reading, pinned by one argv: flags by a unique
+    prefix or after ``=``, negative values, the last of a repeated flag,
+    global flags only before the group, ``--``, stray tokens, bad choices,
+    missing values and flags, and help. The table reads each as argparse
+    does, in both directions, and as the row says."""
+    for argv, expected in READINGS:
+        ours = _read_alike(argv)
+        if isinstance(expected, dict):
+            assert isinstance(ours, dict) and expected.items() <= ours.items(), (argv, ours)
+        else:
+            assert ours == expected, argv
 
 
 # Values at Python's 4,300-digit int-to-str limit: alphas a/b whose b has
